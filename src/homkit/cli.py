@@ -414,7 +414,10 @@ def cmd_corpus(args) -> int:
     jobs = args.jobs
     env_jobs = os.environ.get("HOMKIT_JOBS")
     if env_jobs is not None:
-        jobs = int(env_jobs)
+        try:
+            jobs = int(env_jobs)
+        except ValueError:
+            raise InputError(f"HOMKIT_JOBS must be an integer, got {env_jobs!r}") from None
     t0 = time.monotonic()
     report = run_corpus(spec, args.cutoff, suite=args.suite, jobs=jobs)
     elapsed = time.monotonic() - t0

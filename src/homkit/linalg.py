@@ -280,21 +280,6 @@ class Matrix:
         return Solution(particular=x, kernel=self.kernel_basis())
 
 
-def mat_vec(m: Matrix, v: list) -> list:
-    """Row vector times matrix: returns v @ m (v has length m.rows)."""
-    F = m.field
-    out = [F.zero] * m.cols
-    for i, a in enumerate(v):
-        if a == 0:
-            continue
-        row = m.data[i]
-        for j in range(m.cols):
-            b = row[j]
-            if b != 0:
-                out[j] = F.add(out[j], F.mul(a, b))
-    return out
-
-
 class RowSpace:
     """Incrementally built row space in full reduced echelon form.
 
@@ -372,18 +357,14 @@ class RowSpace:
         return a kernel basis, one sparse vector per free column.
         """
         F = self.field
-        pivset = self.pivot_of_col
-        basis = []
-        for fc in range(ncols):
-            if fc in pivset:
-                continue
-            v = {fc: F.one}
-            for pc, ri in pivset.items():
-                x = self.rows[ri].get(fc)
-                if x is not None and x != 0:
+        basis = {fc: {fc: F.one} for fc in range(ncols) if fc not in self.pivot_of_col}
+        # in full RREF a row's non-pivot entries all sit in free columns
+        for pc, row in zip(self.pivot_cols, self.rows):
+            for c, x in row.items():
+                v = basis.get(c)
+                if v is not None:
                     v[pc] = F.neg(x)
-            basis.append(v)
-        return basis
+        return list(basis.values())
 
 
 class IntMatrix:

@@ -17,7 +17,6 @@ isomorphism between two syzygies.
 from __future__ import annotations
 
 import random
-import weakref
 from dataclasses import dataclass, field as dc_field
 from itertools import product as iter_product
 
@@ -68,9 +67,14 @@ def _vecmat(F: Field, v: list, A: list[list]) -> list:
 
 
 class Module:
-    """A right module with per-basis-element action matrices."""
+    """A right module with per-basis-element action matrices.
 
-    __slots__ = ("algebra", "dim", "action", "weights")
+    ``_radical`` caches the row space of rad M (see ``_radical_rowspace``);
+    it is built at most once per module, and a syzygy arrives with it
+    already filled in.
+    """
+
+    __slots__ = ("algebra", "dim", "action", "weights", "_radical")
 
     def __init__(self, algebra: Algebra, dim: int, action: list[list[list]],
                  weights: list[int]):
@@ -78,6 +82,7 @@ class Module:
         self.dim = dim
         self.action = action
         self.weights = list(weights)
+        self._radical: RowSpace | None = None
         if len(action) != algebra.dim:
             raise ValueError("need one action matrix per algebra basis element")
         if len(weights) != dim:
@@ -371,14 +376,21 @@ def quotient_module(parent: Module, vectors: list[list]) -> Module:
 
 
 def _radical_rowspace(m: Module) -> RowSpace:
-    rs = RowSpace(m.field)
-    a = m.algebra
-    for x in range(a.r, a.dim):
-        mat = m.action[x]
-        for row in mat:
-            d = {i: v for i, v in enumerate(row) if v != 0}
-            if d:
-                rs.add(d)
+    """The row space of rad M = M * rad A, built once and kept on the module.
+
+    Covers, tops and top multiplicities all read this one copy, so callers
+    must not modify it.
+    """
+    rs = m._radical
+    if rs is None:
+        rs = RowSpace(m.field)
+        a = m.algebra
+        for x in range(a.r, a.dim):
+            for row in m.action[x]:
+                d = {i: v for i, v in enumerate(row) if v != 0}
+                if d:
+                    rs.add(d)
+        m._radical = rs
     return rs
 
 
@@ -417,68 +429,35 @@ def top_multiplicities(m: Module) -> list[int]:
     return counts
 
 
-_projective_cache: "weakref.WeakKeyDictionary[Algebra, dict]" = weakref.WeakKeyDictionary()
-
-
-def cached_projective(a: Algebra, i: int) -> Module:
-    per = _projective_cache.setdefault(a, {})
-    mod = per.get(i)
-    if mod is None:
-        mod = per[i] = projective(a, i)
-    return mod
-
-
 class Cover:
-    """A minimal projective cover presented without block matrices.
+    """A minimal projective cover presented by structure constants.
 
-    ``summands`` lists one vertex per projective copy (in vertex order);
-    the block-diagonal source action is applied summand by summand, so the
-    full source Module is only materialised on demand.
+    ``summands`` lists one vertex i per projective copy (in vertex order).
+    The copy of P_i = e_i A has as basis the paths ``paths[i]`` (the basis
+    elements with left tag i, in basis order), so basis element x acts on a
+    source coordinate standing for path k through ``algebra.mult[k][x]``.
+    ``matrix`` has one row per source coordinate: the image of its path in
+    M, read at a lift chosen off M's cached radical row space.  The
+    block-diagonal source Module is only built on demand.
     """
 
     def __init__(self, algebra: Algebra, summands: list[int],
-                 multiplicities: list[int], matrix: list[list]):
+                 multiplicities: list[int], matrix: list[list],
+                 paths: dict[int, list[int]]):
         self.algebra = algebra
         self.summands = summands
         self.multiplicities = multiplicities
         self.matrix = matrix
-        self._parts = [cached_projective(algebra, i) for i in summands]
-        self._offsets = []
-        off = 0
-        for p in self._parts:
-            self._offsets.append(off)
-            off += p.dim
-        self.source_dim = off
+        self.paths = paths
+        self.source_dim = sum(len(paths[i]) for i in summands)
         self._source: Module | None = None
 
     @property
     def source(self) -> Module:
         if self._source is None:
-            self._source = direct_sum(self.algebra, self._parts)
+            parts = {i: projective(self.algebra, i) for i in self.paths}
+            self._source = direct_sum(self.algebra, [parts[i] for i in self.summands])
         return self._source
-
-    def source_weights(self) -> list[int]:
-        out: list[int] = []
-        for p in self._parts:
-            out.extend(p.weights)
-        return out
-
-    def act_source(self, v: list, x: int) -> list:
-        """Apply basis element x to a source vector, blockwise."""
-        F = self.algebra.field
-        out = [F.zero] * self.source_dim
-        for part, off in zip(self._parts, self._offsets):
-            mat = part.action[x]
-            for i in range(part.dim):
-                a = v[off + i]
-                if a == 0:
-                    continue
-                row = mat[i]
-                for j in range(part.dim):
-                    b = row[j]
-                    if b != 0:
-                        out[off + j] = F.add(out[off + j], F.mul(a, b))
-        return out
 
 
 def projective_cover(m: Module) -> Cover:
@@ -499,15 +478,16 @@ def projective_cover(m: Module) -> Cover:
     mults = [len(lifts_by_vertex.get(i, ())) for i in range(a.r)]
     summands: list[int] = []
     rows: list[list] = []
+    paths: dict[int, list[int]] = {}
     for i in range(a.r):
         if mults[i] == 0:
             continue
-        pidx = [k for k in range(a.dim) if a.left[k] == i]
+        pidx = paths[i] = [k for k in range(a.dim) if a.left[k] == i]
         for t in lifts_by_vertex[i]:
             summands.append(i)
             for k in pidx:
                 rows.append(list(m.action[k][t]))
-    return Cover(a, summands, mults, rows)
+    return Cover(a, summands, mults, rows, paths)
 
 
 def syzygy(m: Module) -> Module:
@@ -520,30 +500,93 @@ def syzygy(m: Module) -> Module:
 def _syzygy_with_inclusion(m: Module, cov: Cover | None = None) -> tuple[Module, Cover, list[list]]:
     """Syzygy as a Module, the cover, and the inclusion into the source.
 
-    The syzygy's action matrices are computed by blockwise application of
-    the source projectives to the kernel basis, so the (possibly large)
-    block-diagonal source action is never materialised.
+    Only non-zero entries are touched.  The kernel of the cover matrix is
+    solved and kept in sparse RREF, and a kernel row v acts through the
+    structure constants: ``v * x`` sums ``v[c] * mult[k][x]`` over the
+    non-zero coordinates c of v, where k is the path that source column c
+    stands for (see :class:`Cover`).  Only pivot columns are accumulated,
+    as they are the syzygy coordinates of the product, so the source
+    Module is never built.  The products by the radical basis elements,
+    added in x-then-row order, seed the syzygy's cached radical row space
+    (see ``_radical_rowspace``), which its own cover and top
+    multiplicities then read without another pass over the action.
     """
     if cov is None:
         cov = projective_cover(m)
+    a = m.algebra
     F = m.field
-    kern = Matrix(F, cov.matrix).transpose().kernel_basis() if cov.matrix else []
-    if not kern:
-        return zero_module(m.algebra), cov, []
-    basis = SubspaceBasis(F, cov.source_dim, kern)
-    src_weights = cov.source_weights()
+    eqs = RowSpace(F)
+    for col in zip(*cov.matrix):
+        eq = {j: x for j, x in enumerate(col) if x != 0}
+        if eq:
+            eqs.add(eq)
+    basis = RowSpace(F)
+    for v in eqs.kernel_basis(cov.source_dim):
+        basis.add(v)
+    if not basis.rows:
+        return zero_module(a), cov, []
+    d = basis.rank
+    coord = {c: s for s, c in enumerate(basis.pivot_cols)}
+    # per source column: its path, and a map from the paths of its summand
+    # to syzygy coordinates (pivot columns only)
+    path_of: list[int] = []
+    coord_of: list[dict[int, int]] = []
+    off = 0
+    for i in cov.summands:
+        pidx = cov.paths[i]
+        zmap = {k: coord[off + s] for s, k in enumerate(pidx) if off + s in coord}
+        path_of.extend(pidx)
+        coord_of.extend([zmap] * len(pidx))
+        off += len(pidx)
     weights = []
-    for row, piv in zip(basis.rows, basis.pivots):
-        w = src_weights[piv]
-        if any(x != 0 and src_weights[c] != w for c, x in enumerate(row)):
+    for row, piv in zip(basis.rows, basis.pivot_cols):
+        w = a.right[path_of[piv]]
+        if any(a.right[path_of[c]] != w for c in row):
             raise AssertionError("kernel basis vector mixes weights")
         weights.append(w)
+    zero = F.zero
+    products: dict[int, list[tuple[int, dict]]] = {}  # path k -> non-zero k * x
+    # images[x][s]: the syzygy coordinates of row s times x, filled in
+    # row order and only where the product is non-zero
+    images: list[dict[int, dict[int, object]]] = [{} for _ in range(a.dim)]
+    for s, row in enumerate(basis.rows):
+        for c, v in row.items():
+            k = path_of[c]
+            prods = products.get(k)
+            if prods is None:
+                prods = products[k] = [(x, zs) for x, zs in enumerate(a.mult[k]) if zs]
+            zmap = coord_of[c]
+            for x, zs in prods:
+                img = images[x].get(s)
+                if img is None:
+                    img = images[x][s] = {}
+                for z, cz in zs.items():
+                    t = zmap.get(z)
+                    if t is not None:
+                        img[t] = F.add(img.get(t, zero), F.mul(v, cz))
     action = []
-    for x in range(m.algebra.dim):
-        mat = [basis.coords(cov.act_source(row, x)) for row in basis.rows]
+    for by_row in images:
+        mat = [[zero] * d for _ in range(d)]
+        for s, img in by_row.items():
+            dense = mat[s]
+            for t, val in img.items():
+                dense[t] = val
         action.append(mat)
-    sub = Module(m.algebra, basis.rank, action, weights)
-    return sub, cov, [r[:] for r in basis.rows]
+    radical = RowSpace(F)
+    for x in range(a.r, a.dim):
+        for img in images[x].values():
+            nz = {t: val for t, val in img.items() if val != 0}
+            if nz:
+                radical.add(nz)
+    sub = Module(a, d, action, weights)
+    sub._radical = radical
+    incl = []
+    for row in basis.rows:
+        dense = [zero] * cov.source_dim
+        for c, v in row.items():
+            dense[c] = v
+        incl.append(dense)
+    return sub, cov, incl
 
 
 @dataclass

@@ -14,7 +14,7 @@ identities raise TheoremViolation (the CLI's exit-3 tripwire).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .algebra import Algebra, corner, opposite, quotient_by_idempotent_ideal, triangular
@@ -92,6 +92,10 @@ class StratifyingVerdict:
     first_nonzero_tor: int | None = None
     resolution_terminated: bool = False
     cutoff: int = 0
+    # pd of Ae and of eA at ``cutoff``, where the check computed them
+    # (ladder_estimate reuses them)
+    pd_Ae: PdResult | None = field(default=None, compare=False, repr=False)
+    pd_eA: PdResult | None = field(default=None, compare=False, repr=False)
 
     def __bool__(self):
         return self.kind == "yes"
@@ -125,26 +129,25 @@ def stratifying_check(a: Algebra, S: list[int], cutoff: int) -> StratifyingVerdi
     d_aea = aea_dimension(a, S)
     if t_dim != d_aea:
         return StratifyingVerdict("no", t_dim, d_aea, cutoff=cutoff)
-    if pd(Ae, cutoff).is_finite:
+    pd_Ae = pd(Ae, cutoff)
+    pd_eA = None
+    if pd_Ae.is_finite:
         tors = tor_dims(Ae, eA, cutoff)
-        terminated = True
-    elif pd(eA, cutoff).is_finite:
-        # balanced Tor: resolve eA over the opposite corner instead
-        tors = tor_dims(eA, Ae, cutoff)
         terminated = True
     else:
-        # no terminating resolution: only a nonzero Tor (a No) can still be
-        # certified; the list may be guard-truncated
-        tors = tor_dims(Ae, eA, cutoff)
-        terminated = False
+        pd_eA = pd(eA, cutoff)
+        # balanced Tor: resolve eA over the opposite corner instead; with no
+        # terminating resolution only a nonzero Tor (a No) can still be
+        # certified, and the list may be guard-truncated
+        terminated = pd_eA.is_finite
+        tors = tor_dims(eA, Ae, cutoff) if terminated else tor_dims(Ae, eA, cutoff)
+    pds = {"cutoff": cutoff, "pd_Ae": pd_Ae, "pd_eA": pd_eA}
     for l in range(1, len(tors)):
         if tors[l] != 0:
-            return StratifyingVerdict("no", t_dim, d_aea, first_nonzero_tor=l,
-                                      cutoff=cutoff)
+            return StratifyingVerdict("no", t_dim, d_aea, first_nonzero_tor=l, **pds)
     if terminated:
-        return StratifyingVerdict("yes", t_dim, d_aea,
-                                  resolution_terminated=True, cutoff=cutoff)
-    return StratifyingVerdict("unknown", t_dim, d_aea, cutoff=cutoff)
+        return StratifyingVerdict("yes", t_dim, d_aea, resolution_terminated=True, **pds)
+    return StratifyingVerdict("unknown", t_dim, d_aea, **pds)
 
 
 @dataclass
@@ -178,9 +181,13 @@ def ladder_estimate(a: Algebra, S: list[int], cutoff: int,
         strat = stratifying_check(a, S, cutoff)
     if strat.kind != "yes":
         raise ValueError(f"ladder_estimate needs a stratifying idempotent, got {strat.describe()}")
-    cor = corner(a, S)
-    down = pd(module_Ae(a, S, cor), cutoff)
-    up = pd(module_eA(a, S, cor), cutoff)
+    down, up = (strat.pd_Ae, strat.pd_eA) if strat.cutoff == cutoff else (None, None)
+    if down is None or up is None:
+        cor = corner(a, S)
+        if down is None:
+            down = pd(module_Ae(a, S, cor), cutoff)
+        if up is None:
+            up = pd(module_eA(a, S, cor), cutoff)
     if gl is None:
         gl = gldim(a, cutoff)
     return LadderEstimate(down, up, height_label(gl.is_finite, down, up), gl.is_finite)

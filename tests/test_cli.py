@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from homkit import cli
 from homkit.algebra import algebra_from_json, opposite, tensor
 from homkit.invariants import TheoremViolation
@@ -222,6 +224,15 @@ def test_corpus_env_override(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "corpus", "--shape", "AcyclicQuiver",
                            "--count", "2", "--seed", "1", "--jobs", "4", "--json")
     assert code == 0
+
+
+@pytest.mark.parametrize("value", ["abc", "2.5", ""])
+def test_corpus_env_override_rejects_non_integer(capsys, monkeypatch, value):
+    monkeypatch.setenv("HOMKIT_JOBS", value)
+    code, _, err = run_cli(capsys, "corpus", "--shape", "AcyclicQuiver",
+                           "--count", "1", "--seed", "1", "--jobs", "1")
+    assert code == 1
+    assert "HOMKIT_JOBS" in err
 
 
 def test_corpus_field_flag(capsys):

@@ -1,16 +1,20 @@
+import gc
 import json
+import weakref
 
 import pytest
 
+from homkit import corpus
 from homkit.algebra import from_quiver, opposite, tensor
 from homkit.modules import (AlgebraMap, Module, direct_sum, dual, ext_dims,
                             hom_space, injective, is_iso, min_resolution,
                             module_from_json, module_to_json, pd, projective,
                             projective_cover, quotient_module, radical_submodule,
                             regular, restrict_along, simple, spanned_submodule,
-                            syzygy, tensor_over, top, top_multiplicities,
-                            tor_dims, zero_module, _matmul)
-from homkit.presentation import parse_spec
+                            submodule, syzygy, tensor_over, top, top_multiplicities,
+                            tor_dims, zero_module, _matmul, _radical_rowspace,
+                            _syzygy_with_inclusion)
+from homkit.presentation import parse_spec, spec_of_fixture
 from homkit.recollement import aea_dimension, module_Ae, module_eA
 from homkit.algebra import corner
 
@@ -173,6 +177,57 @@ def test_syzygy_examples(a2, tp11):
     sz2 = syzygy(simple(tp11, 0))
     assert is_iso(sz2, simple(tp11, 1)).kind == "iso"
     assert syzygy(zero_module(a2)).dim == 0
+
+
+def _check_sparse_syzygy(m: Module) -> Module:
+    """The structure-constant syzygy kernel against the dense source action."""
+    sub, cov, incl = _syzygy_with_inclusion(m)
+    if not incl:
+        assert sub.dim == 0
+        return sub
+    cached = sub._radical
+    assert cached is not None
+    assert sub == submodule(cov.source, incl)[0]
+    assert sub.validate() == []
+    fresh = _radical_rowspace(Module(sub.algebra, sub.dim, sub.action, sub.weights))
+    assert cached.pivot_cols == fresh.pivot_cols
+    assert cached.rows == fresh.rows
+    return sub
+
+
+def _sparse_kernel_cases(fixture_algebras):
+    for name, a in fixture_algebras.items():
+        for i in range(a.r):
+            yield name, simple(a, i)
+        yield name, dual(regular(a))
+    for shape, count in (("TriangularPair", 2), ("NilpotentCyclic", 3)):
+        for field_name in ("F101", "Q"):
+            spec = corpus.CorpusSpec(seed=42, count=count, shape=shape,
+                                     field_name=field_name)
+            for index in range(count):
+                inst = corpus.generate(spec, index)
+                if shape == "TriangularPair":
+                    yield inst.a.name, inst.m
+                    inst = inst.a
+                for i in range(inst.r):
+                    yield inst.name, simple(inst, i)
+
+
+def test_sparse_syzygy_kernel_matches_dense_action(fixture_algebras):
+    for name, m in _sparse_kernel_cases(fixture_algebras):
+        for _ in range(3):
+            if m.is_zero() or m.dim > 24:
+                break
+            m = _check_sparse_syzygy(m)
+
+
+def test_pd_keeps_no_reference_to_the_algebra():
+    a = from_quiver(spec_of_fixture("FIX-TP1(1)"))
+    assert pd(simple(a, 0), 12).kind == "infinite"
+    ref = weakref.ref(a)
+    del a
+    gc.collect()
+    assert ref() is None
 
 
 def test_min_resolution_terminating(a2):

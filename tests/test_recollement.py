@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
 from homkit.algebra import opposite, tensor, triangular, corner
-from homkit.modules import Module, PdResult, regular
+from homkit.modules import Module, PdResult, pd, regular
 from homkit.recollement import (aea_dimension, det_multiplicativity_check,
                                 gorenstein_transfer_check, height_label,
                                 ladder_estimate, module_Ae, module_eA,
@@ -96,6 +98,23 @@ def test_ladder_a2(a2):
     assert lad.down.describe() == "Finite(0)"
     assert lad.up.describe() == "Finite(0)"
     assert lad.height.startswith(">=4")
+
+
+def test_ladder_reuses_the_pds_of_the_stratifying_check(a2, loc, one_point, monkeypatch):
+    import homkit.recollement as rec
+    A = triangular(loc, one_point, _simple_bimodule(loc, one_point)[1])
+    # A2: pd(Ae) is finite, so only pd(eA) is left to compute; A: the check
+    # needed both
+    for alg, missing in ((a2, 1), (A, 0)):
+        strat = stratifying_check(alg, [0], 12)
+        calls = []
+        monkeypatch.setattr(rec, "pd", lambda m, c: calls.append(m) or pd(m, c))
+        lad = ladder_estimate(alg, [0], 12, strat=strat)
+        monkeypatch.undo()
+        assert len(calls) == missing
+        assert lad.down is strat.pd_Ae
+        assert lad.to_json() == ladder_estimate(alg, [0], 12,
+                                                strat=replace(strat, pd_Ae=None)).to_json()
 
 
 def test_ladder_requires_stratifying(tp11):
