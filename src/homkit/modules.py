@@ -66,6 +66,17 @@ def _vecmat(F: Field, v: list, A: list[list]) -> list:
     return out
 
 
+def _dense_rows(F: Field, rows: list[dict], ncols: int) -> list[list]:
+    """Sparse ``{column: scalar}`` rows as dense lists of length ncols."""
+    out = []
+    for row in rows:
+        vec = [F.zero] * ncols
+        for c, x in row.items():
+            vec[c] = x
+        out.append(vec)
+    return out
+
+
 class Module:
     """A right module with per-basis-element action matrices.
 
@@ -265,12 +276,7 @@ class SubspaceBasis:
         for v in vectors:
             rs.add({i: x for i, x in enumerate(v) if x != 0})
         self.pivots = list(rs.pivot_cols)
-        self.rows = []
-        for row in rs.rows:
-            dense = [field.zero] * ncols
-            for c, x in row.items():
-                dense[c] = x
-            self.rows.append(dense)
+        self.rows = _dense_rows(field, rs.rows, ncols)
 
     @property
     def rank(self) -> int:
@@ -332,13 +338,7 @@ def spanned_submodule(parent: Module, generators: list[list]) -> tuple[Module, l
             w = _vecmat(F, v, parent.action[x])
             if rs.add({i: t for i, t in enumerate(w) if t != 0}):
                 queue.append(w)
-    dense = []
-    for row in rs.rows:
-        vec = [F.zero] * parent.dim
-        for c, x in row.items():
-            vec[c] = x
-        dense.append(vec)
-    return submodule(parent, dense)
+    return submodule(parent, _dense_rows(F, rs.rows, parent.dim))
 
 
 def quotient_module(parent: Module, vectors: list[list]) -> Module:
@@ -396,28 +396,12 @@ def _radical_rowspace(m: Module) -> RowSpace:
 
 def radical_submodule(m: Module) -> Module:
     """rad M = M * rad A."""
-    F = m.field
-    rs = _radical_rowspace(m)
-    dense = []
-    for row in rs.rows:
-        vec = [F.zero] * m.dim
-        for c, x in row.items():
-            vec[c] = x
-        dense.append(vec)
-    return submodule(m, dense)[0]
+    return submodule(m, _dense_rows(m.field, _radical_rowspace(m).rows, m.dim))[0]
 
 
 def top(m: Module) -> Module:
     """top M = M / rad M, semisimple; its weights list the simple factors."""
-    F = m.field
-    rs = _radical_rowspace(m)
-    dense = []
-    for row in rs.rows:
-        vec = [F.zero] * m.dim
-        for c, x in row.items():
-            vec[c] = x
-        dense.append(vec)
-    return quotient_module(m, dense)
+    return quotient_module(m, _dense_rows(m.field, _radical_rowspace(m).rows, m.dim))
 
 
 def top_multiplicities(m: Module) -> list[int]:
@@ -580,13 +564,7 @@ def _syzygy_with_inclusion(m: Module, cov: Cover | None = None) -> tuple[Module,
                 radical.add(nz)
     sub = Module(a, d, action, weights)
     sub._radical = radical
-    incl = []
-    for row in basis.rows:
-        dense = [zero] * cov.source_dim
-        for c, v in row.items():
-            dense[c] = v
-        incl.append(dense)
-    return sub, cov, incl
+    return sub, cov, _dense_rows(F, basis.rows, cov.source_dim)
 
 
 @dataclass
@@ -1143,12 +1121,8 @@ def adapt_weights(algebra: Algebra, dim: int, action: list[list[list]]) -> Modul
         rs = RowSpace(F)
         for row in action[i]:
             rs.add({c: x for c, x in enumerate(row) if x != 0})
-        for row in rs.rows:
-            vec = [F.zero] * dim
-            for c, x in row.items():
-                vec[c] = x
-            rows.append(vec)
-            weights2.append(i)
+        rows.extend(_dense_rows(F, rs.rows, dim))
+        weights2.extend([i] * rs.rank)
     if len(rows) != dim:
         raise ValueError("idempotent projector images do not fill the space")
     T = Matrix(F, rows)
