@@ -8,8 +8,20 @@ Three behaviours on display:
     linearly, so no repeat exists and the verdict stays Unknown.
 """
 
+from functools import reduce
+
 from homkit import from_quiver, min_resolution, pd, simple, spec_of_fixture
-from homkit.modules import _matmul
+
+
+def dense(rows, n):
+    """Module action rows are sparse {column: scalar} dicts; write them out."""
+    return [[row.get(c, 0) for c in range(n)] for row in rows]
+
+
+def matmul(F, A, B):
+    """Dense product in the field's own arithmetic."""
+    return [[reduce(F.add, (F.mul(a, b) for a, b in zip(row, col)), F.zero)
+             for col in zip(*B)] for row in A]
 
 
 def resolve_and_report(name, vertex, cutoff=12):
@@ -26,11 +38,11 @@ def resolve_and_report(name, vertex, cutoff=12):
         w = result.witness
         m, n = result.witness_modules
         F = m.field
-        ident = _matmul(F, w.matrix, w.inverse)
+        ident = matmul(F, w.matrix, w.inverse)
         ok = all(ident[i][j] == (F.one if i == j else F.zero)
                  for i in range(m.dim) for j in range(m.dim))
-        inter = all(_matmul(F, m.action[x], w.matrix) ==
-                    _matmul(F, w.matrix, n.action[x])
+        inter = all(matmul(F, dense(m.action[x], m.dim), w.matrix) ==
+                    matmul(F, w.matrix, dense(n.action[x], n.dim))
                     for x in range(m.algebra.dim))
         print(f"  witness re-verified: invertible={ok}, intertwines={inter}")
 

@@ -648,23 +648,15 @@ def triangular(b: Algebra, c: Algebra, m: "Module") -> Algebra:
         for y in range(nb):
             out: dict[int, object] = {}
             for i in range(rc):
-                mat = m.action[pidx[(i, y)]]
-                rowk = mat[k]
-                for t in range(nm):
-                    cv = rowk[t]
-                    if cv != 0:
-                        out[moff + t] = F.add(out.get(moff + t, F.zero), cv)
+                for t, cv in m.action[pidx[(i, y)]][k].items():
+                    out[moff + t] = F.add(out.get(moff + t, F.zero), cv)
             if out:
                 mult[moff + k][bmap[y]] = out
         for x in range(nc):
             out = {}
             for j in range(rb):
-                mat = m.action[pidx[(x, j)]]
-                rowk = mat[k]
-                for t in range(nm):
-                    cv = rowk[t]
-                    if cv != 0:
-                        out[moff + t] = F.add(out.get(moff + t, F.zero), cv)
+                for t, cv in m.action[pidx[(x, j)]][k].items():
+                    out[moff + t] = F.add(out.get(moff + t, F.zero), cv)
             if out:
                 mult[cmap[x]][moff + k] = out
     return Algebra(F, vertex_labels, labels, left, right, mult, r,

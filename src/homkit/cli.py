@@ -42,6 +42,27 @@ class InputError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors: exit 1 like any other, not argparse's 2."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
+def _bounded_int(low: int, high: int | None = None):
+    """An argparse type: an integer in low..high (no upper end if None)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low or (high is not None and value > high):
+            span = f">= {low}" if high is None else f"in {low}..{high}"
+            raise argparse.ArgumentTypeError(f"must be {span}, got {value}")
+        return value
+    return parse
+
+
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
@@ -204,6 +225,8 @@ def cmd_check(args) -> int:
         if not args.e:
             raise InputError("check theorem1 needs --e VERTICES")
         S = _resolve_e(a, args.e)
+        if len(S) == a.r:
+            raise InputError("--e must leave at least one vertex out")
         rep = det_multiplicativity_check(a, S, args.cutoff, diagnostic=args.diagnostic)
         if args.json:
             doc = {"format": "homkit-report/1", "kind": "theorem1",
@@ -447,9 +470,9 @@ def cmd_corpus(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="homkit",
-                                description="Exact invariants of quiver algebras "
-                                            "and recollement reduction checks.")
+    p = _Parser(prog="homkit",
+                description="Exact invariants of quiver algebras "
+                            "and recollement reduction checks.")
     from . import __version__
     p.add_argument("--version", action="version", version=f"homkit {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
@@ -457,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, cutoff=True):
         sp.add_argument("--json", action="store_true", help="emit the JSON report")
         if cutoff:
-            sp.add_argument("--cutoff", type=int, default=12,
+            sp.add_argument("--cutoff", type=_bounded_int(1), default=12,
                             help="resolution cutoff (default 12)")
 
     sp = sub.add_parser("basis", help="print the basis with vertex tags")
@@ -506,14 +529,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("corpus", help="run a seeded random corpus suite")
     sp.add_argument("--shape", required=True, choices=list(corpus_mod.SHAPES))
-    sp.add_argument("--count", type=int, default=50)
+    sp.add_argument("--count", type=_bounded_int(0), default=50)
     sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--field", default="F101", help="Q or Fp (default F101)")
     sp.add_argument("--suite", default="default",
                     choices=["default", "gorenstein-transfer", "smoothness-transfer"])
     sp.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                     help="worker processes (HOMKIT_JOBS overrides)")
-    sp.add_argument("--dim-bound", type=int, default=corpus_mod.DIM_BOUND)
+    sp.add_argument("--dim-bound", type=_bounded_int(1, corpus_mod.DIM_BOUND),
+                    default=corpus_mod.DIM_BOUND)
     sp.add_argument("--out", help="write the JSON report to a file")
     sp.add_argument("--with-timing", action="store_true",
                     help="include wall-clock timing in the JSON report "
@@ -533,9 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -180,12 +180,11 @@ def _random_bimodule(rng: random.Random, b: Algebra, c: Algebra,
                 break
             anchor = radical_pos[rng.randrange(len(radical_pos))]
             w = P.weights[anchor]
-            vec = [F.zero] * P.dim
-            vec[anchor] = F.of_int(rng.randint(1, 5))
+            vec = {anchor: F.of_int(rng.randint(1, 5))}
             for t in radical_pos:
                 if t != anchor and P.weights[t] == w and rng.random() < 0.5:
                     vec[t] = F.of_int(rng.randint(1, 5))
-            gens.append(vec)
+            gens.append({t: x for t, x in vec.items() if x != 0})
         if gens:
             _, incl = spanned_submodule(P, gens)
             m = quotient_module(P, incl) if incl else P

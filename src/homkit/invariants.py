@@ -190,18 +190,9 @@ def _regular_bimodule(a: Algebra) -> Module:
     env = enveloping(a)
     pairs = _tensor_pair_order(opposite(a), a)
     F = a.field
-    action = []
-    for (x, y) in pairs:
-        # v * (x^op (x) y) = x v y
-        mat = []
-        for s in range(a.dim):
-            xv = a.mul_coords({x: F.one}, {s: F.one})
-            out = a.mul_coords(xv, {y: F.one})
-            row = [F.zero] * a.dim
-            for z, c in out.items():
-                row[z] = c
-            mat.append(row)
-        action.append(mat)
+    # v * (x^op (x) y) = x v y
+    action = [[a.mul_coords(a.mul_coords({x: F.one}, {s: F.one}), {y: F.one})
+               for s in range(a.dim)] for (x, y) in pairs]
     from .modules import adapt_weights
     return adapt_weights(env, a.dim, action)
 

@@ -178,25 +178,6 @@ class Matrix:
         return Matrix(self.field, [[self.data[i][j] for i in range(self.rows)]
                                    for j in range(self.cols)])
 
-    def mul(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        F = self.field
-        out = Matrix.zeros(F, self.rows, other.cols)
-        for i in range(self.rows):
-            arow = self.data[i]
-            orow = out.data[i]
-            for k in range(self.cols):
-                a = arow[k]
-                if a == 0:
-                    continue
-                brow = other.data[k]
-                for j in range(other.cols):
-                    b = brow[j]
-                    if b != 0:
-                        orow[j] = F.add(orow[j], F.mul(a, b))
-        return out
-
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
                 and self.data == other.data)

@@ -1,11 +1,18 @@
 """Right modules over a split basic Algebra.
 
-A :class:`Module` stores one dim x dim matrix per algebra basis element
-(the right action on row vectors, so ``action(x*y) = action(x) @ action(y)``)
-together with a weight per basis vector: basis vector v has weight i when
-``v * e_i == v``.  Every constructor here produces weight-adapted bases,
-which keeps Hom systems block diagonal and makes semisimple data (tops,
-simple multiplicities) readable off the weights.
+One row format serves the whole module: a *sparse row* is a
+``{column: scalar}`` dict that stores no zero, and a matrix is a list of
+sparse rows.  A :class:`Module` stores one such matrix per algebra basis
+element (the right action on row vectors: row s of ``action[x]`` is
+``b_s * x``, so ``action(x*y) = action(x) @ action(y)``) together with a
+weight per basis vector: basis vector v has weight i when ``v * e_i == v``.
+The vectors that ``submodule``, ``spanned_submodule`` and
+``quotient_module`` take and return, cover matrices, inclusions and
+resolution differentials are sparse rows too.  Only Hom-space bases and
+isomorphism witnesses, which go through dense RREF, and the
+homkit-module/1 JSON are dense.  Every constructor here produces
+weight-adapted bases, which keeps Hom systems block diagonal and makes
+semisimple data (tops, simple multiplicities) readable off the weights.
 
 Left modules are represented as right modules over the opposite algebra,
 and injective dimension is projective dimension of the dual on the other
@@ -33,52 +40,29 @@ _EXHAUSTIVE_LIMIT = 4096
 DIM_GUARD = 512
 
 
-def _matmul(F: Field, A: list[list], B: list[list]) -> list[list]:
-    n, k = len(A), len(B)
-    m = len(B[0]) if B else 0
-    out = [[F.zero] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        Oi = out[i]
-        for t in range(k):
-            a = Ai[t]
-            if a == 0:
-                continue
-            Bt = B[t]
-            for j in range(m):
-                b = Bt[j]
-                if b != 0:
-                    Oi[j] = F.add(Oi[j], F.mul(a, b))
-    return out
+def _vecmat(F: Field, v: dict, A) -> dict:
+    """The sparse row ``v @ A``; ``A[c]`` is the sparse row for column c of v."""
+    out: dict = {}
+    for i, a in v.items():
+        for j, b in A[i].items():
+            out[j] = F.add(out.get(j, F.zero), F.mul(a, b))
+    return {j: x for j, x in out.items() if x != 0}
 
 
-def _vecmat(F: Field, v: list, A: list[list]) -> list:
-    m = len(A[0]) if A else 0
-    out = [F.zero] * m
-    for i, a in enumerate(v):
-        if a == 0:
-            continue
-        Ai = A[i]
-        for j in range(m):
-            b = Ai[j]
-            if b != 0:
-                out[j] = F.add(out[j], F.mul(a, b))
-    return out
+def _matmul(F: Field, A: list[dict], B) -> list[dict]:
+    return [_vecmat(F, row, B) for row in A]
 
 
-def _dense_rows(F: Field, rows: list[dict], ncols: int) -> list[list]:
-    """Sparse ``{column: scalar}`` rows as dense lists of length ncols."""
-    out = []
-    for row in rows:
-        vec = [F.zero] * ncols
-        for c, x in row.items():
-            vec[c] = x
-        out.append(vec)
+def _transpose(rows: list[dict], ncols: int) -> list[dict]:
+    out: list[dict] = [{} for _ in range(ncols)]
+    for s, row in enumerate(rows):
+        for t, x in row.items():
+            out[t][s] = x
     return out
 
 
 class Module:
-    """A right module with per-basis-element action matrices.
+    """A right module with one sparse action matrix per basis element.
 
     ``_radical`` caches the row space of rad M (see ``_radical_rowspace``);
     it is built at most once per module, and a syzygy arrives with it
@@ -87,7 +71,7 @@ class Module:
 
     __slots__ = ("algebra", "dim", "action", "weights", "_radical")
 
-    def __init__(self, algebra: Algebra, dim: int, action: list[list[list]],
+    def __init__(self, algebra: Algebra, dim: int, action: list[list[dict]],
                  weights: list[int]):
         self.algebra = algebra
         self.dim = dim
@@ -99,8 +83,13 @@ class Module:
         if len(weights) != dim:
             raise ValueError("need one weight per module basis vector")
         for mat in action:
-            if len(mat) != dim or any(len(row) != dim for row in mat):
-                raise ValueError("action matrices must be dim x dim")
+            if len(mat) != dim:
+                raise ValueError("need one action row per module basis vector")
+            for row in mat:
+                for c, x in row.items():
+                    if x == 0 or not 0 <= c < dim:
+                        raise ValueError("action rows must be sparse: columns in "
+                                         "range(dim), no stored zero")
 
     @property
     def field(self) -> Field:
@@ -115,56 +104,27 @@ class Module:
             counts[w] += 1
         return counts
 
-    def act(self, v: list, x: int) -> list:
-        return _vecmat(self.field, v, self.action[x])
-
-    def act_coords(self, v: list, coords: dict[int, object]) -> list:
-        """Apply a general algebra element given by its coordinate dict."""
-        F = self.field
-        out = [F.zero] * self.dim
-        for x, c in coords.items():
-            if c == 0:
-                continue
-            w = self.act(v, x)
-            out = [F.add(o, F.mul(c, t)) for o, t in zip(out, w)]
-        return out
+    def _times(self, s: int, coords: dict) -> dict:
+        """Basis vector s times the algebra element with these coordinates."""
+        return _vecmat(self.field, coords, {z: self.action[z][s] for z in coords})
 
     def validate(self) -> list[str]:
         """Exhaustive action checks; returns a list of failure messages."""
         F = self.field
         a = self.algebra
         fails = []
-        one = [[F.one if i == j else F.zero for j in range(self.dim)]
-               for i in range(self.dim)]
-        total = [[F.zero] * self.dim for _ in range(self.dim)]
-        for i in range(a.r):
-            for s in range(self.dim):
-                for t in range(self.dim):
-                    total[s][t] = F.add(total[s][t], self.action[i][s][t])
-        if total != one:
+        unit = a.unit_coords()
+        if any(self._times(s, unit) != {s: F.one} for s in range(self.dim)):
             fails.append("action of 1 is not the identity")
         for i in range(a.r):
-            mat = self.action[i]
-            for s in range(self.dim):
-                for t in range(self.dim):
-                    expect = (F.one if (s == t and self.weights[s] == i) else F.zero)
-                    if mat[s][t] != expect:
-                        fails.append(f"action of e_{i} not the weight projector")
-                        break
-                else:
-                    continue
-                break
+            if any(row != ({s: F.one} if self.weights[s] == i else {})
+                   for s, row in enumerate(self.action[i])):
+                fails.append(f"action of e_{i} not the weight projector")
         for x in range(a.dim):
             Ax = self.action[x]
             for y in range(a.dim):
                 lhs = _matmul(F, Ax, self.action[y])
-                rhs = [[F.zero] * self.dim for _ in range(self.dim)]
-                for z, c in a.mult[x][y].items():
-                    Az = self.action[z]
-                    for s in range(self.dim):
-                        for t in range(self.dim):
-                            if Az[s][t] != 0:
-                                rhs[s][t] = F.add(rhs[s][t], F.mul(c, Az[s][t]))
+                rhs = [self._times(s, a.mult[x][y]) for s in range(self.dim)]
                 if lhs != rhs:
                     fails.append(f"action not multiplicative at basis pair ({x},{y})")
                     return fails
@@ -189,47 +149,29 @@ def projective(a: Algebra, i: int) -> Module:
         raise ValueError(f"vertex {i} out of range")
     idx = [k for k in range(a.dim) if a.left[k] == i]
     pos = {k: s for s, k in enumerate(idx)}
-    F = a.field
-    d = len(idx)
-    action = []
-    for x in range(a.dim):
-        mat = [[F.zero] * d for _ in range(d)]
-        for s, k in enumerate(idx):
-            for z, c in a.mult[k][x].items():
-                mat[s][pos[z]] = c
-        action.append(mat)
-    return Module(a, d, action, [a.right[k] for k in idx])
+    action = [[{pos[z]: c for z, c in a.mult[k][x].items()} for k in idx]
+              for x in range(a.dim)]
+    return Module(a, len(idx), action, [a.right[k] for k in idx])
 
 
 def simple(a: Algebra, i: int) -> Module:
     """S_i: one-dimensional, e_i acts as 1, everything else as 0."""
     if not 0 <= i < a.r:
         raise ValueError(f"vertex {i} out of range")
-    F = a.field
-    action = [[[F.one]] if x == i else [[F.zero]] for x in range(a.dim)]
+    action = [[{0: a.field.one}] if x == i else [{}] for x in range(a.dim)]
     return Module(a, 1, action, [i])
 
 
 def regular(a: Algebra) -> Module:
     """The right regular module A_A (which is the direct sum of the P_i)."""
-    F = a.field
-    d = a.dim
-    action = []
-    for x in range(d):
-        mat = [[F.zero] * d for _ in range(d)]
-        for s in range(d):
-            for z, c in a.mult[s][x].items():
-                mat[s][z] = c
-        action.append(mat)
-    return Module(a, d, action, list(a.right))
+    action = [[dict(a.mult[s][x]) for s in range(a.dim)] for x in range(a.dim)]
+    return Module(a, a.dim, action, list(a.right))
 
 
 def dual(m: Module) -> Module:
     """D(M) = Hom_k(M, k) as a right module over the opposite algebra."""
-    op = opposite(m.algebra)
-    action = [[[mat[s][t] for s in range(m.dim)] for t in range(m.dim)]
-              for mat in m.action]
-    return Module(op, m.dim, action, list(m.weights))
+    action = [_transpose(mat, m.dim) for mat in m.action]
+    return Module(opposite(m.algebra), m.dim, action, list(m.weights))
 
 
 def injective(a: Algebra, i: int) -> Module:
@@ -240,25 +182,18 @@ def injective(a: Algebra, i: int) -> Module:
 
 
 def direct_sum(a: Algebra, parts: list[Module]) -> Module:
-    F = a.field
-    dim = sum(p.dim for p in parts)
     weights: list[int] = []
     for p in parts:
         weights.extend(p.weights)
     action = []
     for x in range(a.dim):
-        mat = [[F.zero] * dim for _ in range(dim)]
+        mat = []
         off = 0
         for p in parts:
-            pm = p.action[x]
-            for s in range(p.dim):
-                row = mat[off + s]
-                prow = pm[s]
-                for t in range(p.dim):
-                    row[off + t] = prow[t]
+            mat.extend({off + t: v for t, v in row.items()} for row in p.action[x])
             off += p.dim
         action.append(mat)
-    return Module(a, dim, action, weights)
+    return Module(a, len(weights), action, weights)
 
 
 # --------------------------------------------------------------------------
@@ -266,108 +201,67 @@ def direct_sum(a: Algebra, parts: list[Module]) -> Module:
 # --------------------------------------------------------------------------
 
 
-class SubspaceBasis:
-    """An RREF basis of a subspace of k^n with coordinate extraction."""
-
-    def __init__(self, field: Field, ncols: int, vectors: list[list]):
-        self.field = field
-        self.ncols = ncols
-        rs = RowSpace(field)
-        for v in vectors:
-            rs.add({i: x for i, x in enumerate(v) if x != 0})
-        self.pivots = list(rs.pivot_cols)
-        self.rows = _dense_rows(field, rs.rows, ncols)
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def coords(self, v: list) -> list:
-        # valid because the rows are in full RREF with unit pivots; callers
-        # only pass vectors that lie in the span
-        return [v[p] for p in self.pivots]
-
-    def contains(self, v: list) -> bool:
-        F = self.field
-        resid = list(v)
-        for c, row in zip(self.pivots, self.rows):
-            x = resid[c]
-            if x != 0:
-                resid = [F.sub(rv, F.mul(x, rw)) for rv, rw in zip(resid, row)]
-        return all(x == 0 for x in resid)
-
-
-def submodule(parent: Module, vectors: list[list]) -> tuple[Module, list[list]]:
+def submodule(parent: Module, vectors: list[dict]) -> tuple[Module, list[dict]]:
     """The submodule spanned by the given (weight-homogeneous) vectors.
 
-    Returns the submodule together with its inclusion matrix (sub basis
-    written in parent coordinates).  The input vectors must already span a
-    submodule; closure under the action is the caller's responsibility.
+    Returns the submodule together with its inclusion (the sub basis, in
+    RREF, written as rows in parent coordinates).  The input vectors must
+    already span a submodule; closure under the action is the caller's
+    responsibility.
     """
     F = parent.field
-    basis = SubspaceBasis(F, parent.dim, vectors)
-    d = basis.rank
+    basis = RowSpace(F)
+    for v in vectors:
+        basis.add(v)
     weights = []
-    for row, piv in zip(basis.rows, basis.pivots):
+    for row, piv in zip(basis.rows, basis.pivot_cols):
         w = parent.weights[piv]
-        for c, x in enumerate(row):
-            if x != 0 and parent.weights[c] != w:
-                raise ValueError("submodule basis vector mixes weights")
+        if any(parent.weights[c] != w for c in row):
+            raise ValueError("submodule basis vector mixes weights")
         weights.append(w)
+    # an image lies in the span, and the rows are in full RREF with unit
+    # pivots, so its coordinates are its entries at the pivot columns
+    coord = {c: s for s, c in enumerate(basis.pivot_cols)}
     action = []
     for x in range(parent.algebra.dim):
-        mat = []
-        for row in basis.rows:
-            img = _vecmat(F, row, parent.action[x])
-            mat.append(basis.coords(img))
-        action.append(mat)
-    return Module(parent.algebra, d, action, weights), [r[:] for r in basis.rows]
+        act = parent.action[x]
+        action.append([{coord[c]: v for c, v in _vecmat(F, row, act).items() if c in coord}
+                       for row in basis.rows])
+    return Module(parent.algebra, basis.rank, action, weights), basis.rows
 
 
-def spanned_submodule(parent: Module, generators: list[list]) -> tuple[Module, list[list]]:
+def spanned_submodule(parent: Module, generators: list[dict]) -> tuple[Module, list[dict]]:
     """Close the generators under the algebra action, then take the span."""
     F = parent.field
     rs = RowSpace(F)
     queue = []
     for g in generators:
-        if rs.add({i: x for i, x in enumerate(g) if x != 0}):
+        if rs.add(g):
             queue.append(g)
     while queue:
         v = queue.pop()
         for x in range(parent.algebra.dim):
             w = _vecmat(F, v, parent.action[x])
-            if rs.add({i: t for i, t in enumerate(w) if t != 0}):
+            if rs.add(w):
                 queue.append(w)
-    return submodule(parent, _dense_rows(F, rs.rows, parent.dim))
+    return submodule(parent, rs.rows)
 
 
-def quotient_module(parent: Module, vectors: list[list]) -> Module:
+def quotient_module(parent: Module, vectors: list[dict]) -> Module:
     """Quotient of the parent by the submodule spanned by the vectors.
 
     The vectors must span a submodule; the quotient basis is the set of
     non-pivot parent coordinates.
     """
-    F = parent.field
-    rs = RowSpace(F)
+    rs = RowSpace(parent.field)
     for v in vectors:
-        rs.add({i: x for i, x in enumerate(v) if x != 0})
-    pivots = set(rs.pivot_of_col)
-    free = [i for i in range(parent.dim) if i not in pivots]
+        rs.add(v)
+    free = [i for i in range(parent.dim) if i not in rs.pivot_of_col]
     pos = {i: s for s, i in enumerate(free)}
-    d = len(free)
-
-    def reduce_vec(v: list) -> list:
-        res = rs.reduce({i: x for i, x in enumerate(v) if x != 0})
-        out = [F.zero] * d
-        for c, x in res.items():
-            out[pos[c]] = x
-        return out
-
-    action = []
-    for x in range(parent.algebra.dim):
-        mat = [reduce_vec(parent.action[x][i]) for i in free]
-        action.append(mat)
-    return Module(parent.algebra, d, action, [parent.weights[i] for i in free])
+    # a residue modulo the full-RREF rows has non-pivot columns only
+    action = [[{pos[c]: v for c, v in rs.reduce(parent.action[x][i]).items()} for i in free]
+              for x in range(parent.algebra.dim)]
+    return Module(parent.algebra, len(free), action, [parent.weights[i] for i in free])
 
 
 # --------------------------------------------------------------------------
@@ -387,21 +281,20 @@ def _radical_rowspace(m: Module) -> RowSpace:
         a = m.algebra
         for x in range(a.r, a.dim):
             for row in m.action[x]:
-                d = {i: v for i, v in enumerate(row) if v != 0}
-                if d:
-                    rs.add(d)
+                if row:
+                    rs.add(row)
         m._radical = rs
     return rs
 
 
 def radical_submodule(m: Module) -> Module:
     """rad M = M * rad A."""
-    return submodule(m, _dense_rows(m.field, _radical_rowspace(m).rows, m.dim))[0]
+    return submodule(m, _radical_rowspace(m).rows)[0]
 
 
 def top(m: Module) -> Module:
     """top M = M / rad M, semisimple; its weights list the simple factors."""
-    return quotient_module(m, _dense_rows(m.field, _radical_rowspace(m).rows, m.dim))
+    return quotient_module(m, _radical_rowspace(m).rows)
 
 
 def top_multiplicities(m: Module) -> list[int]:
@@ -420,13 +313,13 @@ class Cover:
     The copy of P_i = e_i A has as basis the paths ``paths[i]`` (the basis
     elements with left tag i, in basis order), so basis element x acts on a
     source coordinate standing for path k through ``algebra.mult[k][x]``.
-    ``matrix`` has one row per source coordinate: the image of its path in
-    M, read at a lift chosen off M's cached radical row space.  The
+    ``matrix`` has one sparse row per source coordinate: the image of its
+    path in M, read at a lift chosen off M's cached radical row space.  The
     block-diagonal source Module is only built on demand.
     """
 
     def __init__(self, algebra: Algebra, summands: list[int],
-                 multiplicities: list[int], matrix: list[list],
+                 multiplicities: list[int], matrix: list[dict],
                  paths: dict[int, list[int]]):
         self.algebra = algebra
         self.summands = summands
@@ -461,7 +354,7 @@ def projective_cover(m: Module) -> Cover:
             lifts_by_vertex.setdefault(m.weights[t], []).append(t)
     mults = [len(lifts_by_vertex.get(i, ())) for i in range(a.r)]
     summands: list[int] = []
-    rows: list[list] = []
+    rows: list[dict] = []
     paths: dict[int, list[int]] = {}
     for i in range(a.r):
         if mults[i] == 0:
@@ -470,7 +363,7 @@ def projective_cover(m: Module) -> Cover:
         for t in lifts_by_vertex[i]:
             summands.append(i)
             for k in pidx:
-                rows.append(list(m.action[k][t]))
+                rows.append(m.action[k][t])
     return Cover(a, summands, mults, rows, paths)
 
 
@@ -481,7 +374,7 @@ def syzygy(m: Module) -> Module:
     return _syzygy_with_inclusion(m)[0]
 
 
-def _syzygy_with_inclusion(m: Module, cov: Cover | None = None) -> tuple[Module, Cover, list[list]]:
+def _syzygy_with_inclusion(m: Module, cov: Cover | None = None) -> tuple[Module, Cover, list[dict]]:
     """Syzygy as a Module, the cover, and the inclusion into the source.
 
     Only non-zero entries are touched.  The kernel of the cover matrix is
@@ -500,8 +393,7 @@ def _syzygy_with_inclusion(m: Module, cov: Cover | None = None) -> tuple[Module,
     a = m.algebra
     F = m.field
     eqs = RowSpace(F)
-    for col in zip(*cov.matrix):
-        eq = {j: x for j, x in enumerate(col) if x != 0}
+    for eq in _transpose(cov.matrix, m.dim):
         if eq:
             eqs.add(eq)
     basis = RowSpace(F)
@@ -548,30 +440,23 @@ def _syzygy_with_inclusion(m: Module, cov: Cover | None = None) -> tuple[Module,
                     t = zmap.get(z)
                     if t is not None:
                         img[t] = F.add(img.get(t, zero), F.mul(v, cz))
-    action = []
-    for by_row in images:
-        mat = [[zero] * d for _ in range(d)]
-        for s, img in by_row.items():
-            dense = mat[s]
-            for t, val in img.items():
-                dense[t] = val
-        action.append(mat)
+    action = [[{t: val for t, val in by_row[s].items() if val != 0} if s in by_row else {}
+               for s in range(d)] for by_row in images]
     radical = RowSpace(F)
     for x in range(a.r, a.dim):
-        for img in images[x].values():
-            nz = {t: val for t, val in img.items() if val != 0}
-            if nz:
-                radical.add(nz)
+        for row in action[x]:
+            if row:
+                radical.add(row)
     sub = Module(a, d, action, weights)
     sub._radical = radical
-    return sub, cov, _dense_rows(F, basis.rows, cov.source_dim)
+    return sub, cov, basis.rows
 
 
 @dataclass
 class ResolutionStep:
     multiplicities: list[int]
     module: Module
-    differential: list[list]  # matrix into the previous term (or onto the base)
+    differential: list[dict]  # matrix into the previous term (or onto the base)
 
 
 @dataclass
@@ -606,7 +491,7 @@ def min_resolution(m: Module, cutoff: int,
     if m.is_zero():
         return Resolution(m, steps, syzygies, True)
     cur = m
-    incl_prev: list[list] | None = None
+    incl_prev: list[dict] | None = None
     for k in range(cutoff + 1):
         cov = projective_cover(cur)
         if dim_guard is not None and cov.source_dim > dim_guard:
@@ -654,36 +539,31 @@ def hom_space(m: Module, n: Module) -> list[list[list]]:
     def unknown(i: int, si: int, ti: int) -> int:
         return off[i] + si * len(nb[i]) + ti
 
+    mpos = {s: si for block in mb for si, s in enumerate(block)}
     rows = RowSpace(F)
     for x in range(r, a.dim):
         i, j = a.left[x], a.right[x]
-        Am = m.action[x]
-        An = n.action[x]
         if not mb[i] or not nb[j]:
             continue
+        # column t of action_N(x) on the basis vectors of weight i
+        cols: dict[int, list[tuple[int, object]]] = {}
+        for di, d in enumerate(nb[i]):
+            for t, v in n.action[x][d].items():
+                cols.setdefault(t, []).append((di, v))
+        Am = m.action[x]
         for si, s in enumerate(mb[i]):
+            # sum_c Am[s][c] F_j[c][t]  (c of weight j in M)
+            terms = [(mpos[c], v) for c, v in Am[s].items() if m.weights[c] == j]
             for tj, t in enumerate(nb[j]):
-                vec: dict[int, object] = {}
-                # sum_c Am[s][c] F_j[c][t]  (c of weight j in M)
-                for cj, c in enumerate(mb[j]):
-                    v = Am[s][c]
-                    if v != 0:
-                        k = unknown(j, cj, tj)
-                        nv = F.add(vec.get(k, F.zero), v)
-                        if nv == 0:
-                            vec.pop(k, None)
-                        else:
-                            vec[k] = nv
+                vec = {unknown(j, cj, tj): v for cj, v in terms}
                 # - sum_d F_i[s][d] An[d][t]  (d of weight i in N)
-                for di, d in enumerate(nb[i]):
-                    v = An[d][t]
-                    if v != 0:
-                        k = unknown(i, si, di)
-                        nv = F.sub(vec.get(k, F.zero), v)
-                        if nv == 0:
-                            vec.pop(k, None)
-                        else:
-                            vec[k] = nv
+                for di, v in cols.get(t, ()):
+                    k = unknown(i, si, di)
+                    nv = F.sub(vec.get(k, F.zero), v)
+                    if nv == 0:
+                        vec.pop(k, None)
+                    else:
+                        vec[k] = nv
                 if vec:
                     rows.add(vec)
     kern = rows.kernel_basis(total)
@@ -698,10 +578,6 @@ def hom_space(m: Module, n: Module) -> list[list[list]]:
                         mat[s][t] = x
         out.append(mat)
     return out
-
-
-def hom_dim(m: Module, n: Module) -> int:
-    return len(hom_space(m, n))
 
 
 @dataclass
@@ -730,14 +606,6 @@ def _invert_square(F: Field, mat: list[list]) -> list[list] | None:
     if res.pivot_columns[:n] != list(range(n)) or res.rank != n:
         return None
     return [row[n:] for row in res.reduced.data]
-
-
-def _verify_intertwiner(m: Module, n: Module, mat: list[list]) -> bool:
-    F = m.field
-    for x in range(m.algebra.dim):
-        if _matmul(F, m.action[x], mat) != _matmul(F, mat, n.action[x]):
-            return False
-    return True
 
 
 def is_iso(m: Module, n: Module) -> IsoResult:
@@ -909,17 +777,17 @@ def ext_dims(m: Module, n: Module, cutoff: int,
         if D is None:
             continue
         rs = RowSpace(F)
+        nd = n.dim
         for phi in hom_bases[l]:
-            img = _matmul(F, D, phi)
-            vec = {}
-            k = 0
-            for row in img:
-                for x in row:
-                    if x != 0:
-                        vec[k] = x
-                    k += 1
-            if vec:
-                rs.add(vec)
+            # D @ phi with its entries numbered row by row; rs.add drops zeros
+            vec: dict[int, object] = {}
+            for s, row in enumerate(D):
+                for c, v in row.items():
+                    for t, x in enumerate(phi[c]):
+                        if x != 0:
+                            k = s * nd + t
+                            vec[k] = F.add(vec.get(k, F.zero), F.mul(v, x))
+            rs.add(vec)
         ranks[l] = rs.rank
     out = []
     for l in range(cutoff + 1):
@@ -952,21 +820,14 @@ class TensorProduct:
             for a in range(md):
                 Ama = Am[a]
                 for b in range(nd):
-                    vec: dict[int, object] = {}
-                    for c in range(md):
-                        v = Ama[c]
-                        if v != 0:
-                            vec[c * nd + b] = v
-                    Anb = An[b]
-                    for d2 in range(nd):
-                        v = Anb[d2]
-                        if v != 0:
-                            k = a * nd + d2
-                            nv = F.sub(vec.get(k, F.zero), v)
-                            if nv == 0:
-                                vec.pop(k, None)
-                            else:
-                                vec[k] = nv
+                    vec: dict[int, object] = {c * nd + b: v for c, v in Ama.items()}
+                    for d2, v in An[b].items():
+                        k = a * nd + d2
+                        nv = F.sub(vec.get(k, F.zero), v)
+                        if nv == 0:
+                            vec.pop(k, None)
+                        else:
+                            vec[k] = nv
                     if vec:
                         self.rows.add(vec)
         pomm = set(self.rows.pivot_of_col)
@@ -977,14 +838,9 @@ class TensorProduct:
     def dim(self) -> int:
         return len(self.free)
 
-    def reduce_pure(self, vec: dict[int, object]) -> list:
-        """Reduce a vector in pure-tensor coordinates to quotient coordinates."""
-        F = self.field
-        res = self.rows.reduce(dict(vec))
-        out = [F.zero] * self.dim
-        for c, x in res.items():
-            out[self.pos[c]] = x
-        return out
+    def reduce_pure(self, vec: dict[int, object]) -> dict[int, object]:
+        """Reduce a sparse row in pure-tensor coordinates to quotient coordinates."""
+        return {self.pos[c]: x for c, x in self.rows.reduce(vec).items()}
 
 
 def tensor_over(m: Module, n: Module) -> TensorProduct:
@@ -1030,13 +886,9 @@ def tor_dims(m: Module, n: Module, cutoff: int,
         rs = RowSpace(F)
         for k in tens[l].free:
             a, b = divmod(k, nd)
-            vec: dict[int, object] = {}
-            for c, v in enumerate(D[a]):
-                if v != 0:
-                    vec[c * nd + b] = v
-            red = tens[l - 1].rows.reduce(vec)
+            red = tens[l - 1].reduce_pure({c * nd + b: v for c, v in D[a].items()})
             if red:
-                rs.add({tens[l - 1].pos[c]: x for c, x in red.items()})
+                rs.add(red)
         ranks[l] = rs.rank
     out = []
     for l in range(limit + 1):
@@ -1087,52 +939,48 @@ class AlgebraMap:
                     raise ValueError(f"map not multiplicative at basis pair ({x},{y})")
 
 
-def adapt_weights(algebra: Algebra, dim: int, action: list[list[list]]) -> Module:
-    """Build a Module from raw action matrices by choosing a basis adapted
-    to the idempotent projectors (which commute and sum to the identity)."""
+def adapt_weights(algebra: Algebra, dim: int, action: list[list[dict]]) -> Module:
+    """Build a Module from raw sparse action matrices by choosing a basis
+    adapted to the idempotent projectors (which commute and sum to the
+    identity)."""
     F = algebra.field
-    # fast path: projectors already diagonal 0/1
+    # fast path: every projector row is zero or a unit vector at its own index
+    weights: list[int | None] = [None] * dim
     diagonal = True
-    weights = [None] * dim
     for i in range(algebra.r):
-        mat = action[i]
-        for s in range(dim):
-            for t in range(dim):
-                v = mat[s][t]
-                if s == t:
-                    if v == F.one:
-                        if weights[s] is not None:
-                            diagonal = False
-                        weights[s] = i
-                    elif v != 0:
-                        diagonal = False
-                elif v != 0:
-                    diagonal = False
-            if not diagonal:
+        for s, row in enumerate(action[i]):
+            if row and (row != {s: F.one} or weights[s] is not None):
+                diagonal = False
                 break
+            if row:
+                weights[s] = i
         if not diagonal:
             break
-    if diagonal and all(w is not None for w in weights):
+    if diagonal and None not in weights:
         return Module(algebra, dim, action, weights)
-    # general path: rows of each projector image give the adapted basis
-    rows = []
+    # general path: rows of each projector image give the adapted basis T,
+    # and x acts by T A_x T^-1
+    rows: list[dict] = []
     weights2: list[int] = []
     for i in range(algebra.r):
         rs = RowSpace(F)
         for row in action[i]:
-            rs.add({c: x for c, x in enumerate(row) if x != 0})
-        rows.extend(_dense_rows(F, rs.rows, dim))
+            rs.add(row)
+        rows.extend(rs.rows)
         weights2.extend([i] * rs.rank)
     if len(rows) != dim:
         raise ValueError("idempotent projector images do not fill the space")
-    T = Matrix(F, rows)
-    Tinv_rows = _invert_square(F, rows)
-    if Tinv_rows is None:
+    # reduce [T | I]: T is invertible iff the pivots are the columns of T, and
+    # then the row with pivot c carries row c of T^-1 in its right half
+    aug = RowSpace(F)
+    for s, row in enumerate(rows):
+        aug.add({**row, dim + s: F.one})
+    if any(c >= dim for c in aug.pivot_cols):
         raise ValueError("adapted basis is not a basis")
-    Tinv = Matrix(F, Tinv_rows)
-    new_action = []
-    for x in range(algebra.dim):
-        new_action.append(T.mul(Matrix(F, action[x])).mul(Tinv).data)
+    inverse = {c: {t - dim: x for t, x in row.items() if t >= dim}
+               for c, row in zip(aug.pivot_cols, aug.rows)}
+    new_action = [[_vecmat(F, _vecmat(F, row, action[x]), inverse) for row in rows]
+                  for x in range(algebra.dim)]
     return Module(algebra, dim, new_action, weights2)
 
 
@@ -1141,19 +989,7 @@ def restrict_along(f: AlgebraMap, m: Module) -> Module:
     if m.algebra != f.target:
         raise ValueError("module is not over the map's target")
     f.check()
-    F = m.field
-    action = []
-    for x in range(f.source.dim):
-        mat = [[F.zero] * m.dim for _ in range(m.dim)]
-        for z, c in f.images[x].items():
-            Az = m.action[z]
-            for s in range(m.dim):
-                row = Az[s]
-                ms = mat[s]
-                for t in range(m.dim):
-                    if row[t] != 0:
-                        ms[t] = F.add(ms[t], F.mul(c, row[t]))
-        action.append(mat)
+    action = [[m._times(s, img) for s in range(m.dim)] for img in f.images]
     return adapt_weights(f.source, m.dim, action)
 
 
@@ -1162,52 +998,36 @@ def restrict_along(f: AlgebraMap, m: Module) -> Module:
 # --------------------------------------------------------------------------
 
 
-def bimodule_restrict_right(b: Algebra, c: Algebra, m: Module) -> Module:
-    """M_B: restrict a C-B-bimodule (module over tensor(op(c), b)) to B."""
-    from .algebra import tensor, _tensor_pair_order
-    T = tensor(opposite(c), b)
-    if m.algebra != T:
-        raise ValueError("not a module over tensor(opposite(c), b)")
-    pairs = _tensor_pair_order(opposite(c), b)
-    pidx = {p: k for k, p in enumerate(pairs)}
-    images = []
-    for y in range(b.dim):
-        img: dict[int, object] = {}
-        for i in range(c.r):
-            img[pidx[(i, y)]] = b.field.one
-        images.append(img)
-    f = AlgebraMap(b, T, images)
-    return restrict_along(f, m)
+def bimodule_restrictions(b: Algebra, c: Algebra, m: Module) -> tuple[Module, Module]:
+    """M_B and _CM of a C-B-bimodule M (a module over tensor(opposite(c), b)).
 
-
-def bimodule_restrict_left(b: Algebra, c: Algebra, m: Module) -> Module:
-    """_CM as a right module over opposite(C)."""
+    _CM is returned as a right module over opposite(C).  The tensor algebra
+    and its pair order are built once for both restrictions.
+    """
     from .algebra import tensor, _tensor_pair_order
-    T = tensor(opposite(c), b)
-    if m.algebra != T:
-        raise ValueError("not a module over tensor(opposite(c), b)")
-    pairs = _tensor_pair_order(opposite(c), b)
-    pidx = {p: k for k, p in enumerate(pairs)}
     cop = opposite(c)
-    images = []
-    for x in range(c.dim):
-        img: dict[int, object] = {}
-        for j in range(b.r):
-            img[pidx[(x, j)]] = b.field.one
-        images.append(img)
-    f = AlgebraMap(cop, T, images)
-    return restrict_along(f, m)
+    T = tensor(cop, b)
+    if m.algebra != T:
+        raise ValueError("not a module over tensor(opposite(c), b)")
+    pidx = {p: k for k, p in enumerate(_tensor_pair_order(cop, b))}
+    one = b.field.one
+    # y in B acts as the sum of e_i^op (x) y; x in C^op as the sum of x (x) e_j
+    right = AlgebraMap(b, T, [{pidx[(i, y)]: one for i in range(c.r)} for y in range(b.dim)])
+    left = AlgebraMap(cop, T, [{pidx[(x, j)]: one for j in range(b.r)} for x in range(c.dim)])
+    return restrict_along(right, m), restrict_along(left, m)
 
 
 def module_to_json(m: Module, algebra_ref: str | None = None) -> dict:
     """homkit-module/1 document; the algebra is inline unless a reference
     string (file path) is supplied."""
     F = m.field
+    zero = F.format(F.zero)
     return {
         "format": "homkit-module/1",
         "algebra": algebra_ref if algebra_ref is not None else algebra_to_json(m.algebra),
         "dim": m.dim,
-        "action": {m.algebra.labels[x]: [[F.format(v) for v in row] for row in m.action[x]]
+        "action": {m.algebra.labels[x]: [[F.format(row[t]) if t in row else zero
+                                          for t in range(m.dim)] for row in m.action[x]]
                    for x in range(m.algebra.dim)},
     }
 
@@ -1232,5 +1052,5 @@ def module_from_json(doc: dict, algebra: Algebra | None = None) -> Module:
         mat = [[F.parse(v) for v in row] for row in act[label]]
         if len(mat) != dim or any(len(row) != dim for row in mat):
             raise ValueError(f"action matrix for {label!r} has wrong shape")
-        action.append(mat)
+        action.append([{t: v for t, v in enumerate(row) if v != 0} for row in mat])
     return adapt_weights(algebra, dim, action)

@@ -21,8 +21,8 @@ from .algebra import Algebra, corner, opposite, quotient_by_idempotent_ideal, tr
 from .invariants import (GldimReport, GorensteinReport, TheoremViolation,
                          cartan_matrix, gldim, gorenstein, k0_rank)
 from .linalg import RowSpace
-from .modules import (Module, PdResult, bimodule_restrict_left,
-                      bimodule_restrict_right, pd, tensor_over, tor_dims)
+from .modules import (Module, PdResult, bimodule_restrictions, pd, tensor_over,
+                      tor_dims)
 
 
 def _corner_indices(a: Algebra, S: list[int]) -> list[int]:
@@ -36,17 +36,9 @@ def module_Ae(a: Algebra, S: list[int], cor: Algebra) -> Module:
     vmap = {v: i for i, v in enumerate(sorted(Sset))}
     idx = [k for k in range(a.dim) if a.right[k] in Sset]
     pos = {k: s for s, k in enumerate(idx)}
-    keep = _corner_indices(a, S)
-    F = a.field
-    d = len(idx)
-    action = []
-    for ky in keep:
-        mat = [[F.zero] * d for _ in range(d)]
-        for s, k in enumerate(idx):
-            for z, c in a.mult[k][ky].items():
-                mat[s][pos[z]] = c
-        action.append(mat)
-    return Module(cor, d, action, [vmap[a.right[k]] for k in idx])
+    action = [[{pos[z]: c for z, c in a.mult[k][ky].items()} for k in idx]
+              for ky in _corner_indices(a, S)]
+    return Module(cor, len(idx), action, [vmap[a.right[k]] for k in idx])
 
 
 def module_eA(a: Algebra, S: list[int], cor: Algebra) -> Module:
@@ -55,17 +47,9 @@ def module_eA(a: Algebra, S: list[int], cor: Algebra) -> Module:
     vmap = {v: i for i, v in enumerate(sorted(Sset))}
     idx = [k for k in range(a.dim) if a.left[k] in Sset]
     pos = {k: s for s, k in enumerate(idx)}
-    keep = _corner_indices(a, S)
-    F = a.field
-    d = len(idx)
-    action = []
-    for ky in keep:
-        mat = [[F.zero] * d for _ in range(d)]
-        for s, k in enumerate(idx):
-            for z, c in a.mult[ky][k].items():
-                mat[s][pos[z]] = c
-        action.append(mat)
-    return Module(opposite(cor), d, action, [vmap[a.left[k]] for k in idx])
+    action = [[{pos[z]: c for z, c in a.mult[ky][k].items()} for k in idx]
+              for ky in _corner_indices(a, S)]
+    return Module(opposite(cor), len(idx), action, [vmap[a.left[k]] for k in idx])
 
 
 def aea_dimension(a: Algebra, S: list[int]) -> int:
@@ -331,8 +315,7 @@ def gorenstein_transfer_check(b: Algebra, c: Algebra, m: Module,
     g_a = gorenstein(A, cutoff)
     g_b = gorenstein(b, cutoff)
     g_c = gorenstein(c, cutoff)
-    mb = bimodule_restrict_right(b, c, m)
-    mc = bimodule_restrict_left(b, c, m)
+    mb, mc = bimodule_restrictions(b, c, m)
     pd_mb = pd(mb, cutoff)
     pd_mc = pd(mc, cutoff)
 
@@ -416,8 +399,7 @@ def smoothness_transfer_check(b: Algebra, c: Algebra, m: Module,
     gl_a = gldim(A, cutoff)
     gl_b = gldim(b, cutoff)
     gl_c = gldim(c, cutoff)
-    mb = bimodule_restrict_right(b, c, m)
-    mc = bimodule_restrict_left(b, c, m)
+    mb, mc = bimodule_restrictions(b, c, m)
     pd_mb = pd(mb, cutoff)
     pd_mc = pd(mc, cutoff)
     sa, sb, sc = _tri_state_gldim(gl_a), _tri_state_gldim(gl_b), _tri_state_gldim(gl_c)

@@ -113,3 +113,35 @@ def invert_2x2(rows):
         return None
     return [[Fraction(d, det), Fraction(-b, det)],
             [Fraction(-c, det), Fraction(a, det)]]
+
+
+def dense_rows(rows, ncols):
+    """Sparse ``{column: scalar}`` rows written out as dense lists."""
+    return [[row.get(c, 0) for c in range(ncols)] for row in rows]
+
+
+def dense_matmul(a, b, p=None):
+    """Schoolbook product of dense matrices; entries reduced mod p if given."""
+    inner = len(b)
+    ncols = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        prod = [sum((row[k] * b[k][j] for k in range(inner)), 0) for j in range(ncols)]
+        out.append([x % p for x in prod] if p is not None else prod)
+    return out
+
+
+def identity_matrix(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def iso_witness_holds(m, n, matrix, inverse):
+    """True iff ``matrix`` is invertible with the given inverse and
+    intertwines the actions of every algebra basis element on m and n,
+    checked with dense schoolbook products."""
+    p = m.algebra.field.p
+    if dense_matmul(matrix, inverse, p) != identity_matrix(m.dim):
+        return False
+    return all(dense_matmul(dense_rows(m.action[x], m.dim), matrix, p)
+               == dense_matmul(matrix, dense_rows(n.action[x], n.dim), p)
+               for x in range(m.algebra.dim))

@@ -172,7 +172,7 @@ def test_dim_splits_as_ideal_plus_quotient(fixture_algebras):
 def test_triangular_unit_case_matches_fixture(one_point, tri0):
     T = tensor(opposite(one_point), one_point)
     F = T.field
-    m = Module(T, 1, [[[F.one]]], [0])
+    m = Module(T, 1, [[{0: F.one}]], [0])
     a = triangular(one_point, one_point, m)
     assert (a.dim, a.r) == (tri0.dim, tri0.r)
     assert a.left == tri0.left and a.right == tri0.right

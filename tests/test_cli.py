@@ -145,7 +145,7 @@ def test_dump_algebra_round_trip(capsys, tmp_path):
 def test_dump_module_round_trip(capsys, tmp_path, one_point, loc):
     T = tensor(opposite(one_point), loc)
     F = T.field
-    action = [[[F.one]] if t < T.r else [[F.zero]] for t in range(T.dim)]
+    action = [[{0: F.one}] if t < T.r else [{}] for t in range(T.dim)]
     m = Module(T, 1, action, [0])
     f = tmp_path / "m.mod"
     f.write_text(json.dumps(module_to_json(m)))
@@ -181,7 +181,7 @@ def test_check_gorenstein_transfer_files(capsys, tmp_path, one_point, loc):
     c.write_text("field Q\nquiver { vertices: 1  arrows: }\n")
     T = tensor(opposite(one_point), loc)
     F = T.field
-    action = [[[F.one]] if t < T.r else [[F.zero]] for t in range(T.dim)]
+    action = [[{0: F.one}] if t < T.r else [{}] for t in range(T.dim)]
     m = Module(T, 1, action, [0])
     f = tmp_path / "M.mod"
     f.write_text(json.dumps(module_to_json(m, algebra_ref="tensor(op(C),B)")))
@@ -270,3 +270,35 @@ def test_corpus_with_timing_flag(capsys):
                            "--json", "--with-timing")
     assert code == 0
     assert "timing_seconds" in json.loads(out)
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["gldim"], "required: file"),
+    (["gldim", "FIX-A2", "--cutoff", "abc"], "--cutoff"),
+    (["frobnicate", "FIX-A2"], "invalid choice"),
+    ([], "required: command"),
+    (["check", "nonsense", "FIX-A2"], "invalid choice"),
+    (["gldim", "FIX-A2", "--cutoff", "0"], "--cutoff"),
+    (["gldim", "FIX-A2", "--cutoff", "-1"], "--cutoff"),
+    (["stratify", "FIX-A2", "--cutoff", "0"], "--cutoff"),
+    (["stratify", "FIX-A2", "--cutoff", "-1"], "--cutoff"),
+    (["smooth", "FIX-A2", "--cutoff", "0"], "--cutoff"),
+    (["smooth", "FIX-A2", "--cutoff", "-1"], "--cutoff"),
+    (["check", "eilenberg", "FIX-A2", "--cutoff", "0"], "--cutoff"),
+    (["check", "eilenberg", "FIX-A2", "--cutoff", "-1"], "--cutoff"),
+    (["check", "theorem1", "FIX-A2", "--e", "1", "--cutoff", "0"], "--cutoff"),
+    (["check", "theorem1", "FIX-A2", "--e", "1", "--cutoff", "-1"], "--cutoff"),
+    (["corpus", "--shape", "AcyclicQuiver", "--count", "1", "--jobs", "1",
+      "--cutoff", "0"], "--cutoff"),
+    (["corpus", "--shape", "AcyclicQuiver", "--count", "1", "--jobs", "1",
+      "--cutoff", "-1"], "--cutoff"),
+    (["check", "theorem1", "FIX-A2", "--e", "1,2"], "--e"),
+    (["corpus", "--shape", "AcyclicQuiver", "--count", "-1", "--jobs", "1"], "--count"),
+    (["corpus", "--shape", "AcyclicQuiver", "--dim-bound", "0", "--jobs", "1"],
+     "--dim-bound"),
+])
+def test_bad_arguments_are_input_errors(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and named in err

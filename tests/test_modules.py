@@ -4,16 +4,17 @@ import weakref
 
 import pytest
 
+from _oracles import dense_matmul, dense_rows, iso_witness_holds
 from homkit import corpus
 from homkit.algebra import from_quiver, opposite, tensor
-from homkit.modules import (AlgebraMap, Module, direct_sum, dual, ext_dims,
-                            hom_space, injective, is_iso, min_resolution,
+from homkit.modules import (AlgebraMap, Module, adapt_weights, direct_sum, dual,
+                            ext_dims, hom_space, injective, is_iso, min_resolution,
                             module_from_json, module_to_json, pd, projective,
                             projective_cover, quotient_module, radical_submodule,
                             regular, restrict_along, simple, spanned_submodule,
                             submodule, syzygy, tensor_over, top, top_multiplicities,
                             tor_dims, zero_module, _matmul, _radical_rowspace,
-                            _syzygy_with_inclusion)
+                            _syzygy_with_inclusion, bimodule_restrictions)
 from homkit.presentation import parse_spec, spec_of_fixture
 from homkit.recollement import aea_dimension, module_Ae, module_eA
 from homkit.algebra import corner
@@ -80,15 +81,14 @@ def test_regular_module(a2, tp2, one_point):
     r = regular(tp2)
     assert r.dim == 8
     assert r.validate() == []
-    # action of 1 is the identity
+    # action of 1 is the identity: the idempotent rows sum to unit rows
     F = r.field
-    total = [[F.zero] * r.dim for _ in range(r.dim)]
+    total = [{} for _ in range(r.dim)]
     for i in range(tp2.r):
-        for s in range(r.dim):
-            for t in range(r.dim):
-                total[s][t] = F.add(total[s][t], r.action[i][s][t])
-    assert all(total[s][t] == (F.one if s == t else F.zero)
-               for s in range(r.dim) for t in range(r.dim))
+        for s, row in enumerate(r.action[i]):
+            for t, x in row.items():
+                total[s][t] = F.add(total[s].get(t, F.zero), x)
+    assert total == [{s: F.one} for s in range(r.dim)]
     rk = regular(one_point)
     assert rk.dim == 1 and rk.weights == [0]
 
@@ -150,8 +150,9 @@ def test_cover_is_surjective_with_radical_kernel(fixture_algebras):
         for i in range(a.r):
             m = simple(a, i)
             cov = projective_cover(m)
-            assert Matrix(a.field, cov.matrix).rank() == m.dim, name
-            kern = Matrix(a.field, cov.matrix).transpose().kernel_basis()
+            mat = Matrix(a.field, dense_rows(cov.matrix, m.dim))
+            assert mat.rank() == m.dim, name
+            kern = mat.transpose().kernel_basis()
             # kernel vectors vanish on the idempotent coordinate of each summand
             mask = _idempotent_positions(a, cov.multiplicities)
             for v in kern:
@@ -253,8 +254,9 @@ def test_resolution_differentials_compose_to_zero(fixture_algebras):
             for k in range(1, len(res.steps)):
                 D_k = res.steps[k].differential
                 D_prev = res.steps[k - 1].differential
+                assert any(D_k), (name, i, k)
                 comp = _matmul(a.field, D_k, D_prev)
-                assert all(x == 0 for row in comp for x in row), (name, i, k)
+                assert comp == [{} for _ in D_k], (name, i, k)
 
 
 def test_resolution_minimality(fixture_algebras):
@@ -266,7 +268,7 @@ def test_resolution_minimality(fixture_algebras):
                 D = res.steps[k].differential
                 mask = _idempotent_positions(a, res.steps[k - 1].multiplicities)
                 for row in D:
-                    assert all(row[t] == 0 for t in mask), (name, i, k)
+                    assert not any(t in row for t in mask), (name, i, k)
 
 
 def test_pd_examples(a2, tp11):
@@ -281,12 +283,11 @@ def test_pd_certificates_reverify(tp11):
     r = pd(simple(tp11, 0), 12)
     w = r.witness
     m, n = r.witness_modules
-    F = m.field
-    prod = _matmul(F, w.matrix, w.inverse)
-    assert all(prod[i][j] == (F.one if i == j else F.zero)
-               for i in range(m.dim) for j in range(m.dim))
-    for x in range(m.algebra.dim):
-        assert _matmul(F, m.action[x], w.matrix) == _matmul(F, w.matrix, n.action[x])
+    assert iso_witness_holds(m, n, w.matrix, w.inverse)
+    # a witness that fails to intertwine is rejected
+    bad = [row[:] for row in w.matrix]
+    bad[0][0] = m.field.add(bad[0][0], m.field.one)
+    assert not iso_witness_holds(m, n, bad, w.inverse)
 
 
 def test_is_iso_cases(a2, loc):
@@ -438,25 +439,24 @@ def test_restrict_along_rejects_non_map(a2):
 
 
 def test_bimodule_restriction_definition(loc, one_point):
-    from homkit.modules import bimodule_restrict_right, bimodule_restrict_left
     T = tensor(opposite(one_point), loc)
     F = T.field
-    action = [[[F.one]] if t < T.r else [[F.zero]] for t in range(T.dim)]
+    action = [[{0: F.one}] if t < T.r else [{}] for t in range(T.dim)]
     m = Module(T, 1, action, [0])
-    mb = bimodule_restrict_right(loc, one_point, m)
+    mb, mc = bimodule_restrictions(loc, one_point, m)
     assert mb.dim == 1 and mb.algebra == loc
     xi = loc.labels.index("x")
-    assert mb.action[xi] == [[F.zero]]
-    mc = bimodule_restrict_left(loc, one_point, m)
+    assert mb.action[xi] == [{}]
+    assert mb.action[0] == [{0: F.one}]
     assert mc.dim == 1 and mc.algebra == opposite(one_point)
+    assert mc.action == [[{0: F.one}]]
 
 
 def test_spanned_submodule_and_quotient(tp2):
     P = projective(tp2, 0)
     F = P.field
     # generate by the arrow basis vector alpha inside P_1 = e1 A
-    gen = [F.zero] * P.dim
-    gen[1] = F.one
+    gen = {1: F.one}
     sub, incl = spanned_submodule(P, [gen])
     assert 0 < sub.dim < P.dim
     q = quotient_module(P, incl)
@@ -484,3 +484,97 @@ def test_module_json_with_external_algebra(a2):
     assert m2.action == m.action
     with pytest.raises(ValueError, match="external"):
         module_from_json(doc)
+
+
+def _assert_sparse_rows(m: Module, label):
+    """The row invariant: one row per basis vector, in-range columns, no zero."""
+    assert len(m.action) == m.algebra.dim, label
+    for mat in m.action:
+        assert len(mat) == m.dim, label
+        for row in mat:
+            assert isinstance(row, dict), label
+            for c, x in row.items():
+                assert 0 <= c < m.dim and x != 0, label
+
+
+def _row_invariant_cases(fixture_algebras):
+    for name, a in fixture_algebras.items():
+        for i in range(a.r):
+            yield name, projective(a, i)
+            yield name, simple(a, i)
+            yield name, injective(a, i)
+        yield name, regular(a)
+        yield name, dual(regular(a))
+        P = direct_sum(a, [projective(a, i) for i in range(a.r)])
+        yield name, P
+        yield name, top(P)
+        yield name, radical_submodule(P)
+        rad = _radical_rowspace(P).rows
+        if rad:
+            sub, incl = spanned_submodule(P, rad[:1])
+            yield name, sub
+            yield name, quotient_module(P, incl)
+        m = simple(a, 0)
+        for _ in range(3):
+            m = syzygy(m)
+            yield name, m
+        if a.r > 1:
+            cor = corner(a, [0])
+            yield name, module_Ae(a, [0], cor)
+            yield name, module_eA(a, [0], cor)
+    # F3 makes some random generator coefficients vanish
+    for field_name in ("F101", "Q", "F3"):
+        spec = corpus.CorpusSpec(seed=42, count=3, shape="TriangularPair",
+                                 field_name=field_name)
+        for index in range(3):
+            inst = corpus.generate(spec, index)
+            yield inst.a.name, inst.m
+            yield inst.a.name, module_from_json(json.loads(json.dumps(module_to_json(inst.m))))
+            for restricted in bimodule_restrictions(inst.b, inst.c, inst.m):
+                yield inst.a.name, restricted
+
+
+def test_rows_are_sparse_with_no_stored_zero(fixture_algebras):
+    count = 0
+    for label, m in _row_invariant_cases(fixture_algebras):
+        _assert_sparse_rows(m, label)
+        count += 1
+    assert count > 100
+
+
+def test_module_constructor_rejects_bad_rows(a2):
+    F = a2.field
+    good = simple(a2, 0).action
+    assert Module(a2, 1, good, [0]).dim == 1
+    for bad_row in ({0: F.zero}, {1: F.one}, {-1: F.one}):
+        action = [good[0]] + [[bad_row]] + good[2:]
+        with pytest.raises(ValueError, match="sparse"):
+            Module(a2, 1, action, [0])
+    with pytest.raises(ValueError, match="one action row"):
+        Module(a2, 1, [[{0: F.one}, {}]] + good[1:], [0])
+
+
+def test_module_json_writes_dense_and_reads_sparse(a2):
+    m = projective(a2, 0)
+    doc = module_to_json(m)
+    assert all(len(row) == m.dim for mat in doc["action"].values() for row in mat)
+    assert doc["action"][a2.labels[0]] == [["1", "0"], ["0", "0"]]
+    assert module_from_json(doc).action == m.action
+    doc["action"][a2.labels[0]][0].append("0")
+    with pytest.raises(ValueError, match="wrong shape"):
+        module_from_json(doc)
+
+
+def test_adapt_weights_rebases_a_non_adapted_action(a2):
+    P = projective(a2, 0)
+    F = P.field
+    T = [[F.one, F.one], [F.zero, F.one]]
+    T_inv = [[F.one, F.neg(F.one)], [F.zero, F.one]]
+    mixed = [[{t: x for t, x in enumerate(row) if x != 0}
+              for row in dense_matmul(dense_matmul(T, dense_rows(mat, 2)), T_inv)]
+             for mat in P.action]
+    assert mixed[0] != P.action[0]  # e_1 no longer acts diagonally
+    m = adapt_weights(a2, 2, mixed)
+    assert m.validate() == []
+    assert m.weights == [0, 1]
+    assert is_iso(m, P).kind == "iso"

@@ -19,12 +19,7 @@ def _simple_bimodule(b, c):
     """
     T = tensor(opposite(c), b)
     F = T.field
-    action = []
-    for t in range(T.dim):
-        if t < T.r:
-            action.append([[F.one]] if t == 0 else [[F.zero]])
-        else:
-            action.append([[F.zero]])
+    action = [[{0: F.one}] if t == 0 else [{}] for t in range(T.dim)]
     return T, Module(T, 1, action, [0])
 
 
