@@ -20,8 +20,8 @@ from .modules import (Module, PdResult, dual, ext_dims, hom_space, injective,
                       tensor_over, top, top_multiplicities, tor_dims)
 from .invariants import (CartanReport, GldimReport, GorensteinReport,
                          TheoremViolation, cartan_matrix, eilenberg_check,
-                         euler_matrix, gldim, gorenstein, k0_rank, smooth,
-                         two_point_criterion)
+                         euler_matrix, gldim, gldim_is_finite, gorenstein, k0_rank,
+                         smooth, two_point_criterion)
 from .recollement import (det_multiplicativity_check, gorenstein_transfer_check,
                           ladder_estimate, module_Ae, module_eA,
                           smoothness_transfer_check, stratify_search,

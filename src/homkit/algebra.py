@@ -50,9 +50,9 @@ class Algebra:
         self.name = name
         if r != len(vertex_labels):
             raise ValueError("r must equal the number of vertices")
-        for i in range(r):
-            if self.left[i] != i or self.right[i] != i:
-                raise ValueError("idempotents must come first, in vertex order")
+        if len(self.left) < r or any(self.left[i] != i or self.right[i] != i
+                                     for i in range(r)):
+            raise ValueError("idempotents must come first, in vertex order")
 
     @property
     def dim(self) -> int:
@@ -687,17 +687,47 @@ def algebra_to_json(a: Algebra) -> dict:
     }
 
 
+def _index_in(value, n: int) -> bool:
+    return type(value) is int and 0 <= value < n
+
+
 def algebra_from_json(doc: dict) -> Algebra:
-    if doc.get("format") != "homkit-algebra/1":
-        raise ValueError(f"unsupported algebra format {doc.get('format')!r}")
+    """Read a homkit-algebra/1 document; a malformed one raises ValueError
+    naming the entry at fault."""
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt != "homkit-algebra/1":
+        raise ValueError(f"unsupported algebra format {fmt!r}")
+    for key in ("field", "vertex_labels", "basis", "mult"):
+        if key not in doc:
+            raise ValueError(f"algebra document has no {key!r} entry")
+    if not isinstance(doc["field"], str):
+        raise ValueError(f"'field' {doc['field']!r} is not a string")
     F = Field.from_name(doc["field"])
+    vertices = doc["vertex_labels"]
+    if not (isinstance(vertices, list) and all(isinstance(v, str) for v in vertices)):
+        raise ValueError("'vertex_labels' is not a list of strings")
+    r = len(vertices)
     basis = doc["basis"]
+    if not isinstance(basis, list):
+        raise ValueError("'basis' is not a list")
+    for k, e in enumerate(basis):
+        if not (isinstance(e, dict) and isinstance(e.get("label"), str)
+                and _index_in(e.get("left"), r) and _index_in(e.get("right"), r)):
+            raise ValueError(f"basis entry {k} is not {{label, left, right}} with "
+                             f"vertices in 0..{r - 1}: {e!r}")
     dim = len(basis)
+    if not isinstance(doc["mult"], list):
+        raise ValueError("'mult' is not a list")
     mult: list[list[dict[int, object]]] = [[{} for _ in range(dim)] for _ in range(dim)]
-    for x, y, z, cv in doc["mult"]:
-        mult[x][y][z] = F.parse(cv)
-    return Algebra(F, list(doc["vertex_labels"]),
-                   [e["label"] for e in basis],
-                   [e["left"] for e in basis],
-                   [e["right"] for e in basis],
-                   mult, len(doc["vertex_labels"]), name=doc.get("name", ""))
+    for n, entry in enumerate(doc["mult"]):
+        x, y, z, cv = entry if type(entry) is list and len(entry) == 4 else (None,) * 4
+        if not (type(x) is type(y) is type(z) is int
+                and 0 <= x < dim and 0 <= y < dim and 0 <= z < dim):
+            raise ValueError(f"mult entry {n} is not [x, y, z, coefficient] with "
+                             f"indices in 0..{dim - 1}: {entry!r}")
+        try:
+            mult[x][y][z] = F.parse(cv)
+        except ValueError as e:
+            raise ValueError(f"mult entry {n}: {e}") from None
+    return Algebra(F, vertices, [e["label"] for e in basis], [e["left"] for e in basis],
+                   [e["right"] for e in basis], mult, r, name=doc.get("name", ""))

@@ -16,6 +16,7 @@ identity (the tripwire; never expected to fire).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -208,7 +209,7 @@ def _load_bimodule(args, b: Algebra, c: Algebra):
     except json.JSONDecodeError as e:
         raise InputError(f"{args.module}: not valid JSON ({e})") from None
     try:
-        if isinstance(doc.get("algebra"), dict):
+        if isinstance(doc, dict) and isinstance(doc.get("algebra"), dict):
             inline = algebra_from_json(doc["algebra"])
             if inline != T:
                 raise InputError(
@@ -288,7 +289,7 @@ def cmd_dump(args) -> int:
         except (OSError, ValueError) as e:
             raise InputError(f"{args.file}: {e}") from None
         algebra = None
-        ref = doc.get("algebra")
+        ref = doc.get("algebra") if isinstance(doc, dict) else None
         if isinstance(ref, str):
             # file-path reference, resolved relative to the module file
             cand = ref if os.path.isabs(ref) else \
@@ -431,9 +432,14 @@ def run_corpus(spec: corpus_mod.CorpusSpec, cutoff: int, suite: str = "default",
 
 def cmd_corpus(args) -> int:
     shape = args.shape
-    spec = corpus_mod.CorpusSpec(seed=args.seed, count=args.count, shape=shape,
-                                 field_name=args.field,
-                                 dim_bound=args.dim_bound)
+    try:
+        spec = corpus_mod.CorpusSpec(seed=args.seed, count=args.count, shape=shape,
+                                     field_name=args.field,
+                                     dim_bound=args.dim_bound)
+    except ValueError as e:
+        # the parser has bounded every other field; only the per-shape
+        # minimum of the dimension bound is left to fail here
+        raise InputError(f"argument --dim-bound: {e}") from None
     jobs = args.jobs
     env_jobs = os.environ.get("HOMKIT_JOBS")
     if env_jobs is not None:
@@ -469,7 +475,14 @@ def cmd_corpus(args) -> int:
 # --------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and then kept for the process.
+
+    Each subcommand runs the ``cmd_<command>`` function that ``main`` looks
+    up by name at call time, so a later patched or wrapped ``cmd_*`` is the
+    one that runs.
+    """
     p = _Parser(prog="homkit",
                 description="Exact invariants of quiver algebras "
                             "and recollement reduction checks.")
@@ -486,34 +499,28 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("basis", help="print the basis with vertex tags")
     sp.add_argument("file")
     common(sp, cutoff=False)
-    sp.set_defaults(func=cmd_basis)
 
     sp = sub.add_parser("cartan", help="Cartan matrix and determinant")
     sp.add_argument("file")
     common(sp, cutoff=False)
-    sp.set_defaults(func=cmd_cartan)
 
     sp = sub.add_parser("gldim", help="global dimension with certificates")
     sp.add_argument("file")
     common(sp)
-    sp.set_defaults(func=cmd_gldim)
 
     sp = sub.add_parser("gorenstein", help="self-injective dimensions, both sides")
     sp.add_argument("file")
     common(sp)
-    sp.set_defaults(func=cmd_gorenstein)
 
     sp = sub.add_parser("smooth", help="smoothness (finite global dimension)")
     sp.add_argument("file")
     sp.add_argument("--cross-check", action="store_true",
                     help="also resolve A over its enveloping algebra (dim <= 8)")
     common(sp)
-    sp.set_defaults(func=cmd_smooth)
 
     sp = sub.add_parser("stratify", help="stratification search along idempotents")
     sp.add_argument("file")
     common(sp)
-    sp.set_defaults(func=cmd_stratify)
 
     sp = sub.add_parser("check", help="run one named identity check")
     sp.add_argument("kind", choices=["theorem1", "two-point", "eilenberg",
@@ -525,7 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--diagnostic", action="store_true",
                     help="evaluate theorem1 even when preconditions fail")
     common(sp)
-    sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("corpus", help="run a seeded random corpus suite")
     sp.add_argument("--shape", required=True, choices=list(corpus_mod.SHAPES))
@@ -543,7 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="include wall-clock timing in the JSON report "
                          "(off by default to keep reports byte-deterministic)")
     common(sp)
-    sp.set_defaults(func=cmd_corpus)
 
     sp = sub.add_parser("dump", help="emit versioned JSON for an algebra or module")
     sp.add_argument("file")
@@ -551,7 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--dump-algebra", action="store_true", default=False)
     g.add_argument("--dump-module", action="store_true", default=False)
     common(sp, cutoff=False)
-    sp.set_defaults(func=cmd_dump)
 
     return p
 
@@ -559,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

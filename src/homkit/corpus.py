@@ -35,6 +35,10 @@ MAX_VERTICES = 6
 MAX_ARROWS = 10
 MAX_RELATIONS = 8
 DIM_BOUND = 60
+# the smallest algebra each generator can build, so the smallest dim_bound
+# it can meet: two vertices and one arrow; one vertex with a loop and L = 2;
+# two dimension-2 factors plus a one-dimensional bimodule
+MIN_DIM_BOUND = {"AcyclicQuiver": 3, "NilpotentCyclic": 2, "TriangularPair": 5}
 
 
 @dataclass(frozen=True)
@@ -59,8 +63,10 @@ class CorpusSpec:
             raise ValueError(f"max_arrows must be in 1..{MAX_ARROWS}")
         if not (0 <= self.max_relations <= MAX_RELATIONS):
             raise ValueError(f"max_relations must be in 0..{MAX_RELATIONS}")
-        if not (1 <= self.dim_bound <= DIM_BOUND):
-            raise ValueError(f"dim_bound must be in 1..{DIM_BOUND}")
+        low = MIN_DIM_BOUND[self.shape]
+        if not (low <= self.dim_bound <= DIM_BOUND):
+            raise ValueError(f"dim_bound must be in {low}..{DIM_BOUND} for "
+                             f"{self.shape}, got {self.dim_bound}")
 
     @property
     def field(self) -> Field:

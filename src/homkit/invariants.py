@@ -106,6 +106,22 @@ def gldim(a: Algebra, cutoff: int) -> GldimReport:
     return GldimReport(per, "unknown", None, cutoff)
 
 
+def gldim_is_finite(a: Algebra, cutoff: int) -> bool:
+    """``gldim(a, cutoff).is_finite``, decided with as little resolving as
+    possible.
+
+    A finite global dimension forces det C = +-1 (Eilenberg 1954), so any
+    other Cartan determinant answers False before a single syzygy is built.
+    Otherwise the simples are resolved in vertex order and the answer is
+    False at the first one whose pd is not certified Finite.
+    """
+    if cutoff < 1:
+        raise ValueError("cutoff must be >= 1")
+    if cartan_matrix(a).det not in (1, -1):
+        return False
+    return all(pd(simple(a, i), cutoff).is_finite for i in range(a.r))
+
+
 @dataclass
 class GorensteinReport:
     right_id: PdResult  # id of A as a right module, via pd over A^op of D(A)

@@ -98,11 +98,15 @@ class Field:
 
     def parse(self, text: str):
         """Parse 'a' or 'a/b' into a field scalar."""
+        if not isinstance(text, str):
+            raise FieldError(f"scalar {text!r} is not a string")
         text = text.strip()
         if "/" in text:
             num, den = text.split("/", 1)
             n, d = int(num), int(den)
             if self.p is None:
+                if d == 0:
+                    raise FieldError(f"denominator of {text!r} is zero")
                 return Fraction(n, d)
             if d % self.p == 0:
                 raise FieldError(f"denominator {d} is zero mod {self.p}")

@@ -1033,24 +1033,52 @@ def module_to_json(m: Module, algebra_ref: str | None = None) -> dict:
 
 
 def module_from_json(doc: dict, algebra: Algebra | None = None) -> Module:
-    if doc.get("format") != "homkit-module/1":
-        raise ValueError(f"unsupported module format {doc.get('format')!r}")
+    """Read a homkit-module/1 document; a malformed one raises ValueError
+    naming the entry at fault.  Entries equal to the zero literal that
+    ``module_to_json`` writes are skipped unparsed; every other entry goes
+    through ``Field.parse``."""
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt != "homkit-module/1":
+        raise ValueError(f"unsupported module format {fmt!r}")
+    for key in ("dim", "action"):
+        if key not in doc:
+            raise ValueError(f"module document has no {key!r} entry")
     if algebra is None:
-        ref = doc["algebra"]
+        ref = doc.get("algebra")
         if not isinstance(ref, dict):
-            raise ValueError("module document references an external algebra; "
-                             "pass it explicitly")
+            raise ValueError("module document references an external algebra "
+                             "or none; pass it explicitly")
         algebra = algebra_from_json(ref)
     F = algebra.field
-    dim = int(doc["dim"])
-    action = []
+    zero = F.format(F.zero)
+    dim = doc["dim"]
+    if type(dim) is not int:
+        raise ValueError(f"'dim' {dim!r} is not an integer")
     act = doc["action"]
+    if not isinstance(act, dict):
+        raise ValueError("'action' is not an object")
+    action = []
     for x in range(algebra.dim):
         label = algebra.labels[x]
         if label not in act:
             raise ValueError(f"missing action matrix for basis element {label!r}")
-        mat = [[F.parse(v) for v in row] for row in act[label]]
-        if len(mat) != dim or any(len(row) != dim for row in mat):
-            raise ValueError(f"action matrix for {label!r} has wrong shape")
-        action.append([{t: v for t, v in enumerate(row) if v != 0} for row in mat])
+        mat = act[label]
+        if not (isinstance(mat, list) and len(mat) == dim
+                and all(isinstance(row, list) and len(row) == dim for row in mat)):
+            raise ValueError(f"action matrix for {label!r} has wrong shape "
+                             f"(expected {dim} rows of {dim} entries)")
+        rows = []
+        for i, row in enumerate(mat):
+            out = {}
+            for t, text in enumerate(row):
+                if text != zero:
+                    try:
+                        v = F.parse(text)
+                    except ValueError as e:
+                        raise ValueError(f"action matrix for {label!r}, row {i}, "
+                                         f"column {t}: {e}") from None
+                    if v != 0:
+                        out[t] = v
+            rows.append(out)
+        action.append(rows)
     return adapt_weights(algebra, dim, action)

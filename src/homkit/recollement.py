@@ -19,7 +19,7 @@ from itertools import combinations
 
 from .algebra import Algebra, corner, opposite, quotient_by_idempotent_ideal, triangular
 from .invariants import (GldimReport, GorensteinReport, TheoremViolation,
-                         cartan_matrix, gldim, gorenstein, k0_rank)
+                         cartan_matrix, gldim, gldim_is_finite, gorenstein, k0_rank)
 from .linalg import RowSpace
 from .modules import (Module, PdResult, bimodule_restrictions, pd, tensor_over,
                       tor_dims)
@@ -150,15 +150,15 @@ class LadderEstimate:
 
 
 def ladder_estimate(a: Algebra, S: list[int], cutoff: int,
-                    strat: StratifyingVerdict | None = None,
-                    gl: GldimReport | None = None) -> LadderEstimate:
+                    strat: StratifyingVerdict | None = None) -> LadderEstimate:
     """Ladder-height estimate for the recollement induced by e.
 
     The downward criterion is finiteness of pd_{eAe}(Ae); the upward one is
     finiteness of pd over the opposite corner of eA.  A finite global
     dimension of A extends the recollement to every height, so that case is
-    reported as ">=4" outright.  Certified-infinite corner modules block
-    the corresponding direction.
+    reported as ">=4" outright; only that bit is needed, so it comes from
+    ``gldim_is_finite``, not a full ``gldim``.  Certified-infinite corner
+    modules block the corresponding direction.
     """
     S = sorted(set(S))
     if strat is None:
@@ -172,9 +172,8 @@ def ladder_estimate(a: Algebra, S: list[int], cutoff: int,
             down = pd(module_Ae(a, S, cor), cutoff)
         if up is None:
             up = pd(module_eA(a, S, cor), cutoff)
-    if gl is None:
-        gl = gldim(a, cutoff)
-    return LadderEstimate(down, up, height_label(gl.is_finite, down, up), gl.is_finite)
+    finite = gldim_is_finite(a, cutoff)
+    return LadderEstimate(down, up, height_label(finite, down, up), finite)
 
 
 def height_label(gldim_finite: bool, down: PdResult, up: PdResult) -> str:

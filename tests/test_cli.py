@@ -3,7 +3,8 @@ import json
 import pytest
 
 from homkit import cli
-from homkit.algebra import algebra_from_json, opposite, tensor
+from homkit.algebra import (algebra_from_json, algebra_to_json, from_quiver,
+                            opposite, tensor)
 from homkit.invariants import TheoremViolation
 from homkit.modules import Module, module_to_json
 from homkit.presentation import print_spec, spec_of_fixture
@@ -302,3 +303,92 @@ def test_bad_arguments_are_input_errors(capsys, argv, named):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and named in err
+
+
+def test_parser_is_built_once_and_reused(capsys, monkeypatch):
+    runs = [["cartan", "FIX-TP2"], ["cartan", "FIX-TP2", "--json"],
+            ["gldim", "FIX-A2", "--cutoff", "3"], ["gldim", "FIX-A2", "--cutoff", "0"],
+            ["stratify", "FIX-A2", "--json"], ["check", "eilenberg", "FIX-A2"],
+            ["gldim", "FIX-A2"]]
+    cli.build_parser.cache_clear()
+    reused = [run_cli(capsys, *argv) for argv in runs]
+    assert cli.build_parser() is cli.build_parser()
+    fresh = []
+    for argv in runs:
+        cli.build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 0, 1, 0, 0, 0]
+    # the command function is looked up when it runs, not when the parser is built
+    monkeypatch.setattr(cli, "cmd_cartan", lambda args: print("patched") or 0)
+    assert run_cli(capsys, "cartan", "FIX-TP2") == (0, "patched\n", "")
+
+
+def _entry_is_a_number(doc):
+    next(iter(doc["action"].values()))[0][0] = 1
+
+
+def _action_is_not_a_list(doc):
+    doc["action"][next(iter(doc["action"]))] = 5
+
+
+def _coefficient_is_a_number(doc):
+    doc["mult"][0][3] = 1
+
+
+def _index_out_of_range(doc):
+    doc["mult"][0][2] = 99
+
+
+def _no_basis(doc):
+    del doc["basis"]
+
+
+@pytest.mark.parametrize("kind, edit, named", [
+    ("module", _entry_is_a_number, "row 0, column 0: scalar 1 is not a string"),
+    ("module", _action_is_not_a_list, "has wrong shape"),
+    ("algebra", _coefficient_is_a_number, "mult entry 0: scalar 1 is not a string"),
+    ("algebra", _index_out_of_range, "mult entry 0 is not [x, y, z, coefficient]"),
+    ("algebra", _no_basis, "no 'basis' entry"),
+], ids=["module-entry-number", "module-action-not-list", "algebra-coefficient-number",
+        "algebra-index-out-of-range", "algebra-no-basis"])
+def test_malformed_json_is_an_input_error(capsys, tmp_path, kind, edit, named):
+    """A malformed algebra exits 1 from load_algebra and as a module's inline
+    algebra; a malformed module from the transfer checks and from dump."""
+    b, c = spec_of_fixture("FIX-LOC"), spec_of_fixture("FIX-A2")
+    (tmp_path / "B.qa").write_text(print_spec(b))
+    (tmp_path / "C.qa").write_text(print_spec(c))
+    T = tensor(opposite(from_quiver(c)), from_quiver(b))
+    m = Module(T, 1, [[{0: T.field.one}] if t == 0 else [{}] for t in range(T.dim)], [0])
+    mod = module_to_json(m)
+    runs = []
+    if kind == "algebra":
+        alg = algebra_to_json(from_quiver(c))
+        edit(alg)
+        (tmp_path / "bad.json").write_text(json.dumps(alg))
+        runs.append((tmp_path / "bad.json", ["cartan"]))
+        edit(mod["algebra"])
+    else:
+        edit(mod)
+        ref = {**mod, "algebra": "tensor(op(C),B)"}
+        (tmp_path / "ref.mod").write_text(json.dumps(ref))
+        runs.append((tmp_path / "ref.mod", ["check", "gorenstein-transfer",
+                                            str(tmp_path / "B.qa"), str(tmp_path / "C.qa")]))
+    (tmp_path / "inline.mod").write_text(json.dumps(mod))
+    runs.append((tmp_path / "inline.mod", ["dump", "--dump-module"]))
+    for f, argv in runs:
+        code, out, err = run_cli(capsys, *argv, str(f))
+        assert (code, out) == (1, ""), (argv, err)
+        assert err.startswith(f"error: {f}: ") and named in err, err
+
+
+@pytest.mark.parametrize("shape, minimum", [("AcyclicQuiver", 3), ("NilpotentCyclic", 2),
+                                            ("TriangularPair", 5)])
+def test_corpus_dim_bound_below_the_shape_minimum(capsys, shape, minimum):
+    code, out, err = run_cli(capsys, "corpus", "--shape", shape, "--count", "3",
+                             "--dim-bound", str(minimum - 1), "--jobs", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: argument --dim-bound: ") and f"{minimum}..60" in err
+    code, out, _ = run_cli(capsys, "corpus", "--shape", shape, "--count", "3",
+                           "--dim-bound", str(minimum), "--jobs", "1", "--json")
+    assert code == 0 and json.loads(out)["aggregate"]["pass"] == 3

@@ -13,6 +13,11 @@ def test_corpus_spec_bounds():
         CorpusSpec(seed=1, count=5, shape="AcyclicQuiver", max_vertices=7)
     with pytest.raises(ValueError):
         CorpusSpec(seed=1, count=5, shape="AcyclicQuiver", dim_bound=100)
+    # below the smallest algebra a shape can build, generation would never end
+    for shape, low in (("AcyclicQuiver", 3), ("NilpotentCyclic", 2), ("TriangularPair", 5)):
+        with pytest.raises(ValueError, match=f"{low}..60 for {shape}"):
+            CorpusSpec(seed=1, count=5, shape=shape, dim_bound=low - 1)
+        CorpusSpec(seed=1, count=5, shape=shape, dim_bound=low)
 
 
 def test_generation_is_deterministic():

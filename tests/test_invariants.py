@@ -1,9 +1,13 @@
+import pytest
+
 from homkit.algebra import opposite, tensor, triangular
+from homkit.corpus import CorpusSpec, generate
 from homkit.invariants import (cartan_matrix, eilenberg_check, euler_matrix,
-                               gldim, gorenstein, k0_rank, smooth,
+                               gldim, gldim_is_finite, gorenstein, k0_rank, smooth,
                                two_point_criterion)
 from homkit.linalg import IntMatrix
 from homkit.modules import hom_space, projective, regular
+from homkit.recollement import stratify_search
 
 # Ext table of the two-vertex one-arrow algebra, frozen from its length-1
 # resolutions: P_2 -> P_1 -> S_1 and P_2 -> S_2.
@@ -177,3 +181,36 @@ def test_tensor_two_point_stays_flagged(fixture_algebras, loc):
     t = tensor(a, loc)
     rep = two_point_criterion(t)
     assert rep.applicable and rep.flagged
+
+
+def _finiteness_inputs(fixture_algebras, one_point, semisimple3):
+    """The fixtures; 30 NilpotentCyclic algebras with every algebra of their
+    stratification trees (the quotients and corners of the split nodes); 30
+    AcyclicQuiver algebras; A, B and C of 30 TriangularPair triples."""
+    out = [*fixture_algebras.values(), one_point, semisimple3]
+    nil = CorpusSpec(seed=42, count=30, shape="NilpotentCyclic")
+    for i in range(30):
+        tree = stratify_search(generate(nil, i), 12)
+        out.append(tree.algebra)
+        out += [c.algebra for s in tree.splits() for c in (s.quotient_child, s.corner_child)]
+    acyclic = CorpusSpec(seed=42, count=30, shape="AcyclicQuiver")
+    out += [generate(acyclic, i) for i in range(30)]
+    tri = CorpusSpec(seed=42, count=30, shape="TriangularPair")
+    for i in range(30):
+        inst = generate(tri, i)
+        out += [inst.a, inst.b, inst.c]
+    return out
+
+
+@pytest.mark.parametrize("cutoff", [2, 12])
+def test_gldim_is_finite_agrees_with_gldim(fixture_algebras, one_point, semisimple3,
+                                           cutoff):
+    seen = set()
+    for a in _finiteness_inputs(fixture_algebras, one_point, semisimple3):
+        finite = gldim_is_finite(a, cutoff)
+        assert finite == gldim(a, cutoff).is_finite, (a.name, cutoff)
+        seen.add((cartan_matrix(a).det in (1, -1), finite))
+    # False from the determinant alone, and both answers after resolving
+    assert seen == {(False, False), (True, False), (True, True)}
+    with pytest.raises(ValueError):
+        gldim_is_finite(one_point, 0)

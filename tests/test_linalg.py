@@ -23,6 +23,13 @@ def test_prime_field_rejects_composite():
         Field.prime(6)
 
 
+@pytest.mark.parametrize("text", [1, None, ["1"], "1/0", "2/0"])
+@pytest.mark.parametrize("field", [Field.rationals(), Field.prime(7)])
+def test_parse_rejects_non_strings_and_zero_denominators(field, text):
+    with pytest.raises(FieldError):
+        field.parse(text)
+
+
 def test_field_arithmetic_modp():
     F = Field.prime(7)
     assert F.add(5, 4) == 2

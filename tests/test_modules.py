@@ -554,15 +554,36 @@ def test_module_constructor_rejects_bad_rows(a2):
         Module(a2, 1, [[{0: F.one}, {}]] + good[1:], [0])
 
 
-def test_module_json_writes_dense_and_reads_sparse(a2):
-    m = projective(a2, 0)
-    doc = module_to_json(m)
-    assert all(len(row) == m.dim for mat in doc["action"].values() for row in mat)
-    assert doc["action"][a2.labels[0]] == [["1", "0"], ["0", "0"]]
-    assert module_from_json(doc).action == m.action
-    doc["action"][a2.labels[0]][0].append("0")
-    with pytest.raises(ValueError, match="wrong shape"):
-        module_from_json(doc)
+def test_module_json_writes_dense_and_reads_sparse(monkeypatch):
+    from homkit.linalg import Field
+    parse = Field.parse
+    parsed = []
+    monkeypatch.setattr(Field, "parse", lambda F, text: parsed.append(text) or parse(F, text))
+    for field in ("Q", "F101"):
+        a2 = from_quiver(parse_spec(f"field {field} quiver {{ vertices: 1, 2  "
+                                    "arrows: a: 1 -> 2 }", name="A2"))
+        m = projective(a2, 0)
+        doc = module_to_json(m)
+        assert all(len(row) == m.dim for mat in doc["action"].values() for row in mat)
+        assert doc["action"][a2.labels[0]] == [["1", "0"], ["0", "0"]]
+        # only the entries that differ from the zero literal are parsed
+        parsed.clear()
+        assert module_from_json(doc, algebra=a2).action == m.action
+        assert sorted(parsed) == sorted(v for mat in doc["action"].values()
+                                        for row in mat for v in row if v != "0")
+        # other spellings of zero are parsed, and dropped
+        for zero in ("00", " 0", "0/3"):
+            doc["action"][a2.labels[2]][1][0] = zero
+            assert module_from_json(doc).action == m.action, (field, zero)
+        # and bad entries still raise, naming where they are
+        for bad in ("abc", "1/0", " ", "0.0"):
+            doc["action"][a2.labels[2]][1][0] = bad
+            with pytest.raises(ValueError, match=r"row 1, column 0"):
+                module_from_json(doc)
+        doc["action"][a2.labels[2]][1][0] = "0"
+        doc["action"][a2.labels[0]][0].append("0")
+        with pytest.raises(ValueError, match="wrong shape"):
+            module_from_json(doc)
 
 
 def test_adapt_weights_rebases_a_non_adapted_action(a2):

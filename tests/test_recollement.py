@@ -1,8 +1,13 @@
+import hashlib
+import json
 from dataclasses import replace
 
 import pytest
 
-from homkit.algebra import opposite, tensor, triangular, corner
+from homkit.algebra import (corner, opposite, quotient_by_idempotent_ideal, tensor,
+                            triangular)
+from homkit.corpus import CorpusSpec, generate
+from homkit.invariants import cartan_matrix
 from homkit.modules import Module, PdResult, pd, regular
 from homkit.recollement import (aea_dimension, det_multiplicativity_check,
                                 gorenstein_transfer_check, height_label,
@@ -110,6 +115,73 @@ def test_ladder_reuses_the_pds_of_the_stratifying_check(a2, loc, one_point, monk
         assert lad.down is strat.pd_Ae
         assert lad.to_json() == ladder_estimate(alg, [0], 12,
                                                 strat=replace(strat, pd_Ae=None)).to_json()
+
+
+# stratify_search on two NilpotentCyclic instances whose trees hold both a
+# det C = 2 split (ladder decided by the determinant) and a det C = 1 split
+# with a non-finite simple; recorded when the ladder still ran a full gldim
+NILCYC_TREES = {
+    8: ("nilcyc-42-8 (dim 9, r 4, det C 2)  split at e=[2]  ladder >=3  det 2 = 1 * 2: pass\n"
+        "  quot(nilcyc-42-8,[2]) (dim 7, r 3, det C 1)  split at e=[2]  ladder >=3  "
+        "det 1 = 1 * 1: pass\n"
+        "    quot(quot(nilcyc-42-8,[2]),[2]) (dim 5, r 2, det C 1)  "
+        "[derived-simple candidate (idempotent search only)]\n"
+        "    corner(quot(nilcyc-42-8,[2]),[2]) (dim 1, r 1, det C 1)  "
+        "[derived-simple candidate (idempotent search only)]\n"
+        "  corner(nilcyc-42-8,[2]) (dim 2, r 1, det C 2)  "
+        "[derived-simple candidate (idempotent search only)]",
+        "382798b20041aa34e92f1a8a03b00d64d79dcb8150d1359b11c8131ed16731a7"),
+    6: ("nilcyc-42-6 (dim 9, r 4, det C 2)  split at e=[1]  ladder >=3  det 2 = 2 * 1: pass\n"
+        "  quot(nilcyc-42-6,[1]) (dim 7, r 3, det C 2)  split at e=[1]  ladder >=3  "
+        "det 2 = 1 * 2: pass\n"
+        "    quot(quot(nilcyc-42-6,[1]),[1]) (dim 5, r 2, det C 1)  "
+        "[derived-simple candidate (idempotent search only)]\n"
+        "    corner(quot(nilcyc-42-6,[1]),[1]) (dim 2, r 1, det C 2)  "
+        "[derived-simple candidate (idempotent search only)]\n"
+        "  corner(nilcyc-42-6,[1]) (dim 1, r 1, det C 1)  "
+        "[derived-simple candidate (idempotent search only)]",
+        "5ae928d05c10abc3e023c3adad8e99a6ff1e483c0f3995787228b3ac16ae9f22"),
+}
+
+
+def _nilcyc(index):
+    return generate(CorpusSpec(seed=42, count=30, shape="NilpotentCyclic"), index)
+
+
+@pytest.mark.parametrize("index", sorted(NILCYC_TREES))
+def test_stratify_search_runs_no_gldim(index, monkeypatch):
+    import homkit.recollement as rec
+
+    def boom(a, cutoff):
+        raise AssertionError("stratify_search ran a full gldim")
+
+    monkeypatch.setattr(rec, "gldim", boom)
+    tree = stratify_search(_nilcyc(index), 12)
+    text, digest = NILCYC_TREES[index]
+    assert tree.render() == text
+    doc = json.dumps(tree.to_json(), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest
+
+
+def test_ladder_resolves_simples_only_while_finite(a2, monkeypatch):
+    import homkit.invariants as inv
+    calls = []
+    monkeypatch.setattr(inv, "pd", lambda m, c: calls.append(m) or pd(m, c))
+    root = _nilcyc(8)
+    quot = quotient_by_idempotent_ideal(root, [2])
+    # det C = 2: the determinant answers, no simple is resolved
+    assert cartan_matrix(root).det == 2
+    lad = ladder_estimate(root, [2], 12)
+    assert calls == [] and not lad.gldim_finite
+    # det C = 1 with three non-finite simples: stop after the first
+    assert cartan_matrix(quot).det == 1 and quot.r == 3
+    lad = ladder_estimate(quot, [2], 12)
+    assert [m.weights for m in calls] == [[0]] and not lad.gldim_finite
+    assert not pd(calls[0], 12).is_finite
+    # finite global dimension: every simple is resolved
+    calls.clear()
+    assert ladder_estimate(a2, [0], 12).gldim_finite
+    assert [m.weights for m in calls] == [[0], [1]]
 
 
 def test_ladder_requires_stratifying(tp11):
