@@ -11,6 +11,7 @@ the radical is carried structurally and never recomputed.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -31,11 +32,13 @@ class Algebra:
     ``mult[x][y]`` is the coordinate vector (sparse dict ``{z: coeff}``) of
     the product of basis elements x and y.  Basis order is: the r vertex
     idempotents in vertex order, then the radical basis in construction
-    order.  Instances are immutable by convention.
+    order.  Instances are immutable by convention, which is what lets
+    ``opposite`` and ``tensor`` keep their results on the instance (in
+    ``_opposite`` and ``_tensors``) and hand out the same object each time.
     """
 
     __slots__ = ("field", "vertex_labels", "labels", "left", "right", "mult",
-                 "r", "name", "__weakref__")
+                 "r", "name", "_opposite", "_tensors", "__weakref__")
 
     def __init__(self, field: Field, vertex_labels: list[str], labels: list[str],
                  left: list[int], right: list[int],
@@ -48,6 +51,8 @@ class Algebra:
         self.mult = mult
         self.r = r
         self.name = name
+        self._opposite: Algebra | None = None
+        self._tensors: weakref.WeakKeyDictionary | None = None
         if r != len(vertex_labels):
             raise ValueError("r must equal the number of vertices")
         if len(self.left) < r or any(self.left[i] != i or self.right[i] != i
@@ -98,6 +103,8 @@ class Algebra:
         return [k for k in range(self.dim) if self.left[k] == i and self.right[k] == j]
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, Algebra)
                 and self.field == other.field
                 and self.labels == other.labels
@@ -465,11 +472,21 @@ def validate(a: Algebra, max_failures: int = 5) -> ValidationReport:
 
 
 def opposite(a: Algebra) -> Algebra:
-    """Same basis, products reversed, vertex tags swapped."""
-    dim = a.dim
-    mult = [[dict(a.mult[y][x]) for y in range(dim)] for x in range(dim)]
-    return Algebra(a.field, a.vertex_labels, a.labels, a.right, a.left, mult,
-                   a.r, name=f"op({a.name})")
+    """Same basis, products reversed, vertex tags swapped.
+
+    Built once per algebra: the two are kept on each other, so
+    ``opposite(opposite(a)) is a``.  The pair is a reference cycle, which
+    the garbage collector frees as a whole.
+    """
+    op = a._opposite
+    if op is None:
+        dim = a.dim
+        mult = [[dict(a.mult[y][x]) for y in range(dim)] for x in range(dim)]
+        op = Algebra(a.field, a.vertex_labels, a.labels, a.right, a.left, mult,
+                     a.r, name=f"op({a.name})")
+        op._opposite = a
+        a._opposite = op
+    return op
 
 
 def _tensor_pair_order(a: Algebra, b: Algebra) -> list[tuple[int, int]]:
@@ -482,7 +499,22 @@ def _tensor_pair_order(a: Algebra, b: Algebra) -> list[tuple[int, int]]:
 
 
 def tensor(a: Algebra, b: Algebra) -> Algebra:
-    """Tensor product algebra a (x) b (componentwise products, no signs)."""
+    """Tensor product algebra a (x) b (componentwise products, no signs).
+
+    Built once per pair of factors: the product is kept on ``a``, keyed
+    weakly by ``b``, and holds no reference to either factor, so the cache
+    keeps neither alive.
+    """
+    cache = a._tensors
+    if cache is None:
+        cache = a._tensors = weakref.WeakKeyDictionary()
+    t = cache.get(b)
+    if t is None:
+        t = cache[b] = _tensor(a, b, f"{a.name}⊗{b.name}")
+    return t
+
+
+def _tensor(a: Algebra, b: Algebra, name: str) -> Algebra:
     if a.field != b.field:
         raise ValueError("tensor factors must share the field")
     F = a.field
@@ -512,15 +544,12 @@ def tensor(a: Algebra, b: Algebra) -> Algebra:
                 for z2, c2 in ry.items():
                     out[pidx[(z1, z2)]] = F.mul(c1, c2)
             mult[k1][k2] = out
-    return Algebra(F, vertex_labels, labels, left, right, mult, a.r * b.r,
-                   name=f"{a.name}⊗{b.name}")
+    return Algebra(F, vertex_labels, labels, left, right, mult, a.r * b.r, name=name)
 
 
 def enveloping(a: Algebra) -> Algebra:
     """op(a) (x) a, the algebra whose right modules are a-a-bimodules."""
-    env = tensor(opposite(a), a)
-    env.name = f"env({a.name})"
-    return env
+    return _tensor(opposite(a), a, f"env({a.name})")
 
 
 def corner(a: Algebra, vertices: list[int]) -> Algebra:
@@ -598,10 +627,10 @@ def triangular(b: Algebra, c: Algebra, m: "Module") -> Algebra:
     if b.field != c.field:
         raise ValueError("triangular factors must share the field")
     F = b.field
-    T = tensor(opposite(c), b)
-    if m.algebra != T:
+    cop = opposite(c)
+    if m.algebra != tensor(cop, b):
         raise ValueError("bimodule is not a module over tensor(opposite(c), b)")
-    pairs = _tensor_pair_order(opposite(c), b)
+    pairs = _tensor_pair_order(cop, b)
     pidx = {p: k for k, p in enumerate(pairs)}
 
     rb, rc = b.r, c.r

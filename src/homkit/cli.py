@@ -10,7 +10,8 @@ File arguments take ``.qa`` presentations, ``homkit-algebra/1`` JSON dumps,
 or built-in fixture names (FIX-A2, FIX-TP1(n), FIX-TP2, FIX-LOC, FIX-TRI0).
 Exit codes: 0 = computed (even when a verdict is Unknown), 1 = input error,
 2 = internal invariant violation, 3 = certified violation of an exact
-identity (the tripwire; never expected to fire).
+identity (the tripwire; never expected to fire).  A standard output closed
+by its reader (``homkit ... | head -1``) is a normal end, with exit 0.
 """
 
 from __future__ import annotations
@@ -563,7 +564,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return globals()[f"cmd_{args.command}"](args)
+        code = globals()[f"cmd_{args.command}"](args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout went away, as after ``| head -1``; point stdout
+        # at the null device so that the flush at interpreter exit is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

@@ -13,11 +13,12 @@ in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import zip_longest
 
 from .algebra import Algebra, opposite
 from .linalg import IntMatrix, det_int
-from .modules import (Module, PdResult, dual, ext_dims, pd, regular, simple)
+from .modules import Module, PdResult, dual, ext_dims, pd, projective, simple
 
 CARTAN_CONVENTION = "c[i][j] = dim e_j A e_i (multiplicity of S_i in P_j)"
 
@@ -106,18 +107,21 @@ def gldim(a: Algebra, cutoff: int) -> GldimReport:
     return GldimReport(per, "unknown", None, cutoff)
 
 
-def gldim_is_finite(a: Algebra, cutoff: int) -> bool:
+def gldim_is_finite(a: Algebra, cutoff: int, det: int | None = None) -> bool:
     """``gldim(a, cutoff).is_finite``, decided with as little resolving as
     possible.
 
     A finite global dimension forces det C = +-1 (Eilenberg 1954), so any
     other Cartan determinant answers False before a single syzygy is built.
     Otherwise the simples are resolved in vertex order and the answer is
-    False at the first one whose pd is not certified Finite.
+    False at the first one whose pd is not certified Finite.  A caller that
+    already holds det C passes it as ``det``.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    if cartan_matrix(a).det not in (1, -1):
+    if det is None:
+        det = cartan_matrix(a).det
+    if det not in (1, -1):
         return False
     return all(pd(simple(a, i), cutoff).is_finite for i in range(a.r))
 
@@ -145,12 +149,39 @@ class GorensteinReport:
         }
 
 
-def gorenstein(a: Algebra, cutoff: int) -> GorensteinReport:
-    """Self-injective dimension on both sides, with certificates."""
+def self_injective_dimension(a: Algebra, cutoff: int) -> PdResult:
+    """id(A_A), as pd over opposite(a) of D(A_A), one indecomposable
+    injective D(e_i A) at a time.
+
+    The summands are resolved in vertex order, and the first one certified
+    infinite answers at once: its result is returned with ``summand`` set
+    to ``injective i``, keeping its own witness.  Otherwise the answer is
+    Finite(max d) when every summand is Finite, since the minimal
+    resolution of a sum is the sum of the minimal resolutions, and Unknown
+    when some summand is not.  ``syzygy_dims`` are then summed over the
+    summands, as they would be for the sum.  A sum repeats only at the lcm
+    of its summands' periods, so this decides sides that resolving D(A)
+    whole leaves Unknown within the cutoff.  The left side of a is the
+    right side of opposite(a).
+    """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    right_id = pd(dual(regular(a)), cutoff)
-    left_id = pd(dual(regular(opposite(a))), cutoff)
+    per = []
+    for i in range(a.r):
+        p = pd(dual(projective(a, i)), cutoff)
+        if p.is_infinite:
+            return replace(p, summand=f"injective {i}")
+        per.append(p)
+    dims = [sum(col) for col in zip_longest(*(p.syzygy_dims for p in per), fillvalue=0)]
+    if all(p.is_finite for p in per):
+        return PdResult("finite", d=max((p.d for p in per), default=0), syzygy_dims=dims)
+    return PdResult("unknown", cutoff=cutoff, syzygy_dims=dims)
+
+
+def gorenstein(a: Algebra, cutoff: int) -> GorensteinReport:
+    """Self-injective dimension on both sides, with certificates."""
+    right_id = self_injective_dimension(a, cutoff)
+    left_id = self_injective_dimension(opposite(a), cutoff)
     if right_id.is_finite and left_id.is_finite:
         verdict = "Gorenstein"
     elif right_id.is_infinite or left_id.is_infinite:

@@ -176,9 +176,7 @@ def dual(m: Module) -> Module:
 
 def injective(a: Algebra, i: int) -> Module:
     """I_i = D(e_i A^op), the injective envelope of S_i, as a module over a."""
-    inj = dual(projective(opposite(a), i))
-    # opposite(opposite(a)) equals a structurally; rebind for identity hygiene
-    return Module(a, inj.dim, inj.action, inj.weights)
+    return dual(projective(opposite(a), i))
 
 
 def direct_sum(a: Algebra, parts: list[Module]) -> Module:
@@ -377,16 +375,19 @@ def syzygy(m: Module) -> Module:
 def _syzygy_with_inclusion(m: Module, cov: Cover | None = None) -> tuple[Module, Cover, list[dict]]:
     """Syzygy as a Module, the cover, and the inclusion into the source.
 
-    Only non-zero entries are touched.  The kernel of the cover matrix is
-    solved and kept in sparse RREF, and a kernel row v acts through the
-    structure constants: ``v * x`` sums ``v[c] * mult[k][x]`` over the
-    non-zero coordinates c of v, where k is the path that source column c
-    stands for (see :class:`Cover`).  Only pivot columns are accumulated,
-    as they are the syzygy coordinates of the product, so the source
-    Module is never built.  The products by the radical basis elements,
-    added in x-then-row order, seed the syzygy's cached radical row space
-    (see ``_radical_rowspace``), which its own cover and top
-    multiplicities then read without another pass over the action.
+    Only non-zero entries are touched.  The cover-matrix equations are
+    solved in one sparse RREF, and the kernel basis it gives is the syzygy
+    basis as it stands: each kernel vector has 1 at its own free column and
+    0 at every other free column, so the syzygy coordinates of a kernel
+    element are its entries at the free columns.  A kernel row v acts
+    through the structure constants: ``v * x`` sums ``v[c] * mult[k][x]``
+    over the non-zero coordinates c of v, where k is the path that source
+    column c stands for (see :class:`Cover`).  Only free columns are
+    accumulated, so the source Module is never built.  The products by the
+    radical basis elements, added in x-then-row order, seed the syzygy's
+    cached radical row space (see ``_radical_rowspace``), which its own
+    cover and top multiplicities then read without another pass over the
+    action.
     """
     if cov is None:
         cov = projective_cover(m)
@@ -396,15 +397,15 @@ def _syzygy_with_inclusion(m: Module, cov: Cover | None = None) -> tuple[Module,
     for eq in _transpose(cov.matrix, m.dim):
         if eq:
             eqs.add(eq)
-    basis = RowSpace(F)
-    for v in eqs.kernel_basis(cov.source_dim):
-        basis.add(v)
-    if not basis.rows:
+    kernel = eqs.kernel_basis(cov.source_dim)
+    if not kernel:
         return zero_module(a), cov, []
-    d = basis.rank
-    coord = {c: s for s, c in enumerate(basis.pivot_cols)}
+    d = len(kernel)
+    # kernel_basis lists its vectors in free-column order
+    coord = {c: s for s, c in enumerate(c for c in range(cov.source_dim)
+                                          if c not in eqs.pivot_of_col)}
     # per source column: its path, and a map from the paths of its summand
-    # to syzygy coordinates (pivot columns only)
+    # to syzygy coordinates (free columns only)
     path_of: list[int] = []
     coord_of: list[dict[int, int]] = []
     off = 0
@@ -414,18 +415,17 @@ def _syzygy_with_inclusion(m: Module, cov: Cover | None = None) -> tuple[Module,
         path_of.extend(pidx)
         coord_of.extend([zmap] * len(pidx))
         off += len(pidx)
-    weights = []
-    for row, piv in zip(basis.rows, basis.pivot_cols):
-        w = a.right[path_of[piv]]
-        if any(a.right[path_of[c]] != w for c in row):
+    weights = [0] * d
+    for fc, s in coord.items():
+        w = weights[s] = a.right[path_of[fc]]
+        if any(a.right[path_of[c]] != w for c in kernel[s]):
             raise AssertionError("kernel basis vector mixes weights")
-        weights.append(w)
     zero = F.zero
     products: dict[int, list[tuple[int, dict]]] = {}  # path k -> non-zero k * x
     # images[x][s]: the syzygy coordinates of row s times x, filled in
     # row order and only where the product is non-zero
     images: list[dict[int, dict[int, object]]] = [{} for _ in range(a.dim)]
-    for s, row in enumerate(basis.rows):
+    for s, row in enumerate(kernel):
         for c, v in row.items():
             k = path_of[c]
             prods = products.get(k)
@@ -449,7 +449,7 @@ def _syzygy_with_inclusion(m: Module, cov: Cover | None = None) -> tuple[Module,
                 radical.add(row)
     sub = Module(a, d, action, weights)
     sub._radical = radical
-    return sub, cov, basis.rows
+    return sub, cov, kernel
 
 
 @dataclass
@@ -675,7 +675,8 @@ class PdResult:
     InfiniteCertified(first_repeat, period): syzygy number ``first_repeat``
     is isomorphic (verified witness) to the earlier nonzero syzygy
     ``first_repeat - period``.  Unknown(cutoff): neither event within the
-    cutoff.
+    cutoff.  ``summand`` names the direct summand a result was certified
+    on, when it stands for a larger module (see ``invariants.gorenstein``).
     """
 
     kind: str  # "finite" | "infinite" | "unknown"
@@ -686,6 +687,7 @@ class PdResult:
     syzygy_dims: list[int] = dc_field(default_factory=list)
     witness: IsoWitness | None = None
     witness_modules: tuple[Module, Module] | None = None
+    summand: str | None = None
 
     @property
     def is_finite(self) -> bool:
@@ -699,7 +701,9 @@ class PdResult:
         if self.kind == "finite":
             return f"Finite({self.d})"
         if self.kind == "infinite":
-            return f"InfiniteCertified(repeat at {self.first_repeat}, period {self.period})"
+            where = f"{self.summand}: " if self.summand else ""
+            return (f"InfiniteCertified({where}repeat at {self.first_repeat}, "
+                    f"period {self.period})")
         return f"Unknown(cutoff {self.cutoff})"
 
 

@@ -76,10 +76,11 @@ class StratifyingVerdict:
     first_nonzero_tor: int | None = None
     resolution_terminated: bool = False
     cutoff: int = 0
-    # pd of Ae and of eA at ``cutoff``, where the check computed them
-    # (ladder_estimate reuses them)
+    # pd of Ae and of eA at ``cutoff``, where the check computed them, and
+    # the corner eAe it built (ladder_estimate and the search reuse them)
     pd_Ae: PdResult | None = field(default=None, compare=False, repr=False)
     pd_eA: PdResult | None = field(default=None, compare=False, repr=False)
+    corner: Algebra | None = field(default=None, compare=False, repr=False)
 
     def __bool__(self):
         return self.kind == "yes"
@@ -112,7 +113,7 @@ def stratifying_check(a: Algebra, S: list[int], cutoff: int) -> StratifyingVerdi
     t_dim = tensor_over(Ae, eA).dim
     d_aea = aea_dimension(a, S)
     if t_dim != d_aea:
-        return StratifyingVerdict("no", t_dim, d_aea, cutoff=cutoff)
+        return StratifyingVerdict("no", t_dim, d_aea, cutoff=cutoff, corner=cor)
     pd_Ae = pd(Ae, cutoff)
     pd_eA = None
     if pd_Ae.is_finite:
@@ -125,7 +126,7 @@ def stratifying_check(a: Algebra, S: list[int], cutoff: int) -> StratifyingVerdi
         # certified, and the list may be guard-truncated
         terminated = pd_eA.is_finite
         tors = tor_dims(eA, Ae, cutoff) if terminated else tor_dims(Ae, eA, cutoff)
-    pds = {"cutoff": cutoff, "pd_Ae": pd_Ae, "pd_eA": pd_eA}
+    pds = {"cutoff": cutoff, "pd_Ae": pd_Ae, "pd_eA": pd_eA, "corner": cor}
     for l in range(1, len(tors)):
         if tors[l] != 0:
             return StratifyingVerdict("no", t_dim, d_aea, first_nonzero_tor=l, **pds)
@@ -150,15 +151,17 @@ class LadderEstimate:
 
 
 def ladder_estimate(a: Algebra, S: list[int], cutoff: int,
-                    strat: StratifyingVerdict | None = None) -> LadderEstimate:
+                    strat: StratifyingVerdict | None = None,
+                    det: int | None = None) -> LadderEstimate:
     """Ladder-height estimate for the recollement induced by e.
 
     The downward criterion is finiteness of pd_{eAe}(Ae); the upward one is
     finiteness of pd over the opposite corner of eA.  A finite global
     dimension of A extends the recollement to every height, so that case is
     reported as ">=4" outright; only that bit is needed, so it comes from
-    ``gldim_is_finite``, not a full ``gldim``.  Certified-infinite corner
-    modules block the corresponding direction.
+    ``gldim_is_finite`` (given det C(A) when the caller holds it), not a
+    full ``gldim``.  Certified-infinite corner modules block the
+    corresponding direction.
     """
     S = sorted(set(S))
     if strat is None:
@@ -167,12 +170,12 @@ def ladder_estimate(a: Algebra, S: list[int], cutoff: int,
         raise ValueError(f"ladder_estimate needs a stratifying idempotent, got {strat.describe()}")
     down, up = (strat.pd_Ae, strat.pd_eA) if strat.cutoff == cutoff else (None, None)
     if down is None or up is None:
-        cor = corner(a, S)
+        cor = strat.corner
         if down is None:
             down = pd(module_Ae(a, S, cor), cutoff)
         if up is None:
             up = pd(module_eA(a, S, cor), cutoff)
-    finite = gldim_is_finite(a, cutoff)
+    finite = gldim_is_finite(a, cutoff, det)
     return LadderEstimate(down, up, height_label(finite, down, up), finite)
 
 
@@ -214,13 +217,16 @@ class DetSplitReport:
 def det_multiplicativity_check(a: Algebra, S: list[int], cutoff: int,
                                diagnostic: bool = False,
                                strat: StratifyingVerdict | None = None,
-                               ladder: LadderEstimate | None = None) -> DetSplitReport:
+                               ladder: LadderEstimate | None = None,
+                               dets: tuple[int, int, int] | None = None) -> DetSplitReport:
     """Assert det C(A) = det C(A/AeA) * det C(eAe) on an established split.
 
     Applicable when the stratifying check says Yes and the downward
     extension is certified (two functor layers preserve compactness).  A
     certified failure raises TheoremViolation.  With ``diagnostic`` the
     identity is evaluated and reported even when the preconditions fail.
+    ``dets`` are the three determinants, when the caller already holds
+    them (the stratification search does); otherwise they are computed.
     """
     S = sorted(set(S))
     if strat is None:
@@ -237,9 +243,11 @@ def det_multiplicativity_check(a: Algebra, S: list[int], cutoff: int,
         reason = f"not stratifying: {strat.describe()}"
     if not applicable and not diagnostic:
         return DetSplitReport(False, reason)
-    det_a = cartan_matrix(a).det
-    det_q = cartan_matrix(quotient_by_idempotent_ideal(a, S)).det
-    det_c = cartan_matrix(corner(a, S)).det
+    if dets is None:
+        dets = (cartan_matrix(a).det,
+                cartan_matrix(quotient_by_idempotent_ideal(a, S)).det,
+                cartan_matrix(strat.corner).det)
+    det_a, det_q, det_c = dets
     passed = det_a == det_q * det_c
     if applicable and not passed:
         raise TheoremViolation(
@@ -518,10 +526,12 @@ def stratify_search(a: Algebra, cutoff: int) -> StratNode:
     record that only idempotent-induced recollements were searched; they are
     derived-simple *candidates*, not certified derived-simple algebras.
     On every split, K_0-rank additivity is asserted and the determinant
-    identity is checked when the downward extension is established.
+    identity is checked when the downward extension is established.  Each
+    node computes its Cartan determinant once; the ladder estimate and the
+    determinant check of a split read it and its children's, and the corner
+    child is the corner the stratifying check built.
     """
-    rep = cartan_matrix(a)
-    node = StratNode(a, a.dim, a.r, rep.det)
+    node = StratNode(a, a.dim, a.r, cartan_matrix(a).det)
     tried = 0
     for S in _proper_subsets(a.r):
         tried += 1
@@ -529,18 +539,19 @@ def stratify_search(a: Algebra, cutoff: int) -> StratNode:
         if strat.kind != "yes":
             continue
         quot = quotient_by_idempotent_ideal(a, S)
-        cor = corner(a, S)
+        cor = strat.corner
         if k0_rank(quot) + k0_rank(cor) != k0_rank(a):
             raise TheoremViolation(
                 f"K0 additivity failed on {a.name!r} at e={S}: "
                 f"{k0_rank(quot)} + {k0_rank(cor)} != {k0_rank(a)}")
         node.split_vertices = S
         node.strat = strat
-        node.ladder = ladder_estimate(a, S, cutoff, strat=strat)
-        node.det_check = det_multiplicativity_check(a, S, cutoff, strat=strat,
-                                                    ladder=node.ladder)
+        node.ladder = ladder_estimate(a, S, cutoff, strat=strat, det=node.det)
         node.quotient_child = stratify_search(quot, cutoff)
         node.corner_child = stratify_search(cor, cutoff)
+        node.det_check = det_multiplicativity_check(
+            a, S, cutoff, strat=strat, ladder=node.ladder,
+            dets=(node.det, node.quotient_child.det, node.corner_child.det))
         node.attempted = tried
         return node
     node.leaf_label = "derived-simple candidate (idempotent search only)"

@@ -131,6 +131,28 @@ def dense_matmul(a, b, p=None):
     return out
 
 
+def dense_rank(rows, p=None):
+    """Rank of a dense matrix by schoolbook elimination, over F_p if p is
+    given and over Q (with Fractions) otherwise."""
+    work = [[Fraction(x) if p is None else x % p for x in row] for row in rows]
+    rank = 0
+    ncols = len(work[0]) if work else 0
+    for c in range(ncols):
+        piv = next((i for i in range(rank, len(work)) if work[i][c] != 0), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        inv = 1 / work[rank][c] if p is None else pow(work[rank][c], -1, p)
+        for i in range(len(work)):
+            if i != rank and work[i][c] != 0:
+                f = work[i][c] * inv
+                work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
+                if p is not None:
+                    work[i] = [a % p for a in work[i]]
+        rank += 1
+    return rank
+
+
 def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 

@@ -1,13 +1,20 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from homkit import cli
+from homkit import algebra as algebra_mod
+from homkit import cli, corpus
 from homkit.algebra import (algebra_from_json, algebra_to_json, from_quiver,
                             opposite, tensor)
 from homkit.invariants import TheoremViolation
 from homkit.modules import Module, module_to_json
 from homkit.presentation import print_spec, spec_of_fixture
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_cli(capsys, *argv):
@@ -392,3 +399,41 @@ def test_corpus_dim_bound_below_the_shape_minimum(capsys, shape, minimum):
     code, out, _ = run_cli(capsys, "corpus", "--shape", shape, "--count", "3",
                            "--dim-bound", str(minimum), "--jobs", "1", "--json")
     assert code == 0 and json.loads(out)["aggregate"]["pass"] == 3
+
+
+@pytest.mark.parametrize("kind", ["gorenstein-transfer", "smoothness-transfer"])
+def test_transfer_request_builds_the_tensor_once(capsys, tmp_path, monkeypatch, kind):
+    # the bimodule's algebra tensor(op(C), B) serves loading, the triangular
+    # extension and both restrictions
+    inst = corpus.generate(corpus.CorpusSpec(seed=42, count=30, shape="TriangularPair"), 3)
+    files = [tmp_path / n for n in ("b.json", "c.json", "m.json")]
+    files[0].write_text(json.dumps(algebra_to_json(inst.b)))
+    files[1].write_text(json.dumps(algebra_to_json(inst.c)))
+    files[2].write_text(json.dumps(module_to_json(inst.m, algebra_ref="tensor(op(C),B)")))
+    built = []
+    real = algebra_mod._tensor
+
+    def counting(a, b, name):
+        built.append(name)
+        return real(a, b, name)
+
+    monkeypatch.setattr(algebra_mod, "_tensor", counting)
+    code, out, _ = run_cli(capsys, "check", kind, *map(str, files), "--json")
+    assert code == 0 and json.loads(out)["kind"] == kind
+    assert built == [f"op({inst.c.name})⊗{inst.b.name}"]
+
+
+def test_closed_stdout_is_a_normal_end():
+    # the report is far larger than a pipe buffer, so the reader closes the
+    # pipe while homkit is still writing
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen([sys.executable, "-m", "homkit.cli", "corpus", "--shape",
+                             "AcyclicQuiver", "--count", "1000", "--seed", "1", "--jobs", "1",
+                             "--json"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert err == b""

@@ -1,12 +1,14 @@
 import pytest
 
+from homkit import invariants
 from homkit.algebra import opposite, tensor, triangular
 from homkit.corpus import CorpusSpec, generate
 from homkit.invariants import (cartan_matrix, eilenberg_check, euler_matrix,
-                               gldim, gldim_is_finite, gorenstein, k0_rank, smooth,
-                               two_point_criterion)
+                               gldim, gldim_is_finite, gorenstein, k0_rank,
+                               self_injective_dimension, smooth, two_point_criterion)
 from homkit.linalg import IntMatrix
-from homkit.modules import hom_space, projective, regular
+from homkit.modules import (DIM_GUARD, dual, hom_space, pd, projective, projective_cover,
+                            regular)
 from homkit.recollement import stratify_search
 
 # Ext table of the two-vertex one-arrow algebra, frozen from its length-1
@@ -214,3 +216,64 @@ def test_gldim_is_finite_agrees_with_gldim(fixture_algebras, one_point, semisimp
     assert seen == {(False, False), (True, False), (True, True)}
     with pytest.raises(ValueError):
         gldim_is_finite(one_point, 0)
+
+
+def _gorenstein_inputs(fixture_algebras):
+    """The fixtures, A, B and C of 30 TriangularPair triples and 30
+    NilpotentCyclic algebras, all at corpus seed 42."""
+    out = list(fixture_algebras.values())
+    tri = CorpusSpec(seed=42, count=30, shape="TriangularPair")
+    for i in range(30):
+        inst = generate(tri, i)
+        out += [inst.a, inst.b, inst.c]
+    nil = CorpusSpec(seed=42, count=30, shape="NilpotentCyclic")
+    return out + [generate(nil, i) for i in range(30)]
+
+
+def test_self_injective_dimension_agrees_with_the_sum(fixture_algebras):
+    # each side, one indecomposable injective at a time, against pd of
+    # D(A) resolved whole as one sum
+    decided = set()
+    for a in _gorenstein_inputs(fixture_algebras):
+        g = gorenstein(a, 12)
+        for side, over, new in (("right", a, g.right_id), ("left", opposite(a), g.left_id)):
+            whole = pd(dual(regular(over)), 12)
+            key = (a.name, side)
+            if whole.is_finite:
+                assert new.is_finite and new.d == whole.d, key
+            if whole.is_infinite:
+                assert new.is_infinite, key
+            if new.kind == "unknown":
+                assert whole.kind == "unknown", key
+            if new.is_infinite:
+                assert not whole.is_finite, key
+                assert new.describe().startswith("InfiniteCertified(injective "), key
+            if whole.kind == "unknown" and new.kind != "unknown":
+                decided.add(a.name)
+    assert {"tri-42-0", "tri-42-21"} <= decided
+
+
+def test_self_injective_dimension_stops_at_the_first_infinite_injective(monkeypatch):
+    a = generate(CorpusSpec(seed=42, count=30, shape="TriangularPair"), 0).a
+    resolved = []
+    real_pd = invariants.pd
+
+    def counting_pd(m, cutoff, *args, **kwargs):
+        resolved.append(m)
+        return real_pd(m, cutoff, *args, **kwargs)
+
+    monkeypatch.setattr(invariants, "pd", counting_pd)
+    right = self_injective_dimension(a, 12)
+    # injective 2 of the five repeats; injectives 3 and 4 are never resolved
+    assert right.describe() == "InfiniteCertified(injective 2: repeat at 4, period 2)"
+    assert a.r == 5 and len(resolved) == 3
+    assert [m.dim for m in resolved] == [dual(projective(a, i)).dim for i in range(3)]
+
+
+def test_self_injective_dimension_keeps_the_guard_unknown():
+    # one injective over A^op has a cover source above the dimension guard
+    # at step 0, so the right side stays an honest Unknown
+    a = generate(CorpusSpec(seed=42, count=30, shape="TriangularPair"), 14).a
+    assert self_injective_dimension(a, 12).kind == "unknown"
+    sources = [projective_cover(dual(projective(a, i))).source_dim for i in range(a.r)]
+    assert max(sources) > DIM_GUARD

@@ -4,15 +4,16 @@ import weakref
 
 import pytest
 
-from _oracles import dense_matmul, dense_rows, iso_witness_holds
+from _oracles import dense_matmul, dense_rank, dense_rows, iso_witness_holds
 from homkit import corpus
-from homkit.algebra import from_quiver, opposite, tensor
+from homkit.algebra import from_quiver, opposite, tensor, triangular
+from homkit.invariants import gorenstein
 from homkit.modules import (AlgebraMap, Module, adapt_weights, direct_sum, dual,
                             ext_dims, hom_space, injective, is_iso, min_resolution,
                             module_from_json, module_to_json, pd, projective,
                             projective_cover, quotient_module, radical_submodule,
                             regular, restrict_along, simple, spanned_submodule,
-                            submodule, syzygy, tensor_over, top, top_multiplicities,
+                            syzygy, tensor_over, top, top_multiplicities,
                             tor_dims, zero_module, _matmul, _radical_rowspace,
                             _syzygy_with_inclusion, bimodule_restrictions)
 from homkit.presentation import parse_spec, spec_of_fixture
@@ -181,14 +182,31 @@ def test_syzygy_examples(a2, tp11):
 
 
 def _check_sparse_syzygy(m: Module) -> Module:
-    """The structure-constant syzygy kernel against the dense source action."""
+    """The structure-constant syzygy kernel against the dense source action.
+
+    The inclusion must be a basis of the kernel of the cover (independent
+    rows killed by the cover matrix, as many as dim source - dim m), and the
+    syzygy action must be the source action read in that basis:
+    ``incl[s] * x = sum_t action[x][s][t] * incl[t]``, checked with dense
+    schoolbook products.
+    """
     sub, cov, incl = _syzygy_with_inclusion(m)
     if not incl:
         assert sub.dim == 0
         return sub
     cached = sub._radical
     assert cached is not None
-    assert sub == submodule(cov.source, incl)[0]
+    p = m.field.p
+    n = cov.source_dim
+    dense_incl = dense_rows(incl, n)
+    assert len(incl) == n - m.dim == sub.dim == dense_rank(dense_incl, p)
+    assert dense_matmul(dense_incl, dense_rows(cov.matrix, m.dim), p) == \
+        [[0] * m.dim for _ in incl]
+    source = cov.source
+    for x in range(m.algebra.dim):
+        moved = dense_matmul(dense_incl, dense_rows(source.action[x], n), p)
+        read = dense_matmul(dense_rows(sub.action[x], sub.dim), dense_incl, p)
+        assert moved == read, x
     assert sub.validate() == []
     fresh = _radical_rowspace(Module(sub.algebra, sub.dim, sub.action, sub.weights))
     assert cached.pivot_cols == fresh.pivot_cols
@@ -229,6 +247,25 @@ def test_pd_keeps_no_reference_to_the_algebra():
     del a
     gc.collect()
     assert ref() is None
+
+
+def test_cached_tensor_keeps_no_reference_to_its_factors():
+    b = from_quiver(spec_of_fixture("FIX-A2"))
+    c = from_quiver(spec_of_fixture("FIX-TP1(1)"))
+    cop = opposite(c)
+    assert opposite(c) is cop and opposite(cop) is c
+    t = tensor(cop, b)
+    assert tensor(opposite(c), b) is t
+    # the bimodule side of a transfer check: triangular and both
+    # restrictions read the same cached tensor
+    m = projective(t, 0)
+    bimodule_restrictions(b, c, m)
+    triangular(b, c, m)
+    refs = [weakref.ref(x) for x in (b, c, cop)]
+    del b, c, cop, m
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
+    assert t.dim == 12 and regular(t).validate() == []
 
 
 def test_min_resolution_terminating(a2):
@@ -279,8 +316,7 @@ def test_pd_examples(a2, tp11):
     assert (r.first_repeat, r.period) == (2, 2)
 
 
-def test_pd_certificates_reverify(tp11):
-    r = pd(simple(tp11, 0), 12)
+def _assert_witness_reverifies(r):
     w = r.witness
     m, n = r.witness_modules
     assert iso_witness_holds(m, n, w.matrix, w.inverse)
@@ -288,6 +324,28 @@ def test_pd_certificates_reverify(tp11):
     bad = [row[:] for row in w.matrix]
     bad[0][0] = m.field.add(bad[0][0], m.field.one)
     assert not iso_witness_holds(m, n, bad, w.inverse)
+
+
+def test_pd_certificates_reverify(tp11):
+    _assert_witness_reverifies(pd(simple(tp11, 0), 12))
+    # an infinite self-injective side names its indecomposable injective and
+    # keeps that summand's witness: the witness modules are its syzygies
+    spec = corpus.CorpusSpec(seed=42, count=30, shape="TriangularPair")
+    sides = 0
+    for index in (0, 21):
+        a = corpus.generate(spec, index).a
+        g = gorenstein(a, 12)
+        for over, r in ((a, g.right_id), (opposite(a), g.left_id)):
+            assert r.is_infinite and r.summand.startswith("injective ")
+            i = int(r.summand.split()[1])
+            chain = [dual(projective(over, i))]
+            for _ in range(r.first_repeat):
+                chain.append(syzygy(chain[-1]))
+            assert r.witness_modules == (chain[r.first_repeat - r.period],
+                                         chain[r.first_repeat])
+            _assert_witness_reverifies(r)
+            sides += 1
+    assert sides == 4
 
 
 def test_is_iso_cases(a2, loc):

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 from dataclasses import replace
@@ -156,7 +157,25 @@ def test_stratify_search_runs_no_gldim(index, monkeypatch):
         raise AssertionError("stratify_search ran a full gldim")
 
     monkeypatch.setattr(rec, "gldim", boom)
+    # each node's Cartan matrix, each split's quotient and each checked
+    # subset's corner are built once
+    calls = collections.Counter()
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("cartan_matrix", "quotient_by_idempotent_ideal", "corner",
+                 "stratifying_check"):
+        monkeypatch.setattr(rec, name, counting(name, getattr(rec, name)))
     tree = stratify_search(_nilcyc(index), 12)
+    nodes = tree.splits() + tree.leaves()
+    assert calls == {"cartan_matrix": len(nodes),
+                     "quotient_by_idempotent_ideal": len(tree.splits()),
+                     "corner": calls["stratifying_check"],
+                     "stratifying_check": sum(n.attempted for n in nodes)}
     text, digest = NILCYC_TREES[index]
     assert tree.render() == text
     doc = json.dumps(tree.to_json(), sort_keys=True)
