@@ -35,10 +35,12 @@ class Algebra:
     order.  Instances are immutable by convention, which is what lets
     ``opposite`` and ``tensor`` keep their results on the instance (in
     ``_opposite`` and ``_tensors``) and hand out the same object each time.
+    A tensor product keeps its basis pair index in ``_pair_index`` (see
+    ``_tensor``); it holds plain ints, so no reference to either factor.
     """
 
     __slots__ = ("field", "vertex_labels", "labels", "left", "right", "mult",
-                 "r", "name", "_opposite", "_tensors", "__weakref__")
+                 "r", "name", "_opposite", "_tensors", "_pair_index", "__weakref__")
 
     def __init__(self, field: Field, vertex_labels: list[str], labels: list[str],
                  left: list[int], right: list[int],
@@ -53,6 +55,7 @@ class Algebra:
         self.name = name
         self._opposite: Algebra | None = None
         self._tensors: weakref.WeakKeyDictionary | None = None
+        self._pair_index: dict[tuple[int, int], int] | None = None
         if r != len(vertex_labels):
             raise ValueError("r must equal the number of vertices")
         if len(self.left) < r or any(self.left[i] != i or self.right[i] != i
@@ -544,7 +547,10 @@ def _tensor(a: Algebra, b: Algebra, name: str) -> Algebra:
                 for z2, c2 in ry.items():
                     out[pidx[(z1, z2)]] = F.mul(c1, c2)
             mult[k1][k2] = out
-    return Algebra(F, vertex_labels, labels, left, right, mult, a.r * b.r, name=name)
+    t = Algebra(F, vertex_labels, labels, left, right, mult, a.r * b.r, name=name)
+    # basis pair (x, y) -> index; its key order is the basis order
+    t._pair_index = pidx
+    return t
 
 
 def enveloping(a: Algebra) -> Algebra:
@@ -630,8 +636,7 @@ def triangular(b: Algebra, c: Algebra, m: "Module") -> Algebra:
     cop = opposite(c)
     if m.algebra != tensor(cop, b):
         raise ValueError("bimodule is not a module over tensor(opposite(c), b)")
-    pairs = _tensor_pair_order(cop, b)
-    pidx = {p: k for k, p in enumerate(pairs)}
+    pidx = tensor(cop, b)._pair_index
 
     rb, rc = b.r, c.r
     r = rb + rc

@@ -454,18 +454,19 @@ def cmd_corpus(args) -> int:
     if args.with_timing:
         report["timing_seconds"] = round(elapsed, 3)
     text = canonical_json(report)
+    summary = f"{shape} x {spec.count} (seed {spec.seed}): {report['aggregate']}"
+    if args.with_timing:
+        summary += f" in {elapsed:.1f}s"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
         if not args.json:
-            _print(f"{shape} x {spec.count} (seed {spec.seed}): "
-                         f"{report['aggregate']} in {elapsed:.1f}s -> {args.out}")
+            _print(f"{summary} -> {args.out}")
     else:
         if args.json:
             _print(text)
         else:
-            _print(f"{shape} x {spec.count} (seed {spec.seed}): "
-                         f"{report['aggregate']} in {elapsed:.1f}s")
+            _print(summary)
             if "plus_one_tally" in report:
                 _print(f"det = +1 on {report['plus_one_tally']}/{spec.count}")
     return EXIT_OK
@@ -547,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default=corpus_mod.DIM_BOUND)
     sp.add_argument("--out", help="write the JSON report to a file")
     sp.add_argument("--with-timing", action="store_true",
-                    help="include wall-clock timing in the JSON report "
+                    help="include wall-clock timing in the report "
                          "(off by default to keep reports byte-deterministic)")
     common(sp)
 

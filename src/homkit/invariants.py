@@ -94,11 +94,21 @@ class GldimReport:
         }
 
 
-def gldim(a: Algebra, cutoff: int) -> GldimReport:
-    """Global dimension as the aggregate of pd(S_i) over all simples."""
+def gldim(a: Algebra, cutoff: int, *, verdict_only: bool = False) -> GldimReport:
+    """Global dimension as the aggregate of pd(S_i) over all simples.
+
+    With ``verdict_only`` the simples are resolved in vertex order only up
+    to the first one certified infinite, and ``per_simple`` ends there.
+    The verdict and ``describe()``, which names that first infinite
+    simple, are those of the full report.
+    """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    per = [pd(simple(a, i), cutoff) for i in range(a.r)]
+    per = []
+    for i in range(a.r):
+        per.append(pd(simple(a, i), cutoff))
+        if verdict_only and per[-1].is_infinite:
+            break
     if any(p.is_infinite for p in per):
         return GldimReport(per, "infinite", None, cutoff)
     if all(p.is_finite for p in per):
@@ -128,9 +138,9 @@ def gldim_is_finite(a: Algebra, cutoff: int, det: int | None = None) -> bool:
 
 @dataclass
 class GorensteinReport:
-    right_id: PdResult  # id of A as a right module, via pd over A^op of D(A)
-    left_id: PdResult   # id of A as a left module
-    verdict: str        # "Gorenstein" | "NotGorensteinCertified" | "Unknown"
+    right_id: PdResult        # id of A as a right module, via pd over A^op of D(A)
+    left_id: PdResult | None  # id of A as a left module; None when not resolved
+    verdict: str              # "Gorenstein" | "NotGorensteinCertified" | "Unknown"
     cutoff: int
 
     def describe(self) -> str:
@@ -139,14 +149,16 @@ class GorensteinReport:
         return self.verdict
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "format": "homkit-report/1",
             "kind": "gorenstein",
             "verdict": self.verdict,
             "right_id": self.right_id.describe(),
-            "left_id": self.left_id.describe(),
             "cutoff": self.cutoff,
         }
+        if self.left_id is not None:
+            out["left_id"] = self.left_id.describe()
+        return out
 
 
 def self_injective_dimension(a: Algebra, cutoff: int) -> PdResult:
@@ -158,11 +170,12 @@ def self_injective_dimension(a: Algebra, cutoff: int) -> PdResult:
     to ``injective i``, keeping its own witness.  Otherwise the answer is
     Finite(max d) when every summand is Finite, since the minimal
     resolution of a sum is the sum of the minimal resolutions, and Unknown
-    when some summand is not.  ``syzygy_dims`` are then summed over the
-    summands, as they would be for the sum.  A sum repeats only at the lcm
-    of its summands' periods, so this decides sides that resolving D(A)
-    whole leaves Unknown within the cutoff.  The left side of a is the
-    right side of opposite(a).
+    when some summand is not, with the reason and step of the first such
+    summand.  ``syzygy_dims`` are then summed over the summands, as they
+    would be for the sum.  A sum repeats only at the lcm of its summands'
+    periods, so this decides sides that resolving D(A) whole leaves Unknown
+    within the cutoff.  The left side of a is the right side of
+    opposite(a).
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
@@ -173,15 +186,24 @@ def self_injective_dimension(a: Algebra, cutoff: int) -> PdResult:
             return replace(p, summand=f"injective {i}")
         per.append(p)
     dims = [sum(col) for col in zip_longest(*(p.syzygy_dims for p in per), fillvalue=0)]
-    if all(p.is_finite for p in per):
+    stop = next((p for p in per if not p.is_finite), None)
+    if stop is None:
         return PdResult("finite", d=max((p.d for p in per), default=0), syzygy_dims=dims)
-    return PdResult("unknown", cutoff=cutoff, syzygy_dims=dims)
+    return PdResult("unknown", cutoff=cutoff, syzygy_dims=dims, reason=stop.reason,
+                    step=stop.step)
 
 
-def gorenstein(a: Algebra, cutoff: int) -> GorensteinReport:
-    """Self-injective dimension on both sides, with certificates."""
+def gorenstein(a: Algebra, cutoff: int, *, verdict_only: bool = False) -> GorensteinReport:
+    """Self-injective dimension on both sides, with certificates.
+
+    With ``verdict_only`` the left side is not resolved once the right side
+    is certified infinite: the verdict is then NotGorensteinCertified
+    whatever the left side is, and ``left_id`` is None.
+    """
     right_id = self_injective_dimension(a, cutoff)
-    left_id = self_injective_dimension(opposite(a), cutoff)
+    left_id = None
+    if not (verdict_only and right_id.is_infinite):
+        left_id = self_injective_dimension(opposite(a), cutoff)
     if right_id.is_finite and left_id.is_finite:
         verdict = "Gorenstein"
     elif right_id.is_infinite or left_id.is_infinite:
@@ -233,13 +255,12 @@ def smooth(a: Algebra, cutoff: int, cross_check: bool = False) -> SmoothReport:
 
 def _regular_bimodule(a: Algebra) -> Module:
     """A as a right module over enveloping(a) = op(a) (x) a."""
-    from .algebra import enveloping, _tensor_pair_order
+    from .algebra import enveloping
     env = enveloping(a)
-    pairs = _tensor_pair_order(opposite(a), a)
     F = a.field
     # v * (x^op (x) y) = x v y
     action = [[a.mul_coords(a.mul_coords({x: F.one}, {s: F.one}), {y: F.one})
-               for s in range(a.dim)] for (x, y) in pairs]
+               for s in range(a.dim)] for (x, y) in env._pair_index]
     from .modules import adapt_weights
     return adapt_weights(env, a.dim, action)
 

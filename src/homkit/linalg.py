@@ -272,15 +272,20 @@ class RowSpace:
     (smallest-index) column of each row, every pivot column is eliminated
     from every other row, and pivot entries are normalised to 1.  This is
     the workhorse behind span/quotient computations.
+
+    ``_cols`` holds every column that a stored row has ever used.  It only
+    grows, so a new pivot column outside it occurs in no stored row and
+    needs no back-substitution pass.
     """
 
-    __slots__ = ("field", "rows", "pivot_of_col", "pivot_cols")
+    __slots__ = ("field", "rows", "pivot_of_col", "pivot_cols", "_cols")
 
     def __init__(self, field: Field):
         self.field = field
         self.rows: list[dict[int, object]] = []
         self.pivot_of_col: dict[int, int] = {}
         self.pivot_cols: list[int] = []
+        self._cols: set[int] = set()
 
     @property
     def rank(self) -> int:
@@ -314,15 +319,17 @@ class RowSpace:
         inv = F.inv(v[lead])
         v = {c: F.mul(inv, x) for c, x in v.items()}
         # back-substitute the new pivot column out of the existing rows
-        for row in self.rows:
-            coeff = row.get(lead)
-            if coeff is not None and coeff != 0:
-                for cc, x in v.items():
-                    nv = F.sub(row.get(cc, F.zero), F.mul(coeff, x))
-                    if nv == 0:
-                        row.pop(cc, None)
-                    else:
-                        row[cc] = nv
+        if lead in self._cols:
+            for row in self.rows:
+                coeff = row.get(lead)
+                if coeff is not None and coeff != 0:
+                    for cc, x in v.items():
+                        nv = F.sub(row.get(cc, F.zero), F.mul(coeff, x))
+                        if nv == 0:
+                            row.pop(cc, None)
+                        else:
+                            row[cc] = nv
+        self._cols.update(v)
         self.pivot_of_col[lead] = len(self.rows)
         self.pivot_cols.append(lead)
         self.rows.append(v)

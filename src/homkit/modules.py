@@ -86,10 +86,9 @@ class Module:
             if len(mat) != dim:
                 raise ValueError("need one action row per module basis vector")
             for row in mat:
-                for c, x in row.items():
-                    if x == 0 or not 0 <= c < dim:
-                        raise ValueError("action rows must be sparse: columns in "
-                                         "range(dim), no stored zero")
+                if row and (min(row) < 0 or max(row) >= dim or 0 in row.values()):
+                    raise ValueError("action rows must be sparse: columns in "
+                                     "range(dim), no stored zero")
 
     @property
     def field(self) -> Field:
@@ -388,10 +387,16 @@ def _syzygy_with_inclusion(m: Module, cov: Cover | None = None) -> tuple[Module,
     cached radical row space (see ``_radical_rowspace``), which its own
     cover and top multiplicities then read without another pass over the
     action.
+
+    The cover is onto (its lifts span top M, so they generate M by
+    Nakayama), so the kernel has ``source_dim - dim M`` vectors, and equal
+    dimensions give the zero syzygy without building the equations.
     """
     if cov is None:
         cov = projective_cover(m)
     a = m.algebra
+    if cov.source_dim == m.dim:
+        return zero_module(a), cov, []
     F = m.field
     eqs = RowSpace(F)
     for eq in _transpose(cov.matrix, m.dim):
@@ -674,9 +679,12 @@ class PdResult:
     Finite(d): the (d+1)-st syzygy is literally zero and the d-th is not.
     InfiniteCertified(first_repeat, period): syzygy number ``first_repeat``
     is isomorphic (verified witness) to the earlier nonzero syzygy
-    ``first_repeat - period``.  Unknown(cutoff): neither event within the
-    cutoff.  ``summand`` names the direct summand a result was certified
-    on, when it stands for a larger module (see ``invariants.gorenstein``).
+    ``first_repeat - period``.  Unknown: neither event, and ``reason`` says
+    what stopped the search: ``cutoff`` when ``step`` = cutoff syzygies
+    were built, ``dim_guard`` when the cover of syzygy number ``step``
+    exceeded the dimension guard.  ``summand`` names the direct summand a
+    result was certified on, when it stands for a larger module (see
+    ``invariants.gorenstein``).
     """
 
     kind: str  # "finite" | "infinite" | "unknown"
@@ -688,6 +696,8 @@ class PdResult:
     witness: IsoWitness | None = None
     witness_modules: tuple[Module, Module] | None = None
     summand: str | None = None
+    reason: str | None = None  # Unknown only: "cutoff" | "dim_guard"
+    step: int | None = None
 
     @property
     def is_finite(self) -> bool:
@@ -704,6 +714,8 @@ class PdResult:
             where = f"{self.summand}: " if self.summand else ""
             return (f"InfiniteCertified({where}repeat at {self.first_repeat}, "
                     f"period {self.period})")
+        if self.reason == "dim_guard":
+            return f"Unknown(dim guard at step {self.step})"
         return f"Unknown(cutoff {self.cutoff})"
 
 
@@ -727,7 +739,8 @@ def pd(m: Module, cutoff: int, dim_guard: int | None = DIM_GUARD) -> PdResult:
     for j in range(1, cutoff + 1):
         cov = projective_cover(chain[-1])
         if dim_guard is not None and cov.source_dim > dim_guard:
-            return PdResult("unknown", cutoff=cutoff, syzygy_dims=dims)
+            return PdResult("unknown", cutoff=cutoff, syzygy_dims=dims,
+                            reason="dim_guard", step=j - 1)
         nxt = _syzygy_with_inclusion(chain[-1], cov)[0]
         dims.append(nxt.dim)
         if nxt.is_zero():
@@ -742,7 +755,7 @@ def pd(m: Module, cutoff: int, dim_guard: int | None = DIM_GUARD) -> PdResult:
                                     witness_modules=(chain[i], nxt))
         chain.append(nxt)
         sigs.append(sig)
-    return PdResult("unknown", cutoff=cutoff, syzygy_dims=dims)
+    return PdResult("unknown", cutoff=cutoff, syzygy_dims=dims, reason="cutoff", step=cutoff)
 
 
 def injective_dimension(m: Module, cutoff: int) -> PdResult:
@@ -1005,15 +1018,15 @@ def restrict_along(f: AlgebraMap, m: Module) -> Module:
 def bimodule_restrictions(b: Algebra, c: Algebra, m: Module) -> tuple[Module, Module]:
     """M_B and _CM of a C-B-bimodule M (a module over tensor(opposite(c), b)).
 
-    _CM is returned as a right module over opposite(C).  The tensor algebra
-    and its pair order are built once for both restrictions.
+    _CM is returned as a right module over opposite(C).  Both restrictions
+    read the pair index of the cached tensor algebra.
     """
-    from .algebra import tensor, _tensor_pair_order
+    from .algebra import tensor
     cop = opposite(c)
     T = tensor(cop, b)
     if m.algebra != T:
         raise ValueError("not a module over tensor(opposite(c), b)")
-    pidx = {p: k for k, p in enumerate(_tensor_pair_order(cop, b))}
+    pidx = T._pair_index
     one = b.field.one
     # y in B acts as the sum of e_i^op (x) y; x in C^op as the sum of x (x) e_j
     right = AlgebraMap(b, T, [{pidx[(i, y)]: one for i in range(c.r)} for y in range(b.dim)])

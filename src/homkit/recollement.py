@@ -316,12 +316,14 @@ def gorenstein_transfer_check(b: Algebra, c: Algebra, m: Module,
     With B and C Gorenstein: A is Gorenstein iff pd_B(M) and pd over C^op of
     M are both finite.  With both pd conditions certified finite: A is
     Gorenstein iff B and C are.  Unknown sub-verdicts propagate as
-    "undetermined"; a certified disagreement raises TheoremViolation.
+    "undetermined"; a certified disagreement raises TheoremViolation.  The
+    report prints only the verdicts of A, B and C, so each is resolved
+    only until it is certain (``gorenstein(..., verdict_only=True)``).
     """
     A = triangular(b, c, m)
-    g_a = gorenstein(A, cutoff)
-    g_b = gorenstein(b, cutoff)
-    g_c = gorenstein(c, cutoff)
+    g_a = gorenstein(A, cutoff, verdict_only=True)
+    g_b = gorenstein(b, cutoff, verdict_only=True)
+    g_c = gorenstein(c, cutoff, verdict_only=True)
     mb, mc = bimodule_restrictions(b, c, m)
     pd_mb = pd(mb, cutoff)
     pd_mc = pd(mc, cutoff)
@@ -401,11 +403,13 @@ def smoothness_transfer_check(b: Algebra, c: Algebra, m: Module,
     Downward: if A is smooth then so are B and C.  Upward: if B and C are
     smooth and one of the pd conditions on M holds, then A is smooth.
     Smoothness here is finiteness of gldim (the finite-dimensional case).
+    The report prints only the verdicts of A, B and C, so each is resolved
+    only until it is certain (``gldim(..., verdict_only=True)``).
     """
     A = triangular(b, c, m)
-    gl_a = gldim(A, cutoff)
-    gl_b = gldim(b, cutoff)
-    gl_c = gldim(c, cutoff)
+    gl_a = gldim(A, cutoff, verdict_only=True)
+    gl_b = gldim(b, cutoff, verdict_only=True)
+    gl_c = gldim(c, cutoff, verdict_only=True)
     mb, mc = bimodule_restrictions(b, c, m)
     pd_mb = pd(mb, cutoff)
     pd_mc = pd(mc, cutoff)

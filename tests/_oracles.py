@@ -167,3 +167,30 @@ def iso_witness_holds(m, n, matrix, inverse):
     return all(dense_matmul(dense_rows(m.action[x], m.dim), matrix, p)
                == dense_matmul(matrix, dense_rows(n.action[x], n.dim), p)
                for x in range(m.algebra.dim))
+
+
+def dense_rref(rows, ncols, p=None):
+    """Reduced row echelon form of a dense matrix by schoolbook elimination,
+    over F_p if p is given and over Q (with Fractions) otherwise.
+
+    Returns ``(reduced, pivots)``: the non-zero rows of the unique RREF,
+    with unit pivots, and their pivot columns in increasing order.
+    """
+    work = [[Fraction(x) if p is None else x % p for x in row] for row in rows]
+    pivots = []
+    rank = 0
+    for c in range(ncols):
+        piv = next((i for i in range(rank, len(work)) if work[i][c] != 0), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        inv = 1 / work[rank][c] if p is None else pow(work[rank][c], -1, p)
+        work[rank] = [x * inv if p is None else x * inv % p for x in work[rank]]
+        for i in range(len(work)):
+            if i != rank and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [a - f * b if p is None else (a - f * b) % p
+                           for a, b in zip(work[i], work[rank])]
+        pivots.append(c)
+        rank += 1
+    return work[:rank], pivots

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -272,6 +273,17 @@ def test_corpus_out_file(capsys, tmp_path):
     assert doc["kind"] == "corpus" and doc["shape"] == "NilpotentCyclic"
 
 
+def test_corpus_text_names_the_time_only_with_timing(capsys):
+    argv = ("corpus", "--shape", "TriangularPair", "--count", "3", "--seed", "5",
+            "--jobs", "1", "--suite", "smoothness-transfer")
+    runs = [run_cli(capsys, *argv) for _ in range(2)]
+    assert runs[0] == runs[1] and runs[0][0] == 0
+    assert re.fullmatch(r"TriangularPair x 3 \(seed 5\): \{[^}]*\}\n", runs[0][1])
+    code, out, _ = run_cli(capsys, *argv, "--with-timing")
+    assert code == 0 and re.fullmatch(r"TriangularPair x 3 \(seed 5\): \{[^}]*\} "
+                                      r"in \d+\.\ds\n", out), out
+
+
 def test_corpus_with_timing_flag(capsys):
     code, out, _ = run_cli(capsys, "corpus", "--shape", "AcyclicQuiver",
                            "--count", "1", "--seed", "2", "--jobs", "1",
@@ -410,17 +422,25 @@ def test_transfer_request_builds_the_tensor_once(capsys, tmp_path, monkeypatch, 
     files[0].write_text(json.dumps(algebra_to_json(inst.b)))
     files[1].write_text(json.dumps(algebra_to_json(inst.c)))
     files[2].write_text(json.dumps(module_to_json(inst.m, algebra_ref="tensor(op(C),B)")))
-    built = []
+    built, ordered = [], []
     real = algebra_mod._tensor
+    real_order = algebra_mod._tensor_pair_order
 
     def counting(a, b, name):
         built.append(name)
         return real(a, b, name)
 
+    def counting_order(a, b):
+        ordered.append((a.name, b.name))
+        return real_order(a, b)
+
     monkeypatch.setattr(algebra_mod, "_tensor", counting)
+    monkeypatch.setattr(algebra_mod, "_tensor_pair_order", counting_order)
     code, out, _ = run_cli(capsys, "check", kind, *map(str, files), "--json")
     assert code == 0 and json.loads(out)["kind"] == kind
     assert built == [f"op({inst.c.name})⊗{inst.b.name}"]
+    # its pair index is kept on the tensor, not rebuilt by its readers
+    assert ordered == [(f"op({inst.c.name})", inst.b.name)]
 
 
 def test_closed_stdout_is_a_normal_end():

@@ -274,6 +274,10 @@ def test_self_injective_dimension_keeps_the_guard_unknown():
     # one injective over A^op has a cover source above the dimension guard
     # at step 0, so the right side stays an honest Unknown
     a = generate(CorpusSpec(seed=42, count=30, shape="TriangularPair"), 14).a
-    assert self_injective_dimension(a, 12).kind == "unknown"
+    right = self_injective_dimension(a, 12)
+    assert right.kind == "unknown"
+    # and says so: the side takes the reason of its first non-Finite summand
+    assert right.describe() == "Unknown(dim guard at step 0)"
+    assert (right.reason, right.step, right.cutoff) == ("dim_guard", 0, 12)
     sources = [projective_cover(dual(projective(a, i))).source_dim for i in range(a.r)]
     assert max(sources) > DIM_GUARD

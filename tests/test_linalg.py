@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from homkit.linalg import (Field, FieldError, IntMatrix, Matrix, RowSpace,
                            det_int, det_mod_p, invert_int, is_prime)
-from _oracles import brute_force_modp_solutions, det_cofactor, invert_2x2
+from _oracles import brute_force_modp_solutions, dense_rref, det_cofactor, invert_2x2
 
 Q = Field.rationals()
 F3 = Field.prime(3)
@@ -193,3 +193,53 @@ def test_rowspace_incremental():
     assert rs.contains({0: Fraction(3), 1: Fraction(7)})
     kern = rs.kernel_basis(3)
     assert len(kern) == 1 and 2 in kern[0]
+
+
+def _sparse(dense):
+    return {c: x for c, x in enumerate(dense) if x != 0}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([None, 101]), st.data())
+def test_rowspace_matches_dense_rref(p, data):
+    F = Q if p is None else Field.prime(p)
+    ncols = data.draw(st.integers(min_value=1, max_value=7))
+
+    def mod(x):
+        return x if p is None else x % p
+
+    rs = RowSpace(F)
+    added, order = [], []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=8))):
+        used = sorted({c for row in rs.rows for c in row} - set(rs.pivot_of_col))
+        if used and data.draw(st.booleans()):
+            # a lead that stored rows already use, so adding it must
+            # back-substitute the new pivot column out of them
+            lead = data.draw(st.sampled_from(used))
+            dense = [0] * lead + [data.draw(st.integers(min_value=1, max_value=6))]
+            dense += [data.draw(small_ints) for _ in range(lead + 1, ncols)]
+        else:
+            dense = [data.draw(small_ints) for _ in range(ncols)]
+        dense = [F.of_int(x) for x in dense]
+        grew = rs.add(_sparse(dense))
+        added.append(dense)
+        red, piv = dense_rref(added, ncols, p)
+        assert grew == (len(piv) > len(order))
+        order += sorted(set(piv) - set(order))
+        assert rs.pivot_cols == order
+        assert rs.pivot_of_col == {c: k for k, c in enumerate(order)}
+        assert rs.rows == [_sparse(red[piv.index(c)]) for c in order]
+    for _ in range(3):
+        vec = [F.of_int(data.draw(small_ints)) for _ in range(ncols)]
+        expect = list(vec)
+        for row, c in zip(red, piv):
+            expect = [mod(x - vec[c] * y) for x, y in zip(expect, row)]
+        assert rs.reduce(_sparse(vec)) == _sparse(expect)
+    kernel = []
+    for fc in (c for c in range(ncols) if c not in piv):
+        v = [F.zero] * ncols
+        v[fc] = F.one
+        for row, c in zip(red, piv):
+            v[c] = mod(-row[fc])
+        kernel.append(_sparse(v))
+    assert rs.kernel_basis(ncols) == kernel

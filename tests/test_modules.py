@@ -1,6 +1,7 @@
 import gc
 import json
 import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -604,10 +605,17 @@ def test_module_constructor_rejects_bad_rows(a2):
     F = a2.field
     good = simple(a2, 0).action
     assert Module(a2, 1, good, [0]).dim == 1
-    for bad_row in ({0: F.zero}, {1: F.one}, {-1: F.one}):
+    # a stored zero, out-of-range columns, a Q zero written as Fraction(0),
+    # and bad entries that follow a good one in the same row
+    for bad_row in ({0: F.zero}, {1: F.one}, {-1: F.one}, {0: Fraction(0)},
+                    {0: F.one, 1: F.one}, {0: F.one, -1: F.one}):
         action = [good[0]] + [[bad_row]] + good[2:]
         with pytest.raises(ValueError, match="sparse"):
             Module(a2, 1, action, [0])
+    P = projective(a2, 0)
+    action = [P.action[0], [{0: F.one, 1: F.zero}, {}]] + P.action[2:]
+    with pytest.raises(ValueError, match="sparse"):
+        Module(a2, 2, action, P.weights)
     with pytest.raises(ValueError, match="one action row"):
         Module(a2, 1, [[{0: F.one}, {}]] + good[1:], [0])
 
@@ -657,3 +665,36 @@ def test_adapt_weights_rebases_a_non_adapted_action(a2):
     assert m.validate() == []
     assert m.weights == [0, 1]
     assert is_iso(m, P).kind == "iso"
+
+
+def test_equal_dimensions_give_the_zero_syzygy_without_elimination(fixture_algebras,
+                                                                    monkeypatch):
+    import homkit.modules as modules_mod
+
+    modules = []
+    for a in fixture_algebras.values():
+        for i in range(a.r):
+            m = projective(a, i)
+            assert top_multiplicities(m) == [int(j == i) for j in range(a.r)]
+            modules.append(m)
+
+    class NoRowSpace:
+        def __init__(self, field):
+            raise AssertionError("a syzygy of a projective built an elimination")
+
+    # the radical row spaces are filled, so only the syzygy step is left
+    monkeypatch.setattr(modules_mod, "RowSpace", NoRowSpace)
+    for m in modules:
+        assert syzygy(m).is_zero()
+        assert pd(m, 12).describe() == "Finite(0)"
+
+
+def test_unknown_names_what_stopped_it(tp11):
+    # S_0 over FIX-TP1(1) repeats at step 2, and its cover P_0 has dimension 2
+    assert pd(simple(tp11, 0), 2).describe() == "InfiniteCertified(repeat at 2, period 2)"
+    res = pd(simple(tp11, 0), 1)
+    assert res.describe() == "Unknown(cutoff 1)"
+    assert (res.reason, res.step) == ("cutoff", 1)
+    res = pd(simple(tp11, 0), 12, dim_guard=1)
+    assert res.describe() == "Unknown(dim guard at step 0)"
+    assert (res.reason, res.step, res.cutoff) == ("dim_guard", 0, 12)

@@ -1,4 +1,5 @@
 import collections
+import functools
 import hashlib
 import json
 from dataclasses import replace
@@ -8,7 +9,7 @@ import pytest
 from homkit.algebra import (corner, opposite, quotient_by_idempotent_ideal, tensor,
                             triangular)
 from homkit.corpus import CorpusSpec, generate
-from homkit.invariants import cartan_matrix
+from homkit.invariants import cartan_matrix, gldim, gorenstein
 from homkit.modules import Module, PdResult, pd, regular
 from homkit.recollement import (aea_dimension, det_multiplicativity_check,
                                 gorenstein_transfer_check, height_label,
@@ -376,3 +377,101 @@ def test_injective_dimension_via_dual(loc):
     from homkit.modules import injective_dimension
     res = injective_dimension(regular(loc), 12)
     assert res.describe() == "Finite(0)"  # self-injective
+
+
+def test_ladder_names_the_dimension_guard():
+    # pd of Ae over the local corner at e=[0] (det 3) grows until its cover
+    # passes the guard
+    doc = stratify_search(_nilcyc(19), 12).to_json()
+    assert doc["ladder"]["down_extension"] == "Unknown(dim guard at step 7)"
+    assert doc["det_check"] == ("inapplicable (downward extension not established "
+                                "(Unknown(dim guard at step 7)))")
+
+
+@functools.lru_cache(maxsize=None)
+def _triples(seed):
+    spec = CorpusSpec(seed=seed, count=30, shape="TriangularPair")
+    return tuple(generate(spec, i) for i in range(30))
+
+
+# SHA-256 of the 120 transfer reports below (30 triples x 2 checks x 2
+# corpus seeds), recorded while both checks still resolved every simple and
+# both sides of A, B and C
+TRANSFER_REPORTS_DIGEST = "df018b5a88ff0f9b43e3a324d832e49b9949a8a98830bca93830ad24891187f3"
+
+
+def _transfer_reports():
+    return [check(t.b, t.c, t.m, 12).to_json() for seed in (42, 7) for t in _triples(seed)
+            for check in (gorenstein_transfer_check, smoothness_transfer_check)]
+
+
+def test_transfer_checks_agree_with_full_reports(monkeypatch):
+    import homkit.recollement as rec
+    reports = _transfer_reports()
+    doc = json.dumps(reports, sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == TRANSFER_REPORTS_DIGEST
+    # the same checks read off the full gldim and gorenstein of A, B and C
+    passed = []
+
+    def full(real):
+        def wrapper(a, cutoff, **kwargs):
+            passed.append(kwargs)
+            return real(a, cutoff)
+        return wrapper
+
+    monkeypatch.setattr(rec, "gldim", full(gldim))
+    monkeypatch.setattr(rec, "gorenstein", full(gorenstein))
+    assert _transfer_reports() == reports
+    assert passed == [{"verdict_only": True}] * 360
+
+
+def test_transfer_checks_resolve_only_what_the_verdicts_read(monkeypatch):
+    import homkit.invariants as inv
+    calls = []
+
+    def counting(m, cutoff):
+        res = pd(m, cutoff)
+        calls.append((m, res))
+        return res
+
+    monkeypatch.setattr(inv, "pd", counting)
+    gldim_stops, gorenstein_stops = set(), set()
+    for t in _triples(42):
+        A = triangular(t.b, t.c, t.m)
+        factors = {A.name: ("A", A.r), t.b.name: ("B", t.b.r), t.c.name: ("C", t.c.r)}
+        calls.clear()
+        smoothness_transfer_check(t.b, t.c, t.m, 12)
+        for name, (label, r) in factors.items():
+            simples = [(m, res) for m, res in calls if m.algebra.name == name]
+            # simples in vertex order, and none after the first infinite one
+            assert [m.weights for m, _ in simples] == [[i] for i in range(len(simples))]
+            kinds = [res.kind for _, res in simples]
+            stop = kinds.index("infinite") + 1 if "infinite" in kinds else r
+            assert len(kinds) == stop
+            if stop < r:
+                gldim_stops.add((t.a.name, label))
+        calls.clear()
+        gorenstein_transfer_check(t.b, t.c, t.m, 12)
+        for name, (label, r) in factors.items():
+            # D(A) is resolved over A^op; the left side of A is the right
+            # side of A^op, so its injectives are modules over A again
+            right = [res for m, res in calls if m.algebra.name == f"op({name})"]
+            left = [res for m, res in calls if m.algebra.name == name]
+            assert right
+            if right[-1].is_infinite:
+                assert left == []
+                gorenstein_stops.add((t.a.name, label))
+            else:
+                assert left
+    assert ("tri-42-10", "A") in gldim_stops and ("tri-42-0", "A") in gorenstein_stops
+    # a verdict-only report presents nothing it did not resolve
+    monkeypatch.undo()
+    t = _triples(42)[10]
+    A = triangular(t.b, t.c, t.m)
+    g = gldim(A, 12, verdict_only=True)
+    assert A.r == 4 and [p.kind for p in g.per_simple] == ["finite", "finite", "infinite"]
+    assert g.describe() == gldim(A, 12).describe()
+    t = _triples(42)[0]
+    g = gorenstein(triangular(t.b, t.c, t.m), 12, verdict_only=True)
+    assert g.verdict == "NotGorensteinCertified" and g.left_id is None
+    assert "left_id" not in g.to_json() and g.right_id.is_infinite
