@@ -622,6 +622,36 @@ def quotient_by_idempotent_ideal(a: Algebra, vertices: list[int]) -> Algebra:
                    mult, len(newverts), name=f"quot({a.name},{S})")
 
 
+def _bimodule_actions(b: Algebra, c: Algebra, m: "Module") -> tuple[list, list]:
+    """The two side actions of a C-B-bimodule M (a module over
+    T = tensor(opposite(c), b)), as sparse action matrices on M's basis.
+
+    y in B acts on the right as the sum of e_i^op (x) y over the vertices i
+    of C, and x in C (a basis element of C^op) acts on the left as the sum
+    of x (x) e_j over the vertices j of B.  Returns ``(right, left)`` with
+    one matrix per basis element of B and of C; rows store no zero.
+    """
+    cop = opposite(c)
+    if m.algebra != tensor(cop, b):
+        raise ValueError("bimodule is not a module over tensor(opposite(c), b)")
+    F = b.field
+    pidx = m.algebra._pair_index
+
+    def summed(pairs) -> list[dict]:
+        mats = [m.action[pidx[p]] for p in pairs]
+        rows = []
+        for k in range(m.dim):
+            out: dict[int, object] = {}
+            for mat in mats:
+                for t, cv in mat[k].items():
+                    out[t] = F.add(out.get(t, F.zero), cv)
+            rows.append({t: v for t, v in out.items() if v != 0})
+        return rows
+
+    return ([summed([(i, y) for i in range(c.r)]) for y in range(b.dim)],
+            [summed([(x, j) for j in range(b.r)]) for x in range(c.dim)])
+
+
 def triangular(b: Algebra, c: Algebra, m: "Module") -> Algebra:
     """Lower triangular extension [[B, 0], [M, C]] of B and C along a
     C-B-bimodule M (a module over tensor(opposite(c), b)).
@@ -633,10 +663,7 @@ def triangular(b: Algebra, c: Algebra, m: "Module") -> Algebra:
     if b.field != c.field:
         raise ValueError("triangular factors must share the field")
     F = b.field
-    cop = opposite(c)
-    if m.algebra != tensor(cop, b):
-        raise ValueError("bimodule is not a module over tensor(opposite(c), b)")
-    pidx = tensor(cop, b)._pair_index
+    right_act, left_act = _bimodule_actions(b, c, m)
 
     rb, rc = b.r, c.r
     r = rb + rc
@@ -677,22 +704,15 @@ def triangular(b: Algebra, c: Algebra, m: "Module") -> Algebra:
             row = c.mult[x][y]
             if row:
                 mult[cmap[x]][cmap[y]] = {cmap[z]: cv for z, cv in row.items()}
-    # m * b (right action) and c * m (left action), read off the T-action
-    for k in range(nm):
-        for y in range(nb):
-            out: dict[int, object] = {}
-            for i in range(rc):
-                for t, cv in m.action[pidx[(i, y)]][k].items():
-                    out[moff + t] = F.add(out.get(moff + t, F.zero), cv)
-            if out:
-                mult[moff + k][bmap[y]] = out
-        for x in range(nc):
-            out = {}
-            for j in range(rb):
-                for t, cv in m.action[pidx[(x, j)]][k].items():
-                    out[moff + t] = F.add(out.get(moff + t, F.zero), cv)
-            if out:
-                mult[cmap[x]][moff + k] = out
+    # m * b (right action) and c * m (left action)
+    for y in range(nb):
+        for k, row in enumerate(right_act[y]):
+            if row:
+                mult[moff + k][bmap[y]] = {moff + t: cv for t, cv in row.items()}
+    for x in range(nc):
+        for k, row in enumerate(left_act[x]):
+            if row:
+                mult[cmap[x]][moff + k] = {moff + t: cv for t, cv in row.items()}
     return Algebra(F, vertex_labels, labels, left, right, mult, r,
                    name=f"tri({b.name},{c.name})")
 

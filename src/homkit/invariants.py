@@ -82,7 +82,8 @@ class GldimReport:
         if self.kind == "infinite":
             bad = next(i for i, p in enumerate(self.per_simple) if p.is_infinite)
             return f"InfiniteCertified(simple {bad}: {self.per_simple[bad].describe()})"
-        return f"Unknown(cutoff {self.cutoff})"
+        # Unknown: what stopped the first simple that is not Finite
+        return next(p for p in self.per_simple if not p.is_finite).describe()
 
     def to_json(self) -> dict:
         return {

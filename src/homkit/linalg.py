@@ -1,9 +1,10 @@
-"""Exact dense linear algebra over the rationals and prime fields.
+"""Exact linear algebra over the rationals and prime fields.
 
 Scalars are plain ``Fraction`` values over Q and canonical ints in [0, p)
 over F_p.  There is no floating point anywhere in the package and every
-comparison is exact.  Matrices are dense, row-major lists of lists; the
-sizes that occur in practice are desk scale (a few hundred at most).
+comparison is exact.  One sparse row space in full RREF (:class:`RowSpace`)
+does the elimination: spans, residues, kernels and inverses.  Integer
+matrices (:class:`IntMatrix`) are dense and square, for Cartan data.
 """
 
 from __future__ import annotations
@@ -131,21 +132,9 @@ class Field:
         raise FieldError(f"unknown field {name!r}")
 
 
-@dataclass
-class RrefResult:
-    rank: int
-    reduced: "Matrix"
-    pivot_columns: list[int]
-
-
-@dataclass
-class Solution:
-    particular: list  # one solution vector, length = cols of the system
-    kernel: list      # basis of the null space, each of the same length
-
-
 class Matrix:
-    """Dense matrix over a :class:`Field`. Treated as immutable after construction."""
+    """Dense matrix over a :class:`Field`: a front end to
+    :meth:`RowSpace.kernel_basis` for row-major lists of lists."""
 
     __slots__ = ("field", "rows", "cols", "data")
 
@@ -158,111 +147,19 @@ class Matrix:
             if len(row) != self.cols:
                 raise ValueError("ragged rows")
 
-    @staticmethod
-    def zeros(field: Field, rows: int, cols: int) -> "Matrix":
-        z = field.zero
-        return Matrix(field, [[z] * cols for _ in range(rows)])
-
-    @staticmethod
-    def identity(field: Field, n: int) -> "Matrix":
-        m = Matrix.zeros(field, n, n)
-        one = field.one
-        for i in range(n):
-            m.data[i][i] = one
-        return m
-
-    @staticmethod
-    def from_int_rows(field: Field, rows: list[list[int]]) -> "Matrix":
-        return Matrix(field, [[field.of_int(x) for x in row] for row in rows])
-
-    def copy(self) -> "Matrix":
-        return Matrix(self.field, [row[:] for row in self.data])
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, [[self.data[i][j] for i in range(self.rows)]
-                                   for j in range(self.cols)])
-
-    def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.field == other.field
-                and self.data == other.data)
-
-    def __repr__(self):
-        return f"Matrix({self.field.name()}, {self.data})"
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
-
-    def rref(self) -> RrefResult:
-        """Unique reduced row echelon form, with rank and pivot columns."""
-        F = self.field
-        m = [row[:] for row in self.data]
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.cols):
-            pr = None
-            for i in range(r, self.rows):
-                if m[i][c] != 0:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            inv = F.inv(m[r][c])
-            m[r] = [F.mul(inv, x) for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    mr = m[r]
-                    m[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(m[i], mr)]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return RrefResult(r, Matrix(F, m), pivots)
-
-    def rank(self) -> int:
-        return self.rref().rank
-
     def kernel_basis(self) -> list[list]:
         """Basis of the null space {x : self @ x = 0}.
 
-        Each vector is a list of length ``cols``; the result is empty when
-        the matrix has full column rank.
+        Each vector is a list of length ``cols``, one per free column of
+        the (unique) full RREF; the result is empty when the matrix has
+        full column rank.
         """
         F = self.field
-        res = self.rref()
-        piv = res.pivot_columns
-        pivset = set(piv)
-        free = [c for c in range(self.cols) if c not in pivset]
-        basis = []
-        red = res.reduced.data
-        for fc in free:
-            v = [F.zero] * self.cols
-            v[fc] = F.one
-            for r, pc in enumerate(piv):
-                v[pc] = F.neg(red[r][fc])
-            basis.append(v)
-        return basis
-
-    def solve(self, rhs: list) -> Solution | None:
-        """Solve ``self x = rhs`` for a column vector x.
-
-        Returns None iff the system is inconsistent; otherwise one particular
-        solution together with a basis of the kernel.
-        """
-        if len(rhs) != self.rows:
-            raise ValueError(f"rhs length {len(rhs)} != row count {self.rows}")
-        F = self.field
-        aug = Matrix(F, [self.data[i][:] + [rhs[i]] for i in range(self.rows)])
-        res = aug.rref()
-        red = res.reduced.data
-        piv = res.pivot_columns
-        if self.cols in piv:
-            return None
-        x = [F.zero] * self.cols
-        for r, pc in enumerate(piv):
-            x[pc] = red[r][self.cols]
-        return Solution(particular=x, kernel=self.kernel_basis())
+        rs = RowSpace(F)
+        for row in self.data:
+            rs.add({c: x for c, x in enumerate(row) if x != 0})
+        return [[v.get(c, F.zero) for c in range(self.cols)]
+                for v in rs.kernel_basis(self.cols)]
 
 
 class RowSpace:
@@ -359,6 +256,23 @@ class RowSpace:
         return list(basis.values())
 
 
+def inverse(F: Field, rows: list[dict], n: int) -> list[dict] | None:
+    """Inverse of the n x n matrix with these sparse rows, as sparse rows,
+    or None when it is singular.
+
+    [T | I] is reduced in a :class:`RowSpace`: T is invertible iff every
+    pivot is a column of T, and then the row with pivot c carries row c of
+    T^-1 in its right half.
+    """
+    aug = RowSpace(F)
+    for s, row in enumerate(rows):
+        aug.add({**row, n + s: F.one})
+    if any(c >= n for c in aug.pivot_cols):
+        return None
+    right = dict(zip(aug.pivot_cols, aug.rows))
+    return [{t - n: x for t, x in right[c].items() if t >= n} for c in range(n)]
+
+
 class IntMatrix:
     """Square integer matrix with arbitrary-precision entries."""
 
@@ -429,15 +343,9 @@ def det_int(m: IntMatrix) -> int:
 
 def invert_int(m: IntMatrix):
     """Exact inverse as a matrix of Fractions, or None when singular."""
-    if det_int(m) == 0:
-        return None
-    n = m.n
     Q = Field.rationals()
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m.data)]
-    aug = Matrix(Q, a)
-    red = aug.rref().reduced.data
-    return [row[n:] for row in red]
+    inv = inverse(Q, [{j: Fraction(x) for j, x in enumerate(row) if x} for row in m.data], m.n)
+    return None if inv is None else [[row.get(j, Q.zero) for j in range(m.n)] for row in inv]
 
 
 def det_mod_p(m: IntMatrix, p: int) -> int:

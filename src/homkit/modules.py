@@ -8,8 +8,8 @@ element (the right action on row vectors: row s of ``action[x]`` is
 weight per basis vector: basis vector v has weight i when ``v * e_i == v``.
 The vectors that ``submodule``, ``spanned_submodule`` and
 ``quotient_module`` take and return, cover matrices, inclusions and
-resolution differentials are sparse rows too.  Only Hom-space bases and
-isomorphism witnesses, which go through dense RREF, and the
+resolution differentials are sparse rows too.  Only Hom-space bases,
+isomorphism witnesses (inverted by the sparse ``linalg.inverse``) and the
 homkit-module/1 JSON are dense.  Every constructor here produces
 weight-adapted bases, which keeps Hom systems block diagonal and makes
 semisimple data (tops, simple multiplicities) readable off the weights.
@@ -27,8 +27,9 @@ import random
 from dataclasses import dataclass, field as dc_field
 from itertools import product as iter_product
 
-from .algebra import Algebra, algebra_from_json, algebra_to_json, opposite
-from .linalg import Field, Matrix, RowSpace
+from .algebra import (Algebra, _bimodule_actions, algebra_from_json, algebra_to_json,
+                      opposite)
+from .linalg import Field, RowSpace, inverse
 
 _ISO_SEARCH_SEED = 0x5EED
 _ISO_RETRIES = 8
@@ -457,6 +458,23 @@ def _syzygy_with_inclusion(m: Module, cov: Cover | None = None) -> tuple[Module,
     return sub, cov, kernel
 
 
+def _resolve(m: Module, steps: int, dim_guard: int | None):
+    """The minimal resolution of a non-zero m, one syzygy at a time.
+
+    Yields ``(syzygy, cover, inclusion)`` for at most ``steps`` syzygies;
+    the caller stops at the first zero one.  When a cover source would
+    exceed ``dim_guard`` it yields None and ends.
+    """
+    cur = m
+    for _ in range(steps):
+        cov = projective_cover(cur)
+        if dim_guard is not None and cov.source_dim > dim_guard:
+            yield None
+            return
+        cur, cov, incl = _syzygy_with_inclusion(cur, cov)
+        yield cur, cov, incl
+
+
 @dataclass
 class ResolutionStep:
     multiplicities: list[int]
@@ -495,14 +513,12 @@ def min_resolution(m: Module, cutoff: int,
     syzygies: list[Module] = []
     if m.is_zero():
         return Resolution(m, steps, syzygies, True)
-    cur = m
     incl_prev: list[dict] | None = None
-    for k in range(cutoff + 1):
-        cov = projective_cover(cur)
-        if dim_guard is not None and cov.source_dim > dim_guard:
+    for step in _resolve(m, cutoff + 1, dim_guard):
+        if step is None:
             return Resolution(m, steps, syzygies, False, aborted=True)
-        sub, cov, incl = _syzygy_with_inclusion(cur, cov)
-        if k == 0:
+        sub, cov, incl = step
+        if incl_prev is None:
             differential = cov.matrix
         else:
             differential = _matmul(m.field, cov.matrix, incl_prev)
@@ -510,7 +526,6 @@ def min_resolution(m: Module, cutoff: int,
         syzygies.append(sub)
         if sub.is_zero():
             return Resolution(m, steps, syzygies, True)
-        cur = sub
         incl_prev = incl
     return Resolution(m, steps, syzygies, False)
 
@@ -601,18 +616,6 @@ class IsoResult:
         return self.kind == "iso"
 
 
-def _invert_square(F: Field, mat: list[list]) -> list[list] | None:
-    n = len(mat)
-    if n == 0:
-        return []
-    aug = Matrix(F, [row[:] + [F.one if i == j else F.zero for j in range(n)]
-                     for i, row in enumerate(mat)])
-    res = aug.rref()
-    if res.pivot_columns[:n] != list(range(n)) or res.rank != n:
-        return None
-    return [row[n:] for row in res.reduced.data]
-
-
 def is_iso(m: Module, n: Module) -> IsoResult:
     """Decide isomorphism with one-sided error.
 
@@ -650,25 +653,21 @@ def is_iso(m: Module, n: Module) -> IsoResult:
         return mat
 
     p = F.p
-    if p is not None and p ** h <= _EXHAUSTIVE_LIMIT:
-        for coeffs in iter_product(range(p), repeat=h):
-            if all(c == 0 for c in coeffs):
-                continue
-            mat = candidate(coeffs)
-            inv = _invert_square(F, mat)
-            if inv is not None:
-                return IsoResult("iso", IsoWitness(mat, inv))
-        return IsoResult("not_iso", reason="no invertible element of Hom (exhaustive search)")
-    rng = random.Random(_ISO_SEARCH_SEED + 31 * m.dim + h)
-    for _ in range(_ISO_RETRIES):
-        if p is None:
-            coeffs = [F.of_int(rng.randint(-9, 9)) for _ in range(h)]
-        else:
-            coeffs = [rng.randrange(p) for _ in range(h)]
+    exhaustive = p is not None and p ** h <= _EXHAUSTIVE_LIMIT
+    if exhaustive:
+        tries = (c for c in iter_product(range(p), repeat=h) if any(c))
+    else:
+        rng = random.Random(_ISO_SEARCH_SEED + 31 * m.dim + h)
+        tries = ([F.of_int(rng.randint(-9, 9)) if p is None else rng.randrange(p)
+                  for _ in range(h)] for _ in range(_ISO_RETRIES))
+    for coeffs in tries:
         mat = candidate(coeffs)
-        inv = _invert_square(F, mat)
+        inv = inverse(F, [{t: x for t, x in enumerate(row) if x != 0} for row in mat], m.dim)
         if inv is not None:
-            return IsoResult("iso", IsoWitness(mat, inv))
+            dense = [[row.get(t, F.zero) for t in range(m.dim)] for row in inv]
+            return IsoResult("iso", IsoWitness(mat, dense))
+    if exhaustive:
+        return IsoResult("not_iso", reason="no invertible element of Hom (exhaustive search)")
     return IsoResult("undetermined", reason="randomized search found no invertible hom")
 
 
@@ -736,12 +735,11 @@ def pd(m: Module, cutoff: int, dim_guard: int | None = DIM_GUARD) -> PdResult:
     chain = [m]
     sigs = [_signature(m)]
     dims = [m.dim]
-    for j in range(1, cutoff + 1):
-        cov = projective_cover(chain[-1])
-        if dim_guard is not None and cov.source_dim > dim_guard:
+    for j, step in enumerate(_resolve(m, cutoff, dim_guard), 1):
+        if step is None:
             return PdResult("unknown", cutoff=cutoff, syzygy_dims=dims,
                             reason="dim_guard", step=j - 1)
-        nxt = _syzygy_with_inclusion(chain[-1], cov)[0]
+        nxt = step[0]
         dims.append(nxt.dim)
         if nxt.is_zero():
             return PdResult("finite", d=j - 1, syzygy_dims=dims)
@@ -987,16 +985,10 @@ def adapt_weights(algebra: Algebra, dim: int, action: list[list[dict]]) -> Modul
         weights2.extend([i] * rs.rank)
     if len(rows) != dim:
         raise ValueError("idempotent projector images do not fill the space")
-    # reduce [T | I]: T is invertible iff the pivots are the columns of T, and
-    # then the row with pivot c carries row c of T^-1 in its right half
-    aug = RowSpace(F)
-    for s, row in enumerate(rows):
-        aug.add({**row, dim + s: F.one})
-    if any(c >= dim for c in aug.pivot_cols):
+    inv = inverse(F, rows, dim)
+    if inv is None:
         raise ValueError("adapted basis is not a basis")
-    inverse = {c: {t - dim: x for t, x in row.items() if t >= dim}
-               for c, row in zip(aug.pivot_cols, aug.rows)}
-    new_action = [[_vecmat(F, _vecmat(F, row, action[x]), inverse) for row in rows]
+    new_action = [[_vecmat(F, _vecmat(F, row, action[x]), inv) for row in rows]
                   for x in range(algebra.dim)]
     return Module(algebra, dim, new_action, weights2)
 
@@ -1018,20 +1010,14 @@ def restrict_along(f: AlgebraMap, m: Module) -> Module:
 def bimodule_restrictions(b: Algebra, c: Algebra, m: Module) -> tuple[Module, Module]:
     """M_B and _CM of a C-B-bimodule M (a module over tensor(opposite(c), b)).
 
-    _CM is returned as a right module over opposite(C).  Both restrictions
-    read the pair index of the cached tensor algebra.
+    _CM is returned as a right module over opposite(C).  These are the
+    restrictions along the two algebra maps B -> T and C^op -> T that send
+    y to the sum of e_i^op (x) y and x to the sum of x (x) e_j; the maps
+    hold by construction, so the side actions are summed directly (see
+    ``algebra._bimodule_actions``) and ``AlgebraMap.check`` is not run.
     """
-    from .algebra import tensor
-    cop = opposite(c)
-    T = tensor(cop, b)
-    if m.algebra != T:
-        raise ValueError("not a module over tensor(opposite(c), b)")
-    pidx = T._pair_index
-    one = b.field.one
-    # y in B acts as the sum of e_i^op (x) y; x in C^op as the sum of x (x) e_j
-    right = AlgebraMap(b, T, [{pidx[(i, y)]: one for i in range(c.r)} for y in range(b.dim)])
-    left = AlgebraMap(cop, T, [{pidx[(x, j)]: one for j in range(b.r)} for x in range(c.dim)])
-    return restrict_along(right, m), restrict_along(left, m)
+    right, left = _bimodule_actions(b, c, m)
+    return adapt_weights(b, m.dim, right), adapt_weights(opposite(c), m.dim, left)
 
 
 def module_to_json(m: Module, algebra_ref: str | None = None) -> dict:

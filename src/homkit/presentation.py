@@ -49,9 +49,6 @@ class Quiver:
     def num_vertices(self) -> int:
         return len(self.vertex_labels)
 
-    def vertex_index(self, label: str) -> int:
-        return self.vertex_labels.index(label)
-
 
 @dataclass(frozen=True)
 class Path:
@@ -85,24 +82,6 @@ def compose(p: Path, q: Path) -> Path | None:
     if p.target != q.source:
         return None
     return Path(p.source, q.target, p.arrows + q.arrows)
-
-
-def path_from_arrows(quiver: Quiver, arrow_indices: tuple[int, ...], at_vertex: int | None = None) -> Path:
-    """Build a path from consecutive arrow indices (or a trivial path)."""
-    if not arrow_indices:
-        if at_vertex is None:
-            raise ValueError("trivial path needs a vertex")
-        return trivial_path(at_vertex)
-    p = arrow_path(quiver, arrow_indices[0])
-    for i in arrow_indices[1:]:
-        nxt = compose(p, arrow_path(quiver, i))
-        if nxt is None:
-            raise SpecError(
-                f"arrows do not compose: {quiver.arrows[p.arrows[-1]].label} ends at "
-                f"{quiver.vertex_labels[p.target]} but {quiver.arrows[i].label} starts at "
-                f"{quiver.vertex_labels[quiver.arrows[i].source]}")
-        p = nxt
-    return p
 
 
 @dataclass(frozen=True)
@@ -517,10 +496,6 @@ def _tp1_text(n: int) -> str:
         quiver {{ vertices: 1, 2  arrows: alpha: 1 -> 2, beta: 2 -> 1 }}
         relations {{ (alpha*beta)^{n}, (beta*alpha)^{n} }}
     """
-
-
-def fixture_names() -> list[str]:
-    return ["FIX-A2", "FIX-TP1(n)", "FIX-TP2", "FIX-LOC", "FIX-TRI0"]
 
 
 def spec_of_fixture(name: str) -> AlgebraSpec:

@@ -42,14 +42,12 @@ def module_Ae(a: Algebra, S: list[int], cor: Algebra) -> Module:
 
 
 def module_eA(a: Algebra, S: list[int], cor: Algebra) -> Module:
-    """eA as a left module over the corner: a right module over opposite(eAe)."""
-    Sset = set(S)
-    vmap = {v: i for i, v in enumerate(sorted(Sset))}
-    idx = [k for k in range(a.dim) if a.left[k] in Sset]
-    pos = {k: s for s, k in enumerate(idx)}
-    action = [[{pos[z]: c for z, c in a.mult[ky][k].items()} for k in idx]
-              for ky in _corner_indices(a, S)]
-    return Module(opposite(cor), len(idx), action, [vmap[a.left[k]] for k in idx])
+    """eA as a left module over the corner: a right module over opposite(eAe).
+
+    This is Ae over the opposites, since ``opposite`` keeps the basis and
+    swaps the tags.
+    """
+    return module_Ae(opposite(a), S, opposite(cor))
 
 
 def aea_dimension(a: Algebra, S: list[int]) -> int:
@@ -283,6 +281,22 @@ def _compare(lhs: bool | None, rhs: bool | None) -> str:
     return "pass" if lhs == rhs else "fail"
 
 
+def _transfer_inputs(b: Algebra, c: Algebra, m: Module, cutoff: int, verdict):
+    """What both transfer checks read on A = [[B,0],[M,C]]: A, the verdicts
+    of A, B and C (each resolved only until it is certain), and the pds of
+    M over B and over C^op."""
+    A = triangular(b, c, m)
+    verdicts = [verdict(x, cutoff, verdict_only=True) for x in (A, b, c)]
+    mb, mc = bimodule_restrictions(b, c, m)
+    return A, verdicts, pd(mb, cutoff), pd(mc, cutoff)
+
+
+def _overall(outcomes: tuple[str, str]) -> str:
+    if "undetermined" in outcomes:
+        return "undetermined"
+    return "pass" if "pass" in outcomes else "vacuous"
+
+
 @dataclass
 class GorensteinTransferReport:
     algebra_name: str
@@ -320,14 +334,7 @@ def gorenstein_transfer_check(b: Algebra, c: Algebra, m: Module,
     report prints only the verdicts of A, B and C, so each is resolved
     only until it is certain (``gorenstein(..., verdict_only=True)``).
     """
-    A = triangular(b, c, m)
-    g_a = gorenstein(A, cutoff, verdict_only=True)
-    g_b = gorenstein(b, cutoff, verdict_only=True)
-    g_c = gorenstein(c, cutoff, verdict_only=True)
-    mb, mc = bimodule_restrictions(b, c, m)
-    pd_mb = pd(mb, cutoff)
-    pd_mc = pd(mc, cutoff)
-
+    A, (g_a, g_b, g_c), pd_mb, pd_mc = _transfer_inputs(b, c, m, cutoff, gorenstein)
     sa = _tri_state_gorenstein(g_a)
     sb = _tri_state_gorenstein(g_b)
     sc = _tri_state_gorenstein(g_c)
@@ -355,15 +362,8 @@ def gorenstein_transfer_check(b: Algebra, c: Algebra, m: Module,
                 f"Gorenstein transfer {label} certified failure on {A.name!r}: "
                 f"A={g_a.verdict} B={g_b.verdict} C={g_c.verdict} "
                 f"pd_B M={pd_mb.describe()} pd_Cop M={pd_mc.describe()}")
-    outcomes = (pd_form, factors_form)
-    if any(o == "undetermined" for o in outcomes):
-        overall = "undetermined"
-    elif any(o == "pass" for o in outcomes):
-        overall = "pass"
-    else:
-        overall = "vacuous"
-    return GorensteinTransferReport(A.name, g_a, g_b, g_c, pd_mb, pd_mc,
-                                    pd_form, factors_form, overall)
+    return GorensteinTransferReport(A.name, g_a, g_b, g_c, pd_mb, pd_mc, pd_form,
+                                    factors_form, _overall((pd_form, factors_form)))
 
 
 @dataclass
@@ -406,13 +406,7 @@ def smoothness_transfer_check(b: Algebra, c: Algebra, m: Module,
     The report prints only the verdicts of A, B and C, so each is resolved
     only until it is certain (``gldim(..., verdict_only=True)``).
     """
-    A = triangular(b, c, m)
-    gl_a = gldim(A, cutoff, verdict_only=True)
-    gl_b = gldim(b, cutoff, verdict_only=True)
-    gl_c = gldim(c, cutoff, verdict_only=True)
-    mb, mc = bimodule_restrictions(b, c, m)
-    pd_mb = pd(mb, cutoff)
-    pd_mc = pd(mc, cutoff)
+    A, (gl_a, gl_b, gl_c), pd_mb, pd_mc = _transfer_inputs(b, c, m, cutoff, gldim)
     sa, sb, sc = _tri_state_gldim(gl_a), _tri_state_gldim(gl_b), _tri_state_gldim(gl_c)
 
     if sa is True:
@@ -440,15 +434,8 @@ def smoothness_transfer_check(b: Algebra, c: Algebra, m: Module,
         else:
             upward = "undetermined"
 
-    outcomes = (downward, upward)
-    if any(o == "undetermined" for o in outcomes):
-        overall = "undetermined"
-    elif any(o == "pass" for o in outcomes):
-        overall = "pass"
-    else:
-        overall = "vacuous"
     return SmoothnessTransferReport(A.name, gl_a, gl_b, gl_c, pd_mb, pd_mc,
-                                    downward, upward, overall)
+                                    downward, upward, _overall((downward, upward)))
 
 
 # --------------------------------------------------------------------------

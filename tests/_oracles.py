@@ -194,3 +194,17 @@ def dense_rref(rows, ncols, p=None):
         pivots.append(c)
         rank += 1
     return work[:rank], pivots
+
+
+def dense_kernel(rows, ncols, p=None):
+    """Basis of the null space {x : rows @ x = 0}, one vector per free
+    column of the RREF from :func:`dense_rref`."""
+    reduced, pivots = dense_rref(rows, ncols, p)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[fc] = 1
+        for row, c in zip(reduced, pivots):
+            v[c] = -row[fc] if p is None else -row[fc] % p
+        basis.append(v)
+    return basis

@@ -12,7 +12,7 @@ from homkit import cli, corpus
 from homkit.algebra import (algebra_from_json, algebra_to_json, from_quiver,
                             opposite, tensor)
 from homkit.invariants import TheoremViolation
-from homkit.modules import Module, module_to_json
+from homkit.modules import AlgebraMap, Module, module_to_json
 from homkit.presentation import print_spec, spec_of_fixture
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -413,15 +413,34 @@ def test_corpus_dim_bound_below_the_shape_minimum(capsys, shape, minimum):
     assert code == 0 and json.loads(out)["aggregate"]["pass"] == 3
 
 
-@pytest.mark.parametrize("kind", ["gorenstein-transfer", "smoothness-transfer"])
-def test_transfer_request_builds_the_tensor_once(capsys, tmp_path, monkeypatch, kind):
-    # the bimodule's algebra tensor(op(C), B) serves loading, the triangular
-    # extension and both restrictions
+def _transfer_files(tmp_path):
+    """B, C and M of the TriangularPair instance tri-42-3, written as files."""
     inst = corpus.generate(corpus.CorpusSpec(seed=42, count=30, shape="TriangularPair"), 3)
     files = [tmp_path / n for n in ("b.json", "c.json", "m.json")]
     files[0].write_text(json.dumps(algebra_to_json(inst.b)))
     files[1].write_text(json.dumps(algebra_to_json(inst.c)))
     files[2].write_text(json.dumps(module_to_json(inst.m, algebra_ref="tensor(op(C),B)")))
+    return inst, files
+
+
+@pytest.mark.parametrize("kind", ["gorenstein-transfer", "smoothness-transfer"])
+def test_transfer_request_checks_no_algebra_map(capsys, tmp_path, monkeypatch, kind):
+    # the two maps onto tensor(op(C), B) that the bimodule restrictions
+    # stand for hold by construction; the test suite checks them instead
+    _, files = _transfer_files(tmp_path)
+    checked = []
+    real = AlgebraMap.check
+    monkeypatch.setattr(AlgebraMap, "check", lambda f: checked.append(f) or real(f))
+    code, out, _ = run_cli(capsys, "check", kind, *map(str, files), "--json")
+    assert code == 0 and json.loads(out)["kind"] == kind
+    assert checked == []
+
+
+@pytest.mark.parametrize("kind", ["gorenstein-transfer", "smoothness-transfer"])
+def test_transfer_request_builds_the_tensor_once(capsys, tmp_path, monkeypatch, kind):
+    # the bimodule's algebra tensor(op(C), B) serves loading, the triangular
+    # extension and both restrictions
+    inst, files = _transfer_files(tmp_path)
     built, ordered = [], []
     real = algebra_mod._tensor
     real_order = algebra_mod._tensor_pair_order

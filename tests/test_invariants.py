@@ -281,3 +281,20 @@ def test_self_injective_dimension_keeps_the_guard_unknown():
     assert (right.reason, right.step, right.cutoff) == ("dim_guard", 0, 12)
     sources = [projective_cover(dual(projective(a, i))).source_dim for i in range(a.r)]
     assert max(sources) > DIM_GUARD
+
+
+@pytest.mark.parametrize("index, stop", [(19, 8), (21, 8), (23, 11)])
+def test_gldim_unknown_names_what_stopped_it(index, stop):
+    # every simple that is not Finite was stopped by the dimension guard,
+    # and the verdict names the first of them
+    a = generate(CorpusSpec(seed=42, count=30, shape="NilpotentCyclic"), index)
+    g = gldim(a, 12)
+    assert g.kind == "unknown"
+    assert g.describe() == f"Unknown(dim guard at step {stop})"
+    assert g.describe() == next(p for p in g.per_simple if not p.is_finite).describe()
+
+
+def test_gldim_unknown_keeps_the_cutoff_text(tp11):
+    g = gldim(tp11, 1)
+    assert [p.reason for p in g.per_simple] == ["cutoff", "cutoff"]
+    assert g.describe() == "Unknown(cutoff 1)"

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homkit.linalg import (Field, FieldError, IntMatrix, Matrix, RowSpace,
-                           det_int, det_mod_p, invert_int, is_prime)
-from _oracles import brute_force_modp_solutions, dense_rref, det_cofactor, invert_2x2
+                           det_int, det_mod_p, inverse, invert_int, is_prime)
+from _oracles import (brute_force_modp_solutions, dense_kernel, dense_matmul, dense_rank,
+                      dense_rref, det_cofactor, identity_matrix, invert_2x2)
 
 Q = Field.rationals()
 F3 = Field.prime(3)
@@ -37,60 +38,22 @@ def test_field_arithmetic_modp():
     assert F.parse("1/2") == F.div(F.one, F.of_int(2))
 
 
-def test_rref_identity():
-    res = Matrix.identity(Q, 3).rref()
-    assert res.rank == 3
-    assert res.pivot_columns == [0, 1, 2]
-    assert res.reduced == Matrix.identity(Q, 3)
-
-
-def test_rref_zero():
-    res = Matrix.zeros(Q, 2, 4).rref()
-    assert res.rank == 0
-    assert res.pivot_columns == []
-
-
-def test_rref_proportional_rows():
-    m = Matrix.from_int_rows(Q, [[1, 2], [2, 4]])
-    assert m.rref().rank == 1
-
-
-def test_solve_identity():
-    m = Matrix.identity(Q, 3)
-    v = [Fraction(1), Fraction(-2), Fraction(5)]
-    sol = m.solve(v)
-    assert sol.particular == v
-    assert sol.kernel == []
-
-
-def test_solve_zero_matrix():
-    m = Matrix.zeros(Q, 2, 2)
-    sol = m.solve([Fraction(0), Fraction(0)])
-    assert sol.particular == [0, 0]
-    assert len(sol.kernel) == 2
-    assert m.solve([Fraction(1), Fraction(0)]) is None
-
-
 def test_solve_f3_matches_enumeration():
-    # oracle: enumerate all 9 vectors of F_3^2 for the system [1 1] x = 2
-    expected = brute_force_modp_solutions([[1, 1]], [2], 3)
+    # oracle: enumerate all 9 vectors of F_3^2 with [1 1] x = 0; the span
+    # of the kernel basis must be exactly that solution set
+    expected = brute_force_modp_solutions([[1, 1]], [0], 3)
     assert len(expected) == 3
-    m = Matrix.from_int_rows(F3, [[1, 1]])
-    sol = m.solve([F3.of_int(2)])
-    assert sol is not None
-    assert len(sol.kernel) == 1
-    # the solver's solution set must equal the enumerated one
-    got = set()
-    for t in range(3):
-        vec = tuple((sol.particular[i] + t * sol.kernel[0][i]) % 3 for i in range(2))
-        got.add(vec)
+    k = Matrix(F3, [[1, 1]]).kernel_basis()
+    assert len(k) == 1
+    got = {tuple(t * x % 3 for x in k[0]) for t in range(3)}
     assert got == {tuple(v) for v in expected}
 
 
 def test_kernel_basis_cases():
-    assert Matrix.identity(Q, 3).kernel_basis() == []
-    assert len(Matrix.zeros(Q, 2, 2).kernel_basis()) == 2
-    k = Matrix.from_int_rows(F3, [[1, 1]]).kernel_basis()
+    identity = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+    assert Matrix(Q, identity).kernel_basis() == []
+    assert len(Matrix(Q, [[Fraction(0)] * 2 for _ in range(2)]).kernel_basis()) == 2
+    k = Matrix(F3, [[1, 1]]).kernel_basis()
     assert len(k) == 1
     # kernel vector really is annihilated
     assert (k[0][0] + k[0][1]) % 3 == 0
@@ -135,36 +98,6 @@ small_ints = st.integers(min_value=-6, max_value=6)
 def int_square(draw, nmax=4):
     n = draw(st.integers(min_value=1, max_value=nmax))
     return [[draw(small_ints) for _ in range(n)] for _ in range(n)]
-
-
-@st.composite
-def q_matrix(draw):
-    r = draw(st.integers(min_value=1, max_value=4))
-    c = draw(st.integers(min_value=1, max_value=4))
-    return Matrix(Q, [[Fraction(draw(small_ints)) for _ in range(c)] for _ in range(r)])
-
-
-@settings(max_examples=60, deadline=None)
-@given(q_matrix())
-def test_rref_idempotent(m):
-    red = m.rref().reduced
-    assert red.rref().reduced == red
-
-
-@settings(max_examples=60, deadline=None)
-@given(q_matrix(), st.data())
-def test_solve_consistency(m, data):
-    rhs = [Fraction(data.draw(small_ints)) for _ in range(m.rows)]
-    sol = m.solve(rhs)
-    if sol is None:
-        return
-    # m (particular + any kernel combination) == rhs
-    coeffs = [Fraction(data.draw(small_ints)) for _ in sol.kernel]
-    x = list(sol.particular)
-    for cf, kv in zip(coeffs, sol.kernel):
-        x = [xi + cf * ki for xi, ki in zip(x, kv)]
-    for i in range(m.rows):
-        assert sum(m.data[i][j] * x[j] for j in range(m.cols)) == rhs[i]
 
 
 @settings(max_examples=60, deadline=None)
@@ -235,11 +168,24 @@ def test_rowspace_matches_dense_rref(p, data):
         for row, c in zip(red, piv):
             expect = [mod(x - vec[c] * y) for x, y in zip(expect, row)]
         assert rs.reduce(_sparse(vec)) == _sparse(expect)
-    kernel = []
-    for fc in (c for c in range(ncols) if c not in piv):
-        v = [F.zero] * ncols
-        v[fc] = F.one
-        for row, c in zip(red, piv):
-            v[c] = mod(-row[fc])
-        kernel.append(_sparse(v))
-    assert rs.kernel_basis(ncols) == kernel
+    assert rs.kernel_basis(ncols) == [_sparse(v) for v in dense_kernel(added, ncols, p)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([None, 101]), st.data())
+def test_inverse_matches_rank_oracle(p, data):
+    F = Q if p is None else Field.prime(p)
+    n = data.draw(st.integers(min_value=0, max_value=6))
+    dense = [[F.of_int(data.draw(small_ints)) for _ in range(n)] for _ in range(n)]
+    if n and data.draw(st.booleans()):
+        # a row that is a combination of the others makes it singular
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        f = F.of_int(data.draw(small_ints))
+        dense[i] = [F.mul(f, x) for x in dense[j]] if i != j else [F.zero] * n
+    inv = inverse(F, [_sparse(row) for row in dense], n)
+    if dense_rank(dense, p) < n:
+        assert inv is None
+    else:
+        assert inv is not None
+        full = [[row.get(c, F.zero) for c in range(n)] for row in inv]
+        assert dense_matmul(dense, full, p) == identity_matrix(n)

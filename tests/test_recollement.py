@@ -7,10 +7,11 @@ from dataclasses import replace
 import pytest
 
 from homkit.algebra import (corner, opposite, quotient_by_idempotent_ideal, tensor,
-                            triangular)
+                            triangular, validate)
 from homkit.corpus import CorpusSpec, generate
 from homkit.invariants import cartan_matrix, gldim, gorenstein
-from homkit.modules import Module, PdResult, pd, regular
+from homkit.modules import (AlgebraMap, Module, PdResult, bimodule_restrictions, pd, regular,
+                            restrict_along)
 from homkit.recollement import (aea_dimension, det_multiplicativity_check,
                                 gorenstein_transfer_check, height_label,
                                 ladder_estimate, module_Ae, module_eA,
@@ -392,6 +393,24 @@ def test_ladder_names_the_dimension_guard():
 def _triples(seed):
     spec = CorpusSpec(seed=seed, count=30, shape="TriangularPair")
     return tuple(generate(spec, i) for i in range(30))
+
+
+def test_bimodule_sides_are_the_restrictions_along_checked_maps():
+    # bimodule_restrictions and triangular sum the side actions directly;
+    # restrict_along gets there through the two maps B -> T and C^op -> T
+    # and checks that they are algebra maps
+    for inst in _triples(42):
+        b, c, m = inst.b, inst.c, inst.m
+        T = m.algebra
+        pidx = T._pair_index
+        one = T.field.one
+        right = AlgebraMap(b, T, [{pidx[(i, y)]: one for i in range(c.r)}
+                                  for y in range(b.dim)])
+        left = AlgebraMap(opposite(c), T, [{pidx[(x, j)]: one for j in range(b.r)}
+                                           for x in range(c.dim)])
+        assert bimodule_restrictions(b, c, m) == (restrict_along(right, m),
+                                                  restrict_along(left, m)), inst.a.name
+        assert validate(triangular(b, c, m)).ok, inst.a.name
 
 
 # SHA-256 of the 120 transfer reports below (30 triples x 2 checks x 2
