@@ -14,8 +14,9 @@ from homkit import from_quiver, min_resolution, pd, simple, spec_of_fixture
 
 
 def dense(rows, n):
-    """Module action rows are sparse {column: scalar} dicts; write them out."""
-    return [[row.get(c, 0) for c in range(n)] for row in rows]
+    """A module action matrix stores its non-zero rows only, as {row: {column:
+    scalar}}; write it out."""
+    return [[rows.get(s, {}).get(c, 0) for c in range(n)] for s in range(n)]
 
 
 def matmul(F, A, B):

@@ -6,7 +6,7 @@ idempotent-recollement structure of finite-dimensional split basic
 algebras presented by quivers with admissible relations.
 """
 
-from .linalg import Field, IntMatrix, Matrix, det_int, invert_int, is_prime
+from .linalg import Field, IntMatrix, Matrix, det_int, is_prime
 from .presentation import (AlgebraSpec, Arrow, Path, Quiver, Relation, SpecError,
                            compose, enumerate_paths, parse_spec, print_spec,
                            spec_of_fixture)

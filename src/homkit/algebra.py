@@ -101,10 +101,6 @@ class Algebra:
                         out[z] = nv
         return out
 
-    def basis_with_tags(self, i: int, j: int) -> list[int]:
-        """Indices of basis elements b with e_i b e_j = b."""
-        return [k for k in range(self.dim) if self.left[k] == i and self.right[k] == j]
-
     def __eq__(self, other):
         if self is other:
             return True
@@ -483,8 +479,7 @@ def opposite(a: Algebra) -> Algebra:
     """
     op = a._opposite
     if op is None:
-        dim = a.dim
-        mult = [[dict(a.mult[y][x]) for y in range(dim)] for x in range(dim)]
+        mult = [list(map(dict, col)) for col in zip(*a.mult)]
         op = Algebra(a.field, a.vertex_labels, a.labels, a.right, a.left, mult,
                      a.r, name=f"op({a.name})")
         op._opposite = a
@@ -629,7 +624,8 @@ def _bimodule_actions(b: Algebra, c: Algebra, m: "Module") -> tuple[list, list]:
     y in B acts on the right as the sum of e_i^op (x) y over the vertices i
     of C, and x in C (a basis element of C^op) acts on the left as the sum
     of x (x) e_j over the vertices j of B.  Returns ``(right, left)`` with
-    one matrix per basis element of B and of C; rows store no zero.
+    one matrix per basis element of B and of C, each ``{s: row}`` over its
+    non-zero rows in increasing s, as ``Module.action``.
     """
     cop = opposite(c)
     if m.algebra != tensor(cop, b):
@@ -637,16 +633,15 @@ def _bimodule_actions(b: Algebra, c: Algebra, m: "Module") -> tuple[list, list]:
     F = b.field
     pidx = m.algebra._pair_index
 
-    def summed(pairs) -> list[dict]:
-        mats = [m.action[pidx[p]] for p in pairs]
-        rows = []
-        for k in range(m.dim):
-            out: dict[int, object] = {}
-            for mat in mats:
-                for t, cv in mat[k].items():
+    def summed(pairs) -> dict[int, dict]:
+        acc: dict[int, dict] = {}
+        for p in pairs:
+            for k, row in m.action[pidx[p]].items():
+                out = acc.setdefault(k, {})
+                for t, cv in row.items():
                     out[t] = F.add(out.get(t, F.zero), cv)
-            rows.append({t: v for t, v in out.items() if v != 0})
-        return rows
+        return {k: row for k in sorted(acc)
+                if (row := {t: v for t, v in acc[k].items() if v != 0})}
 
     return ([summed([(i, y) for i in range(c.r)]) for y in range(b.dim)],
             [summed([(x, j) for j in range(b.r)]) for x in range(c.dim)])
@@ -706,13 +701,11 @@ def triangular(b: Algebra, c: Algebra, m: "Module") -> Algebra:
                 mult[cmap[x]][cmap[y]] = {cmap[z]: cv for z, cv in row.items()}
     # m * b (right action) and c * m (left action)
     for y in range(nb):
-        for k, row in enumerate(right_act[y]):
-            if row:
-                mult[moff + k][bmap[y]] = {moff + t: cv for t, cv in row.items()}
+        for k, row in right_act[y].items():
+            mult[moff + k][bmap[y]] = {moff + t: cv for t, cv in row.items()}
     for x in range(nc):
-        for k, row in enumerate(left_act[x]):
-            if row:
-                mult[cmap[x]][moff + k] = {moff + t: cv for t, cv in row.items()}
+        for k, row in left_act[x].items():
+            mult[cmap[x]][moff + k] = {moff + t: cv for t, cv in row.items()}
     return Algebra(F, vertex_labels, labels, left, right, mult, r,
                    name=f"tri({b.name},{c.name})")
 

@@ -260,8 +260,9 @@ def _regular_bimodule(a: Algebra) -> Module:
     env = enveloping(a)
     F = a.field
     # v * (x^op (x) y) = x v y
-    action = [[a.mul_coords(a.mul_coords({x: F.one}, {s: F.one}), {y: F.one})
-               for s in range(a.dim)] for (x, y) in env._pair_index]
+    action = [{s: v for s in range(a.dim)
+               if (v := a.mul_coords(a.mul_coords({x: F.one}, {s: F.one}), {y: F.one}))}
+              for (x, y) in env._pair_index]
     from .modules import adapt_weights
     return adapt_weights(env, a.dim, action)
 

@@ -301,13 +301,6 @@ class IntMatrix:
     def transpose(self) -> "IntMatrix":
         return IntMatrix([[self.data[i][j] for i in range(self.n)] for j in range(self.n)])
 
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        n = self.n
-        return IntMatrix([[sum(self.data[i][k] * other.data[k][j] for k in range(n))
-                           for j in range(n)] for i in range(n)])
-
 
 def det_int(m: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination.
@@ -339,41 +332,3 @@ def det_int(m: IntMatrix) -> int:
             ai[k] = 0
         prev = akk
     return sign * a[n - 1][n - 1]
-
-
-def invert_int(m: IntMatrix):
-    """Exact inverse as a matrix of Fractions, or None when singular."""
-    Q = Field.rationals()
-    inv = inverse(Q, [{j: Fraction(x) for j, x in enumerate(row) if x} for row in m.data], m.n)
-    return None if inv is None else [[row.get(j, Q.zero) for j in range(m.n)] for row in inv]
-
-
-def det_mod_p(m: IntMatrix, p: int) -> int:
-    """Determinant of m reduced mod p, computed entirely in F_p.
-
-    Independent cross-oracle for det_int: Gaussian elimination over F_p.
-    """
-    F = Field.prime(p)
-    n = m.n
-    if n == 0:
-        return 1 % p
-    a = [[x % p for x in row] for row in m.data]
-    det = 1
-    for k in range(n):
-        pr = None
-        for i in range(k, n):
-            if a[i][k] != 0:
-                pr = i
-                break
-        if pr is None:
-            return 0
-        if pr != k:
-            a[k], a[pr] = a[pr], a[k]
-            det = (-det) % p
-        det = det * a[k][k] % p
-        inv = F.inv(a[k][k])
-        for i in range(k + 1, n):
-            if a[i][k]:
-                f = a[i][k] * inv % p
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[k])]
-    return det % p

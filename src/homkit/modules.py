@@ -1,14 +1,17 @@
 """Right modules over a split basic Algebra.
 
 One row format serves the whole module: a *sparse row* is a
-``{column: scalar}`` dict that stores no zero, and a matrix is a list of
-sparse rows.  A :class:`Module` stores one such matrix per algebra basis
-element (the right action on row vectors: row s of ``action[x]`` is
-``b_s * x``, so ``action(x*y) = action(x) @ action(y)``) together with a
-weight per basis vector: basis vector v has weight i when ``v * e_i == v``.
-The vectors that ``submodule``, ``spanned_submodule`` and
-``quotient_module`` take and return, cover matrices, inclusions and
-resolution differentials are sparse rows too.  Only Hom-space bases,
+``{column: scalar}`` dict that stores no zero.  A :class:`Module` stores
+one sparse action matrix per algebra basis element (the right action on
+row vectors: row s of ``action[x]`` is ``b_s * x``, so
+``action(x*y) = action(x) @ action(y)``) as a ``{s: row}`` dict that holds
+only the non-zero rows, in increasing s; in a weight-adapted basis row s of
+x can be non-zero only when s has the left tag of x as its weight, so most
+rows are zero.  Each basis vector carries a weight: basis vector v has
+weight i when ``v * e_i == v``.  The vectors that ``submodule``,
+``spanned_submodule`` and ``quotient_module`` take and return are sparse
+rows, and cover matrices, inclusions and resolution differentials are
+lists of sparse rows, one per row index.  Only Hom-space bases,
 isomorphism witnesses (inverted by the sparse ``linalg.inverse``) and the
 homkit-module/1 JSON are dense.  Every constructor here produces
 weight-adapted bases, which keeps Hom systems block diagonal and makes
@@ -41,38 +44,45 @@ _EXHAUSTIVE_LIMIT = 4096
 DIM_GUARD = 512
 
 
-def _vecmat(F: Field, v: dict, A) -> dict:
-    """The sparse row ``v @ A``; ``A[c]`` is the sparse row for column c of v."""
+def _vecmat(F: Field, v: dict, A: dict) -> dict:
+    """The sparse row ``v @ A``; ``A`` maps a row index to its sparse row,
+    and a row it does not hold is zero."""
     out: dict = {}
     for i, a in v.items():
-        for j, b in A[i].items():
-            out[j] = F.add(out.get(j, F.zero), F.mul(a, b))
+        row = A.get(i)
+        if row:
+            for j, b in row.items():
+                out[j] = F.add(out.get(j, F.zero), F.mul(a, b))
     return {j: x for j, x in out.items() if x != 0}
 
 
-def _matmul(F: Field, A: list[dict], B) -> list[dict]:
-    return [_vecmat(F, row, B) for row in A]
-
-
-def _transpose(rows: list[dict], ncols: int) -> list[dict]:
-    out: list[dict] = [{} for _ in range(ncols)]
-    for s, row in enumerate(rows):
+def _transpose(rows) -> dict:
+    """The transpose of the matrix with these ``(index, sparse row)`` pairs,
+    given in increasing index: its non-zero rows by increasing index."""
+    out: dict = {}
+    for s, row in rows:
         for t, x in row.items():
-            out[t][s] = x
-    return out
+            col = out.get(t)
+            if col is None:
+                out[t] = {s: x}
+            else:
+                col[s] = x
+    return dict(sorted(out.items()))
 
 
 class Module:
     """A right module with one sparse action matrix per basis element.
 
-    ``_radical`` caches the row space of rad M (see ``_radical_rowspace``);
-    it is built at most once per module, and a syzygy arrives with it
-    already filled in.
+    ``action[x]`` is ``{s: row}`` over the non-zero rows only, in
+    increasing s, so equal modules have equal ``action`` and read their
+    rows in the same order.  ``_radical`` caches the row space of rad M
+    (see ``_radical_rowspace``); it is built at most once per module, and a
+    syzygy arrives with it already filled in.
     """
 
     __slots__ = ("algebra", "dim", "action", "weights", "_radical")
 
-    def __init__(self, algebra: Algebra, dim: int, action: list[list[dict]],
+    def __init__(self, algebra: Algebra, dim: int, action: list[dict[int, dict]],
                  weights: list[int]):
         self.algebra = algebra
         self.dim = dim
@@ -84,12 +94,17 @@ class Module:
         if len(weights) != dim:
             raise ValueError("need one weight per module basis vector")
         for mat in action:
-            if len(mat) != dim:
-                raise ValueError("need one action row per module basis vector")
-            for row in mat:
-                if row and (min(row) < 0 or max(row) >= dim or 0 in row.values()):
-                    raise ValueError("action rows must be sparse: columns in "
-                                     "range(dim), no stored zero")
+            if not mat:
+                continue
+            prev = -1
+            for s, row in mat.items():
+                if not prev < s < dim:
+                    raise ValueError("action rows must be stored by increasing "
+                                     "index in range(dim)")
+                prev = s
+                if not row or min(row) < 0 or max(row) >= dim or 0 in row.values():
+                    raise ValueError("action rows must be sparse: non-empty, "
+                                     "columns in range(dim), no stored zero")
 
     @property
     def field(self) -> Field:
@@ -106,7 +121,7 @@ class Module:
 
     def _times(self, s: int, coords: dict) -> dict:
         """Basis vector s times the algebra element with these coordinates."""
-        return _vecmat(self.field, coords, {z: self.action[z][s] for z in coords})
+        return _vecmat(self.field, coords, {z: self.action[z].get(s) for z in coords})
 
     def validate(self) -> list[str]:
         """Exhaustive action checks; returns a list of failure messages."""
@@ -117,14 +132,14 @@ class Module:
         if any(self._times(s, unit) != {s: F.one} for s in range(self.dim)):
             fails.append("action of 1 is not the identity")
         for i in range(a.r):
-            if any(row != ({s: F.one} if self.weights[s] == i else {})
-                   for s, row in enumerate(self.action[i])):
+            if self.action[i] != {s: {s: F.one} for s, w in enumerate(self.weights) if w == i}:
                 fails.append(f"action of e_{i} not the weight projector")
         for x in range(a.dim):
             Ax = self.action[x]
             for y in range(a.dim):
-                lhs = _matmul(F, Ax, self.action[y])
-                rhs = [self._times(s, a.mult[x][y]) for s in range(self.dim)]
+                Ay = self.action[y]
+                lhs = {s: v for s, row in Ax.items() if (v := _vecmat(F, row, Ay))}
+                rhs = {s: v for s in range(self.dim) if (v := self._times(s, a.mult[x][y]))}
                 if lhs != rhs:
                     fails.append(f"action not multiplicative at basis pair ({x},{y})")
                     return fails
@@ -140,7 +155,7 @@ class Module:
 
 
 def zero_module(a: Algebra) -> Module:
-    return Module(a, 0, [[] for _ in range(a.dim)], [])
+    return Module(a, 0, [{} for _ in range(a.dim)], [])
 
 
 def projective(a: Algebra, i: int) -> Module:
@@ -149,8 +164,8 @@ def projective(a: Algebra, i: int) -> Module:
         raise ValueError(f"vertex {i} out of range")
     idx = [k for k in range(a.dim) if a.left[k] == i]
     pos = {k: s for s, k in enumerate(idx)}
-    action = [[{pos[z]: c for z, c in a.mult[k][x].items()} for k in idx]
-              for x in range(a.dim)]
+    action = [{s: {pos[z]: c for z, c in a.mult[k][x].items()}
+               for s, k in enumerate(idx) if a.mult[k][x]} for x in range(a.dim)]
     return Module(a, len(idx), action, [a.right[k] for k in idx])
 
 
@@ -158,19 +173,20 @@ def simple(a: Algebra, i: int) -> Module:
     """S_i: one-dimensional, e_i acts as 1, everything else as 0."""
     if not 0 <= i < a.r:
         raise ValueError(f"vertex {i} out of range")
-    action = [[{0: a.field.one}] if x == i else [{}] for x in range(a.dim)]
+    action = [{0: {0: a.field.one}} if x == i else {} for x in range(a.dim)]
     return Module(a, 1, action, [i])
 
 
 def regular(a: Algebra) -> Module:
     """The right regular module A_A (which is the direct sum of the P_i)."""
-    action = [[dict(a.mult[s][x]) for s in range(a.dim)] for x in range(a.dim)]
+    action = [{s: dict(a.mult[s][x]) for s in range(a.dim) if a.mult[s][x]}
+              for x in range(a.dim)]
     return Module(a, a.dim, action, list(a.right))
 
 
 def dual(m: Module) -> Module:
     """D(M) = Hom_k(M, k) as a right module over the opposite algebra."""
-    action = [_transpose(mat, m.dim) for mat in m.action]
+    action = [_transpose(mat.items()) for mat in m.action]
     return Module(opposite(m.algebra), m.dim, action, list(m.weights))
 
 
@@ -185,10 +201,11 @@ def direct_sum(a: Algebra, parts: list[Module]) -> Module:
         weights.extend(p.weights)
     action = []
     for x in range(a.dim):
-        mat = []
+        mat = {}
         off = 0
         for p in parts:
-            mat.extend({off + t: v for t, v in row.items()} for row in p.action[x])
+            for s, row in p.action[x].items():
+                mat[off + s] = {off + t: v for t, v in row.items()}
             off += p.dim
         action.append(mat)
     return Module(a, len(weights), action, weights)
@@ -220,11 +237,9 @@ def submodule(parent: Module, vectors: list[dict]) -> tuple[Module, list[dict]]:
     # an image lies in the span, and the rows are in full RREF with unit
     # pivots, so its coordinates are its entries at the pivot columns
     coord = {c: s for s, c in enumerate(basis.pivot_cols)}
-    action = []
-    for x in range(parent.algebra.dim):
-        act = parent.action[x]
-        action.append([{coord[c]: v for c, v in _vecmat(F, row, act).items() if c in coord}
-                       for row in basis.rows])
+    action = [{s: img for s, row in enumerate(basis.rows)
+               if (img := {coord[c]: v for c, v in _vecmat(F, row, act).items() if c in coord})}
+              for act in parent.action]
     return Module(parent.algebra, basis.rank, action, weights), basis.rows
 
 
@@ -257,8 +272,9 @@ def quotient_module(parent: Module, vectors: list[dict]) -> Module:
     free = [i for i in range(parent.dim) if i not in rs.pivot_of_col]
     pos = {i: s for s, i in enumerate(free)}
     # a residue modulo the full-RREF rows has non-pivot columns only
-    action = [[{pos[c]: v for c, v in rs.reduce(parent.action[x][i]).items()} for i in free]
-              for x in range(parent.algebra.dim)]
+    action = [{pos[i]: {pos[c]: v for c, v in res.items()}
+               for i, row in act.items() if i in pos and (res := rs.reduce(row))}
+              for act in parent.action]
     return Module(parent.algebra, len(free), action, [parent.weights[i] for i in free])
 
 
@@ -278,9 +294,8 @@ def _radical_rowspace(m: Module) -> RowSpace:
         rs = RowSpace(m.field)
         a = m.algebra
         for x in range(a.r, a.dim):
-            for row in m.action[x]:
-                if row:
-                    rs.add(row)
+            for row in m.action[x].values():
+                rs.add(row)
         m._radical = rs
     return rs
 
@@ -361,7 +376,7 @@ def projective_cover(m: Module) -> Cover:
         for t in lifts_by_vertex[i]:
             summands.append(i)
             for k in pidx:
-                rows.append(m.action[k][t])
+                rows.append(m.action[k].get(t) or {})
     return Cover(a, summands, mults, rows, paths)
 
 
@@ -400,9 +415,8 @@ def _syzygy_with_inclusion(m: Module, cov: Cover | None = None) -> tuple[Module,
         return zero_module(a), cov, []
     F = m.field
     eqs = RowSpace(F)
-    for eq in _transpose(cov.matrix, m.dim):
-        if eq:
-            eqs.add(eq)
+    for eq in _transpose(enumerate(cov.matrix)).values():
+        eqs.add(eq)
     kernel = eqs.kernel_basis(cov.source_dim)
     if not kernel:
         return zero_module(a), cov, []
@@ -446,13 +460,18 @@ def _syzygy_with_inclusion(m: Module, cov: Cover | None = None) -> tuple[Module,
                     t = zmap.get(z)
                     if t is not None:
                         img[t] = F.add(img.get(t, zero), F.mul(v, cz))
-    action = [[{t: val for t, val in by_row[s].items() if val != 0} if s in by_row else {}
-               for s in range(d)] for by_row in images]
+    action = []
+    for by_row in images:
+        mat = {}
+        for s, img in by_row.items():
+            row = {t: val for t, val in img.items() if val != 0}
+            if row:
+                mat[s] = row
+        action.append(mat)
     radical = RowSpace(F)
     for x in range(a.r, a.dim):
-        for row in action[x]:
-            if row:
-                radical.add(row)
+        for row in action[x].values():
+            radical.add(row)
     sub = Module(a, d, action, weights)
     sub._radical = radical
     return sub, cov, kernel
@@ -513,7 +532,7 @@ def min_resolution(m: Module, cutoff: int,
     syzygies: list[Module] = []
     if m.is_zero():
         return Resolution(m, steps, syzygies, True)
-    incl_prev: list[dict] | None = None
+    incl_prev: dict[int, dict] | None = None  # the last inclusion, by row index
     for step in _resolve(m, cutoff + 1, dim_guard):
         if step is None:
             return Resolution(m, steps, syzygies, False, aborted=True)
@@ -521,12 +540,12 @@ def min_resolution(m: Module, cutoff: int,
         if incl_prev is None:
             differential = cov.matrix
         else:
-            differential = _matmul(m.field, cov.matrix, incl_prev)
+            differential = [_vecmat(m.field, row, incl_prev) for row in cov.matrix]
         steps.append(ResolutionStep(cov.multiplicities, cov.source, differential))
         syzygies.append(sub)
         if sub.is_zero():
             return Resolution(m, steps, syzygies, True)
-        incl_prev = incl
+        incl_prev = dict(enumerate(incl))
     return Resolution(m, steps, syzygies, False)
 
 
@@ -567,13 +586,17 @@ def hom_space(m: Module, n: Module) -> list[list[list]]:
             continue
         # column t of action_N(x) on the basis vectors of weight i
         cols: dict[int, list[tuple[int, object]]] = {}
+        An = n.action[x]
         for di, d in enumerate(nb[i]):
-            for t, v in n.action[x][d].items():
-                cols.setdefault(t, []).append((di, v))
+            row = An.get(d)
+            if row:
+                for t, v in row.items():
+                    cols.setdefault(t, []).append((di, v))
         Am = m.action[x]
         for si, s in enumerate(mb[i]):
             # sum_c Am[s][c] F_j[c][t]  (c of weight j in M)
-            terms = [(mpos[c], v) for c, v in Am[s].items() if m.weights[c] == j]
+            row = Am.get(s)
+            terms = [(mpos[c], v) for c, v in row.items() if m.weights[c] == j] if row else []
             for tj, t in enumerate(nb[j]):
                 vec = {unknown(j, cj, tj): v for cj, v in terms}
                 # - sum_d F_i[s][d] An[d][t]  (d of weight i in N)
@@ -829,14 +852,19 @@ class TensorProduct:
         self.field = F
         self.rows = RowSpace(F)
         md, nd = m.dim, n.dim
+        no_row: dict = {}
         for x in range(R.dim):
             Am = m.action[x]
             An = n.action[x]  # right action of x^op = left action of x on N
+            if not Am and not An:
+                continue
+            # the relation for (a, b) is zero unless row a of M or row b of N
+            # is stored
             for a in range(md):
-                Ama = Am[a]
-                for b in range(nd):
+                Ama = Am.get(a, no_row)
+                for b in (range(nd) if Ama else An):
                     vec: dict[int, object] = {c * nd + b: v for c, v in Ama.items()}
-                    for d2, v in An[b].items():
+                    for d2, v in An.get(b, no_row).items():
                         k = a * nd + d2
                         nv = F.sub(vec.get(k, F.zero), v)
                         if nv == 0:
@@ -954,8 +982,9 @@ class AlgebraMap:
                     raise ValueError(f"map not multiplicative at basis pair ({x},{y})")
 
 
-def adapt_weights(algebra: Algebra, dim: int, action: list[list[dict]]) -> Module:
-    """Build a Module from raw sparse action matrices by choosing a basis
+def adapt_weights(algebra: Algebra, dim: int, action: list[dict[int, dict]]) -> Module:
+    """Build a Module from raw sparse action matrices (``{s: row}`` over the
+    non-zero rows, as ``Module.action``) by choosing a basis
     adapted to the idempotent projectors (which commute and sum to the
     identity)."""
     F = algebra.field
@@ -963,12 +992,11 @@ def adapt_weights(algebra: Algebra, dim: int, action: list[list[dict]]) -> Modul
     weights: list[int | None] = [None] * dim
     diagonal = True
     for i in range(algebra.r):
-        for s, row in enumerate(action[i]):
-            if row and (row != {s: F.one} or weights[s] is not None):
+        for s, row in action[i].items():
+            if row != {s: F.one} or weights[s] is not None:
                 diagonal = False
                 break
-            if row:
-                weights[s] = i
+            weights[s] = i
         if not diagonal:
             break
     if diagonal and None not in weights:
@@ -979,7 +1007,7 @@ def adapt_weights(algebra: Algebra, dim: int, action: list[list[dict]]) -> Modul
     weights2: list[int] = []
     for i in range(algebra.r):
         rs = RowSpace(F)
-        for row in action[i]:
+        for row in action[i].values():
             rs.add(row)
         rows.extend(rs.rows)
         weights2.extend([i] * rs.rank)
@@ -988,8 +1016,9 @@ def adapt_weights(algebra: Algebra, dim: int, action: list[list[dict]]) -> Modul
     inv = inverse(F, rows, dim)
     if inv is None:
         raise ValueError("adapted basis is not a basis")
-    new_action = [[_vecmat(F, _vecmat(F, row, action[x]), inv) for row in rows]
-                  for x in range(algebra.dim)]
+    inv = dict(enumerate(inv))
+    new_action = [{s: v for s, row in enumerate(rows)
+                   if (v := _vecmat(F, _vecmat(F, row, act), inv))} for act in action]
     return Module(algebra, dim, new_action, weights2)
 
 
@@ -998,7 +1027,7 @@ def restrict_along(f: AlgebraMap, m: Module) -> Module:
     if m.algebra != f.target:
         raise ValueError("module is not over the map's target")
     f.check()
-    action = [[m._times(s, img) for s in range(m.dim)] for img in f.images]
+    action = [{s: v for s in range(m.dim) if (v := m._times(s, img))} for img in f.images]
     return adapt_weights(f.source, m.dim, action)
 
 
@@ -1025,13 +1054,17 @@ def module_to_json(m: Module, algebra_ref: str | None = None) -> dict:
     string (file path) is supplied."""
     F = m.field
     zero = F.format(F.zero)
+    empty: dict = {}
+
+    def dense(mat: dict) -> list[list[str]]:
+        return [[F.format(row[t]) if t in row else zero for t in range(m.dim)]
+                for row in (mat.get(s, empty) for s in range(m.dim))]
+
     return {
         "format": "homkit-module/1",
         "algebra": algebra_ref if algebra_ref is not None else algebra_to_json(m.algebra),
         "dim": m.dim,
-        "action": {m.algebra.labels[x]: [[F.format(row[t]) if t in row else zero
-                                          for t in range(m.dim)] for row in m.action[x]]
-                   for x in range(m.algebra.dim)},
+        "action": {m.algebra.labels[x]: dense(m.action[x]) for x in range(m.algebra.dim)},
     }
 
 
@@ -1070,7 +1103,7 @@ def module_from_json(doc: dict, algebra: Algebra | None = None) -> Module:
                 and all(isinstance(row, list) and len(row) == dim for row in mat)):
             raise ValueError(f"action matrix for {label!r} has wrong shape "
                              f"(expected {dim} rows of {dim} entries)")
-        rows = []
+        rows = {}
         for i, row in enumerate(mat):
             out = {}
             for t, text in enumerate(row):
@@ -1082,6 +1115,7 @@ def module_from_json(doc: dict, algebra: Algebra | None = None) -> Module:
                                          f"column {t}: {e}") from None
                     if v != 0:
                         out[t] = v
-            rows.append(out)
+            if out:
+                rows[i] = out
         action.append(rows)
     return adapt_weights(algebra, dim, action)

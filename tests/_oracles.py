@@ -116,8 +116,15 @@ def invert_2x2(rows):
 
 
 def dense_rows(rows, ncols):
-    """Sparse ``{column: scalar}`` rows written out as dense lists."""
+    """A list of sparse ``{column: scalar}`` rows written out as dense lists."""
     return [[row.get(c, 0) for c in range(ncols)] for row in rows]
+
+
+def dense_action(mat, dim):
+    """A module action matrix, ``{row: {column: scalar}}`` over its stored
+    rows, written out as a dense dim x dim list; a row it does not hold is
+    zero."""
+    return [[mat.get(s, {}).get(c, 0) for c in range(dim)] for s in range(dim)]
 
 
 def dense_matmul(a, b, p=None):
@@ -164,8 +171,8 @@ def iso_witness_holds(m, n, matrix, inverse):
     p = m.algebra.field.p
     if dense_matmul(matrix, inverse, p) != identity_matrix(m.dim):
         return False
-    return all(dense_matmul(dense_rows(m.action[x], m.dim), matrix, p)
-               == dense_matmul(matrix, dense_rows(n.action[x], n.dim), p)
+    return all(dense_matmul(dense_action(m.action[x], m.dim), matrix, p)
+               == dense_matmul(matrix, dense_action(n.action[x], n.dim), p)
                for x in range(m.algebra.dim))
 
 
@@ -208,3 +215,44 @@ def dense_kernel(rows, ncols, p=None):
             v[c] = -row[fc] if p is None else -row[fc] % p
         basis.append(v)
     return basis
+
+
+def invert_int(rows):
+    """Exact inverse of a square integer matrix as Fractions, from the RREF
+    of [A | I]; None when A is singular."""
+    n = len(rows)
+    aug = [list(row) + identity_matrix(n)[i] for i, row in enumerate(rows)]
+    reduced, pivots = dense_rref(aug, 2 * n)
+    if pivots[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in reduced[:n]]
+
+
+def det_mod_p(rows, p):
+    """Determinant of a square integer matrix reduced mod p, by Gaussian
+    elimination over F_p."""
+    n = len(rows)
+    if n == 0:
+        return 1 % p
+    a = [[x % p for x in row] for row in rows]
+    det = 1
+    for k in range(n):
+        pr = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if pr is None:
+            return 0
+        if pr != k:
+            a[k], a[pr] = a[pr], a[k]
+            det = -det % p
+        det = det * a[k][k] % p
+        inv = pow(a[k][k], -1, p)
+        for i in range(k + 1, n):
+            if a[i][k]:
+                f = a[i][k] * inv % p
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[k])]
+    return det
+
+
+def basis_with_tags(left, right, i, j):
+    """Indices k of the basis elements with left tag i and right tag j,
+    given the two tag lists of an algebra basis."""
+    return [k for k, (lk, rk) in enumerate(zip(left, right)) if lk == i and rk == j]

@@ -12,6 +12,16 @@ FIXTURE_NAMES = ["FIX-A2", "FIX-TP1(1)", "FIX-TP1(2)", "FIX-TP2", "FIX-LOC", "FI
 
 
 @pytest.fixture(scope="session")
+def seed42_pools():
+    """The seed-42 corpus pools of the benchmark: 30 NilpotentCyclic
+    algebras and 30 TriangularPair instances."""
+    from homkit import corpus
+    return {shape: [corpus.generate(corpus.CorpusSpec(seed=42, count=30, shape=shape), i)
+                    for i in range(30)]
+            for shape in ("NilpotentCyclic", "TriangularPair")}
+
+
+@pytest.fixture(scope="session")
 def fixture_algebras():
     return {name: from_quiver(spec_of_fixture(name)) for name in FIXTURE_NAMES}
 

@@ -83,11 +83,14 @@ def test_opposite_commutative_identical(loc):
     assert opposite(loc).mult == loc.mult
 
 
-def test_opposite_is_anti_isomorphism(tp2):
-    op = opposite(tp2)
-    for x in range(tp2.dim):
-        for y in range(tp2.dim):
-            assert op.mult[x][y] == tp2.mult[y][x]
+def test_opposite_is_anti_isomorphism(fixture_algebras, seed42_pools):
+    algebras = list(fixture_algebras.values()) + seed42_pools["NilpotentCyclic"]
+    for inst in seed42_pools["TriangularPair"]:
+        algebras += [inst.a, inst.b, inst.c]
+    for a in algebras:
+        op = opposite(a)
+        assert opposite(op) is a, a.name
+        assert op.mult == [[a.mult[y][x] for y in range(a.dim)] for x in range(a.dim)], a.name
 
 
 def test_tensor_with_unit(a2, one_point):
@@ -172,7 +175,7 @@ def test_dim_splits_as_ideal_plus_quotient(fixture_algebras):
 def test_triangular_unit_case_matches_fixture(one_point, tri0):
     T = tensor(opposite(one_point), one_point)
     F = T.field
-    m = Module(T, 1, [[{0: F.one}]], [0])
+    m = Module(T, 1, [{0: {0: F.one}}], [0])
     a = triangular(one_point, one_point, m)
     assert (a.dim, a.r) == (tri0.dim, tri0.r)
     assert a.left == tri0.left and a.right == tri0.right

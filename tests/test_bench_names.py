@@ -5,10 +5,13 @@ guards those names from the test suite, without changing the benchmark."""
 import ast
 import contextlib
 import io
+import json
 import sys
 from pathlib import Path
 
-from homkit import cli
+from homkit import cli, corpus
+from homkit.algebra import algebra_to_json
+from homkit.modules import module_to_json
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 NAME_LISTS = ("TIMED", "SELF_ONLY", "SYZYGY_STEP")
@@ -56,3 +59,30 @@ def test_traced_request_fills_the_work_counters():
     assert tracer.counters["modules.syzygies_built"] == 6
     assert tracer.counters["modules.pd.finite"] == 4
     assert "recollement.stratify_search" in tracer.wrapped()
+
+
+def test_traced_transfer_requests_keep_their_work_counts(tmp_path):
+    # one benchmark request of each transfer kind on tri-42-7; the counts
+    # (syzygies built, summed cover source dimension, RowSpace.add calls)
+    # were read when a module action still stored every row
+    inst = corpus.generate(corpus.CorpusSpec(seed=42, count=30, shape="TriangularPair"), 7)
+    files = []
+    for name, doc in (("b.json", algebra_to_json(inst.b)), ("c.json", algebra_to_json(inst.c)),
+                      ("m.json", module_to_json(inst.m, algebra_ref="tensor(op(C),B)"))):
+        (tmp_path / name).write_text(json.dumps(doc))
+        files.append(str(tmp_path / name))
+    spans = _spans()
+    for kind, counts in (("gorenstein-transfer", (54, 558, 576)),
+                         ("smoothness-transfer", (22, 152, 185))):
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["check", kind, *files, "--json", "--cutoff", "12"])
+        finally:
+            tracer.uninstall()
+        assert code == 0, kind
+        calls = tracer.summary()[0]
+        assert (tracer.counters["modules.syzygies_built"],
+                tracer.counters["modules.cover_source_dim_sum"],
+                calls["linalg.RowSpace.add"]) == counts, kind

@@ -154,7 +154,7 @@ def test_dump_algebra_round_trip(capsys, tmp_path):
 def test_dump_module_round_trip(capsys, tmp_path, one_point, loc):
     T = tensor(opposite(one_point), loc)
     F = T.field
-    action = [[{0: F.one}] if t < T.r else [{}] for t in range(T.dim)]
+    action = [{0: {0: F.one}} if t < T.r else {} for t in range(T.dim)]
     m = Module(T, 1, action, [0])
     f = tmp_path / "m.mod"
     f.write_text(json.dumps(module_to_json(m)))
@@ -190,7 +190,7 @@ def test_check_gorenstein_transfer_files(capsys, tmp_path, one_point, loc):
     c.write_text("field Q\nquiver { vertices: 1  arrows: }\n")
     T = tensor(opposite(one_point), loc)
     F = T.field
-    action = [[{0: F.one}] if t < T.r else [{}] for t in range(T.dim)]
+    action = [{0: {0: F.one}} if t < T.r else {} for t in range(T.dim)]
     m = Module(T, 1, action, [0])
     f = tmp_path / "M.mod"
     f.write_text(json.dumps(module_to_json(m, algebra_ref="tensor(op(C),B)")))
@@ -378,7 +378,7 @@ def test_malformed_json_is_an_input_error(capsys, tmp_path, kind, edit, named):
     (tmp_path / "B.qa").write_text(print_spec(b))
     (tmp_path / "C.qa").write_text(print_spec(c))
     T = tensor(opposite(from_quiver(c)), from_quiver(b))
-    m = Module(T, 1, [[{0: T.field.one}] if t == 0 else [{}] for t in range(T.dim)], [0])
+    m = Module(T, 1, [{0: {0: T.field.one}} if t == 0 else {} for t in range(T.dim)], [0])
     mod = module_to_json(m)
     runs = []
     if kind == "algebra":

@@ -1,21 +1,23 @@
 import gc
+import hashlib
 import json
 import weakref
 from fractions import Fraction
 
 import pytest
 
-from _oracles import dense_kernel, dense_matmul, dense_rank, dense_rows, iso_witness_holds
+from _oracles import (basis_with_tags, dense_action, dense_kernel, dense_matmul, dense_rank,
+                      dense_rows, iso_witness_holds)
 from homkit import corpus
 from homkit.algebra import from_quiver, opposite, tensor, triangular
-from homkit.invariants import gorenstein
+from homkit.invariants import _regular_bimodule, gorenstein
 from homkit.modules import (AlgebraMap, Module, adapt_weights, direct_sum, dual,
                             ext_dims, hom_space, injective, is_iso, min_resolution,
                             module_from_json, module_to_json, pd, projective,
                             projective_cover, quotient_module, radical_submodule,
                             regular, restrict_along, simple, spanned_submodule,
                             syzygy, tensor_over, top, top_multiplicities,
-                            tor_dims, zero_module, _matmul, _radical_rowspace,
+                            tor_dims, zero_module, _radical_rowspace,
                             _syzygy_with_inclusion, bimodule_restrictions)
 from homkit.presentation import parse_spec, spec_of_fixture
 from homkit.recollement import aea_dimension, module_Ae, module_eA
@@ -74,7 +76,7 @@ def test_hom_corner_oracle_on_fixtures(fixture_algebras):
         projs = [projective(a, i) for i in range(a.r)]
         for i in range(a.r):
             for j in range(a.r):
-                counted = len(a.basis_with_tags(j, i))
+                counted = len(basis_with_tags(a.left, a.right, j, i))
                 solved = len(hom_space(projs[i], projs[j]))
                 assert counted == solved, (name, i, j)
 
@@ -87,7 +89,7 @@ def test_regular_module(a2, tp2, one_point):
     F = r.field
     total = [{} for _ in range(r.dim)]
     for i in range(tp2.r):
-        for s, row in enumerate(r.action[i]):
+        for s, row in r.action[i].items():
             for t, x in row.items():
                 total[s][t] = F.add(total[s].get(t, F.zero), x)
     assert total == [{s: F.one} for s in range(r.dim)]
@@ -204,8 +206,8 @@ def _check_sparse_syzygy(m: Module) -> Module:
         [[0] * m.dim for _ in incl]
     source = cov.source
     for x in range(m.algebra.dim):
-        moved = dense_matmul(dense_incl, dense_rows(source.action[x], n), p)
-        read = dense_matmul(dense_rows(sub.action[x], sub.dim), dense_incl, p)
+        moved = dense_matmul(dense_incl, dense_action(source.action[x], n), p)
+        read = dense_matmul(dense_action(sub.action[x], sub.dim), dense_incl, p)
         assert moved == read, x
     assert sub.validate() == []
     fresh = _radical_rowspace(Module(sub.algebra, sub.dim, sub.action, sub.weights))
@@ -292,8 +294,10 @@ def test_resolution_differentials_compose_to_zero(fixture_algebras):
                 D_k = res.steps[k].differential
                 D_prev = res.steps[k - 1].differential
                 assert any(D_k), (name, i, k)
-                comp = _matmul(a.field, D_k, D_prev)
-                assert comp == [{} for _ in D_k], (name, i, k)
+                n_prev = res.steps[k - 2].module.dim if k >= 2 else res.base.dim
+                comp = dense_matmul(dense_rows(D_k, len(D_prev)),
+                                    dense_rows(D_prev, n_prev), a.field.p)
+                assert comp == [[0] * n_prev for _ in D_k], (name, i, k)
 
 
 def test_resolution_minimality(fixture_algebras):
@@ -499,15 +503,15 @@ def test_restrict_along_rejects_non_map(a2):
 def test_bimodule_restriction_definition(loc, one_point):
     T = tensor(opposite(one_point), loc)
     F = T.field
-    action = [[{0: F.one}] if t < T.r else [{}] for t in range(T.dim)]
+    action = [{0: {0: F.one}} if t < T.r else {} for t in range(T.dim)]
     m = Module(T, 1, action, [0])
     mb, mc = bimodule_restrictions(loc, one_point, m)
     assert mb.dim == 1 and mb.algebra == loc
     xi = loc.labels.index("x")
-    assert mb.action[xi] == [{}]
-    assert mb.action[0] == [{0: F.one}]
+    assert mb.action[xi] == {}
+    assert mb.action[0] == {0: {0: F.one}}
     assert mc.dim == 1 and mc.algebra == opposite(one_point)
-    assert mc.action == [[{0: F.one}]]
+    assert mc.action == [{0: {0: F.one}}]
 
 
 def test_spanned_submodule_and_quotient(tp2):
@@ -545,12 +549,14 @@ def test_module_json_with_external_algebra(a2):
 
 
 def _assert_sparse_rows(m: Module, label):
-    """The row invariant: one row per basis vector, in-range columns, no zero."""
+    """The row invariant: only non-empty rows are stored, by increasing
+    in-range index, with in-range columns and no zero."""
     assert len(m.action) == m.algebra.dim, label
     for mat in m.action:
-        assert len(mat) == m.dim, label
-        for row in mat:
-            assert isinstance(row, dict), label
+        assert isinstance(mat, dict), label
+        assert list(mat) == sorted(mat) and all(0 <= s < m.dim for s in mat), label
+        for row in mat.values():
+            assert isinstance(row, dict) and row, label
             for c, x in row.items():
                 assert 0 <= c < m.dim and x != 0, label
 
@@ -561,10 +567,14 @@ def _row_invariant_cases(fixture_algebras):
             yield name, projective(a, i)
             yield name, simple(a, i)
             yield name, injective(a, i)
+        yield name, zero_module(a)
         yield name, regular(a)
         yield name, dual(regular(a))
         P = direct_sum(a, [projective(a, i) for i in range(a.r)])
         yield name, P
+        yield name, restrict_along(AlgebraMap(a, a, [{x: a.field.one} for x in range(a.dim)]), P)
+        if a.dim <= 8:
+            yield name, _regular_bimodule(a)
         yield name, top(P)
         yield name, radical_submodule(P)
         rad = _radical_rowspace(P).rows
@@ -592,12 +602,37 @@ def _row_invariant_cases(fixture_algebras):
                 yield inst.a.name, restricted
 
 
-def test_rows_are_sparse_with_no_stored_zero(fixture_algebras):
-    count = 0
-    for label, m in _row_invariant_cases(fixture_algebras):
-        _assert_sparse_rows(m, label)
-        count += 1
-    assert count > 100
+def _pool_modules(seed42_pools):
+    """Syzygies, duals and restrictions over the seed-42 benchmark pools."""
+    for a in seed42_pools["NilpotentCyclic"]:
+        for i in range(a.r):
+            m = simple(a, i)
+            for _ in range(2):
+                m = syzygy(m)
+                yield a.name, m
+            inj = injective(a, i)
+            yield a.name, inj
+            yield a.name, syzygy(inj)
+        cor = corner(a, [0])
+        yield a.name, module_Ae(a, [0], cor)
+        yield a.name, module_eA(a, [0], cor)
+    for inst in seed42_pools["TriangularPair"]:
+        yield inst.a.name, inst.m
+        for side in bimodule_restrictions(inst.b, inst.c, inst.m):
+            yield inst.a.name, side
+            yield inst.a.name, syzygy(side)
+            yield inst.a.name, dual(side)
+            yield inst.a.name, syzygy(dual(side))
+
+
+def test_rows_are_sparse_with_no_stored_zero(fixture_algebras, seed42_pools):
+    for cases, least in ((_row_invariant_cases(fixture_algebras), 100),
+                         (_pool_modules(seed42_pools), 500)):
+        count = 0
+        for label, m in cases:
+            _assert_sparse_rows(m, label)
+            count += 1
+        assert count > least
 
 
 def test_module_constructor_rejects_bad_rows(a2):
@@ -608,15 +643,26 @@ def test_module_constructor_rejects_bad_rows(a2):
     # and bad entries that follow a good one in the same row
     for bad_row in ({0: F.zero}, {1: F.one}, {-1: F.one}, {0: Fraction(0)},
                     {0: F.one, 1: F.one}, {0: F.one, -1: F.one}):
-        action = [good[0]] + [[bad_row]] + good[2:]
+        action = [good[0]] + [{0: bad_row}] + good[2:]
         with pytest.raises(ValueError, match="sparse"):
             Module(a2, 1, action, [0])
     P = projective(a2, 0)
-    action = [P.action[0], [{0: F.one, 1: F.zero}, {}]] + P.action[2:]
+    action = [P.action[0], {0: {0: F.one, 1: F.zero}}] + P.action[2:]
     with pytest.raises(ValueError, match="sparse"):
         Module(a2, 2, action, P.weights)
-    with pytest.raises(ValueError, match="one action row"):
-        Module(a2, 1, [[{0: F.one}, {}]] + good[1:], [0])
+    with pytest.raises(ValueError, match=r"range\(dim\)"):
+        Module(a2, 1, [{0: {0: F.one}, 1: {0: F.one}}] + good[1:], [0])
+    # a stored empty row, row indices outside range(dim), and rows stored
+    # out of order: equal modules must have equal ``action``
+    assert Module(a2, 2, P.action, P.weights) == P
+    for x, bad_mat, match in ((0, {0: {0: F.one}, 1: {}}, "non-empty"),
+                              (2, {2: {1: F.one}}, r"range\(dim\)"),
+                              (2, {-1: {1: F.one}}, r"range\(dim\)"),
+                              (0, {1: {1: F.one}, 0: {0: F.one}}, "increasing")):
+        action = list(P.action)
+        action[x] = bad_mat
+        with pytest.raises(ValueError, match=match):
+            Module(a2, 2, action, P.weights)
 
 
 def test_module_json_writes_dense_and_reads_sparse(monkeypatch):
@@ -656,9 +702,13 @@ def test_adapt_weights_rebases_a_non_adapted_action(a2):
     F = P.field
     T = [[F.one, F.one], [F.zero, F.one]]
     T_inv = [[F.one, F.neg(F.one)], [F.zero, F.one]]
-    mixed = [[{t: x for t, x in enumerate(row) if x != 0}
-              for row in dense_matmul(dense_matmul(T, dense_rows(mat, 2)), T_inv)]
-             for mat in P.action]
+
+    def rebased(mat):
+        rows = dense_matmul(dense_matmul(T, dense_action(mat, 2)), T_inv)
+        return {s: {t: x for t, x in enumerate(row) if x != 0}
+                for s, row in enumerate(rows) if any(row)}
+
+    mixed = [rebased(mat) for mat in P.action]
     assert mixed[0] != P.action[0]  # e_1 no longer acts diagonally
     m = adapt_weights(a2, 2, mixed)
     assert m.validate() == []
@@ -697,3 +747,16 @@ def test_unknown_names_what_stopped_it(tp11):
     res = pd(simple(tp11, 0), 12, dim_guard=1)
     assert res.describe() == "Unknown(dim guard at step 0)"
     assert (res.reason, res.step, res.cutoff) == ("dim_guard", 0, 12)
+
+
+MODULE_JSON_SHA256 = "7c1e05bfb2c85ef2ce3cded3e9ff40fcabf2d54061c9a299a0d739f5c542203c"
+
+
+def test_module_json_is_unchanged(fixture_algebras, seed42_pools):
+    # the homkit-module/1 text of the fixture and pool modules, hashed when
+    # the action still stored every row, empty ones included
+    digest = hashlib.sha256()
+    for cases in (_row_invariant_cases(fixture_algebras), _pool_modules(seed42_pools)):
+        for _, m in cases:
+            digest.update(json.dumps(module_to_json(m), sort_keys=True).encode())
+    assert digest.hexdigest() == MODULE_JSON_SHA256

@@ -27,7 +27,7 @@ def _simple_bimodule(b, c):
     """
     T = tensor(opposite(c), b)
     F = T.field
-    action = [[{0: F.one}] if t == 0 else [{}] for t in range(T.dim)]
+    action = [{0: {0: F.one}} if t == 0 else {} for t in range(T.dim)]
     return T, Module(T, 1, action, [0])
 
 
