@@ -14,8 +14,8 @@ from homkit import from_quiver, min_resolution, pd, simple, spec_of_fixture
 
 
 def dense(rows, n):
-    """A module action matrix stores its non-zero rows only, as {row: {column:
-    scalar}}; write it out."""
+    """A module action matrix, like an iso witness, stores its non-zero rows
+    only, as {row: {column: scalar}}; write it out."""
     return [[rows.get(s, {}).get(c, 0) for c in range(n)] for s in range(n)]
 
 
@@ -39,11 +39,12 @@ def resolve_and_report(name, vertex, cutoff=12):
         w = result.witness
         m, n = result.witness_modules
         F = m.field
-        ident = matmul(F, w.matrix, w.inverse)
+        iso = dense(w.matrix, m.dim)
+        ident = matmul(F, iso, dense(w.inverse, m.dim))
         ok = all(ident[i][j] == (F.one if i == j else F.zero)
                  for i in range(m.dim) for j in range(m.dim))
-        inter = all(matmul(F, dense(m.action[x], m.dim), w.matrix) ==
-                    matmul(F, w.matrix, dense(n.action[x], n.dim))
+        inter = all(matmul(F, dense(m.action[x], m.dim), iso) ==
+                    matmul(F, iso, dense(n.action[x], n.dim))
                     for x in range(m.algebra.dim))
         print(f"  witness re-verified: invertible={ok}, intertwines={inter}")
 

@@ -572,29 +572,36 @@ def corner(a: Algebra, vertices: list[int]) -> Algebra:
                    mult, len(S), name=f"corner({a.name},{S})")
 
 
-def quotient_by_idempotent_ideal(a: Algebra, vertices: list[int]) -> Algebra:
-    """A/AeA for e the sum of the given vertex idempotents (proper, nonempty).
-
-    AeA is spanned by the products u*v over basis pairs whose inner tag lies
-    in the vertex set; the quotient basis is the set of non-pivot basis
-    elements, and products are reduced modulo the span.
-    """
-    S = sorted(set(vertices))
-    if not S or len(S) >= a.r:
-        raise ValueError("quotient needs a proper nonempty vertex set")
-    F = a.field
-    space = RowSpace(F)
-    Sset = set(S)
+def _ideal_span(a: Algebra, vertices) -> RowSpace:
+    """The span of AeA for e the sum of the given vertex idempotents: the
+    products u*v over basis pairs whose inner tag lies in the vertex set."""
+    Sset = set(vertices)
+    space = RowSpace(a.field)
     for u in range(a.dim):
         if a.right[u] not in Sset:
             continue
         mu = a.mult[u]
         for v in range(a.dim):
-            if a.left[v] != a.right[u]:
-                continue
-            row = mu[v]
-            if row:
-                space.add(dict(row))
+            if a.left[v] == a.right[u]:
+                row = mu[v]
+                if row:
+                    space.add(dict(row))
+    return space
+
+
+def quotient_by_idempotent_ideal(a: Algebra, vertices: list[int]) -> Algebra:
+    """A/AeA for e the sum of the given vertex idempotents (proper, nonempty).
+
+    The quotient basis is the set of basis elements that are not pivots of
+    the span of AeA (see ``_ideal_span``), and products are reduced
+    modulo the span.
+    """
+    S = sorted(set(vertices))
+    if not S or len(S) >= a.r:
+        raise ValueError("quotient needs a proper nonempty vertex set")
+    F = a.field
+    space = _ideal_span(a, S)
+    Sset = set(S)
     pivots = set(space.pivot_of_col)
     keep = [k for k in range(a.dim) if k not in pivots]
     for k in keep:

@@ -405,7 +405,9 @@ def run_corpus(spec: corpus_mod.CorpusSpec, cutoff: int, suite: str = "default",
                 for i in range(spec.count)]
     if jobs > 1 and spec.count > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a fork pool starts all its workers at once, so start no more
+        # than there are instances
+        with ProcessPoolExecutor(max_workers=min(jobs, spec.count)) as pool:
             results = list(pool.map(_eval_corpus_instance, payloads))
     else:
         results = [_eval_corpus_instance(p) for p in payloads]
@@ -441,15 +443,8 @@ def cmd_corpus(args) -> int:
         # the parser has bounded every other field; only the per-shape
         # minimum of the dimension bound is left to fail here
         raise InputError(f"argument --dim-bound: {e}") from None
-    jobs = args.jobs
-    env_jobs = os.environ.get("HOMKIT_JOBS")
-    if env_jobs is not None:
-        try:
-            jobs = int(env_jobs)
-        except ValueError:
-            raise InputError(f"HOMKIT_JOBS must be an integer, got {env_jobs!r}") from None
     t0 = time.monotonic()
-    report = run_corpus(spec, args.cutoff, suite=args.suite, jobs=jobs)
+    report = run_corpus(spec, args.cutoff, suite=args.suite, jobs=args.jobs)
     elapsed = time.monotonic() - t0
     if args.with_timing:
         report["timing_seconds"] = round(elapsed, 3)
@@ -542,8 +537,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--field", default="F101", help="Q or Fp (default F101)")
     sp.add_argument("--suite", default="default",
                     choices=["default", "gorenstein-transfer", "smoothness-transfer"])
-    sp.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                    help="worker processes (HOMKIT_JOBS overrides)")
+    sp.add_argument("--jobs", type=_bounded_int(1), default=os.cpu_count() or 1,
+                    help="worker processes")
     sp.add_argument("--dim-bound", type=_bounded_int(1, corpus_mod.DIM_BOUND),
                     default=corpus_mod.DIM_BOUND)
     sp.add_argument("--out", help="write the JSON report to a file")

@@ -7,13 +7,13 @@ row vectors: row s of ``action[x]`` is ``b_s * x``, so
 ``action(x*y) = action(x) @ action(y)``) as a ``{s: row}`` dict that holds
 only the non-zero rows, in increasing s; in a weight-adapted basis row s of
 x can be non-zero only when s has the left tag of x as its weight, so most
-rows are zero.  Each basis vector carries a weight: basis vector v has
-weight i when ``v * e_i == v``.  The vectors that ``submodule``,
-``spanned_submodule`` and ``quotient_module`` take and return are sparse
-rows, and cover matrices, inclusions and resolution differentials are
-lists of sparse rows, one per row index.  Only Hom-space bases,
-isomorphism witnesses (inverted by the sparse ``linalg.inverse``) and the
-homkit-module/1 JSON are dense.  Every constructor here produces
+rows are zero.  Hom-space basis elements and isomorphism witnesses are
+matrices in that same ``{s: row}`` format.  Each basis vector carries a
+weight: basis vector v has weight i when ``v * e_i == v``.  The vectors
+that ``submodule``, ``spanned_submodule`` and ``quotient_module`` take and
+return are sparse rows, and cover matrices, inclusions and resolution
+differentials are lists of sparse rows, one per row index.  Only the
+homkit-module/1 JSON is dense.  Every constructor here produces
 weight-adapted bases, which keeps Hom systems block diagonal and makes
 semisimple data (tops, simple multiplicities) readable off the weights.
 
@@ -40,7 +40,8 @@ _EXHAUSTIVE_LIMIT = 4096
 
 # Resolutions abort (soundly, to Unknown / aborted) when a cover source
 # would exceed this dimension; syzygies of wild input can grow
-# exponentially and the guard keeps worst cases at desk scale.
+# exponentially and the guard keeps worst cases at desk scale.  It is read
+# at call time.
 DIM_GUARD = 512
 
 
@@ -327,8 +328,7 @@ class Cover:
     elements with left tag i, in basis order), so basis element x acts on a
     source coordinate standing for path k through ``algebra.mult[k][x]``.
     ``matrix`` has one sparse row per source coordinate: the image of its
-    path in M, read at a lift chosen off M's cached radical row space.  The
-    block-diagonal source Module is only built on demand.
+    path in M, read at a lift chosen off M's cached radical row space.
     """
 
     def __init__(self, algebra: Algebra, summands: list[int],
@@ -340,14 +340,6 @@ class Cover:
         self.matrix = matrix
         self.paths = paths
         self.source_dim = sum(len(paths[i]) for i in summands)
-        self._source: Module | None = None
-
-    @property
-    def source(self) -> Module:
-        if self._source is None:
-            parts = {i: projective(self.algebra, i) for i in self.paths}
-            self._source = direct_sum(self.algebra, [parts[i] for i in self.summands])
-        return self._source
 
 
 def projective_cover(m: Module) -> Cover:
@@ -477,17 +469,17 @@ def _syzygy_with_inclusion(m: Module, cov: Cover | None = None) -> tuple[Module,
     return sub, cov, kernel
 
 
-def _resolve(m: Module, steps: int, dim_guard: int | None):
+def _resolve(m: Module, steps: int):
     """The minimal resolution of a non-zero m, one syzygy at a time.
 
     Yields ``(syzygy, cover, inclusion)`` for at most ``steps`` syzygies;
     the caller stops at the first zero one.  When a cover source would
-    exceed ``dim_guard`` it yields None and ends.
+    exceed ``DIM_GUARD`` it yields None and ends.
     """
     cur = m
     for _ in range(steps):
         cov = projective_cover(cur)
-        if dim_guard is not None and cov.source_dim > dim_guard:
+        if cov.source_dim > DIM_GUARD:
             yield None
             return
         cur, cov, incl = _syzygy_with_inclusion(cur, cov)
@@ -496,8 +488,11 @@ def _resolve(m: Module, steps: int, dim_guard: int | None):
 
 @dataclass
 class ResolutionStep:
+    """One term P = (+) e_i A of a minimal resolution, with
+    ``multiplicities[i]`` copies of e_i A in vertex order, each on the basis
+    elements with left tag i (see :class:`Cover`)."""
+
     multiplicities: list[int]
-    module: Module
     differential: list[dict]  # matrix into the previous term (or onto the base)
 
 
@@ -517,14 +512,13 @@ class Resolution:
         return [s.multiplicities for s in self.steps]
 
 
-def min_resolution(m: Module, cutoff: int,
-                   dim_guard: int | None = DIM_GUARD) -> Resolution:
+def min_resolution(m: Module, cutoff: int) -> Resolution:
     """Minimal projective resolution out to at most ``cutoff`` terms.
 
     ``terminated`` is True iff some syzygy vanished within the cutoff; in
     that case the last stored step covers the final nonzero syzygy.  When a
-    cover source would exceed ``dim_guard`` the resolution stops early with
-    ``aborted`` set (pass None to lift the guard).
+    cover source would exceed ``DIM_GUARD`` the resolution stops early with
+    ``aborted`` set.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
@@ -533,7 +527,7 @@ def min_resolution(m: Module, cutoff: int,
     if m.is_zero():
         return Resolution(m, steps, syzygies, True)
     incl_prev: dict[int, dict] | None = None  # the last inclusion, by row index
-    for step in _resolve(m, cutoff + 1, dim_guard):
+    for step in _resolve(m, cutoff + 1):
         if step is None:
             return Resolution(m, steps, syzygies, False, aborted=True)
         sub, cov, incl = step
@@ -541,7 +535,7 @@ def min_resolution(m: Module, cutoff: int,
             differential = cov.matrix
         else:
             differential = [_vecmat(m.field, row, incl_prev) for row in cov.matrix]
-        steps.append(ResolutionStep(cov.multiplicities, cov.source, differential))
+        steps.append(ResolutionStep(cov.multiplicities, differential))
         syzygies.append(sub)
         if sub.is_zero():
             return Resolution(m, steps, syzygies, True)
@@ -554,8 +548,10 @@ def min_resolution(m: Module, cutoff: int,
 # --------------------------------------------------------------------------
 
 
-def hom_space(m: Module, n: Module) -> list[list[list]]:
-    """Basis of Hom_A(M, N) as matrices F with v |-> v @ F.
+def hom_space(m: Module, n: Module) -> list[dict[int, dict]]:
+    """Basis of Hom_A(M, N) as matrices F with v |-> v @ F, each as
+    ``{s: row}`` over its non-zero rows in increasing s (the format of
+    ``Module.action``).
 
     Solves ``action_M(x) @ F == F @ action_N(x)`` for every algebra basis
     element x.  The idempotent constraints are imposed structurally: F is
@@ -609,24 +605,24 @@ def hom_space(m: Module, n: Module) -> list[list[list]]:
                         vec[k] = nv
                 if vec:
                     rows.add(vec)
-    kern = rows.kernel_basis(total)
     out = []
-    for kv in kern:
-        mat = [[F.zero] * n.dim for _ in range(m.dim)]
+    for kv in rows.kernel_basis(total):
+        mat = {}
         for i in range(r):
             for si, s in enumerate(mb[i]):
-                for ti, t in enumerate(nb[i]):
-                    x = kv.get(unknown(i, si, ti))
-                    if x is not None and x != 0:
-                        mat[s][t] = x
-        out.append(mat)
+                row = {t: x for ti, t in enumerate(nb[i]) if (x := kv.get(unknown(i, si, ti)))}
+                if row:
+                    mat[s] = row
+        out.append(dict(sorted(mat.items())))
     return out
 
 
 @dataclass
 class IsoWitness:
-    matrix: list[list]
-    inverse: list[list]
+    """An isomorphism and its inverse, as ``{s: row}`` matrices."""
+
+    matrix: dict[int, dict]
+    inverse: dict[int, dict]
 
 
 @dataclass
@@ -654,7 +650,7 @@ def is_iso(m: Module, n: Module) -> IsoResult:
     if m.weight_counts() != n.weight_counts():
         return IsoResult("not_iso", reason="e_i-eigenspace dimensions differ")
     if m.dim == 0:
-        return IsoResult("iso", IsoWitness([], []))
+        return IsoResult("iso", IsoWitness({}, {}))
     if top_multiplicities(m) != top_multiplicities(n):
         return IsoResult("not_iso", reason="top multiplicities differ")
     homs = hom_space(m, n)
@@ -662,18 +658,17 @@ def is_iso(m: Module, n: Module) -> IsoResult:
         return IsoResult("not_iso", reason="Hom space is zero")
     h = len(homs)
 
-    def candidate(coeffs) -> list[list]:
-        mat = [[F.zero] * n.dim for _ in range(m.dim)]
+    def candidate(coeffs) -> list[dict]:
+        """The combination as one sparse row per index."""
+        mat: list[dict] = [{} for _ in range(m.dim)]
         for c, hm in zip(coeffs, homs):
             if c == 0:
                 continue
-            for s in range(m.dim):
-                hs = hm[s]
+            for s, hs in hm.items():
                 ms = mat[s]
-                for t in range(n.dim):
-                    if hs[t] != 0:
-                        ms[t] = F.add(ms[t], F.mul(c, hs[t]))
-        return mat
+                for t, x in hs.items():
+                    ms[t] = F.add(ms.get(t, F.zero), F.mul(c, x))
+        return [{t: x for t, x in row.items() if x != 0} for row in mat]
 
     p = F.p
     exhaustive = p is not None and p ** h <= _EXHAUSTIVE_LIMIT
@@ -685,10 +680,10 @@ def is_iso(m: Module, n: Module) -> IsoResult:
                   for _ in range(h)] for _ in range(_ISO_RETRIES))
     for coeffs in tries:
         mat = candidate(coeffs)
-        inv = inverse(F, [{t: x for t, x in enumerate(row) if x != 0} for row in mat], m.dim)
+        inv = inverse(F, mat, m.dim)
         if inv is not None:
-            dense = [[row.get(t, F.zero) for t in range(m.dim)] for row in inv]
-            return IsoResult("iso", IsoWitness(mat, dense))
+            # both are invertible, so no row is zero
+            return IsoResult("iso", IsoWitness(dict(enumerate(mat)), dict(enumerate(inv))))
     if exhaustive:
         return IsoResult("not_iso", reason="no invertible element of Hom (exhaustive search)")
     return IsoResult("undetermined", reason="randomized search found no invertible hom")
@@ -745,11 +740,11 @@ def _signature(m: Module) -> tuple:
     return (m.dim, tuple(m.weight_counts()), tuple(top_multiplicities(m)) if m.dim else ())
 
 
-def pd(m: Module, cutoff: int, dim_guard: int | None = DIM_GUARD) -> PdResult:
+def pd(m: Module, cutoff: int) -> PdResult:
     """Projective dimension of m, certified as documented on PdResult.
 
-    A cover source exceeding ``dim_guard`` aborts the resolution and yields
-    Unknown (never a wrong certificate); pass None to lift the guard.
+    A cover source exceeding ``DIM_GUARD`` aborts the resolution and yields
+    Unknown (never a wrong certificate).
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
@@ -758,7 +753,7 @@ def pd(m: Module, cutoff: int, dim_guard: int | None = DIM_GUARD) -> PdResult:
     chain = [m]
     sigs = [_signature(m)]
     dims = [m.dim]
-    for j, step in enumerate(_resolve(m, cutoff, dim_guard), 1):
+    for j, step in enumerate(_resolve(m, cutoff), 1):
         if step is None:
             return PdResult("unknown", cutoff=cutoff, syzygy_dims=dims,
                             reason="dim_guard", step=j - 1)
@@ -789,49 +784,99 @@ def injective_dimension(m: Module, cutoff: int) -> PdResult:
 # --------------------------------------------------------------------------
 
 
-def ext_dims(m: Module, n: Module, cutoff: int,
-             dim_guard: int | None = DIM_GUARD) -> list[int]:
-    """dim Ext^l(M, N) for 0 <= l <= cutoff, from a minimal resolution of M."""
+def _derived_dims(m: Module, n: Module, cutoff: int, tor: bool) -> list[int]:
+    """Homology dimensions in degrees 0..cutoff of Hom_A(P, N) (Ext) or of
+    P (x)_A N (Tor, with N a right module over opposite(A)) for P the
+    minimal resolution of m.
+
+    Both functors turn a copy of e_i A into the weight-i block of N, since
+    Hom_A(e_i A, N) = N e_i and e_i A (x)_A N = e_i N, so degree l has one
+    block per copy in term l.  The differential sends the generator of a
+    copy of e_j A in term l+1 to the copy's first row (``paths[j][0]`` is
+    e_j), whose part in a copy of e_i A in term l is an element a of
+    e_i A e_j.  Between those two blocks the induced map sends basis vector
+    t to ``t * a``: out of the e_i A block for Ext (phi |-> phi o d), and
+    out of the e_j A block for Tor (d (x) 1, where N's action is A's left
+    action).  Homology is dim C_l minus the ranks of the maps in and out.
+    When the dimension guard stops the resolution, Ext raises and Tor keeps
+    the degrees that are still certain.
+    """
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     if m.is_zero() or n.is_zero():
         return [0] * (cutoff + 1)
-    F = m.field
-    res = min_resolution(m, cutoff + 1, dim_guard)
+    if n.algebra != (opposite(m.algebra) if tor else m.algebra):
+        raise ValueError("second module is over the wrong algebra")
+    res = min_resolution(m, cutoff + 1)
+    limit = cutoff
     if res.aborted:
-        raise ValueError("resolution exceeded the dimension guard; Ext "
-                         "dimensions cannot be certified (raise dim_guard)")
-    terms = [s.module for s in res.steps]
-    while len(terms) < cutoff + 2:
-        terms.append(zero_module(m.algebra))
-    hom_bases = [hom_space(P, n) if P.dim else [] for P in terms]
-    h = [len(b) for b in hom_bases]
-    # rank of delta_l : Hom(P_l, n) -> Hom(P_{l+1}, n), phi |-> d_{l+1} o phi
-    ranks = [0] * (cutoff + 2)
-    for l in range(cutoff + 1):
-        if not hom_bases[l] or terms[l + 1].dim == 0:
+        if not tor:
+            raise ValueError("resolution exceeded the dimension guard; Ext dimensions "
+                             "cannot be certified (raise modules.DIM_GUARD)")
+        limit = min(cutoff, len(res.steps) - 2)
+    a = m.algebra
+    paths = [[k for k in range(a.dim) if a.left[k] == i] for i in range(a.r)]
+    blocks: list[list[int]] = [[] for _ in range(a.r)]
+    npos = []  # the place of each basis vector of N in its weight block
+    for t, w in enumerate(n.weights):
+        npos.append(len(blocks[w]))
+        blocks[w].append(t)
+    # per term: its copies as (vertex, first row in the term, first place in
+    # the degree's blocks), and the degree's dimension
+    terms = []
+    for step in res.steps[:limit + 2]:
+        copies, row, place = [], 0, 0
+        for i, mult in enumerate(step.multiplicities):
+            for _ in range(mult):
+                copies.append((i, row, place))
+                row += len(paths[i])
+                place += len(blocks[i])
+        terms.append((copies, place))
+    ranks = []  # rank of the map between degrees l and l + 1
+    for l in range(limit + 1):
+        if l + 1 >= len(terms):
+            ranks.append(0)
             continue
-        D = res.steps[l + 1].differential if l + 1 < len(res.steps) else None
-        if D is None:
-            continue
-        rs = RowSpace(F)
-        nd = n.dim
-        for phi in hom_bases[l]:
-            # D @ phi with its entries numbered row by row; rs.add drops zeros
-            vec: dict[int, object] = {}
-            for s, row in enumerate(D):
-                for c, v in row.items():
-                    for t, x in enumerate(phi[c]):
-                        if x != 0:
-                            k = s * nd + t
-                            vec[k] = F.add(vec.get(k, F.zero), F.mul(v, x))
-            rs.add(vec)
-        ranks[l] = rs.rank
-    out = []
-    for l in range(cutoff + 1):
-        prev = ranks[l - 1] if l >= 1 else 0
-        out.append(h[l] - ranks[l] - prev)
-    return out
+        lower = terms[l][0]
+        owner = [(c, k) for c, (i, _, _) in enumerate(lower) for k in paths[i]]
+        diff = res.steps[l + 1].differential
+        rows: dict[int, dict] = {}
+        for j, first, place_j in terms[l + 1][0]:
+            parts: dict[int, dict] = {}
+            for col, v in diff[first].items():
+                c, k = owner[col]
+                parts.setdefault(c, {})[k] = v
+            for c, elt in parts.items():
+                i, _, place_i = lower[c]
+                src, dst, w = (place_j, place_i, j) if tor else (place_i, place_j, i)
+                # each pair of copies meets once, so no entry is written twice
+                for t in blocks[w]:
+                    img = n._times(t, elt)
+                    if img:
+                        rows.setdefault(src + npos[t], {}).update(
+                            (dst + npos[u], x) for u, x in img.items())
+        rs = RowSpace(m.field)
+        for row in rows.values():
+            rs.add(row)
+        ranks.append(rs.rank)
+    dims = [total for _, total in terms] + [0] * (limit + 1 - len(terms))
+    return [dims[l] - ranks[l] - (ranks[l - 1] if l else 0) for l in range(limit + 1)]
+
+
+def ext_dims(m: Module, n: Module, cutoff: int) -> list[int]:
+    """dim Ext^l(M, N) for 0 <= l <= cutoff, from a minimal resolution of M;
+    raises ValueError when the resolution hits the dimension guard."""
+    return _derived_dims(m, n, cutoff, tor=False)
+
+
+def tor_dims(m: Module, n: Module, cutoff: int) -> list[int]:
+    """dim Tor_l^R(M, N) for 0 <= l <= cutoff via a minimal resolution of M.
+
+    N is a right module over opposite(R).  When the resolution hits the
+    dimension guard the list is truncated to the degrees that are still
+    certain (possibly fewer than cutoff + 1).
+    """
+    return _derived_dims(m, n, cutoff, tor=True)
 
 
 class TensorProduct:
@@ -846,11 +891,8 @@ class TensorProduct:
         R = m.algebra
         if n.algebra != opposite(R):
             raise ValueError("second factor must be a right module over opposite(R)")
-        self.m = m
-        self.n = n
         F = m.field
-        self.field = F
-        self.rows = RowSpace(F)
+        rows = RowSpace(F)
         md, nd = m.dim, n.dim
         no_row: dict = {}
         for x in range(R.dim):
@@ -872,71 +914,13 @@ class TensorProduct:
                         else:
                             vec[k] = nv
                     if vec:
-                        self.rows.add(vec)
-        pomm = set(self.rows.pivot_of_col)
-        self.free = [k for k in range(md * nd) if k not in pomm]
-        self.pos = {k: s for s, k in enumerate(self.free)}
-
-    @property
-    def dim(self) -> int:
-        return len(self.free)
-
-    def reduce_pure(self, vec: dict[int, object]) -> dict[int, object]:
-        """Reduce a sparse row in pure-tensor coordinates to quotient coordinates."""
-        return {self.pos[c]: x for c, x in self.rows.reduce(vec).items()}
+                        rows.add(vec)
+        self.dim = md * nd - rows.rank
 
 
 def tensor_over(m: Module, n: Module) -> TensorProduct:
     """See :class:`TensorProduct`; ``.dim`` is the exact k-dimension."""
     return TensorProduct(m, n)
-
-
-def tor_dims(m: Module, n: Module, cutoff: int,
-             dim_guard: int | None = DIM_GUARD) -> list[int]:
-    """dim Tor_l^R(M, N) for 0 <= l <= cutoff via a minimal resolution of M.
-
-    When the resolution hits the dimension guard the list is truncated to
-    the degrees that are still certain (possibly fewer than cutoff + 1).
-    """
-    if cutoff < 0:
-        raise ValueError("cutoff must be >= 0")
-    if m.is_zero() or n.is_zero():
-        return [0] * (cutoff + 1)
-    F = m.field
-    res = min_resolution(m, cutoff + 1, dim_guard)
-    terms = [s.module for s in res.steps]
-    if res.terminated:
-        while len(terms) < cutoff + 2:
-            terms.append(zero_module(m.algebra))
-        limit = cutoff
-    elif res.aborted:
-        limit = min(cutoff, len(terms) - 2)
-        if limit < 0:
-            return []
-    else:
-        limit = cutoff
-    tens = [TensorProduct(P, n) if P.dim else None for P in terms[:limit + 2]]
-    dims = [t.dim if t else 0 for t in tens]
-    nd = n.dim
-    # rank of the induced boundary C_l -> C_{l-1}
-    ranks = [0] * (limit + 2)
-    for l in range(1, limit + 2):
-        if tens[l] is None or tens[l - 1] is None or dims[l] == 0 or dims[l - 1] == 0:
-            continue
-        D = res.steps[l].differential if l < len(res.steps) else None
-        if D is None:
-            continue
-        rs = RowSpace(F)
-        for k in tens[l].free:
-            a, b = divmod(k, nd)
-            red = tens[l - 1].reduce_pure({c * nd + b: v for c, v in D[a].items()})
-            if red:
-                rs.add(red)
-        ranks[l] = rs.rank
-    out = []
-    for l in range(limit + 1):
-        out.append(dims[l] - ranks[l] - ranks[l + 1])
-    return out
 
 
 # --------------------------------------------------------------------------

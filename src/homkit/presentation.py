@@ -266,9 +266,9 @@ def parse_spec(text: str, name: str = "", degree_cutoff: int = 30) -> AlgebraSpe
         fld = Field.rationals()
     elif t.text == "F":
         m = p.expect("int")
-        fld = _prime_field(m)
+        fld = _prime_field(m, m.text)
     elif t.text.startswith("F") and t.text[1:].isdigit():
-        fld = _prime_field_tok(t)
+        fld = _prime_field(t, t.text[1:])
     else:
         raise SpecError(f"unknown field {t.text!r}", t.line, t.col)
 
@@ -411,16 +411,10 @@ def parse_spec(text: str, name: str = "", degree_cutoff: int = 30) -> AlgebraSpe
     return AlgebraSpec(fld, quiver, tuple(relations), degree_cutoff=degree_cutoff, name=name)
 
 
-def _prime_field(tok: _Token) -> Field:
+def _prime_field(tok: _Token, digits: str) -> Field:
+    """F_p for the modulus written in ``digits``, an error located at tok."""
     try:
-        return Field.prime(int(tok.text))
-    except FieldError as e:
-        raise SpecError(str(e), tok.line, tok.col) from None
-
-
-def _prime_field_tok(tok: _Token) -> Field:
-    try:
-        return Field.prime(int(tok.text[1:]))
+        return Field.prime(int(digits))
     except FieldError as e:
         raise SpecError(str(e), tok.line, tok.col) from None
 

@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .algebra import Algebra, corner, opposite, quotient_by_idempotent_ideal, triangular
+from .algebra import (Algebra, _ideal_span, corner, opposite,
+                      quotient_by_idempotent_ideal, triangular)
 from .invariants import (GldimReport, GorensteinReport, TheoremViolation,
                          cartan_matrix, gldim, gldim_is_finite, gorenstein, k0_rank)
-from .linalg import RowSpace
 from .modules import (Module, PdResult, bimodule_restrictions, pd, tensor_over,
                       tor_dims)
 
@@ -53,18 +53,7 @@ def module_eA(a: Algebra, S: list[int], cor: Algebra) -> Module:
 
 def aea_dimension(a: Algebra, S: list[int]) -> int:
     """dim of the two-sided ideal AeA, by direct span of basis products."""
-    Sset = set(S)
-    space = RowSpace(a.field)
-    for u in range(a.dim):
-        if a.right[u] not in Sset:
-            continue
-        mu = a.mult[u]
-        for v in range(a.dim):
-            if a.left[v] == a.right[u]:
-                row = mu[v]
-                if row:
-                    space.add(dict(row))
-    return space.rank
+    return _ideal_span(a, S).rank
 
 
 @dataclass

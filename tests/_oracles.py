@@ -167,8 +167,10 @@ def identity_matrix(n):
 def iso_witness_holds(m, n, matrix, inverse):
     """True iff ``matrix`` is invertible with the given inverse and
     intertwines the actions of every algebra basis element on m and n,
-    checked with dense schoolbook products."""
+    checked with dense schoolbook products.  Both matrices are given as
+    ``{row: {column: scalar}}``, the format of a module action."""
     p = m.algebra.field.p
+    matrix, inverse = dense_action(matrix, m.dim), dense_action(inverse, m.dim)
     if dense_matmul(matrix, inverse, p) != identity_matrix(m.dim):
         return False
     return all(dense_matmul(dense_action(m.action[x], m.dim), matrix, p)

@@ -86,3 +86,26 @@ def test_traced_transfer_requests_keep_their_work_counts(tmp_path):
         assert (tracer.counters["modules.syzygies_built"],
                 tracer.counters["modules.cover_source_dim_sum"],
                 calls["linalg.RowSpace.add"]) == counts, kind
+
+
+def test_traced_stratify_request_keeps_its_work_counts(tmp_path):
+    # one benchmark request on nilcyc-42-1, whose stratifying checks compute
+    # Tor seven times; the counts were read when Tor was computed from
+    # Module terms of the resolution.  Tor's syzygies are counted only when
+    # it resolves through modules.min_resolution
+    a = corpus.generate(corpus.CorpusSpec(seed=42, count=30, shape="NilpotentCyclic"), 1)
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(algebra_to_json(a)))
+    tracer = _spans().Tracer()
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["stratify", str(path), "--json", "--cutoff", "12"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    calls = tracer.summary()[0]
+    assert calls["modules.tor_dims"] == calls["modules.min_resolution"] == 7
+    assert (tracer.counters["modules.syzygies_built"],
+            tracer.counters["modules.syzygy_dim_sum"],
+            tracer.counters["modules.cover_source_dim_sum"]) == (81, 72, 193)

@@ -228,20 +228,43 @@ def test_corpus_cli_parallel_matches_serial(capsys):
     assert out1 == out2
 
 
-def test_corpus_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("HOMKIT_JOBS", "1")
+def test_corpus_starts_at_most_one_worker_per_instance(capsys, monkeypatch):
+    # the pool is replaced by a recorder that runs the instances in this
+    # process, so no worker process starts
+    import concurrent.futures
+
+    workers = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
     code, out, _ = run_cli(capsys, "corpus", "--shape", "AcyclicQuiver",
-                           "--count", "2", "--seed", "1", "--jobs", "4", "--json")
+                           "--count", "3", "--seed", "1", "--jobs", "1000000", "--json")
     assert code == 0
+    assert workers == [3]
+    code, serial, _ = run_cli(capsys, "corpus", "--shape", "AcyclicQuiver",
+                              "--count", "3", "--seed", "1", "--jobs", "1", "--json")
+    assert code == 0 and serial == out
+    assert workers == [3]
 
 
-@pytest.mark.parametrize("value", ["abc", "2.5", ""])
-def test_corpus_env_override_rejects_non_integer(capsys, monkeypatch, value):
-    monkeypatch.setenv("HOMKIT_JOBS", value)
+@pytest.mark.parametrize("value", ["0", "-2", "abc", "2.5", ""])
+def test_corpus_jobs_must_be_positive(capsys, value):
     code, _, err = run_cli(capsys, "corpus", "--shape", "AcyclicQuiver",
-                           "--count", "1", "--seed", "1", "--jobs", "1")
+                           "--count", "1", "--seed", "1", "--jobs", value)
     assert code == 1
-    assert "HOMKIT_JOBS" in err
+    assert "--jobs" in err
 
 
 def test_corpus_field_flag(capsys):

@@ -3,11 +3,13 @@ import hashlib
 import json
 import weakref
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from _oracles import (basis_with_tags, dense_action, dense_kernel, dense_matmul, dense_rank,
                       dense_rows, iso_witness_holds)
+import homkit.modules as modules_mod
 from homkit import corpus
 from homkit.algebra import from_quiver, opposite, tensor, triangular
 from homkit.invariants import _regular_bimodule, gorenstein
@@ -65,7 +67,7 @@ def test_hom_contains_identity(a2):
     from homkit.linalg import RowSpace
     rs = RowSpace(m.field)
     for h in homs:
-        rs.add({i: x for i, x in enumerate(v for row in h for v in row) if x != 0})
+        rs.add({s * m.dim + t: x for s, row in h.items() for t, x in row.items()})
     ident = {i * m.dim + i: m.field.one for i in range(m.dim)}
     assert rs.contains(ident)
 
@@ -137,7 +139,7 @@ def test_projective_cover_examples(a2, tp11):
     S1 = simple(a2, 0)
     cov = projective_cover(S1)
     assert cov.multiplicities == [1, 0]
-    assert cov.source.dim == 2
+    assert direct_sum(a2, [projective(a2, i) for i in cov.summands]).dim == 2
     # cover of a projective has zero kernel
     assert syzygy(projective(a2, 0)).dim == 0
     # top(rad P_1) = S_2 over the two-point loop algebra: cover is P_2
@@ -204,7 +206,7 @@ def _check_sparse_syzygy(m: Module) -> Module:
     assert len(incl) == n - m.dim == sub.dim == dense_rank(dense_incl, p)
     assert dense_matmul(dense_incl, dense_rows(cov.matrix, m.dim), p) == \
         [[0] * m.dim for _ in incl]
-    source = cov.source
+    source = direct_sum(m.algebra, [projective(m.algebra, i) for i in cov.summands])
     for x in range(m.algebra.dim):
         moved = dense_matmul(dense_incl, dense_action(source.action[x], n), p)
         read = dense_matmul(dense_action(sub.action[x], sub.dim), dense_incl, p)
@@ -294,7 +296,7 @@ def test_resolution_differentials_compose_to_zero(fixture_algebras):
                 D_k = res.steps[k].differential
                 D_prev = res.steps[k - 1].differential
                 assert any(D_k), (name, i, k)
-                n_prev = res.steps[k - 2].module.dim if k >= 2 else res.base.dim
+                n_prev = len(res.steps[k - 2].differential) if k >= 2 else res.base.dim
                 comp = dense_matmul(dense_rows(D_k, len(D_prev)),
                                     dense_rows(D_prev, n_prev), a.field.p)
                 assert comp == [[0] * n_prev for _ in D_k], (name, i, k)
@@ -325,8 +327,9 @@ def _assert_witness_reverifies(r):
     m, n = r.witness_modules
     assert iso_witness_holds(m, n, w.matrix, w.inverse)
     # a witness that fails to intertwine is rejected
-    bad = [row[:] for row in w.matrix]
-    bad[0][0] = m.field.add(bad[0][0], m.field.one)
+    bad = {s: dict(row) for s, row in w.matrix.items()}
+    row0 = bad.setdefault(0, {})
+    row0[0] = m.field.add(row0.get(0, m.field.zero), m.field.one)
     assert not iso_witness_holds(m, n, bad, w.inverse)
 
 
@@ -479,6 +482,70 @@ def test_tor_projective_first_argument(a2):
     tors = tor_dims(P, n, 3)
     assert tors[0] == tensor_over(P, n).dim
     assert tors[1:] == [0, 0, 0]
+
+
+def _corner_pairs(a):
+    """(Ae, eA) over the corner eAe, for every proper nonempty vertex set."""
+    for k in range(1, a.r):
+        for S in combinations(range(a.r), k):
+            cor = corner(a, list(S))
+            yield module_Ae(a, list(S), cor), module_eA(a, list(S), cor)
+
+
+def test_degree_zero_matches_hom_and_tensor(fixture_algebras, seed42_pools):
+    # Ext^0 and Tor_0 are read off the generator rows of a resolution; Hom
+    # and the tensor product are solved from the actions, sharing no code
+    for name, a in fixture_algebras.items():
+        mods = ([simple(a, i) for i in range(a.r)] + [projective(a, i) for i in range(a.r)]
+                + [regular(a)])
+        for x in mods:
+            for y in mods + [injective(a, i) for i in range(a.r)]:
+                assert ext_dims(x, y, 1)[0] == len(hom_space(x, y)), name
+            for y in mods:
+                assert tor_dims(x, dual(y), 1)[0] == tensor_over(x, dual(y)).dim, name
+    for a in [*fixture_algebras.values(), *seed42_pools["NilpotentCyclic"]]:
+        for Ae, eA in _corner_pairs(a):
+            for x, y in ((Ae, eA), (eA, Ae)):
+                assert tor_dims(x, y, 1)[0] == tensor_over(x, y).dim, a.name
+                assert ext_dims(x, x, 1)[0] == len(hom_space(x, x)), a.name
+
+
+EXT_TOR_SHA256 = "0b66b1dd1f62caedf79d6446369b2febd3a47a466207940680666e9272e596c6"
+
+
+def test_ext_and_tor_values_are_unchanged(fixture_algebras, seed42_pools):
+    # every Ext and Tor list of this sweep, hashed when both were computed
+    # from Hom spaces and tensor quotients of the resolution's Module terms;
+    # "guard" stands for an Ext whose resolution hit the dimension guard
+    def pool(seed, shape):
+        if seed == 42:
+            return seed42_pools[shape]
+        spec = corpus.CorpusSpec(seed=seed, count=30, shape=shape)
+        return [corpus.generate(spec, i) for i in range(30)]
+
+    algebras = [*fixture_algebras.values()]
+    for seed in (42, 7):
+        algebras.extend(pool(seed, "NilpotentCyclic"))
+    for seed in (42, 7):
+        for inst in pool(seed, "TriangularPair")[:10]:
+            algebras.extend((inst.b, inst.c))
+    out = []
+    for a in algebras:
+        if a.dim <= 30:
+            left = [simple(a, i) for i in range(a.r)] + [projective(a, 0), regular(a)]
+            for m in left:
+                for n in left + [injective(a, i) for i in range(a.r)]:
+                    try:
+                        out.append(ext_dims(m, n, 4))
+                    except ValueError:
+                        out.append("guard")
+        regular_left = regular(opposite(a))
+        out.extend(tor_dims(simple(a, i), regular_left, 4) for i in range(a.r))
+        for Ae, eA in _corner_pairs(a):
+            for cutoff in (0, 3, 12):
+                out.extend((tor_dims(Ae, eA, cutoff), tor_dims(eA, Ae, cutoff)))
+    assert (len(out), out.count("guard")) == (13025, 4)
+    assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == EXT_TOR_SHA256
 
 
 def test_restrict_along_identity(a2):
@@ -718,8 +785,6 @@ def test_adapt_weights_rebases_a_non_adapted_action(a2):
 
 def test_equal_dimensions_give_the_zero_syzygy_without_elimination(fixture_algebras,
                                                                     monkeypatch):
-    import homkit.modules as modules_mod
-
     modules = []
     for a in fixture_algebras.values():
         for i in range(a.r):
@@ -738,13 +803,14 @@ def test_equal_dimensions_give_the_zero_syzygy_without_elimination(fixture_algeb
         assert pd(m, 12).describe() == "Finite(0)"
 
 
-def test_unknown_names_what_stopped_it(tp11):
+def test_unknown_names_what_stopped_it(tp11, monkeypatch):
     # S_0 over FIX-TP1(1) repeats at step 2, and its cover P_0 has dimension 2
     assert pd(simple(tp11, 0), 2).describe() == "InfiniteCertified(repeat at 2, period 2)"
     res = pd(simple(tp11, 0), 1)
     assert res.describe() == "Unknown(cutoff 1)"
     assert (res.reason, res.step) == ("cutoff", 1)
-    res = pd(simple(tp11, 0), 12, dim_guard=1)
+    monkeypatch.setattr(modules_mod, "DIM_GUARD", 1)
+    res = pd(simple(tp11, 0), 12)
     assert res.describe() == "Unknown(dim guard at step 0)"
     assert (res.reason, res.step, res.cutoff) == ("dim_guard", 0, 12)
 
