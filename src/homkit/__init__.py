@@ -13,14 +13,14 @@ from .presentation import (AlgebraSpec, Arrow, Path, Quiver, Relation, SpecError
 from .algebra import (Algebra, NotFiniteDimensionalError, algebra_from_json,
                       algebra_to_json, corner, enveloping, from_quiver, opposite,
                       quotient_by_idempotent_ideal, tensor, triangular, validate)
-from .modules import (Module, PdResult, dual, ext_dims, hom_space, injective,
+from .modules import (Module, PdResult, dual, ext_dims, hom_dim, hom_space, injective,
                       injective_dimension, is_iso, min_resolution, module_from_json,
                       module_to_json, pd, projective, projective_cover,
                       radical_submodule, regular, restrict_along, simple, syzygy,
-                      tensor_over, top, top_multiplicities, tor_dims)
+                      top, top_multiplicities, tor_dims)
 from .invariants import (CartanReport, GldimReport, GorensteinReport,
                          TheoremViolation, cartan_matrix, eilenberg_check,
-                         euler_matrix, gldim, gldim_is_finite, gorenstein, k0_rank,
+                         euler_matrix, gldim, gldim_is_finite, gorenstein,
                          smooth, two_point_criterion)
 from .recollement import (det_multiplicativity_check, gorenstein_transfer_check,
                           ladder_estimate, module_Ae, module_eA,

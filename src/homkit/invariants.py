@@ -60,11 +60,6 @@ def cartan_matrix(a: Algebra) -> CartanReport:
     return CartanReport(a.name, r, m, det_int(m))
 
 
-def k0_rank(a: Algebra) -> int:
-    """Rank of K_0: the number of simples (= vertex idempotents)."""
-    return a.r
-
-
 @dataclass
 class GldimReport:
     per_simple: list[PdResult]
@@ -219,6 +214,7 @@ class SmoothReport:
     verdict: str  # "smooth" | "not_smooth" | "unknown"
     gldim_report: GldimReport
     bimodule_pd: PdResult | None = None  # optional cross-check over A^e
+    cross_check_skipped: str = ""  # why a requested cross-check did not run
 
     def describe(self) -> str:
         return self.verdict
@@ -232,20 +228,24 @@ class SmoothReport:
         }
         if self.bimodule_pd is not None:
             out["bimodule_pd"] = self.bimodule_pd.describe()
+        elif self.cross_check_skipped:
+            out["bimodule_pd"] = self.cross_check_skipped
         return out
 
 
 def smooth(a: Algebra, cutoff: int, cross_check: bool = False) -> SmoothReport:
     """Smoothness of a finite-dimensional algebra = finite global dimension.
 
-    With ``cross_check`` (small algebras, dim <= 8) also computes pd of A as
-    a module over its enveloping algebra and insists the finiteness answers
-    agree.
+    With ``cross_check`` also computes pd of A as a module over its
+    enveloping algebra and insists the finiteness answers agree; above
+    dim 8 the check is skipped, and the report says so.
     """
     g = gldim(a, cutoff)
     verdict = {"finite": "smooth", "infinite": "not_smooth", "unknown": "unknown"}[g.kind]
+    if cross_check and a.dim > 8:
+        return SmoothReport(verdict, g, cross_check_skipped=f"skipped (dim {a.dim} > 8)")
     bimodule_pd = None
-    if cross_check and a.dim <= 8:
+    if cross_check:
         bimodule_pd = pd(_regular_bimodule(a), cutoff)
         if bimodule_pd.is_finite and g.kind == "infinite":
             raise TheoremViolation("bimodule pd finite but gldim certified infinite")

@@ -548,18 +548,19 @@ def min_resolution(m: Module, cutoff: int) -> Resolution:
 # --------------------------------------------------------------------------
 
 
-def hom_space(m: Module, n: Module) -> list[dict[int, dict]]:
-    """Basis of Hom_A(M, N) as matrices F with v |-> v @ F, each as
-    ``{s: row}`` over its non-zero rows in increasing s (the format of
-    ``Module.action``).
+def _hom_system(m: Module, n: Module) -> tuple[RowSpace, int, list[list[int]], list[list[int]]]:
+    """The linear system of Hom_A(M, N): ``(rows, unknowns, mb, nb)``.
 
-    Solves ``action_M(x) @ F == F @ action_N(x)`` for every algebra basis
-    element x.  The idempotent constraints are imposed structurally: F is
-    block diagonal over the common weights, which is exactly what the e_i
-    equations say.
+    A hom is a matrix F with v |-> v @ F, and the rows are the equations
+    ``action_M(x) @ F == F @ action_N(x)`` for every algebra basis element
+    x.  The idempotent constraints are imposed structurally: F is block
+    diagonal over the common weights, which is exactly what the e_i
+    equations say.  ``mb[i]`` and ``nb[i]`` list the basis vectors of
+    weight i in M and N; the unknowns are the entries of the blocks, block
+    i after block i - 1, each block row by row.
     """
     if m.algebra != n.algebra:
-        raise ValueError("hom_space needs modules over the same algebra")
+        raise ValueError("modules must be over the same algebra")
     a = m.algebra
     F = m.field
     r = a.r
@@ -605,16 +606,33 @@ def hom_space(m: Module, n: Module) -> list[dict[int, dict]]:
                         vec[k] = nv
                 if vec:
                     rows.add(vec)
+    return rows, total, mb, nb
+
+
+def hom_space(m: Module, n: Module) -> list[dict[int, dict]]:
+    """Basis of Hom_A(M, N) as matrices F with v |-> v @ F, each as
+    ``{s: row}`` over its non-zero rows in increasing s (the format of
+    ``Module.action``), read off the kernel of :func:`_hom_system`."""
+    rows, total, mb, nb = _hom_system(m, n)
     out = []
     for kv in rows.kernel_basis(total):
         mat = {}
-        for i in range(r):
-            for si, s in enumerate(mb[i]):
-                row = {t: x for ti, t in enumerate(nb[i]) if (x := kv.get(unknown(i, si, ti)))}
+        k = 0
+        for ms, ns in zip(mb, nb):
+            for s in ms:
+                row = {t: x for ti, t in enumerate(ns) if (x := kv.get(k + ti))}
                 if row:
                     mat[s] = row
+                k += len(ns)
         out.append(dict(sorted(mat.items())))
     return out
+
+
+def hom_dim(m: Module, n: Module) -> int:
+    """dim Hom_A(M, N): the unknowns of :func:`_hom_system` less its rank,
+    with no kernel basis built."""
+    rows, total, _, _ = _hom_system(m, n)
+    return total - rows.rank
 
 
 @dataclass
@@ -877,50 +895,6 @@ def tor_dims(m: Module, n: Module, cutoff: int) -> list[int]:
     certain (possibly fewer than cutoff + 1).
     """
     return _derived_dims(m, n, cutoff, tor=True)
-
-
-class TensorProduct:
-    """M (x)_R N for M a right R-module and N a left R-module.
-
-    N is handed over as a right module over opposite(R).  The product is the
-    quotient of the pure-tensor space k^(dim M * dim N) by the balancing
-    relations m*x (x) n - m (x) x*n over the basis of R.
-    """
-
-    def __init__(self, m: Module, n: Module):
-        R = m.algebra
-        if n.algebra != opposite(R):
-            raise ValueError("second factor must be a right module over opposite(R)")
-        F = m.field
-        rows = RowSpace(F)
-        md, nd = m.dim, n.dim
-        no_row: dict = {}
-        for x in range(R.dim):
-            Am = m.action[x]
-            An = n.action[x]  # right action of x^op = left action of x on N
-            if not Am and not An:
-                continue
-            # the relation for (a, b) is zero unless row a of M or row b of N
-            # is stored
-            for a in range(md):
-                Ama = Am.get(a, no_row)
-                for b in (range(nd) if Ama else An):
-                    vec: dict[int, object] = {c * nd + b: v for c, v in Ama.items()}
-                    for d2, v in An.get(b, no_row).items():
-                        k = a * nd + d2
-                        nv = F.sub(vec.get(k, F.zero), v)
-                        if nv == 0:
-                            vec.pop(k, None)
-                        else:
-                            vec[k] = nv
-                    if vec:
-                        rows.add(vec)
-        self.dim = md * nd - rows.rank
-
-
-def tensor_over(m: Module, n: Module) -> TensorProduct:
-    """See :class:`TensorProduct`; ``.dim`` is the exact k-dimension."""
-    return TensorProduct(m, n)
 
 
 # --------------------------------------------------------------------------

@@ -258,3 +258,46 @@ def basis_with_tags(left, right, i, j):
     """Indices k of the basis elements with left tag i and right tag j,
     given the two tag lists of an algebra basis."""
     return [k for k, (lk, rk) in enumerate(zip(left, right)) if lk == i and rk == j]
+
+
+def balanced_tensor_dim(m_weights, n_weights, radical, p=None):
+    """dim M (x)_R N for a right R-module M and a left R-module N over a
+    basic algebra R, as the quotient of the sum of the spaces Me_i (x) e_iN
+    by the relations m*x (x) n - m (x) x*n.
+
+    ``m_weights[s]`` and ``n_weights[t]`` are the vertices of the basis
+    vectors (b_s e_i = b_s, e_i b_t = b_t).  ``radical`` lists one
+    ``(i, j, mx, nx)`` per radical basis element x = e_i x e_j: ``mx`` is
+    the dense matrix of the right action of x on M (row s is b_s * x) and
+    ``nx`` that of its left action on N (row t is x * b_t).
+    """
+    pairs = {}
+    for s, ws in enumerate(m_weights):
+        for t, wt in enumerate(n_weights):
+            if ws == wt:
+                pairs[(s, t)] = len(pairs)
+    rows = []
+    for i, j, mx, nx in radical:
+        for s in (s for s, w in enumerate(m_weights) if w == i):
+            for t in (t for t, w in enumerate(n_weights) if w == j):
+                row = [0] * len(pairs)
+                for c, v in enumerate(mx[s]):
+                    if v:
+                        row[pairs[(c, t)]] += v
+                for d, v in enumerate(nx[t]):
+                    if v:
+                        row[pairs[(s, d)]] -= v
+                if any(row):
+                    rows.append(row)
+    return len(pairs) - dense_rank(rows, p)
+
+
+def module_tensor_dim(m, n):
+    """:func:`balanced_tensor_dim` of a right module m over R and a right
+    module n over the opposite of R (a left R-module), read off their
+    attributes; the opposite keeps R's basis, so row t of ``n.action[x]``
+    is x * b_t."""
+    a = m.algebra
+    radical = [(a.left[x], a.right[x], dense_action(m.action[x], m.dim),
+                dense_action(n.action[x], n.dim)) for x in range(a.r, a.dim)]
+    return balanced_tensor_dim(m.weights, n.weights, radical, a.field.p)

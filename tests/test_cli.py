@@ -52,6 +52,20 @@ def test_gldim_gorenstein_smooth(capsys):
     assert code == 0 and "not_smooth" in out
 
 
+def test_smooth_cross_check_reports_a_skip_above_dim_8(capsys):
+    # FIX-TP1(3) has dim 12: the cross-check is asked for but not run
+    code, out, _ = run_cli(capsys, "smooth", "FIX-TP1(3)", "--cross-check")
+    assert code == 0
+    assert out.splitlines()[1] == "  enveloping-algebra cross-check: skipped (dim 12 > 8)"
+    code, out, _ = run_cli(capsys, "smooth", "FIX-TP1(3)", "--cross-check", "--json")
+    assert code == 0 and json.loads(out)["bimodule_pd"] == "skipped (dim 12 > 8)"
+    # without the flag the report names no cross-check
+    code, out, _ = run_cli(capsys, "smooth", "FIX-TP1(3)")
+    assert code == 0 and "cross-check" not in out
+    code, out, _ = run_cli(capsys, "smooth", "FIX-TP1(3)", "--json")
+    assert code == 0 and "bimodule_pd" not in json.loads(out)
+
+
 def test_stratify(capsys):
     code, out, _ = run_cli(capsys, "stratify", "FIX-A2")
     assert code == 0

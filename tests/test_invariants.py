@@ -5,7 +5,7 @@ from homkit import invariants
 from homkit.algebra import opposite, tensor, triangular
 from homkit.corpus import CorpusSpec, generate
 from homkit.invariants import (cartan_matrix, eilenberg_check, euler_matrix,
-                               gldim, gldim_is_finite, gorenstein, k0_rank,
+                               gldim, gldim_is_finite, gorenstein,
                                self_injective_dimension, smooth, two_point_criterion)
 from homkit.linalg import IntMatrix
 from homkit.modules import (DIM_GUARD, dual, hom_space, pd, projective, projective_cover,
@@ -61,13 +61,14 @@ def test_cartan_hom_cross_oracle(fixture_algebras):
 
 
 def test_k0_rank(fixture_algebras, one_point):
-    assert k0_rank(fixture_algebras["FIX-A2"]) == 2
-    assert k0_rank(fixture_algebras["FIX-LOC"]) == 1
+    # the rank of K_0 is the number of vertex idempotents, Algebra.r
+    assert fixture_algebras["FIX-A2"].r == 2
+    assert fixture_algebras["FIX-LOC"].r == 1
     loc = fixture_algebras["FIX-LOC"]
     T = tensor(opposite(one_point), loc)
     m = regular(T)
     tri = triangular(loc, one_point, m)
-    assert k0_rank(tri) == k0_rank(loc) + k0_rank(one_point)
+    assert tri.r == loc.r + one_point.r
 
 
 def test_gldim(a2, tp11, semisimple3):

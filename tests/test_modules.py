@@ -8,17 +8,17 @@ from itertools import combinations
 import pytest
 
 from _oracles import (basis_with_tags, dense_action, dense_kernel, dense_matmul, dense_rank,
-                      dense_rows, iso_witness_holds)
+                      dense_rows, iso_witness_holds, module_tensor_dim)
 import homkit.modules as modules_mod
 from homkit import corpus
 from homkit.algebra import from_quiver, opposite, tensor, triangular
 from homkit.invariants import _regular_bimodule, gorenstein
 from homkit.modules import (AlgebraMap, Module, adapt_weights, direct_sum, dual,
-                            ext_dims, hom_space, injective, is_iso, min_resolution,
+                            ext_dims, hom_dim, hom_space, injective, is_iso, min_resolution,
                             module_from_json, module_to_json, pd, projective,
                             projective_cover, quotient_module, radical_submodule,
                             regular, restrict_along, simple, spanned_submodule,
-                            syzygy, tensor_over, top, top_multiplicities,
+                            syzygy, top, top_multiplicities,
                             tor_dims, zero_module, _radical_rowspace,
                             _syzygy_with_inclusion, bimodule_restrictions)
 from homkit.presentation import parse_spec, spec_of_fixture
@@ -433,8 +433,7 @@ def test_ext_duality_contravariance(fixture_algebras):
 
 def test_tensor_over_unit_law(a2):
     n = regular(opposite(a2))  # A as a left module over itself
-    t = tensor_over(regular(a2), n)
-    assert t.dim == n.dim
+    assert hom_dim(regular(a2), dual(n)) == module_tensor_dim(regular(a2), n) == n.dim
 
 
 def test_tensor_over_corner_example(a2):
@@ -443,12 +442,12 @@ def test_tensor_over_corner_example(a2):
     Ae = module_Ae(a2, [0], cor)
     eA = module_eA(a2, [0], cor)
     assert Ae.dim == 1 and eA.dim == 2
-    assert tensor_over(Ae, eA).dim == 2
+    assert hom_dim(Ae, dual(eA)) == module_tensor_dim(Ae, eA) == 2
 
 
 def test_tensor_over_zero(a2):
     z = zero_module(opposite(a2))
-    assert tensor_over(regular(a2), z).dim == 0
+    assert hom_dim(regular(a2), dual(z)) == module_tensor_dim(regular(a2), z) == 0
 
 
 def test_tensor_dim_symmetric_on_corners(fixture_algebras):
@@ -457,7 +456,20 @@ def test_tensor_dim_symmetric_on_corners(fixture_algebras):
             cor = corner(a, list(S))
             Ae = module_Ae(a, list(S), cor)
             eA = module_eA(a, list(S), cor)
-            assert tensor_over(Ae, eA).dim == tensor_over(eA, Ae).dim, name
+            assert hom_dim(Ae, dual(eA)) == hom_dim(eA, dual(Ae)), name
+            assert module_tensor_dim(Ae, eA) == module_tensor_dim(eA, Ae), name
+
+
+def test_hom_dim_is_the_hom_space_dimension(fixture_algebras):
+    for name, a in fixture_algebras.items():
+        mods = ([simple(a, i) for i in range(a.r)] + [projective(a, i) for i in range(a.r)]
+                + [regular(a), dual(regular(opposite(a)))])
+        for x in mods:
+            for y in mods:
+                assert hom_dim(x, y) == len(hom_space(x, y)), name
+    a2 = fixture_algebras["FIX-A2"]
+    with pytest.raises(ValueError, match="same algebra"):
+        hom_dim(simple(a2, 0), dual(simple(a2, 0)))
 
 
 def test_tor_examples(a2):
@@ -480,7 +492,7 @@ def test_tor_projective_first_argument(a2):
     P = projective(a2, 0)
     n = regular(opposite(a2))
     tors = tor_dims(P, n, 3)
-    assert tors[0] == tensor_over(P, n).dim
+    assert tors[0] == hom_dim(P, dual(n)) == module_tensor_dim(P, n)
     assert tors[1:] == [0, 0, 0]
 
 
@@ -494,7 +506,8 @@ def _corner_pairs(a):
 
 def test_degree_zero_matches_hom_and_tensor(fixture_algebras, seed42_pools):
     # Ext^0 and Tor_0 are read off the generator rows of a resolution; Hom
-    # and the tensor product are solved from the actions, sharing no code
+    # is solved from the actions and the tensor product is the oracle's
+    # quotient, sharing no code
     for name, a in fixture_algebras.items():
         mods = ([simple(a, i) for i in range(a.r)] + [projective(a, i) for i in range(a.r)]
                 + [regular(a)])
@@ -502,11 +515,11 @@ def test_degree_zero_matches_hom_and_tensor(fixture_algebras, seed42_pools):
             for y in mods + [injective(a, i) for i in range(a.r)]:
                 assert ext_dims(x, y, 1)[0] == len(hom_space(x, y)), name
             for y in mods:
-                assert tor_dims(x, dual(y), 1)[0] == tensor_over(x, dual(y)).dim, name
+                assert tor_dims(x, dual(y), 1)[0] == module_tensor_dim(x, dual(y)), name
     for a in [*fixture_algebras.values(), *seed42_pools["NilpotentCyclic"]]:
         for Ae, eA in _corner_pairs(a):
             for x, y in ((Ae, eA), (eA, Ae)):
-                assert tor_dims(x, y, 1)[0] == tensor_over(x, y).dim, a.name
+                assert tor_dims(x, y, 1)[0] == module_tensor_dim(x, y), a.name
                 assert ext_dims(x, x, 1)[0] == len(hom_space(x, x)), a.name
 
 

@@ -1,6 +1,7 @@
 import collections
 import functools
 import hashlib
+import itertools
 import json
 from dataclasses import replace
 
@@ -10,8 +11,9 @@ from homkit.algebra import (corner, opposite, quotient_by_idempotent_ideal, tens
                             triangular, validate)
 from homkit.corpus import CorpusSpec, generate
 from homkit.invariants import cartan_matrix, gldim, gorenstein
-from homkit.modules import (AlgebraMap, Module, PdResult, bimodule_restrictions, pd, regular,
-                            restrict_along)
+from _oracles import module_tensor_dim
+from homkit.modules import (AlgebraMap, Module, PdResult, bimodule_restrictions, dual,
+                            hom_dim, pd, regular, restrict_along)
 from homkit.recollement import (aea_dimension, det_multiplicativity_check,
                                 gorenstein_transfer_check, height_label,
                                 ladder_estimate, module_Ae, module_eA,
@@ -352,13 +354,32 @@ def test_k0_additivity_on_splits(a2, tri0):
 def test_tor0_bounds_aea_dimension(a2, tp11):
     # multiplication maps Ae (x) eA onto AeA, so Tor_0 >= dim AeA, with
     # equality exactly in the stratifying cases
-    from homkit.modules import tensor_over
     for a, S, stratifies in ((a2, [0], True), (tp11, [0], False)):
         cor = corner(a, S)
-        t = tensor_over(module_Ae(a, S, cor), module_eA(a, S, cor)).dim
+        Ae, eA = module_Ae(a, S, cor), module_eA(a, S, cor)
+        t = hom_dim(Ae, dual(eA))
+        assert t == module_tensor_dim(Ae, eA)
         d = aea_dimension(a, S)
         assert t >= d
         assert (t == d) == stratifies
+
+
+def test_tensor_dim_matches_the_balanced_tensor_oracle(fixture_algebras, seed42_pools):
+    # dim Ae (x)_{eAe} eA three ways: the Hom system against D(eA) and, in
+    # reverse, against D(Ae), and the stratifying check's own reading, each
+    # against the oracle's quotient of the pure tensors
+    pairs = 0
+    for a in [*fixture_algebras.values(), *seed42_pools["NilpotentCyclic"]]:
+        for k in range(1, a.r):
+            for S in map(list, itertools.combinations(range(a.r), k)):
+                cor = corner(a, S)
+                Ae, eA = module_Ae(a, S, cor), module_eA(a, S, cor)
+                want = module_tensor_dim(Ae, eA)
+                assert hom_dim(Ae, dual(eA)) == want, (a.name, S)
+                assert hom_dim(eA, dual(Ae)) == want, (a.name, S)
+                assert stratifying_check(a, S, 12).tensor_dim == want, (a.name, S)
+                pairs += 1
+    assert pairs == 642
 
 
 def test_ladder_monotone_in_cutoff(a2, loc, one_point):
