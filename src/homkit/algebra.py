@@ -15,7 +15,7 @@ import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .linalg import Field, RowSpace
+from .linalg import Field, RowSpace, axpy
 from .presentation import AlgebraSpec, Quiver, SpecError
 
 if TYPE_CHECKING:
@@ -92,13 +92,7 @@ class Algebra:
                 row = mx[y]
                 if not row:
                     continue
-                cxy = F.mul(cx, cy)
-                for z, cz in row.items():
-                    nv = F.add(out.get(z, F.zero), F.mul(cxy, cz))
-                    if nv == 0:
-                        out.pop(z, None)
-                    else:
-                        out[z] = nv
+                axpy(F, out, F.mul(cx, cy), row)
         return out
 
     def __eq__(self, other):
@@ -178,17 +172,12 @@ class _GradedClosure:
                         rights = [w for w in self.normal[dq] if w[0] == rel.target]
                         for pw in lefts:
                             for qw in rights:
-                                vec: dict[int, object] = {}
+                                acc: dict[tuple, object] = {}
                                 for coeff, relpath in rel.terms:
-                                    red = self._append(pw, relpath.arrows + qw[1])
-                                    for w2, c2 in red.items():
-                                        nv = F.add(vec.get(col[w2], F.zero), F.mul(coeff, c2))
-                                        if nv == 0:
-                                            vec.pop(col[w2], None)
-                                        else:
-                                            vec[col[w2]] = nv
-                                if vec:
-                                    space.add(vec)
+                                    axpy(F, acc, coeff,
+                                         self._append(pw, relpath.arrows + qw[1]))
+                                if acc:
+                                    space.add({col[w2]: c2 for w2, c2 in acc.items()})
             pivot_cols = set(space.pivot_of_col)
             for c in pivot_cols:
                 expr = space.expression_of_pivot(c)
@@ -210,20 +199,9 @@ class _GradedClosure:
                 if _word_target(self.q, w) != self.q.arrows[ai].source:
                     raise AssertionError("non-composable append")
                 wa = (w[0], w[1] + (ai,))
+                # a monomial relation's expression is {}, so test for None
                 expr = self.pivot_expr.get(wa)
-                if expr is None:
-                    nv = F.add(nxt.get(wa, F.zero), c)
-                    if nv == 0:
-                        nxt.pop(wa, None)
-                    else:
-                        nxt[wa] = nv
-                else:
-                    for w2, c2 in expr.items():
-                        nv = F.add(nxt.get(w2, F.zero), F.mul(c, c2))
-                        if nv == 0:
-                            nxt.pop(w2, None)
-                        else:
-                            nxt[w2] = nv
+                axpy(F, nxt, c, {wa: F.one} if expr is None else expr)
             cur = nxt
             if not cur:
                 break
@@ -301,12 +279,7 @@ class _WindowedClosure:
                             vec: dict[int, object] = {}
                             for coeff, relpath in rel.terms:
                                 w2 = (pw[0], pw[1] + relpath.arrows + qw[1])
-                                c = self.col[w2]
-                                nv = F.add(vec.get(c, F.zero), coeff)
-                                if nv == 0:
-                                    vec.pop(c, None)
-                                else:
-                                    vec[c] = nv
+                                axpy(F, vec, coeff, {self.col[w2]: F.one})
                             if vec:
                                 self.space.add(vec)
                                 rows_added += 1
@@ -644,11 +617,8 @@ def _bimodule_actions(b: Algebra, c: Algebra, m: "Module") -> tuple[list, list]:
         acc: dict[int, dict] = {}
         for p in pairs:
             for k, row in m.action[pidx[p]].items():
-                out = acc.setdefault(k, {})
-                for t, cv in row.items():
-                    out[t] = F.add(out.get(t, F.zero), cv)
-        return {k: row for k in sorted(acc)
-                if (row := {t: v for t, v in acc[k].items() if v != 0})}
+                axpy(F, acc.setdefault(k, {}), F.one, row)
+        return {k: acc[k] for k in sorted(acc) if acc[k]}
 
     return ([summed([(i, y) for i in range(c.r)]) for y in range(b.dim)],
             [summed([(x, j) for j in range(b.r)]) for x in range(c.dim)])

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -79,7 +80,7 @@ def load_algebra(path: str) -> Algebra:
                 return algebra_from_json(json.loads(text))
             spec = parse_spec(text, name=os.path.basename(path))
             return from_quiver(spec)
-        except (SpecError, FieldError, ValueError, json.JSONDecodeError) as e:
+        except (OSError, ValueError) as e:
             raise InputError(f"{path}: {e}") from None
     base = os.path.basename(path)
     if base.upper().startswith("FIX-"):
@@ -96,7 +97,7 @@ def _resolve_e(a: Algebra, text: str) -> list[int]:
         part = part.strip()
         if part in a.vertex_labels:
             out.append(a.vertex_labels.index(part))
-        elif part.isdigit() and 0 <= int(part) - 1 < a.r and part not in a.vertex_labels:
+        elif part.isascii() and part.isdigit() and 0 <= int(part) - 1 < a.r:
             out.append(int(part) - 1)
         else:
             raise InputError(f"unknown vertex {part!r} (labels: {', '.join(a.vertex_labels)})")
@@ -191,15 +192,8 @@ def cmd_stratify(args) -> int:
         _print(tree.render())
         leaves = tree.leaves()
         _print(f"{len(leaves)} leaves; leaf det product = "
-                     f"{_prod(n.det for n in leaves)}; root det = {tree.det}")
+                     f"{math.prod(n.det for n in leaves)}; root det = {tree.det}")
     return EXIT_OK
-
-
-def _prod(xs) -> int:
-    out = 1
-    for x in xs:
-        out *= x
-    return out
 
 
 def _load_bimodule(args, b: Algebra, c: Algebra):
@@ -323,8 +317,7 @@ def cmd_dump(args) -> int:
 
 
 def _eval_corpus_instance(payload) -> dict:
-    spec_kw, index, cutoff, suite = payload
-    spec = corpus_mod.CorpusSpec(**spec_kw)
+    spec, index, cutoff, suite = payload
     out: dict = {"index": index}
     if spec.shape == "AcyclicQuiver":
         a = corpus_mod.generate(spec, index)
@@ -355,7 +348,7 @@ def _eval_corpus_instance(payload) -> dict:
         out["split_dets"] = [s.det_check.describe() for s in splits]
         down_ok = all(s.det_check.applicable for s in splits)
         if splits and down_ok:
-            prod = _prod(n.det for n in leaves)
+            prod = math.prod(n.det for n in leaves)
             out["leaf_det_product_matches"] = (prod == tree.det)
         out["verdict"] = "pass"
     else:
@@ -379,11 +372,7 @@ def _eval_corpus_instance(payload) -> dict:
 def run_corpus(spec: corpus_mod.CorpusSpec, cutoff: int, suite: str = "default",
                jobs: int = 1) -> dict:
     """Evaluate a corpus and assemble the run report (deterministic order)."""
-    payloads = [({"seed": spec.seed, "count": spec.count, "shape": spec.shape,
-                  "field_name": spec.field_name, "max_vertices": spec.max_vertices,
-                  "max_arrows": spec.max_arrows, "max_relations": spec.max_relations,
-                  "dim_bound": spec.dim_bound}, i, cutoff, suite)
-                for i in range(spec.count)]
+    payloads = [(spec, i, cutoff, suite) for i in range(spec.count)]
     if jobs > 1 and spec.count > 1:
         from concurrent.futures import ProcessPoolExecutor
         # a fork pool starts all its workers at once, so start no more
@@ -434,8 +423,11 @@ def cmd_corpus(args) -> int:
     if args.with_timing:
         summary += f" in {elapsed:.1f}s"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise InputError(f"{args.out}: {e}") from None
         if not args.json:
             _print(f"{summary} -> {args.out}")
     else:

@@ -80,9 +80,6 @@ class Field:
     def add(self, a, b):
         return a + b if self.p is None else (a + b) % self.p
 
-    def sub(self, a, b):
-        return a - b if self.p is None else (a - b) % self.p
-
     def neg(self, a):
         return -a if self.p is None else (-a) % self.p
 
@@ -127,9 +124,23 @@ class Field:
         name = name.strip()
         if name == "Q":
             return Field.rationals()
-        if name.startswith("F") and name[1:].isdigit():
+        if name.startswith("F") and name[1:].isascii() and name[1:].isdigit():
             return Field.prime(int(name[1:]))
         raise FieldError(f"unknown field {name!r}")
+
+
+def axpy(F: Field, acc: dict, c, row: dict) -> None:
+    """``acc += c * row`` in place on sparse rows ``{column: scalar}``,
+    storing no zero: an entry that cancels is removed.  ``acc`` and ``row``
+    must be distinct objects.  This is the one sparse-row update of the
+    package."""
+    zero = F.zero
+    for k, x in row.items():
+        v = F.add(acc.get(k, zero), F.mul(c, x))
+        if v == 0:
+            acc.pop(k, None)
+        else:
+            acc[k] = v
 
 
 class Matrix:
@@ -195,15 +206,8 @@ class RowSpace:
         hits = [c for c in v if c in self.pivot_of_col]
         for c in sorted(hits):
             coeff = v.get(c)
-            if not coeff:
-                continue
-            row = self.rows[self.pivot_of_col[c]]
-            for cc, x in row.items():
-                nv = F.sub(v.get(cc, F.zero), F.mul(coeff, x))
-                if nv == 0:
-                    v.pop(cc, None)
-                else:
-                    v[cc] = nv
+            if coeff is not None:
+                axpy(F, v, F.neg(coeff), self.rows[self.pivot_of_col[c]])
         return v
 
     def add(self, vec: dict) -> bool:
@@ -219,13 +223,8 @@ class RowSpace:
         if lead in self._cols:
             for row in self.rows:
                 coeff = row.get(lead)
-                if coeff is not None and coeff != 0:
-                    for cc, x in v.items():
-                        nv = F.sub(row.get(cc, F.zero), F.mul(coeff, x))
-                        if nv == 0:
-                            row.pop(cc, None)
-                        else:
-                            row[cc] = nv
+                if coeff is not None:
+                    axpy(F, row, F.neg(coeff), v)
         self._cols.update(v)
         self.pivot_of_col[lead] = len(self.rows)
         self.pivot_cols.append(lead)

@@ -32,7 +32,7 @@ from itertools import product as iter_product
 
 from .algebra import (Algebra, _bimodule_actions, algebra_from_json, algebra_to_json,
                       opposite)
-from .linalg import Field, RowSpace, inverse
+from .linalg import Field, RowSpace, axpy, inverse
 
 _ISO_SEARCH_SEED = 0x5EED
 _ISO_RETRIES = 8
@@ -52,9 +52,8 @@ def _vecmat(F: Field, v: dict, A: dict) -> dict:
     for i, a in v.items():
         row = A.get(i)
         if row:
-            for j, b in row.items():
-                out[j] = F.add(out.get(j, F.zero), F.mul(a, b))
-    return {j: x for j, x in out.items() if x != 0}
+            axpy(F, out, a, row)
+    return out
 
 
 def _transpose(rows) -> dict:
@@ -448,6 +447,8 @@ def _syzygy_with_inclusion(m: Module, cov: Cover | None = None) -> tuple[Module,
                 img = images[x].get(s)
                 if img is None:
                     img = images[x][s] = {}
+                # inline rather than linalg.axpy, which would need zs remapped
+                # through zmap for every source column
                 for z, cz in zs.items():
                     t = zmap.get(z)
                     if t is not None:
@@ -576,6 +577,7 @@ def _hom_system(m: Module, n: Module) -> tuple[RowSpace, int, list[list[int]], l
         return off[i] + si * len(nb[i]) + ti
 
     mpos = {s: si for block in mb for si, s in enumerate(block)}
+    minus_one = F.neg(F.one)
     rows = RowSpace(F)
     for x in range(r, a.dim):
         i, j = a.left[x], a.right[x]
@@ -597,13 +599,7 @@ def _hom_system(m: Module, n: Module) -> tuple[RowSpace, int, list[list[int]], l
             for tj, t in enumerate(nb[j]):
                 vec = {unknown(j, cj, tj): v for cj, v in terms}
                 # - sum_d F_i[s][d] An[d][t]  (d of weight i in N)
-                for di, v in cols.get(t, ()):
-                    k = unknown(i, si, di)
-                    nv = F.sub(vec.get(k, F.zero), v)
-                    if nv == 0:
-                        vec.pop(k, None)
-                    else:
-                        vec[k] = nv
+                axpy(F, vec, minus_one, {unknown(i, si, di): v for di, v in cols.get(t, ())})
                 if vec:
                     rows.add(vec)
     return rows, total, mb, nb
@@ -680,13 +676,10 @@ def is_iso(m: Module, n: Module) -> IsoResult:
         """The combination as one sparse row per index."""
         mat: list[dict] = [{} for _ in range(m.dim)]
         for c, hm in zip(coeffs, homs):
-            if c == 0:
-                continue
-            for s, hs in hm.items():
-                ms = mat[s]
-                for t, x in hs.items():
-                    ms[t] = F.add(ms.get(t, F.zero), F.mul(c, x))
-        return [{t: x for t, x in row.items() if x != 0} for row in mat]
+            if c != 0:
+                for s, hs in hm.items():
+                    axpy(F, mat[s], c, hs)
+        return mat
 
     p = F.p
     exhaustive = p is not None and p ** h <= _EXHAUSTIVE_LIMIT
@@ -917,12 +910,7 @@ class AlgebraMap:
         F = t.field
         one: dict[int, object] = {}
         for i in range(s.r):
-            for z, c in self.images[i].items():
-                nv = F.add(one.get(z, F.zero), c)
-                if nv == 0:
-                    one.pop(z, None)
-                else:
-                    one[z] = nv
+            axpy(F, one, F.one, self.images[i])
         if one != t.unit_coords():
             raise ValueError("map does not send 1 to 1")
         for x in range(s.dim):
@@ -930,12 +918,7 @@ class AlgebraMap:
                 lhs = t.mul_coords(self.images[x], self.images[y])
                 rhs: dict[int, object] = {}
                 for z, c in s.mult[x][y].items():
-                    for w, cw in self.images[z].items():
-                        nv = F.add(rhs.get(w, F.zero), F.mul(c, cw))
-                        if nv == 0:
-                            rhs.pop(w, None)
-                        else:
-                            rhs[w] = nv
+                    axpy(F, rhs, c, self.images[z])
                 if lhs != rhs:
                     raise ValueError(f"map not multiplicative at basis pair ({x},{y})")
 

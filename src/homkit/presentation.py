@@ -192,7 +192,7 @@ def _tokenize(text: str) -> list[_Token]:
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             word = text[i:j]
-            kind = "int" if word.isdigit() else "id"
+            kind = "int" if word.isascii() and word.isdigit() else "id"
             toks.append(_Token(kind, word, line, col))
             col += j - i
             i = j
@@ -267,7 +267,7 @@ def parse_spec(text: str, name: str = "", degree_cutoff: int = 30) -> AlgebraSpe
     elif t.text == "F":
         m = p.expect("int")
         fld = _prime_field(m, m.text)
-    elif t.text.startswith("F") and t.text[1:].isdigit():
+    elif t.text.startswith("F") and t.text[1:].isascii() and t.text[1:].isdigit():
         fld = _prime_field(t, t.text[1:])
     else:
         raise SpecError(f"unknown field {t.text!r}", t.line, t.col)
@@ -504,7 +504,7 @@ def spec_of_fixture(name: str) -> AlgebraSpec:
     if norm.startswith("FIX-TP1") and len(norm) > len("FIX-TP1"):
         rest = norm[len("FIX-TP1"):]
         rest = rest.strip("()-")
-        if not rest.isdigit() or int(rest) < 1:
+        if not (rest.isascii() and rest.isdigit()) or int(rest) < 1:
             raise SpecError(f"bad FIX-TP1 parameter in {name!r}")
         n = int(rest)
         return parse_spec(_tp1_text(n), name=f"FIX-TP1({n})")

@@ -205,6 +205,13 @@ def dense_rref(rows, ncols, p=None):
     return work[:rank], pivots
 
 
+def dense_axpy(acc, c, row, p=None):
+    """The dense vector acc + c * row, over F_p if p is given and over Q
+    (with Fractions) otherwise."""
+    return [Fraction(x) + Fraction(c) * y if p is None else (x + c * y) % p
+            for x, y in zip(acc, row)]
+
+
 def dense_kernel(rows, ncols, p=None):
     """Basis of the null space {x : rows @ x = 0}, one vector per free
     column of the RREF from :func:`dense_rref`."""

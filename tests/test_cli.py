@@ -100,6 +100,29 @@ def test_parse_error_is_input_error(tmp_path, capsys):
     assert "line" in err
 
 
+@pytest.mark.parametrize("argv", [["gldim", "{d}"], ["cartan", "{d}.json"],
+                                  ["corpus", "--shape", "AcyclicQuiver", "--count", "2",
+                                   "--jobs", "1", "--out", "{d}"]])
+def test_unreadable_path_is_input_error(capsys, tmp_path, argv):
+    d = tmp_path / "dir"
+    d.mkdir()
+    (tmp_path / "dir.json").mkdir()
+    argv = [arg.format(d=d) for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith(f"error: {argv[-1]}: ") and "internal error" not in err
+
+
+@pytest.mark.parametrize("relations", ["(a*b)^\u00b2", "\u00b2*a*b"])
+def test_non_ascii_digit_has_location(capsys, tmp_path, relations):
+    f = tmp_path / "sup.qa"
+    f.write_text("field Q\nquiver { vertices: 1, 2 arrows: a: 1 -> 2, b: 2 -> 1 }\n"
+                 f"relations {{ {relations} }}\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "cartan", str(f))
+    assert code == 1
+    assert "line 3, col" in err
+
+
 def test_bad_vertex_is_input_error(capsys):
     code, _, err = run_cli(capsys, "check", "theorem1", "FIX-A2", "--e", "9")
     assert code == 1
@@ -353,6 +376,11 @@ def test_corpus_with_timing_flag(capsys):
     (["corpus", "--shape", "AcyclicQuiver", "--count", "-1", "--jobs", "1"], "--count"),
     (["corpus", "--shape", "AcyclicQuiver", "--dim-bound", "0", "--jobs", "1"],
      "--dim-bound"),
+    # a non-ASCII digit is not a number
+    (["check", "theorem1", "FIX-A2", "--e", "\u00b2"], "unknown vertex"),
+    (["cartan", "FIX-TP1(\u00b2)"], "FIX-TP1"),
+    (["corpus", "--shape", "AcyclicQuiver", "--count", "1", "--jobs", "1",
+      "--field", "F\u00b2"], "unknown field"),
 ])
 def test_bad_arguments_are_input_errors(capsys, argv, named):
     code, out, err = run_cli(capsys, *argv)

@@ -3,11 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homkit.linalg import (Field, FieldError, IntMatrix, Matrix, RowSpace,
+from homkit.linalg import (Field, FieldError, IntMatrix, Matrix, RowSpace, axpy,
                            det_int, inverse, is_prime)
-from _oracles import (brute_force_modp_solutions, dense_kernel, dense_matmul, dense_rank,
-                      dense_rref, det_cofactor, det_mod_p, identity_matrix, invert_2x2,
-                      invert_int)
+from _oracles import (brute_force_modp_solutions, dense_axpy, dense_kernel, dense_matmul,
+                      dense_rank, dense_rref, det_cofactor, det_mod_p, identity_matrix,
+                      invert_2x2, invert_int)
 
 Q = Field.rationals()
 F3 = Field.prime(3)
@@ -129,6 +129,38 @@ def test_rowspace_incremental():
 
 def _sparse(dense):
     return {c: x for c, x in enumerate(dense) if x != 0}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([None, 101]), st.data())
+def test_axpy_matches_dense_oracle(p, data):
+    F = Q if p is None else Field.prime(p)
+    ncols = data.draw(st.integers(min_value=0, max_value=7))
+    acc = [F.of_int(data.draw(small_ints)) for _ in range(ncols)]
+    c = F.of_int(data.draw(small_ints))
+    row = []
+    for k in range(ncols):
+        if c != 0 and acc[k] != 0 and data.draw(st.booleans()):
+            # exact cancellation: the entry must be removed, not stored as 0
+            row.append(F.neg(F.div(acc[k], c)))
+        else:
+            row.append(F.of_int(data.draw(small_ints)))
+    sparse_acc, sparse_row = _sparse(acc), _sparse(row)
+    axpy(F, sparse_acc, c, sparse_row)
+    assert sparse_acc == _sparse(dense_axpy(acc, c, row, p))
+    assert all(x != 0 for x in sparse_acc.values())
+    assert sparse_row == _sparse(row)
+
+
+@pytest.mark.parametrize("F", [Q, Field.prime(101)])
+def test_axpy_empty_row_and_zero_scalar_leave_acc_alone(F):
+    acc = {0: F.of_int(3), 4: F.of_int(-2)}
+    axpy(F, acc, F.of_int(5), {})
+    assert acc == {0: F.of_int(3), 4: F.of_int(-2)}
+    axpy(F, acc, F.zero, {0: F.of_int(7), 2: F.one})
+    assert acc == {0: F.of_int(3), 4: F.of_int(-2)}
+    axpy(F, acc, F.one, {0: F.of_int(-3)})
+    assert acc == {4: F.of_int(-2)}
 
 
 @settings(max_examples=120, deadline=None)

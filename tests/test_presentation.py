@@ -198,6 +198,7 @@ def test_parser_rejects_garbage_gracefully():
         "",
         "field",
         "field Z quiver { vertices: 1 arrows: }",
+        "field F\u00b2 quiver { vertices: 1 arrows: }",
         "field Q",
         "field Q quiver",
         "field Q quiver {",
@@ -214,6 +215,7 @@ def test_parser_rejects_garbage_gracefully():
         "field Q quiver { vertices: 1 arrows: x: 1 -> 1 } relations { x*x } junk",
         "field Q quiver { vertices: 1 arrows: x: 1 -> 1 } relations { (x*x }",
         "field Q quiver { vertices: 1 arrows: x: 1 -> 1 } relations { (x)^0 }",
+        "field Q quiver { vertices: 1 arrows: x: 1 -> 1 } relations { (x)^\u00b2 }",
         "field Q quiver { vertices: 1 arrows: x: 1 -> 1 } relations { 3 }",
         "field Q quiver { vertices: 1 arrows: x: 1 -> 1 } relations { + }",
         "field Q quiver { vertices: 1 arrows: x: 1 -> 1 } relations { x*x ~ }",
