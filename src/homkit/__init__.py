@@ -16,7 +16,7 @@ from .algebra import (Algebra, NotFiniteDimensionalError, algebra_from_json,
 from .modules import (Module, PdResult, dual, ext_dims, hom_dim, hom_space, injective,
                       injective_dimension, is_iso, min_resolution, module_from_json,
                       module_to_json, pd, projective, projective_cover,
-                      radical_submodule, regular, restrict_along, simple, syzygy,
+                      radical_submodule, regular, simple, syzygy,
                       top, top_multiplicities, tor_dims)
 from .invariants import (CartanReport, GldimReport, GorensteinReport,
                          TheoremViolation, cartan_matrix, eilenberg_check,

@@ -17,6 +17,11 @@ homkit-module/1 JSON is dense.  Every constructor here produces
 weight-adapted bases, which keeps Hom systems block diagonal and makes
 semisimple data (tops, simple multiplicities) readable off the weights.
 
+A Module carries two caches, each filled at most once: ``_radical``, the
+row space of rad M that covers and tops read, and ``_resolution``, the
+steps of its minimal resolution built so far, which pd, Ext, Tor and
+``min_resolution`` read and extend only as far as they need.
+
 Left modules are represented as right modules over the opposite algebra,
 and injective dimension is projective dimension of the dual on the other
 side.  Projective-dimension results carry certificates: Finite means a
@@ -77,10 +82,12 @@ class Module:
     increasing s, so equal modules have equal ``action`` and read their
     rows in the same order.  ``_radical`` caches the row space of rad M
     (see ``_radical_rowspace``); it is built at most once per module, and a
-    syzygy arrives with it already filled in.
+    syzygy arrives with it already filled in.  ``_resolution`` holds the
+    steps of the minimal resolution built so far (see
+    ``_resolution_steps``), each built at most once per module.
     """
 
-    __slots__ = ("algebra", "dim", "action", "weights", "_radical")
+    __slots__ = ("algebra", "dim", "action", "weights", "_radical", "_resolution")
 
     def __init__(self, algebra: Algebra, dim: int, action: list[dict[int, dict]],
                  weights: list[int]):
@@ -89,6 +96,7 @@ class Module:
         self.action = action
         self.weights = list(weights)
         self._radical: RowSpace | None = None
+        self._resolution: list[tuple[Module, Cover, list[dict]]] = []
         if len(action) != algebra.dim:
             raise ValueError("need one action matrix per algebra basis element")
         if len(weights) != dim:
@@ -470,21 +478,30 @@ def _syzygy_with_inclusion(m: Module, cov: Cover | None = None) -> tuple[Module,
     return sub, cov, kernel
 
 
-def _resolve(m: Module, steps: int):
+def _resolution_steps(m: Module, steps: int):
     """The minimal resolution of a non-zero m, one syzygy at a time.
 
-    Yields ``(syzygy, cover, inclusion)`` for at most ``steps`` syzygies;
-    the caller stops at the first zero one.  When a cover source would
-    exceed ``DIM_GUARD`` it yields None and ends.
+    Yields ``(syzygy, cover, inclusion)`` for at most ``steps`` syzygies
+    and ends after the first zero one.  The steps are kept on
+    ``m._resolution`` and a step is built only when a caller first reads
+    it, so pd, Ext, Tor and ``min_resolution`` on one module object share
+    one resolution.  When a cover source would exceed ``DIM_GUARD`` it
+    yields None and ends; that stop is not kept, so the guard is read at
+    every call.
     """
-    cur = m
-    for _ in range(steps):
-        cov = projective_cover(cur)
-        if cov.source_dim > DIM_GUARD:
-            yield None
+    done = m._resolution
+    for j in range(steps):
+        if j == len(done):
+            cur = done[-1][0] if done else m
+            cov = projective_cover(cur)
+            if cov.source_dim > DIM_GUARD:
+                yield None
+                return
+            done.append(_syzygy_with_inclusion(cur, cov))
+        step = done[j]
+        yield step
+        if step[0].is_zero():
             return
-        cur, cov, incl = _syzygy_with_inclusion(cur, cov)
-        yield cur, cov, incl
 
 
 @dataclass
@@ -528,7 +545,7 @@ def min_resolution(m: Module, cutoff: int) -> Resolution:
     if m.is_zero():
         return Resolution(m, steps, syzygies, True)
     incl_prev: dict[int, dict] | None = None  # the last inclusion, by row index
-    for step in _resolve(m, cutoff + 1):
+    for step in _resolution_steps(m, cutoff + 1):
         if step is None:
             return Resolution(m, steps, syzygies, False, aborted=True)
         sub, cov, incl = step
@@ -764,7 +781,7 @@ def pd(m: Module, cutoff: int) -> PdResult:
     chain = [m]
     sigs = [_signature(m)]
     dims = [m.dim]
-    for j, step in enumerate(_resolve(m, cutoff), 1):
+    for j, step in enumerate(_resolution_steps(m, cutoff), 1):
         if step is None:
             return PdResult("unknown", cutoff=cutoff, syzygy_dims=dims,
                             reason="dim_guard", step=j - 1)
@@ -798,19 +815,21 @@ def injective_dimension(m: Module, cutoff: int) -> PdResult:
 def _derived_dims(m: Module, n: Module, cutoff: int, tor: bool) -> list[int]:
     """Homology dimensions in degrees 0..cutoff of Hom_A(P, N) (Ext) or of
     P (x)_A N (Tor, with N a right module over opposite(A)) for P the
-    minimal resolution of m.
+    minimal resolution of m, read off m's resolution steps.
 
     Both functors turn a copy of e_i A into the weight-i block of N, since
     Hom_A(e_i A, N) = N e_i and e_i A (x)_A N = e_i N, so degree l has one
     block per copy in term l.  The differential sends the generator of a
     copy of e_j A in term l+1 to the copy's first row (``paths[j][0]`` is
-    e_j), whose part in a copy of e_i A in term l is an element a of
-    e_i A e_j.  Between those two blocks the induced map sends basis vector
-    t to ``t * a``: out of the e_i A block for Ext (phi |-> phi o d), and
-    out of the e_j A block for Tor (d (x) 1, where N's action is A's left
-    action).  Homology is dim C_l minus the ranks of the maps in and out.
-    When the dimension guard stops the resolution, Ext raises and Tor keeps
-    the degrees that are still certain.
+    e_j): its cover row, composed with the inclusion of the syzygy into
+    term l, whose part in a copy of e_i A in term l is an element a of
+    e_i A e_j.  Only those generator rows are composed.  Between the two
+    blocks the induced map sends basis vector t to ``t * a``: out of the
+    e_i A block for Ext (phi |-> phi o d), and out of the e_j A block for
+    Tor (d (x) 1, where N's action is A's left action).  Homology is
+    dim C_l minus the ranks of the maps in and out.  When the dimension
+    guard stops the resolution, Ext raises and Tor keeps the degrees that
+    are still certain.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
@@ -818,13 +837,17 @@ def _derived_dims(m: Module, n: Module, cutoff: int, tor: bool) -> list[int]:
         return [0] * (cutoff + 1)
     if n.algebra != (opposite(m.algebra) if tor else m.algebra):
         raise ValueError("second module is over the wrong algebra")
-    res = min_resolution(m, cutoff + 1)
+    steps = []
     limit = cutoff
-    if res.aborted:
-        if not tor:
-            raise ValueError("resolution exceeded the dimension guard; Ext dimensions "
-                             "cannot be certified (raise modules.DIM_GUARD)")
-        limit = min(cutoff, len(res.steps) - 2)
+    for step in _resolution_steps(m, cutoff + 2):
+        if step is None:
+            if not tor:
+                raise ValueError("resolution exceeded the dimension guard; Ext dimensions "
+                                 "cannot be certified (raise modules.DIM_GUARD)")
+            limit = min(cutoff, len(steps) - 2)
+            break
+        steps.append(step)
+    F = m.field
     a = m.algebra
     paths = [[k for k in range(a.dim) if a.left[k] == i] for i in range(a.r)]
     blocks: list[list[int]] = [[] for _ in range(a.r)]
@@ -835,9 +858,9 @@ def _derived_dims(m: Module, n: Module, cutoff: int, tor: bool) -> list[int]:
     # per term: its copies as (vertex, first row in the term, first place in
     # the degree's blocks), and the degree's dimension
     terms = []
-    for step in res.steps[:limit + 2]:
+    for _, cov, _ in steps[:limit + 2]:
         copies, row, place = [], 0, 0
-        for i, mult in enumerate(step.multiplicities):
+        for i, mult in enumerate(cov.multiplicities):
             for _ in range(mult):
                 copies.append((i, row, place))
                 row += len(paths[i])
@@ -850,11 +873,12 @@ def _derived_dims(m: Module, n: Module, cutoff: int, tor: bool) -> list[int]:
             continue
         lower = terms[l][0]
         owner = [(c, k) for c, (i, _, _) in enumerate(lower) for k in paths[i]]
-        diff = res.steps[l + 1].differential
+        incl = dict(enumerate(steps[l][2]))
+        cover_rows = steps[l + 1][1].matrix
         rows: dict[int, dict] = {}
         for j, first, place_j in terms[l + 1][0]:
             parts: dict[int, dict] = {}
-            for col, v in diff[first].items():
+            for col, v in _vecmat(F, cover_rows[first], incl).items():
                 c, k = owner[col]
                 parts.setdefault(c, {})[k] = v
             for c, elt in parts.items():
@@ -866,7 +890,7 @@ def _derived_dims(m: Module, n: Module, cutoff: int, tor: bool) -> list[int]:
                     if img:
                         rows.setdefault(src + npos[t], {}).update(
                             (dst + npos[u], x) for u, x in img.items())
-        rs = RowSpace(m.field)
+        rs = RowSpace(F)
         for row in rows.values():
             rs.add(row)
         ranks.append(rs.rank)
@@ -891,36 +915,8 @@ def tor_dims(m: Module, n: Module, cutoff: int) -> list[int]:
 
 
 # --------------------------------------------------------------------------
-# restriction along algebra maps, weight adaptation
+# weight adaptation
 # --------------------------------------------------------------------------
-
-
-@dataclass
-class AlgebraMap:
-    """An algebra homomorphism given by images of basis elements."""
-
-    source: Algebra
-    target: Algebra
-    images: list[dict[int, object]]
-
-    def check(self):
-        s, t = self.source, self.target
-        if len(self.images) != s.dim:
-            raise ValueError("need one image per source basis element")
-        F = t.field
-        one: dict[int, object] = {}
-        for i in range(s.r):
-            axpy(F, one, F.one, self.images[i])
-        if one != t.unit_coords():
-            raise ValueError("map does not send 1 to 1")
-        for x in range(s.dim):
-            for y in range(s.dim):
-                lhs = t.mul_coords(self.images[x], self.images[y])
-                rhs: dict[int, object] = {}
-                for z, c in s.mult[x][y].items():
-                    axpy(F, rhs, c, self.images[z])
-                if lhs != rhs:
-                    raise ValueError(f"map not multiplicative at basis pair ({x},{y})")
 
 
 def adapt_weights(algebra: Algebra, dim: int, action: list[dict[int, dict]]) -> Module:
@@ -963,15 +959,6 @@ def adapt_weights(algebra: Algebra, dim: int, action: list[dict[int, dict]]) -> 
     return Module(algebra, dim, new_action, weights2)
 
 
-def restrict_along(f: AlgebraMap, m: Module) -> Module:
-    """Pull back the module structure along an algebra map (checked)."""
-    if m.algebra != f.target:
-        raise ValueError("module is not over the map's target")
-    f.check()
-    action = [{s: v for s in range(m.dim) if (v := m._times(s, img))} for img in f.images]
-    return adapt_weights(f.source, m.dim, action)
-
-
 # --------------------------------------------------------------------------
 # bimodule helpers and serialisation (homkit-module/1)
 # --------------------------------------------------------------------------
@@ -984,7 +971,7 @@ def bimodule_restrictions(b: Algebra, c: Algebra, m: Module) -> tuple[Module, Mo
     restrictions along the two algebra maps B -> T and C^op -> T that send
     y to the sum of e_i^op (x) y and x to the sum of x (x) e_j; the maps
     hold by construction, so the side actions are summed directly (see
-    ``algebra._bimodule_actions``) and ``AlgebraMap.check`` is not run.
+    ``algebra._bimodule_actions``) and no map is checked.
     """
     right, left = _bimodule_actions(b, c, m)
     return adapt_weights(b, m.dim, right), adapt_weights(opposite(c), m.dim, left)

@@ -308,3 +308,62 @@ def module_tensor_dim(m, n):
     radical = [(a.left[x], a.right[x], dense_action(m.action[x], m.dim),
                 dense_action(n.action[x], n.dim)) for x in range(a.r, a.dim)]
     return balanced_tensor_dim(m.weights, n.weights, radical, a.field.p)
+
+
+def _dense_linear_image(images, coords, p=None):
+    """The dense image of the element with sparse coordinates ``coords``
+    under the linear map with dense images ``images[x]`` of basis elements."""
+    out = [0] * len(images[0])
+    for x, c in coords.items():
+        for t, v in enumerate(images[x]):
+            out[t] += c * v
+    return [Fraction(v) if p is None else v % p for v in out]
+
+
+def algebra_map_holds(source, target, images):
+    """True iff the linear map sending source basis element x to the target
+    element with dense coordinates ``images[x]`` sends 1 (the sum of the
+    vertex idempotents, the first ``r`` basis elements) to 1 and is
+    multiplicative on every pair of basis elements, with products read off
+    the structure constants ``mult`` on plain lists."""
+    p = target.field.p
+    n = target.dim
+    if len(images) != source.dim or any(len(img) != n for img in images):
+        return False
+
+    def product(u, v):
+        out = [0] * n
+        for x, ux in enumerate(u):
+            if ux:
+                for y, vy in enumerate(v):
+                    if vy:
+                        for z, c in target.mult[x][y].items():
+                            out[z] += ux * vy * c
+        return [Fraction(w) if p is None else w % p for w in out]
+
+    unit = [1 if t < target.r else 0 for t in range(n)]
+    if _dense_linear_image(images, {i: 1 for i in range(source.r)}, p) != unit:
+        return False
+    return all(product(images[x], images[y]) == _dense_linear_image(images, source.mult[x][y], p)
+               for x in range(source.dim) for y in range(source.dim))
+
+
+def restrict_along(images, m):
+    """The dense matrices of the module m pulled back along the map with
+    dense images ``images[x]``: source basis element x acts as the sum of
+    ``images[x][z]`` times the action of z.  The map is not checked (see
+    :func:`algebra_map_holds`)."""
+    p = m.algebra.field.p
+    dense = {}
+    out = []
+    for img in images:
+        acc = [[0] * m.dim for _ in range(m.dim)]
+        for z, c in enumerate(img):
+            if c:
+                if z not in dense:
+                    dense[z] = dense_action(m.action[z], m.dim)
+                for s, row in enumerate(dense[z]):
+                    for t, v in enumerate(row):
+                        acc[s][t] += c * v
+        out.append([[Fraction(v) if p is None else v % p for v in row] for row in acc])
+    return out

@@ -12,7 +12,7 @@ from homkit import cli, corpus
 from homkit.algebra import (algebra_from_json, algebra_to_json, from_quiver,
                             opposite, tensor)
 from homkit.invariants import TheoremViolation
-from homkit.modules import AlgebraMap, Module, module_to_json
+from homkit.modules import Module, module_to_json
 from homkit.presentation import print_spec, spec_of_fixture
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -486,19 +486,6 @@ def _transfer_files(tmp_path):
     files[1].write_text(json.dumps(algebra_to_json(inst.c)))
     files[2].write_text(json.dumps(module_to_json(inst.m, algebra_ref="tensor(op(C),B)")))
     return inst, files
-
-
-@pytest.mark.parametrize("kind", ["gorenstein-transfer", "smoothness-transfer"])
-def test_transfer_request_checks_no_algebra_map(capsys, tmp_path, monkeypatch, kind):
-    # the two maps onto tensor(op(C), B) that the bimodule restrictions
-    # stand for hold by construction; the test suite checks them instead
-    _, files = _transfer_files(tmp_path)
-    checked = []
-    real = AlgebraMap.check
-    monkeypatch.setattr(AlgebraMap, "check", lambda f: checked.append(f) or real(f))
-    code, out, _ = run_cli(capsys, "check", kind, *map(str, files), "--json")
-    assert code == 0 and json.loads(out)["kind"] == kind
-    assert checked == []
 
 
 @pytest.mark.parametrize("kind", ["gorenstein-transfer", "smoothness-transfer"])

@@ -11,9 +11,9 @@ from homkit.algebra import (corner, opposite, quotient_by_idempotent_ideal, tens
                             triangular, validate)
 from homkit.corpus import CorpusSpec, generate
 from homkit.invariants import cartan_matrix, gldim, gorenstein
-from _oracles import module_tensor_dim
-from homkit.modules import (AlgebraMap, Module, PdResult, bimodule_restrictions, dual,
-                            hom_dim, pd, regular, restrict_along)
+from _oracles import algebra_map_holds, module_tensor_dim, restrict_along
+from homkit.modules import (Module, PdResult, adapt_weights, bimodule_restrictions, dual,
+                            hom_dim, pd, regular)
 from homkit.recollement import (aea_dimension, det_multiplicativity_check,
                                 gorenstein_transfer_check, height_label,
                                 ladder_estimate, module_Ae, module_eA,
@@ -418,19 +418,28 @@ def _triples(seed):
 
 def test_bimodule_sides_are_the_restrictions_along_checked_maps():
     # bimodule_restrictions and triangular sum the side actions directly;
-    # restrict_along gets there through the two maps B -> T and C^op -> T
-    # and checks that they are algebra maps
+    # the oracle gets there through the two maps B -> T and C^op -> T,
+    # checks on plain lists that they are algebra maps, and restricts the
+    # dense action, which adapt_weights then puts in a weight-adapted basis
+    def sparse(mats):
+        return [{s: {t: v for t, v in enumerate(row) if v}
+                 for s, row in enumerate(mat) if any(row)} for mat in mats]
+
     for inst in _triples(42):
         b, c, m = inst.b, inst.c, inst.m
         T = m.algebra
         pidx = T._pair_index
-        one = T.field.one
-        right = AlgebraMap(b, T, [{pidx[(i, y)]: one for i in range(c.r)}
-                                  for y in range(b.dim)])
-        left = AlgebraMap(opposite(c), T, [{pidx[(x, j)]: one for j in range(b.r)}
-                                           for x in range(c.dim)])
-        assert bimodule_restrictions(b, c, m) == (restrict_along(right, m),
-                                                  restrict_along(left, m)), inst.a.name
+
+        def dense(coords):
+            return [coords.get(t, 0) for t in range(T.dim)]
+
+        right = [dense({pidx[(i, y)]: 1 for i in range(c.r)}) for y in range(b.dim)]
+        left = [dense({pidx[(x, j)]: 1 for j in range(b.r)}) for x in range(c.dim)]
+        assert algebra_map_holds(b, T, right), inst.a.name
+        assert algebra_map_holds(opposite(c), T, left), inst.a.name
+        oracle = (adapt_weights(b, m.dim, sparse(restrict_along(right, m))),
+                  adapt_weights(opposite(c), m.dim, sparse(restrict_along(left, m))))
+        assert bimodule_restrictions(b, c, m) == oracle, inst.a.name
         assert validate(triangular(b, c, m)).ok, inst.a.name
 
 
