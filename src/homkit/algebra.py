@@ -37,10 +37,12 @@ class Algebra:
     ``_opposite`` and ``_tensors``) and hand out the same object each time.
     A tensor product keeps its basis pair index in ``_pair_index`` (see
     ``_tensor``); it holds plain ints, so no reference to either factor.
+    ``_generators`` keeps :attr:`generators` once it is read.
     """
 
     __slots__ = ("field", "vertex_labels", "labels", "left", "right", "mult",
-                 "r", "name", "_opposite", "_tensors", "_pair_index", "__weakref__")
+                 "r", "name", "_opposite", "_tensors", "_pair_index", "_generators",
+                 "__weakref__")
 
     def __init__(self, field: Field, vertex_labels: list[str], labels: list[str],
                  left: list[int], right: list[int],
@@ -56,6 +58,7 @@ class Algebra:
         self._opposite: Algebra | None = None
         self._tensors: weakref.WeakKeyDictionary | None = None
         self._pair_index: dict[tuple[int, int], int] | None = None
+        self._generators: list[int] | None = None
         if r != len(vertex_labels):
             raise ValueError("r must equal the number of vertices")
         if len(self.left) < r or any(self.left[i] != i or self.right[i] != i
@@ -73,6 +76,28 @@ class Algebra:
     @property
     def radical_basis(self) -> list[int]:
         return list(range(self.r, self.dim))
+
+    @property
+    def generators(self) -> list[int]:
+        """The radical basis elements that are not pivots of the full RREF of
+        rad^2, the span of the products of two radical basis elements.
+
+        They lift a basis of rad/rad^2, so they generate rad A as an algebra
+        (rad is nilpotent): rad M is the sum of the M * g, and a linear map
+        that commutes with the idempotents and the generators commutes with
+        all of A.  Computed on first read.
+        """
+        gens = self._generators
+        if gens is None:
+            rad2 = RowSpace(self.field)
+            rad = range(self.r, self.dim)
+            for x in rad:
+                mx = self.mult[x]
+                for y in rad:
+                    if mx[y]:
+                        rad2.add(mx[y])
+            gens = self._generators = [x for x in rad if x not in rad2.pivot_of_col]
+        return gens
 
     def unit_coords(self) -> dict[int, object]:
         one = self.field.one
@@ -502,19 +527,20 @@ def _tensor(a: Algebra, b: Algebra, name: str) -> Algebra:
     right = [vtx(a.right[x], b.right[y]) for x, y in pairs]
     n = len(pairs)
     mult: list[list[dict[int, object]]] = [[{} for _ in range(n)] for _ in range(n)]
+    # (x1, y1) * (x2, y2) is non-zero only where both factor products are,
+    # so only those pairs are visited
+    nonzero_a = [[(x2, rx) for x2, rx in enumerate(row) if rx] for row in a.mult]
+    nonzero_b = [[(y2, ry) for y2, ry in enumerate(row) if ry] for row in b.mult]
     for k1, (x1, y1) in enumerate(pairs):
-        for k2, (x2, y2) in enumerate(pairs):
-            rx = a.mult[x1][x2]
-            if not rx:
-                continue
-            ry = b.mult[y1][y2]
-            if not ry:
-                continue
-            out = {}
-            for z1, c1 in rx.items():
-                for z2, c2 in ry.items():
-                    out[pidx[(z1, z2)]] = F.mul(c1, c2)
-            mult[k1][k2] = out
+        out_row = mult[k1]
+        by = nonzero_b[y1]
+        for x2, rx in nonzero_a[x1]:
+            for y2, ry in by:
+                out = {}
+                for z1, c1 in rx.items():
+                    for z2, c2 in ry.items():
+                        out[pidx[(z1, z2)]] = F.mul(c1, c2)
+                out_row[pidx[(x2, y2)]] = out
     t = Algebra(F, vertex_labels, labels, left, right, mult, a.r * b.r, name=name)
     # basis pair (x, y) -> index; its key order is the basis order
     t._pair_index = pidx
@@ -634,9 +660,14 @@ def triangular(b: Algebra, c: Algebra, m: "Module") -> Algebra:
     """
     if b.field != c.field:
         raise ValueError("triangular factors must share the field")
-    F = b.field
-    right_act, left_act = _bimodule_actions(b, c, m)
+    return _triangular(b, c, m, *_bimodule_actions(b, c, m))
 
+
+def _triangular(b: Algebra, c: Algebra, m: "Module", right_act: list,
+                left_act: list) -> Algebra:
+    """:func:`triangular` from the side actions that ``_bimodule_actions``
+    returns for m, for a caller that reads them too."""
+    F = b.field
     rb, rc = b.r, c.r
     r = rb + rc
     nb, nc, nm = b.dim, c.dim, m.dim

@@ -26,7 +26,8 @@ Left modules are represented as right modules over the opposite algebra,
 and injective dimension is projective dimension of the dual on the other
 side.  Projective-dimension results carry certificates: Finite means a
 literal zero syzygy, InfiniteCertified means an explicitly verified
-isomorphism between two syzygies.
+isomorphism between two syzygies, or a verified split of an earlier syzygy
+off a later one (an inclusion with its retraction).
 """
 
 from __future__ import annotations
@@ -292,7 +293,9 @@ def quotient_module(parent: Module, vectors: list[dict]) -> Module:
 
 
 def _radical_rowspace(m: Module) -> RowSpace:
-    """The row space of rad M = M * rad A, built once and kept on the module.
+    """The row space of rad M = M * rad A, built once and kept on the module
+    from the products by the generators of rad A (see
+    ``Algebra.generators``), whose sum is rad M.
 
     Covers, tops and top multiplicities all read this one copy, so callers
     must not modify it.
@@ -300,8 +303,7 @@ def _radical_rowspace(m: Module) -> RowSpace:
     rs = m._radical
     if rs is None:
         rs = RowSpace(m.field)
-        a = m.algebra
-        for x in range(a.r, a.dim):
+        for x in m.algebra.generators:
             for row in m.action[x].values():
                 rs.add(row)
         m._radical = rs
@@ -398,7 +400,7 @@ def _syzygy_with_inclusion(m: Module, cov: Cover | None = None) -> tuple[Module,
     over the non-zero coordinates c of v, where k is the path that source
     column c stands for (see :class:`Cover`).  Only free columns are
     accumulated, so the source Module is never built.  The products by the
-    radical basis elements, added in x-then-row order, seed the syzygy's
+    generators of rad A, added in x-then-row order, seed the syzygy's
     cached radical row space (see ``_radical_rowspace``), which its own
     cover and top multiplicities then read without another pass over the
     action.
@@ -470,7 +472,7 @@ def _syzygy_with_inclusion(m: Module, cov: Cover | None = None) -> tuple[Module,
                 mat[s] = row
         action.append(mat)
     radical = RowSpace(F)
-    for x in range(a.r, a.dim):
+    for x in a.generators:
         for row in action[x].values():
             radical.add(row)
     sub = Module(a, d, action, weights)
@@ -570,10 +572,13 @@ def _hom_system(m: Module, n: Module) -> tuple[RowSpace, int, list[list[int]], l
     """The linear system of Hom_A(M, N): ``(rows, unknowns, mb, nb)``.
 
     A hom is a matrix F with v |-> v @ F, and the rows are the equations
-    ``action_M(x) @ F == F @ action_N(x)`` for every algebra basis element
-    x.  The idempotent constraints are imposed structurally: F is block
-    diagonal over the common weights, which is exactly what the e_i
-    equations say.  ``mb[i]`` and ``nb[i]`` list the basis vectors of
+    ``action_M(x) @ F == F @ action_N(x)`` for every generator x of rad A
+    (see ``Algebra.generators``).  The idempotent constraints are imposed
+    structurally: F is block diagonal over the common weights, which is
+    exactly what the e_i equations say.  A map that commutes with the
+    idempotents and the generators commutes with all of A, so the equations
+    span the same row space, in the same full RREF, as those of every
+    basis element.  ``mb[i]`` and ``nb[i]`` list the basis vectors of
     weight i in M and N; the unknowns are the entries of the blocks, block
     i after block i - 1, each block row by row.
     """
@@ -596,7 +601,7 @@ def _hom_system(m: Module, n: Module) -> tuple[RowSpace, int, list[list[int]], l
     mpos = {s: si for block in mb for si, s in enumerate(block)}
     minus_one = F.neg(F.one)
     rows = RowSpace(F)
-    for x in range(r, a.dim):
+    for x in a.generators:
         i, j = a.left[x], a.right[x]
         if not mb[i] or not nb[j]:
             continue
@@ -622,23 +627,51 @@ def _hom_system(m: Module, n: Module) -> tuple[RowSpace, int, list[list[int]], l
     return rows, total, mb, nb
 
 
+def _hom_matrix(kv: dict, mb: list[list[int]], nb: list[list[int]]) -> dict[int, dict]:
+    """The hom whose unknowns of :func:`_hom_system` take the values in the
+    sparse vector kv, as ``{s: row}`` over its non-zero rows in increasing
+    s (the format of ``Module.action``)."""
+    mat = {}
+    k = 0
+    for ms, ns in zip(mb, nb):
+        for s in ms:
+            row = {t: x for ti, t in enumerate(ns) if (x := kv.get(k + ti))}
+            if row:
+                mat[s] = row
+            k += len(ns)
+    return dict(sorted(mat.items()))
+
+
 def hom_space(m: Module, n: Module) -> list[dict[int, dict]]:
-    """Basis of Hom_A(M, N) as matrices F with v |-> v @ F, each as
-    ``{s: row}`` over its non-zero rows in increasing s (the format of
-    ``Module.action``), read off the kernel of :func:`_hom_system`."""
+    """Basis of Hom_A(M, N) as matrices F with v |-> v @ F, in the format
+    of ``Module.action``, read off the kernel of :func:`_hom_system`."""
     rows, total, mb, nb = _hom_system(m, n)
-    out = []
-    for kv in rows.kernel_basis(total):
-        mat = {}
-        k = 0
-        for ms, ns in zip(mb, nb):
-            for s in ms:
-                row = {t: x for ti, t in enumerate(ns) if (x := kv.get(k + ti))}
-                if row:
-                    mat[s] = row
-                k += len(ns)
-        out.append(dict(sorted(mat.items())))
-    return out
+    return [_hom_matrix(kv, mb, nb) for kv in rows.kernel_basis(total)]
+
+
+def _draw(F: Field, rng: random.Random):
+    """A random scalar: uniform over F_p, and an integer in [-9, 9] over Q."""
+    return F.of_int(rng.randint(-9, 9)) if F.p is None else rng.randrange(F.p)
+
+
+def _random_hom(system: tuple, rng: random.Random) -> dict[int, dict]:
+    """A random element of the Hom space with this :func:`_hom_system`,
+    drawn straight from its full RREF: each free unknown is drawn at random
+    and each pivot unknown is solved from its row (every other entry of a
+    row sits in a free column), so no kernel basis is built."""
+    rows, total, mb, nb = system
+    F = rows.field
+    pivots = rows.pivot_of_col
+    kv = {c: v for c in range(total) if c not in pivots and (v := _draw(F, rng))}
+    for pc, row in zip(rows.pivot_cols, rows.rows):
+        acc = F.zero
+        for c, x in row.items():
+            v = kv.get(c)  # None at the row's own pivot, not yet solved
+            if v is not None:
+                acc = F.add(acc, F.mul(x, v))
+        if acc != 0:
+            kv[pc] = F.neg(acc)
+    return _hom_matrix(kv, mb, nb)
 
 
 def hom_dim(m: Module, n: Module) -> int:
@@ -704,8 +737,7 @@ def is_iso(m: Module, n: Module) -> IsoResult:
         tries = (c for c in iter_product(range(p), repeat=h) if any(c))
     else:
         rng = random.Random(_ISO_SEARCH_SEED + 31 * m.dim + h)
-        tries = ([F.of_int(rng.randint(-9, 9)) if p is None else rng.randrange(p)
-                  for _ in range(h)] for _ in range(_ISO_RETRIES))
+        tries = ([_draw(F, rng) for _ in range(h)] for _ in range(_ISO_RETRIES))
     for coeffs in tries:
         mat = candidate(coeffs)
         inv = inverse(F, mat, m.dim)
@@ -718,18 +750,64 @@ def is_iso(m: Module, n: Module) -> IsoResult:
 
 
 @dataclass
+class SplitWitness:
+    """X as a direct summand of Y: an inclusion X -> Y and a retraction
+    Y -> X, as ``{s: row}`` matrices, with inclusion @ retraction = I."""
+
+    inclusion: dict[int, dict]
+    retraction: dict[int, dict]
+
+
+def _split(x: Module, y: Module) -> SplitWitness | None:
+    """x as a direct summand of y, or None when a random search finds no
+    split.  Homs f: x -> y and g: y -> x are drawn from the RREF of each
+    Hom system (see ``_random_hom``), with the seed and the retries of
+    ``is_iso``; when f @ g is invertible, f is split by g @ (f @ g)^-1.
+    That needs f injective, so a draw of f that is not ends its try, and
+    Hom(y, x) is set up only once some f is."""
+    into = _hom_system(x, y)
+    if into[0].rank == into[1]:
+        return None  # Hom(x, y) = 0
+    back = None
+    F = x.field
+    rng = random.Random(_ISO_SEARCH_SEED + 31 * x.dim + y.dim)
+    for _ in range(_ISO_RETRIES):
+        f = _random_hom(into, rng)
+        image = RowSpace(F)
+        if len(f) < x.dim or sum(image.add(row) for row in f.values()) < x.dim:
+            continue
+        if back is None:
+            back = _hom_system(y, x)
+            if back[0].rank == back[1]:
+                return None
+        g = _random_hom(back, rng)
+        inv = inverse(F, [_vecmat(F, f[s], g) for s in range(x.dim)], x.dim)
+        if inv is not None:
+            inv = dict(enumerate(inv))
+            retraction = {t: row for t, gt in g.items() if (row := _vecmat(F, gt, inv))}
+            return SplitWitness(f, retraction)
+    return None
+
+
+@dataclass
 class PdResult:
     """Projective dimension with a certificate.
 
     Finite(d): the (d+1)-st syzygy is literally zero and the d-th is not.
-    InfiniteCertified(first_repeat, period): syzygy number ``first_repeat``
-    is isomorphic (verified witness) to the earlier nonzero syzygy
-    ``first_repeat - period``.  Unknown: neither event, and ``reason`` says
-    what stopped the search: ``cutoff`` when ``step`` = cutoff syzygies
-    were built, ``dim_guard`` when the cover of syzygy number ``step``
-    exceeded the dimension guard.  ``summand`` names the direct summand a
-    result was certified on, when it stands for a larger module (see
-    ``invariants.gorenstein``).
+    InfiniteCertified(first_repeat, period): the earlier nonzero syzygy
+    X = syzygy number ``first_repeat - period`` is isomorphic to syzygy
+    number ``first_repeat`` (an iso in ``witness``), or, when ``split`` is
+    set, a direct summand of it (a verified inclusion and retraction).
+    Both certify pd = infinity: X is then a summand of its own k-th syzygy
+    for k = ``period`` >= 1, and if pd X = d were finite, that syzygy would
+    be zero or of pd d - k < d, neither of which can hold a summand X != 0;
+    so pd X is infinite, and with it pd of the module.  ``witness_modules``
+    is the pair (X, later syzygy).  Unknown: neither event, and ``reason``
+    says what stopped the search: ``cutoff`` when ``step`` = cutoff
+    syzygies were built, ``dim_guard`` when the cover of syzygy number
+    ``step`` exceeded the dimension guard.  ``summand`` names the direct
+    summand a result was certified on, when it stands for a larger module
+    (see ``invariants.gorenstein``).
     """
 
     kind: str  # "finite" | "infinite" | "unknown"
@@ -740,6 +818,7 @@ class PdResult:
     syzygy_dims: list[int] = dc_field(default_factory=list)
     witness: IsoWitness | None = None
     witness_modules: tuple[Module, Module] | None = None
+    split: SplitWitness | None = None
     summand: str | None = None
     reason: str | None = None  # Unknown only: "cutoff" | "dim_guard"
     step: int | None = None
@@ -757,7 +836,8 @@ class PdResult:
             return f"Finite({self.d})"
         if self.kind == "infinite":
             where = f"{self.summand}: " if self.summand else ""
-            return (f"InfiniteCertified({where}repeat at {self.first_repeat}, "
+            repeat = "summand repeat" if self.split is not None else "repeat"
+            return (f"InfiniteCertified({where}{repeat} at {self.first_repeat}, "
                     f"period {self.period})")
         if self.reason == "dim_guard":
             return f"Unknown(dim guard at step {self.step})"
@@ -768,11 +848,27 @@ def _signature(m: Module) -> tuple:
     return (m.dim, tuple(m.weight_counts()), tuple(top_multiplicities(m)) if m.dim else ())
 
 
+def _fits(small: tuple, big: tuple) -> bool:
+    """Can a module X of signature ``small`` be a proper direct summand of a
+    module Y of signature ``big``?  Y = X (+) Z with Z != 0 needs X smaller,
+    no larger at any weight or in any top multiplicity, and a top smaller
+    in total, since top Z != 0 (so a Y with a simple top has no proper
+    summand).  Also False when the Hom system of X and Y would have more
+    than ``DIM_GUARD`` unknowns."""
+    return (small[0] < big[0] and sum(small[2]) < sum(big[2])
+            and all(u <= v for u, v in zip(small[1], big[1]))
+            and all(u <= v for u, v in zip(small[2], big[2]))
+            and sum(u * v for u, v in zip(small[1], big[1])) <= DIM_GUARD)
+
+
 def pd(m: Module, cutoff: int) -> PdResult:
     """Projective dimension of m, certified as documented on PdResult.
 
-    A cover source exceeding ``DIM_GUARD`` aborts the resolution and yields
-    Unknown (never a wrong certificate).
+    At each step j the new syzygy is first compared with every earlier one
+    for an isomorphism; when none is found, each earlier syzygy that
+    ``_fits`` into it, the most recent first, is tested as a direct summand
+    of it (``_split``).  A cover source exceeding ``DIM_GUARD`` aborts the
+    resolution and yields Unknown (never a wrong certificate).
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
@@ -796,6 +892,13 @@ def pd(m: Module, cutoff: int) -> PdResult:
                 if res.kind == "iso":
                     return PdResult("infinite", first_repeat=j, period=j - i,
                                     syzygy_dims=dims, witness=res.witness,
+                                    witness_modules=(chain[i], nxt))
+        for i in range(j - 1, -1, -1):
+            if _fits(sigs[i], sig):
+                split = _split(chain[i], nxt)
+                if split is not None:
+                    return PdResult("infinite", first_repeat=j, period=j - i,
+                                    syzygy_dims=dims, split=split,
                                     witness_modules=(chain[i], nxt))
         chain.append(nxt)
         sigs.append(sig)
@@ -973,7 +1076,14 @@ def bimodule_restrictions(b: Algebra, c: Algebra, m: Module) -> tuple[Module, Mo
     hold by construction, so the side actions are summed directly (see
     ``algebra._bimodule_actions``) and no map is checked.
     """
-    right, left = _bimodule_actions(b, c, m)
+    return _restrictions(b, c, m, *_bimodule_actions(b, c, m))
+
+
+def _restrictions(b: Algebra, c: Algebra, m: Module, right: list,
+                  left: list) -> tuple[Module, Module]:
+    """:func:`bimodule_restrictions` from the side actions that
+    ``algebra._bimodule_actions`` returns for m, for a caller that reads
+    them too."""
     return adapt_weights(b, m.dim, right), adapt_weights(opposite(c), m.dim, left)
 
 
@@ -999,8 +1109,8 @@ def module_to_json(m: Module, algebra_ref: str | None = None) -> dict:
 def module_from_json(doc: dict, algebra: Algebra | None = None) -> Module:
     """Read a homkit-module/1 document; a malformed one raises ValueError
     naming the entry at fault.  Entries equal to the zero literal that
-    ``module_to_json`` writes are skipped unparsed; every other entry goes
-    through ``Field.parse``."""
+    ``module_to_json`` writes are skipped unparsed, and so is a row that
+    holds nothing else; every other entry goes through ``Field.parse``."""
     fmt = doc.get("format") if isinstance(doc, dict) else None
     if fmt != "homkit-module/1":
         raise ValueError(f"unsupported module format {fmt!r}")
@@ -1033,6 +1143,8 @@ def module_from_json(doc: dict, algebra: Algebra | None = None) -> Module:
                              f"(expected {dim} rows of {dim} entries)")
         rows = {}
         for i, row in enumerate(mat):
+            if row.count(zero) == dim:
+                continue
             out = {}
             for t, text in enumerate(row):
                 if text != zero:

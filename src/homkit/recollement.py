@@ -17,12 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .algebra import (Algebra, _ideal_span, corner, opposite,
-                      quotient_by_idempotent_ideal, triangular)
+from .algebra import (Algebra, _bimodule_actions, _ideal_span, _triangular, corner,
+                      opposite, quotient_by_idempotent_ideal)
 from .invariants import (GldimReport, GorensteinReport, TheoremViolation,
                          cartan_matrix, gldim, gldim_is_finite, gorenstein)
-from .modules import (Module, PdResult, bimodule_restrictions, dual, hom_dim, pd,
-                      tor_dims)
+from .modules import Module, PdResult, _restrictions, dual, hom_dim, pd, tor_dims
 
 
 def _corner_indices(a: Algebra, S: list[int]) -> list[int]:
@@ -276,10 +275,12 @@ def _compare(lhs: bool | None, rhs: bool | None) -> str:
 def _transfer_inputs(b: Algebra, c: Algebra, m: Module, cutoff: int, verdict):
     """What both transfer checks read on A = [[B,0],[M,C]]: A, the verdicts
     of A, B and C (each resolved only until it is certain), and the pds of
-    M over B and over C^op."""
-    A = triangular(b, c, m)
+    M over B and over C^op.  A and the two restrictions read the same side
+    actions of M, which are summed once."""
+    actions = _bimodule_actions(b, c, m)
+    A = _triangular(b, c, m, *actions)
     verdicts = [verdict(x, cutoff, verdict_only=True) for x in (A, b, c)]
-    mb, mc = bimodule_restrictions(b, c, m)
+    mb, mc = _restrictions(b, c, m, *actions)
     return A, verdicts, pd(mb, cutoff), pd(mc, cutoff)
 
 

@@ -178,6 +178,40 @@ def iso_witness_holds(m, n, matrix, inverse):
                for x in range(m.algebra.dim))
 
 
+def split_witness_holds(x, y, inclusion, retraction):
+    """True iff ``inclusion`` (x -> y) and ``retraction`` (y -> x) both
+    intertwine the actions of every algebra basis element and
+    inclusion @ retraction is the identity of x, so that x is a direct
+    summand of y; checked with dense schoolbook products.  Both maps are
+    given as ``{row: {column: scalar}}``, the format of a module action."""
+    p = x.algebra.field.p
+
+    def dense_map(mat, rows, cols):
+        return [[mat.get(s, {}).get(t, 0) for t in range(cols)] for s in range(rows)]
+
+    inc = dense_map(inclusion, x.dim, y.dim)
+    ret = dense_map(retraction, y.dim, x.dim)
+    if dense_matmul(inc, ret, p) != identity_matrix(x.dim):
+        return False
+    for a in range(x.algebra.dim):
+        ax, ay = dense_action(x.action[a], x.dim), dense_action(y.action[a], y.dim)
+        if (dense_matmul(ax, inc, p) != dense_matmul(inc, ay, p)
+                or dense_matmul(ay, ret, p) != dense_matmul(ret, ax, p)):
+            return False
+    return True
+
+
+def radical_generators(algebra):
+    """The radical basis elements outside the pivot columns of the RREF of
+    rad^2, spanned by the products of two radical basis elements; rad^2 is
+    written out densely from the structure constants."""
+    r, n = algebra.r, algebra.dim
+    rows = [[algebra.mult[x][y].get(z, 0) for z in range(n)]
+            for x in range(r, n) for y in range(r, n) if algebra.mult[x][y]]
+    _, pivots = dense_rref(rows, n, algebra.field.p)
+    return [x for x in range(r, n) if x not in pivots]
+
+
 def dense_rref(rows, ncols, p=None):
     """Reduced row echelon form of a dense matrix by schoolbook elimination,
     over F_p if p is given and over Q (with Fractions) otherwise.

@@ -10,7 +10,8 @@ from homkit.algebra import (Algebra, NotFiniteDimensionalError, algebra_from_jso
 from homkit.modules import Module
 from homkit.presentation import parse_spec, spec_of_fixture
 from homkit.recollement import aea_dimension
-from _oracles import cartan_counts_from_words, dense_rank, monomial_normal_words
+from _oracles import (cartan_counts_from_words, dense_rank, dense_rref,
+                      monomial_normal_words, radical_generators)
 
 
 def test_fixture_dimensions_and_bases(fixture_algebras):
@@ -91,6 +92,36 @@ def test_opposite_is_anti_isomorphism(fixture_algebras, seed42_pools):
         op = opposite(a)
         assert opposite(op) is a, a.name
         assert op.mult == [[a.mult[y][x] for y in range(a.dim)] for x in range(a.dim)], a.name
+
+
+def test_generators_lift_a_basis_of_rad_mod_rad2(fixture_algebras, seed42_pools):
+    # against the dense rad/rad^2 oracle; and the words in the generators
+    # span rad A, layer by layer, as the Hom systems and radicals that read
+    # them need
+    algebras = list(fixture_algebras.values()) + seed42_pools["NilpotentCyclic"]
+    for inst in seed42_pools["TriangularPair"]:
+        algebras += [inst.a, inst.b, inst.c]
+    for a in algebras:
+        gens = a.generators
+        assert gens == radical_generators(a), a.name
+        assert a.generators is gens
+        p = a.field.p
+
+        def times(u, g):
+            out = [0] * a.dim
+            for x, ux in enumerate(u):
+                for z, c in a.mult[x][g].items() if ux else ():
+                    out[z] += ux * c
+            return out
+
+        span = layer = [[int(z == g) for z in range(a.dim)] for g in gens]
+        while layer:
+            layer = dense_rref([times(u, g) for u in layer for g in gens], a.dim, p)[0]
+            grown = dense_rref(span + layer, a.dim, p)[0]
+            if len(grown) == len(span):
+                break
+            span = grown
+        assert len(span) == a.dim - a.r, a.name
 
 
 def test_tensor_with_unit(a2, one_point):

@@ -9,7 +9,7 @@ import pytest
 
 from _oracles import (algebra_map_holds, basis_with_tags, dense_action, dense_kernel,
                       dense_matmul, dense_rank, dense_rows, iso_witness_holds,
-                      module_tensor_dim, restrict_along)
+                      module_tensor_dim, restrict_along, split_witness_holds)
 import homkit.modules as modules_mod
 from homkit import corpus
 from homkit.algebra import from_quiver, opposite, tensor, triangular
@@ -369,6 +369,27 @@ def test_guard_stop_is_not_kept_on_the_module(monkeypatch):
     assert (res.describe(), res.syzygy_dims) == ("Finite(1)", [36, 828, 0])
 
 
+def test_summand_search_keeps_its_hom_systems_within_the_guard(monkeypatch):
+    # pd compares each new syzygy with the earlier ones, up to iso and as a
+    # direct summand; a summand test is set up only when its Hom system has
+    # at most DIM_GUARD unknowns, so no Hom system pd builds is larger
+    unknowns = []
+    real = modules_mod._hom_system
+
+    def counting(m, n):
+        system = real(m, n)
+        unknowns.append(system[1])
+        return system
+
+    monkeypatch.setattr(modules_mod, "_hom_system", counting)
+    spec = corpus.CorpusSpec(seed=7, count=30, shape="NilpotentCyclic")
+    for index in range(30):
+        a = corpus.generate(spec, index)
+        for i in range(a.r):
+            pd(simple(a, i), 12)
+    assert unknowns and max(unknowns) <= modules_mod.DIM_GUARD
+
+
 def test_pd_examples(a2, tp11):
     assert pd(simple(a2, 0), 12).describe() == "Finite(1)"
     assert pd(projective(a2, 0), 12).describe() == "Finite(0)"
@@ -377,23 +398,42 @@ def test_pd_examples(a2, tp11):
     assert (r.first_repeat, r.period) == (2, 2)
 
 
+def _tampered(mat, F):
+    """The map with entry (0, 0) raised by one."""
+    bad = {s: dict(row) for s, row in mat.items()}
+    row0 = bad.setdefault(0, {})
+    row0[0] = F.add(row0.get(0, F.zero), F.one)
+    return bad
+
+
 def _assert_witness_reverifies(r):
-    w = r.witness
     m, n = r.witness_modules
+    F = m.field
+    if r.split is not None:
+        inc, ret = r.split.inclusion, r.split.retraction
+        assert split_witness_holds(m, n, inc, ret)
+        # a tampered inclusion, a tampered retraction, and a retraction that
+        # still intertwines but no longer inverts the inclusion are rejected
+        assert not split_witness_holds(m, n, _tampered(inc, F), ret)
+        assert not split_witness_holds(m, n, inc, _tampered(ret, F))
+        two = F.of_int(2)
+        doubled = {t: {s: F.mul(two, v) for s, v in row.items()} for t, row in ret.items()}
+        assert not split_witness_holds(m, n, inc, doubled)
+        return
+    w = r.witness
     assert iso_witness_holds(m, n, w.matrix, w.inverse)
     # a witness that fails to intertwine is rejected
-    bad = {s: dict(row) for s, row in w.matrix.items()}
-    row0 = bad.setdefault(0, {})
-    row0[0] = m.field.add(row0.get(0, m.field.zero), m.field.one)
-    assert not iso_witness_holds(m, n, bad, w.inverse)
+    assert not iso_witness_holds(m, n, _tampered(w.matrix, F), w.inverse)
 
 
 def test_pd_certificates_reverify(tp11):
     _assert_witness_reverifies(pd(simple(tp11, 0), 12))
     # an infinite self-injective side names its indecomposable injective and
-    # keeps that summand's witness: the witness modules are its syzygies
+    # keeps that summand's witness: the witness modules are its syzygies.
+    # Three sides repeat up to iso; on tri-42-21's left side syzygy 2 of
+    # injective 0 splits off syzygy 6
     spec = corpus.CorpusSpec(seed=42, count=30, shape="TriangularPair")
-    sides = 0
+    sides = splits = 0
     for index in (0, 21):
         a = corpus.generate(spec, index).a
         g = gorenstein(a, 12)
@@ -407,7 +447,8 @@ def test_pd_certificates_reverify(tp11):
                                          chain[r.first_repeat])
             _assert_witness_reverifies(r)
             sides += 1
-    assert sides == 4
+            splits += r.split is not None
+    assert (sides, splits) == (4, 1)
 
 
 def test_is_iso_cases(a2, loc):

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+import homkit.modules as modules_mod
 from homkit.algebra import (corner, opposite, quotient_by_idempotent_ideal, tensor,
                             triangular, validate)
 from homkit.corpus import CorpusSpec, generate
@@ -401,13 +402,20 @@ def test_injective_dimension_via_dual(loc):
     assert res.describe() == "Finite(0)"  # self-injective
 
 
-def test_ladder_names_the_dimension_guard():
-    # pd of Ae over the local corner at e=[0] (det 3) grows until its cover
-    # passes the guard
+def test_ladder_names_the_dimension_guard(monkeypatch):
+    # pd of Ae over the local corner at e=[0] (det 3) grows, and its syzygy
+    # 1 splits off syzygy 2; without that test its cover would pass the
+    # guard at step 7
     doc = stratify_search(_nilcyc(19), 12).to_json()
-    assert doc["ladder"]["down_extension"] == "Unknown(dim guard at step 7)"
+    assert doc["ladder"]["down_extension"] == "InfiniteCertified(summand repeat at 2, period 1)"
     assert doc["det_check"] == ("inapplicable (downward extension not established "
-                                "(Unknown(dim guard at step 7)))")
+                                "(InfiniteCertified(summand repeat at 2, period 1)))")
+    # a guard that the cover of syzygy 2 passes stops it first, and says so
+    monkeypatch.setattr(modules_mod, "DIM_GUARD", 16)
+    doc = stratify_search(_nilcyc(19), 12).to_json()
+    assert doc["ladder"]["down_extension"] == "Unknown(dim guard at step 2)"
+    assert doc["det_check"] == ("inapplicable (downward extension not established "
+                                "(Unknown(dim guard at step 2)))")
 
 
 @functools.lru_cache(maxsize=None)
