@@ -2,8 +2,9 @@
 
 Three behaviours on display:
   * a terminating resolution (finite pd, certified by a zero syzygy),
-  * a periodic one (infinite pd, certified by an explicit isomorphism
-    between two syzygies, which we re-verify by hand), and
+  * a periodic one (infinite pd, certified by an earlier syzygy that is a
+    direct summand of a later one: an inclusion with its retraction, here
+    an isomorphism with its inverse, which we re-verify by hand), and
   * honest ignorance: syzygies of the four-arrow two-point algebra grow
     linearly, so no repeat exists and the verdict stays Unknown.
 """
@@ -13,10 +14,12 @@ from functools import reduce
 from homkit import from_quiver, min_resolution, pd, simple, spec_of_fixture
 
 
-def dense(rows, n):
-    """A module action matrix, like an iso witness, stores its non-zero rows
-    only, as {row: {column: scalar}}; write it out."""
-    return [[rows.get(s, {}).get(c, 0) for c in range(n)] for s in range(n)]
+def dense(rows, n, m=None):
+    """A module action matrix, like a witness map, stores its non-zero rows
+    only, as {row: {column: scalar}}; write it out with n rows and m
+    columns (n when m is not given)."""
+    return [[rows.get(s, {}).get(c, 0) for c in range(n if m is None else m)]
+            for s in range(n)]
 
 
 def matmul(F, A, B):
@@ -37,16 +40,20 @@ def resolve_and_report(name, vertex, cutoff=12):
     print(f"  pd = {result.describe()}  (syzygy dims {result.syzygy_dims})")
     if result.is_infinite:
         w = result.witness
-        m, n = result.witness_modules
-        F = m.field
-        iso = dense(w.matrix, m.dim)
-        ident = matmul(F, iso, dense(w.inverse, m.dim))
+        x, y = result.witness_modules
+        F = x.field
+        inc = dense(w.inclusion, x.dim, y.dim)
+        ret = dense(w.retraction, y.dim, x.dim)
+        ident = matmul(F, inc, ret)
         ok = all(ident[i][j] == (F.one if i == j else F.zero)
-                 for i in range(m.dim) for j in range(m.dim))
-        inter = all(matmul(F, dense(m.action[x], m.dim), iso) ==
-                    matmul(F, iso, dense(n.action[x], n.dim))
-                    for x in range(m.algebra.dim))
-        print(f"  witness re-verified: invertible={ok}, intertwines={inter}")
+                 for i in range(x.dim) for j in range(x.dim))
+        inter = all(matmul(F, dense(x.action[k], x.dim), inc) ==
+                    matmul(F, inc, dense(y.action[k], y.dim)) and
+                    matmul(F, dense(y.action[k], y.dim), ret) ==
+                    matmul(F, ret, dense(x.action[k], x.dim))
+                    for k in range(x.algebra.dim))
+        print(f"  witness re-verified: inclusion*retraction = I: {ok}, "
+              f"both maps intertwine: {inter}")
 
 
 if __name__ == "__main__":

@@ -748,7 +748,8 @@ def _index_in(value, n: int) -> bool:
 
 def algebra_from_json(doc: dict) -> Algebra:
     """Read a homkit-algebra/1 document; a malformed one raises ValueError
-    naming the entry at fault."""
+    naming the entry at fault.  A structure constant that parses to zero is
+    dropped, and a product (x, y) at z may be given once only."""
     fmt = doc.get("format") if isinstance(doc, dict) else None
     if fmt != "homkit-algebra/1":
         raise ValueError(f"unsupported algebra format {fmt!r}")
@@ -774,15 +775,21 @@ def algebra_from_json(doc: dict) -> Algebra:
     if not isinstance(doc["mult"], list):
         raise ValueError("'mult' is not a list")
     mult: list[list[dict[int, object]]] = [[{} for _ in range(dim)] for _ in range(dim)]
+    seen = set()
     for n, entry in enumerate(doc["mult"]):
         x, y, z, cv = entry if type(entry) is list and len(entry) == 4 else (None,) * 4
         if not (type(x) is type(y) is type(z) is int
                 and 0 <= x < dim and 0 <= y < dim and 0 <= z < dim):
             raise ValueError(f"mult entry {n} is not [x, y, z, coefficient] with "
                              f"indices in 0..{dim - 1}: {entry!r}")
+        if (x, y, z) in seen:
+            raise ValueError(f"mult entry {n} repeats the product ({x}, {y}) at {z}")
+        seen.add((x, y, z))
         try:
-            mult[x][y][z] = F.parse(cv)
+            c = F.parse(cv)
         except ValueError as e:
             raise ValueError(f"mult entry {n}: {e}") from None
+        if c != 0:
+            mult[x][y][z] = c
     return Algebra(F, vertices, [e["label"] for e in basis], [e["left"] for e in basis],
                    [e["right"] for e in basis], mult, r, name=doc.get("name", ""))

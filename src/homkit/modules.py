@@ -7,8 +7,8 @@ row vectors: row s of ``action[x]`` is ``b_s * x``, so
 ``action(x*y) = action(x) @ action(y)``) as a ``{s: row}`` dict that holds
 only the non-zero rows, in increasing s; in a weight-adapted basis row s of
 x can be non-zero only when s has the left tag of x as its weight, so most
-rows are zero.  Hom-space basis elements and isomorphism witnesses are
-matrices in that same ``{s: row}`` format.  Each basis vector carries a
+rows are zero.  Hom-space basis elements and witness maps are matrices in
+that same ``{s: row}`` format.  Each basis vector carries a
 weight: basis vector v has weight i when ``v * e_i == v``.  The vectors
 that ``submodule``, ``spanned_submodule`` and ``quotient_module`` take and
 return are sparse rows, and cover matrices, inclusions and resolution
@@ -24,10 +24,9 @@ steps of its minimal resolution built so far, which pd, Ext, Tor and
 
 Left modules are represented as right modules over the opposite algebra,
 and injective dimension is projective dimension of the dual on the other
-side.  Projective-dimension results carry certificates: Finite means a
-literal zero syzygy, InfiniteCertified means an explicitly verified
-isomorphism between two syzygies, or a verified split of an earlier syzygy
-off a later one (an inclusion with its retraction).
+side.  Projective-dimension results carry certificates: a literal zero
+syzygy, or one (inclusion, retraction) pair that splits an earlier syzygy
+off a later one, an isomorphism between equal dimensions (see PdResult).
 """
 
 from __future__ import annotations
@@ -654,15 +653,15 @@ def _draw(F: Field, rng: random.Random):
     return F.of_int(rng.randint(-9, 9)) if F.p is None else rng.randrange(F.p)
 
 
-def _random_hom(system: tuple, rng: random.Random) -> dict[int, dict]:
-    """A random element of the Hom space with this :func:`_hom_system`,
-    drawn straight from its full RREF: each free unknown is drawn at random
-    and each pivot unknown is solved from its row (every other entry of a
-    row sits in a free column), so no kernel basis is built."""
+def _solve_hom(system: tuple, values) -> dict[int, dict]:
+    """The element of the Hom space with this :func:`_hom_system` whose free
+    unknowns take these values, in increasing order: each pivot unknown is
+    solved from its row of the full RREF (every other entry of a row sits
+    in a free column), so no kernel basis is built."""
     rows, total, mb, nb = system
     F = rows.field
-    pivots = rows.pivot_of_col
-    kv = {c: v for c in range(total) if c not in pivots and (v := _draw(F, rng))}
+    free = (c for c in range(total) if c not in rows.pivot_of_col)
+    kv = {c: v for c, v in zip(free, values) if v != 0}
     for pc, row in zip(rows.pivot_cols, rows.rows):
         acc = F.zero
         for c, x in row.items():
@@ -674,6 +673,12 @@ def _random_hom(system: tuple, rng: random.Random) -> dict[int, dict]:
     return _hom_matrix(kv, mb, nb)
 
 
+def _random_hom(system: tuple, rng: random.Random) -> dict[int, dict]:
+    """A random element of the Hom space with this :func:`_hom_system`."""
+    rows, total, _, _ = system
+    return _solve_hom(system, [_draw(rows.field, rng) for _ in range(total - rows.rank)])
+
+
 def hom_dim(m: Module, n: Module) -> int:
     """dim Hom_A(M, N): the unknowns of :func:`_hom_system` less its rank,
     with no kernel basis built."""
@@ -682,17 +687,26 @@ def hom_dim(m: Module, n: Module) -> int:
 
 
 @dataclass
-class IsoWitness:
-    """An isomorphism and its inverse, as ``{s: row}`` matrices."""
+class SplitWitness:
+    """X as a direct summand of Y: an inclusion X -> Y and a retraction
+    Y -> X, as ``{s: row}`` matrices, with inclusion @ retraction = I.
+    When dim X = dim Y the inclusion is an isomorphism and the retraction
+    its inverse."""
 
-    matrix: dict[int, dict]
-    inverse: dict[int, dict]
+    inclusion: dict[int, dict]
+    retraction: dict[int, dict]
+
+
+def _iso_witness(F: Field, f: dict[int, dict], dim: int) -> SplitWitness | None:
+    """f and f^-1 as a witness, or None when the square hom f is singular."""
+    inv = inverse(F, [f.get(s, {}) for s in range(dim)], dim)
+    return None if inv is None else SplitWitness(f, dict(enumerate(inv)))
 
 
 @dataclass
 class IsoResult:
     kind: str  # "iso" | "not_iso" | "undetermined"
-    witness: IsoWitness | None = None
+    witness: SplitWitness | None = None
     reason: str = ""
 
     def __bool__(self):
@@ -705,6 +719,7 @@ def is_iso(m: Module, n: Module) -> IsoResult:
     NotIso verdicts are certified (dimension/weight/top mismatch, zero Hom
     space, or exhausted search over a small prime-field Hom space); a failed
     randomized search never downgrades to NotIso, only to Undetermined.
+    Each try picks the free unknowns of the Hom system (``_solve_hom``).
     """
     if m.algebra != n.algebra:
         raise ValueError("is_iso needs modules over the same algebra")
@@ -714,57 +729,36 @@ def is_iso(m: Module, n: Module) -> IsoResult:
     if m.weight_counts() != n.weight_counts():
         return IsoResult("not_iso", reason="e_i-eigenspace dimensions differ")
     if m.dim == 0:
-        return IsoResult("iso", IsoWitness({}, {}))
+        return IsoResult("iso", SplitWitness({}, {}))
     if top_multiplicities(m) != top_multiplicities(n):
         return IsoResult("not_iso", reason="top multiplicities differ")
-    homs = hom_space(m, n)
-    if not homs:
+    system = _hom_system(m, n)
+    h = system[1] - system[0].rank
+    if h == 0:
         return IsoResult("not_iso", reason="Hom space is zero")
-    h = len(homs)
-
-    def candidate(coeffs) -> list[dict]:
-        """The combination as one sparse row per index."""
-        mat: list[dict] = [{} for _ in range(m.dim)]
-        for c, hm in zip(coeffs, homs):
-            if c != 0:
-                for s, hs in hm.items():
-                    axpy(F, mat[s], c, hs)
-        return mat
-
     p = F.p
     exhaustive = p is not None and p ** h <= _EXHAUSTIVE_LIMIT
     if exhaustive:
-        tries = (c for c in iter_product(range(p), repeat=h) if any(c))
+        tries = (_solve_hom(system, values)
+                 for values in iter_product(range(p), repeat=h) if any(values))
     else:
         rng = random.Random(_ISO_SEARCH_SEED + 31 * m.dim + h)
-        tries = ([_draw(F, rng) for _ in range(h)] for _ in range(_ISO_RETRIES))
-    for coeffs in tries:
-        mat = candidate(coeffs)
-        inv = inverse(F, mat, m.dim)
-        if inv is not None:
-            # both are invertible, so no row is zero
-            return IsoResult("iso", IsoWitness(dict(enumerate(mat)), dict(enumerate(inv))))
+        tries = (_random_hom(system, rng) for _ in range(_ISO_RETRIES))
+    for f in tries:
+        if (witness := _iso_witness(F, f, m.dim)) is not None:
+            return IsoResult("iso", witness)
     if exhaustive:
         return IsoResult("not_iso", reason="no invertible element of Hom (exhaustive search)")
     return IsoResult("undetermined", reason="randomized search found no invertible hom")
 
 
-@dataclass
-class SplitWitness:
-    """X as a direct summand of Y: an inclusion X -> Y and a retraction
-    Y -> X, as ``{s: row}`` matrices, with inclusion @ retraction = I."""
-
-    inclusion: dict[int, dict]
-    retraction: dict[int, dict]
-
-
 def _split(x: Module, y: Module) -> SplitWitness | None:
     """x as a direct summand of y, or None when a random search finds no
-    split.  Homs f: x -> y and g: y -> x are drawn from the RREF of each
-    Hom system (see ``_random_hom``), with the seed and the retries of
-    ``is_iso``; when f @ g is invertible, f is split by g @ (f @ g)^-1.
-    That needs f injective, so a draw of f that is not ends its try, and
-    Hom(y, x) is set up only once some f is."""
+    split.  Each try draws f: x -> y (``_random_hom``), with the seed
+    constant and the retries of ``is_iso``.  When dim x = dim y, an
+    invertible f is kept with f^-1 as its retraction.  Otherwise f must be
+    injective, and then g: y -> x is drawn (Hom(y, x) is set up only once
+    some f is); when f @ g is invertible, f splits with g @ (f @ g)^-1."""
     into = _hom_system(x, y)
     if into[0].rank == into[1]:
         return None  # Hom(x, y) = 0
@@ -773,6 +767,10 @@ def _split(x: Module, y: Module) -> SplitWitness | None:
     rng = random.Random(_ISO_SEARCH_SEED + 31 * x.dim + y.dim)
     for _ in range(_ISO_RETRIES):
         f = _random_hom(into, rng)
+        if x.dim == y.dim:
+            if (witness := _iso_witness(F, f, x.dim)) is not None:
+                return witness
+            continue
         image = RowSpace(F)
         if len(f) < x.dim or sum(image.add(row) for row in f.values()) < x.dim:
             continue
@@ -794,20 +792,19 @@ class PdResult:
     """Projective dimension with a certificate.
 
     Finite(d): the (d+1)-st syzygy is literally zero and the d-th is not.
-    InfiniteCertified(first_repeat, period): the earlier nonzero syzygy
-    X = syzygy number ``first_repeat - period`` is isomorphic to syzygy
-    number ``first_repeat`` (an iso in ``witness``), or, when ``split`` is
-    set, a direct summand of it (a verified inclusion and retraction).
-    Both certify pd = infinity: X is then a summand of its own k-th syzygy
-    for k = ``period`` >= 1, and if pd X = d were finite, that syzygy would
-    be zero or of pd d - k < d, neither of which can hold a summand X != 0;
-    so pd X is infinite, and with it pd of the module.  ``witness_modules``
-    is the pair (X, later syzygy).  Unknown: neither event, and ``reason``
-    says what stopped the search: ``cutoff`` when ``step`` = cutoff
-    syzygies were built, ``dim_guard`` when the cover of syzygy number
-    ``step`` exceeded the dimension guard.  ``summand`` names the direct
-    summand a result was certified on, when it stands for a larger module
-    (see ``invariants.gorenstein``).
+    InfiniteCertified(first_repeat, period): ``witness`` splits the earlier
+    nonzero syzygy X = number ``first_repeat - period`` off Y = number
+    ``first_repeat`` (``witness_modules`` is (X, Y)) by an inclusion and a
+    retraction: a ``repeat`` when dim X = dim Y (an isomorphism and its
+    inverse), a ``summand repeat`` otherwise.  X is then a summand of its
+    own k-th syzygy, k = ``period`` >= 1; if pd X = d were finite, that
+    syzygy would be zero or of pd d - k < d, neither of which can hold a
+    summand X != 0, so pd X is infinite, and with it pd of the module.
+    Unknown: ``reason`` says what stopped the search, ``cutoff`` when
+    ``step`` = cutoff syzygies were built, ``dim_guard`` when the cover of
+    syzygy number ``step`` exceeded the dimension guard.  ``summand`` names
+    the summand of a larger module that a result was certified on (see
+    ``invariants.gorenstein``).
     """
 
     kind: str  # "finite" | "infinite" | "unknown"
@@ -816,9 +813,8 @@ class PdResult:
     period: int | None = None
     cutoff: int | None = None
     syzygy_dims: list[int] = dc_field(default_factory=list)
-    witness: IsoWitness | None = None
+    witness: SplitWitness | None = None
     witness_modules: tuple[Module, Module] | None = None
-    split: SplitWitness | None = None
     summand: str | None = None
     reason: str | None = None  # Unknown only: "cutoff" | "dim_guard"
     step: int | None = None
@@ -836,7 +832,8 @@ class PdResult:
             return f"Finite({self.d})"
         if self.kind == "infinite":
             where = f"{self.summand}: " if self.summand else ""
-            repeat = "summand repeat" if self.split is not None else "repeat"
+            x, y = self.witness_modules
+            repeat = "summand repeat" if x.dim < y.dim else "repeat"
             return (f"InfiniteCertified({where}{repeat} at {self.first_repeat}, "
                     f"period {self.period})")
         if self.reason == "dim_guard":
@@ -849,25 +846,25 @@ def _signature(m: Module) -> tuple:
 
 
 def _fits(small: tuple, big: tuple) -> bool:
-    """Can a module X of signature ``small`` be a proper direct summand of a
-    module Y of signature ``big``?  Y = X (+) Z with Z != 0 needs X smaller,
-    no larger at any weight or in any top multiplicity, and a top smaller
-    in total, since top Z != 0 (so a Y with a simple top has no proper
-    summand).  Also False when the Hom system of X and Y would have more
-    than ``DIM_GUARD`` unknowns."""
-    return (small[0] < big[0] and sum(small[2]) < sum(big[2])
-            and all(u <= v for u, v in zip(small[1], big[1]))
-            and all(u <= v for u, v in zip(small[2], big[2]))
-            and sum(u * v for u, v in zip(small[1], big[1])) <= DIM_GUARD)
+    """Can a module X of signature ``small`` be a direct summand of a module
+    Y of signature ``big``?  Always when they are equal (X may be Y).  A
+    proper summand, Y = X (+) Z with Z != 0, needs X smaller, no larger at
+    any weight or in any top multiplicity, and a top smaller in total,
+    since top Z != 0; it is tested only when the Hom system of X and Y has
+    at most ``DIM_GUARD`` unknowns."""
+    return small == big or (
+        small[0] < big[0] and sum(small[2]) < sum(big[2])
+        and all(u <= v for u, v in zip(small[1], big[1]))
+        and all(u <= v for u, v in zip(small[2], big[2]))
+        and sum(u * v for u, v in zip(small[1], big[1])) <= DIM_GUARD)
 
 
 def pd(m: Module, cutoff: int) -> PdResult:
     """Projective dimension of m, certified as documented on PdResult.
 
-    At each step j the new syzygy is first compared with every earlier one
-    for an isomorphism; when none is found, each earlier syzygy that
-    ``_fits`` into it, the most recent first, is tested as a direct summand
-    of it (``_split``).  A cover source exceeding ``DIM_GUARD`` aborts the
+    At each step j every earlier syzygy that ``_fits`` into the new one,
+    the most recent first, is tested as a direct summand of it
+    (``_split``).  A cover source exceeding ``DIM_GUARD`` aborts the
     resolution and yields Unknown (never a wrong certificate).
     """
     if cutoff < 1:
@@ -886,20 +883,10 @@ def pd(m: Module, cutoff: int) -> PdResult:
         if nxt.is_zero():
             return PdResult("finite", d=j - 1, syzygy_dims=dims)
         sig = _signature(nxt)
-        for i, old in enumerate(sigs):
-            if old == sig:
-                res = is_iso(chain[i], nxt)
-                if res.kind == "iso":
-                    return PdResult("infinite", first_repeat=j, period=j - i,
-                                    syzygy_dims=dims, witness=res.witness,
-                                    witness_modules=(chain[i], nxt))
         for i in range(j - 1, -1, -1):
-            if _fits(sigs[i], sig):
-                split = _split(chain[i], nxt)
-                if split is not None:
-                    return PdResult("infinite", first_repeat=j, period=j - i,
-                                    syzygy_dims=dims, split=split,
-                                    witness_modules=(chain[i], nxt))
+            if _fits(sigs[i], sig) and (witness := _split(chain[i], nxt)) is not None:
+                return PdResult("infinite", first_repeat=j, period=j - i, syzygy_dims=dims,
+                                witness=witness, witness_modules=(chain[i], nxt))
         chain.append(nxt)
         sigs.append(sig)
     return PdResult("unknown", cutoff=cutoff, syzygy_dims=dims, reason="cutoff", step=cutoff)

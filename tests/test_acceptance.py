@@ -272,14 +272,15 @@ def test_criterion_11_certificate_soundness(fixture_set, nilcyc_corpus):
             m, n = res.witness_modules
             assert (m.dim, n.dim) == (res.syzygy_dims[res.first_repeat - res.period],
                                       res.syzygy_dims[res.first_repeat])
-            # by dense products that share no code with homkit: an iso is
-            # invertible and intertwines; a split pair intertwines and the
-            # inclusion followed by the retraction is the identity
-            if res.split is not None:
+            # by dense products that share no code with homkit: both maps
+            # intertwine and the inclusion followed by the retraction is
+            # the identity; between equal dimensions that is an iso
+            w = res.witness
+            assert split_witness_holds(m, n, w.inclusion, w.retraction)
+            if m.dim < n.dim:
                 split += 1
-                assert split_witness_holds(m, n, res.split.inclusion, res.split.retraction)
             else:
-                assert iso_witness_holds(m, n, res.witness.matrix, res.witness.inverse)
+                assert iso_witness_holds(m, n, w.inclusion, w.retraction)
         else:
             # Unknown carries no certificate (e.g. the two-point loop fixture,
             # whose syzygy dimensions grow without any repeat)

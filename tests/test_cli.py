@@ -466,6 +466,37 @@ def test_malformed_json_is_an_input_error(capsys, tmp_path, kind, edit, named):
         assert err.startswith(f"error: {f}: ") and named in err, err
 
 
+def _tp11_dump(tmp_path, name, extra):
+    """FIX-TP1(1) as homkit-algebra/1 JSON with these mult entries appended."""
+    doc = algebra_to_json(from_quiver(spec_of_fixture("FIX-TP1(1)")))
+    doc["mult"] += extra
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_zero_structure_constant_is_dropped(capsys, tmp_path):
+    # a coefficient that parses to zero is no product, so it is dropped and
+    # the reports are those of the clean file
+    clean = _tp11_dump(tmp_path, "clean.json", [])
+    zero = _tp11_dump(tmp_path, "zero.json", [[0, 2, 3, "0"]])
+    for cmd in ("gorenstein", "stratify"):
+        code, out, err = run_cli(capsys, cmd, zero)
+        assert (code, err) == (0, ""), cmd
+        assert out == run_cli(capsys, cmd, clean)[1], cmd
+
+
+@pytest.mark.parametrize("coefficient", ["0", "5"])
+def test_repeated_structure_constant_is_an_input_error(capsys, tmp_path, coefficient):
+    # FIX-TP1(1)'s last product is (3, 0) at 3; a second entry for it would
+    # overwrite the first, so it is rejected whatever its coefficient
+    path = _tp11_dump(tmp_path, "dup.json", [[3, 0, 3, coefficient]])
+    for cmd in ("gorenstein", "stratify"):
+        code, out, err = run_cli(capsys, cmd, path)
+        assert (code, out) == (1, ""), cmd
+        assert err == f"error: {path}: mult entry 6 repeats the product (3, 0) at 3\n", cmd
+
+
 @pytest.mark.parametrize("shape, minimum", [("AcyclicQuiver", 3), ("NilpotentCyclic", 2),
                                             ("TriangularPair", 5)])
 def test_corpus_dim_bound_below_the_shape_minimum(capsys, shape, minimum):

@@ -370,9 +370,10 @@ def test_guard_stop_is_not_kept_on_the_module(monkeypatch):
 
 
 def test_summand_search_keeps_its_hom_systems_within_the_guard(monkeypatch):
-    # pd compares each new syzygy with the earlier ones, up to iso and as a
-    # direct summand; a summand test is set up only when its Hom system has
-    # at most DIM_GUARD unknowns, so no Hom system pd builds is larger
+    # pd tests each earlier syzygy that fits as a direct summand of the new
+    # one; a proper summand test is set up only when its Hom system has at
+    # most DIM_GUARD unknowns, and on these simples no equal-signature test
+    # (see the next test) is larger either
     unknowns = []
     real = modules_mod._hom_system
 
@@ -388,6 +389,20 @@ def test_summand_search_keeps_its_hom_systems_within_the_guard(monkeypatch):
         for i in range(a.r):
             pd(simple(a, i), 12)
     assert unknowns and max(unknowns) <= modules_mod.DIM_GUARD
+
+
+def test_equal_signature_summand_test_is_not_bounded_by_the_guard():
+    # nilcyc-42-18's op-side injective 1 has syzygy 3 isomorphic to syzygy 1,
+    # whose Hom system has 1296 unknowns, over DIM_GUARD; the guard bounds
+    # proper summand tests only, and bounding this one too would find only
+    # the later repeat at 4
+    a = corpus.generate(corpus.CorpusSpec(seed=42, count=30, shape="NilpotentCyclic"), 18)
+    r = pd(injective(opposite(a), 1), 12)
+    assert (r.describe(), r.syzygy_dims) == ("InfiniteCertified(repeat at 3, period 2)",
+                                             [9, 36, 18, 36])
+    x, y = r.witness_modules
+    assert modules_mod._hom_system(x, y)[1] == 1296 > modules_mod.DIM_GUARD
+    _assert_witness_reverifies(r)
 
 
 def test_pd_examples(a2, tp11):
@@ -409,21 +424,19 @@ def _tampered(mat, F):
 def _assert_witness_reverifies(r):
     m, n = r.witness_modules
     F = m.field
-    if r.split is not None:
-        inc, ret = r.split.inclusion, r.split.retraction
-        assert split_witness_holds(m, n, inc, ret)
-        # a tampered inclusion, a tampered retraction, and a retraction that
-        # still intertwines but no longer inverts the inclusion are rejected
-        assert not split_witness_holds(m, n, _tampered(inc, F), ret)
-        assert not split_witness_holds(m, n, inc, _tampered(ret, F))
-        two = F.of_int(2)
-        doubled = {t: {s: F.mul(two, v) for s, v in row.items()} for t, row in ret.items()}
-        assert not split_witness_holds(m, n, inc, doubled)
-        return
-    w = r.witness
-    assert iso_witness_holds(m, n, w.matrix, w.inverse)
-    # a witness that fails to intertwine is rejected
-    assert not iso_witness_holds(m, n, _tampered(w.matrix, F), w.inverse)
+    inc, ret = r.witness.inclusion, r.witness.retraction
+    assert split_witness_holds(m, n, inc, ret)
+    # a tampered inclusion, a tampered retraction, and a retraction that
+    # still intertwines but no longer inverts the inclusion are rejected
+    assert not split_witness_holds(m, n, _tampered(inc, F), ret)
+    assert not split_witness_holds(m, n, inc, _tampered(ret, F))
+    two = F.of_int(2)
+    doubled = {t: {s: F.mul(two, v) for s, v in row.items()} for t, row in ret.items()}
+    assert not split_witness_holds(m, n, inc, doubled)
+    if m.dim == n.dim:
+        # between equal dimensions the pair is an iso and its inverse
+        assert iso_witness_holds(m, n, inc, ret)
+        assert not iso_witness_holds(m, n, _tampered(inc, F), ret)
 
 
 def test_pd_certificates_reverify(tp11):
@@ -447,7 +460,7 @@ def test_pd_certificates_reverify(tp11):
                                          chain[r.first_repeat])
             _assert_witness_reverifies(r)
             sides += 1
-            splits += r.split is not None
+            splits += r.witness_modules[0].dim < r.witness_modules[1].dim
     assert (sides, splits) == (4, 1)
 
 
@@ -481,6 +494,26 @@ def test_is_iso_exhaustive_over_small_prime_field():
     twosimple = direct_sum(a, [simple(a, 0), simple(a, 1)])
     res2 = is_iso(projective(a, 0), twosimple)
     assert res2.kind == "not_iso"
+
+
+def test_is_iso_witness_reverifies_on_both_search_paths(monkeypatch, a2):
+    # swapped simple summands: Hom has two free unknowns and only choices
+    # with both non-zero are invertible.  Over F2 the search is exhaustive
+    # (no random draw); over Q it is randomized
+    draws = []
+    real = modules_mod._random_hom
+    monkeypatch.setattr(modules_mod, "_random_hom",
+                        lambda system, rng: draws.append(1) or real(system, rng))
+    f2 = from_quiver(parse_spec("field F2 quiver { vertices: 1, 2 arrows: a: 1 -> 2 }"))
+    for a, randomized in ((f2, False), (a2, True)):
+        m = direct_sum(a, [simple(a, 0), simple(a, 1)])
+        n = direct_sum(a, [simple(a, 1), simple(a, 0)])
+        draws.clear()
+        res = is_iso(m, n)
+        assert res.kind == "iso" and bool(draws) == randomized, a.name
+        w = res.witness
+        assert iso_witness_holds(m, n, w.inclusion, w.retraction), a.name
+        assert split_witness_holds(m, n, w.inclusion, w.retraction), a.name
 
 
 def test_ext_examples(a2, tp11):
