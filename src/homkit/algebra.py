@@ -37,12 +37,13 @@ class Algebra:
     ``_opposite`` and ``_tensors``) and hand out the same object each time.
     A tensor product keeps its basis pair index in ``_pair_index`` (see
     ``_tensor``); it holds plain ints, so no reference to either factor.
-    ``_generators`` keeps :attr:`generators` once it is read.
+    ``_generators``, ``_paths`` and ``_products`` keep :attr:`generators`,
+    :attr:`paths` and :attr:`products` once they are read.
     """
 
     __slots__ = ("field", "vertex_labels", "labels", "left", "right", "mult",
                  "r", "name", "_opposite", "_tensors", "_pair_index", "_generators",
-                 "__weakref__")
+                 "_paths", "_products", "__weakref__")
 
     def __init__(self, field: Field, vertex_labels: list[str], labels: list[str],
                  left: list[int], right: list[int],
@@ -59,6 +60,8 @@ class Algebra:
         self._tensors: weakref.WeakKeyDictionary | None = None
         self._pair_index: dict[tuple[int, int], int] | None = None
         self._generators: list[int] | None = None
+        self._paths: list[list[int]] | None = None
+        self._products: list[list[tuple[int, dict]]] | None = None
         if r != len(vertex_labels):
             raise ValueError("r must equal the number of vertices")
         if len(self.left) < r or any(self.left[i] != i or self.right[i] != i
@@ -98,6 +101,28 @@ class Algebra:
                         rad2.add(mx[y])
             gens = self._generators = [x for x in rad if x not in rad2.pivot_of_col]
         return gens
+
+    @property
+    def paths(self) -> list[list[int]]:
+        """``paths[i]``: the basis elements with left tag i, in basis order,
+        which are the basis of e_i A.  Computed on first read."""
+        paths = self._paths
+        if paths is None:
+            paths = self._paths = [[] for _ in range(self.r)]
+            for k, i in enumerate(self.left):
+                paths[i].append(k)
+        return paths
+
+    @property
+    def products(self) -> list[list[tuple[int, dict[int, object]]]]:
+        """``products[k]``: the pairs (x, k * x) with k * x non-zero, in basis
+        order of x, where k * x is the row ``mult[k][x]``.  Computed on
+        first read."""
+        prods = self._products
+        if prods is None:
+            prods = self._products = [[(x, zs) for x, zs in enumerate(row) if zs]
+                                      for row in self.mult]
+        return prods
 
     def unit_coords(self) -> dict[int, object]:
         one = self.field.one

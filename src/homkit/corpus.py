@@ -173,8 +173,7 @@ def _random_bimodule(rng: random.Random, b: Algebra, c: Algebra,
         radical_pos = []
         pos = 0
         for i, part in zip(verts, parts):
-            base = [k for k in range(T.dim) if T.left[k] == i]
-            for s, k in enumerate(base):
+            for s, k in enumerate(T.paths[i]):
                 if k >= T.r:
                     radical_pos.append(pos + s)
             pos += part.dim

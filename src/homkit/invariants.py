@@ -13,7 +13,7 @@ in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import zip_longest
 
 from .algebra import Algebra, opposite
@@ -138,6 +138,9 @@ class GorensteinReport:
     left_id: PdResult | None  # id of A as a left module; None when not resolved
     verdict: str              # "Gorenstein" | "NotGorensteinCertified" | "Unknown"
     cutoff: int
+    # the certificate of a verdict read off a finite global dimension; None
+    # when the injectives were resolved
+    gldim_report: GldimReport | None = field(default=None, compare=False)
 
     def describe(self) -> str:
         if self.verdict == "Gorenstein":
@@ -192,10 +195,27 @@ def self_injective_dimension(a: Algebra, cutoff: int) -> PdResult:
 def gorenstein(a: Algebra, cutoff: int, *, verdict_only: bool = False) -> GorensteinReport:
     """Self-injective dimension on both sides, with certificates.
 
+    A finite global dimension d answers first: then id(A_A) = id(_AA) = d.
+    Every module has injective dimension at most d, and a simple X with
+    pd X = d has Ext^d(X, A) != 0, since Ext^d(X, -) is right exact, not
+    zero, and every module is a quotient of a free one.  The left and right
+    global dimensions agree (Auslander 1955), so the same holds on the left.
+    Finite global dimension forces det C = +-1 (Eilenberg 1954), so the
+    simples are resolved only when det C is +-1; that gate keeps algebras
+    such as FIX-TP2 (det 0), whose simples resolve to the cutoff, off this
+    path.  The report then carries the ``GldimReport`` as its certificate
+    in ``gldim_report``, and both ids are Finite(d) with no syzygy dims.
+    Otherwise the indecomposable injectives are resolved on both sides.
+
     With ``verdict_only`` the left side is not resolved once the right side
     is certified infinite: the verdict is then NotGorensteinCertified
     whatever the left side is, and ``left_id`` is None.
     """
+    if cartan_matrix(a).det in (1, -1):
+        g = gldim(a, cutoff, verdict_only=True)
+        if g.is_finite:
+            return GorensteinReport(PdResult("finite", d=g.value), PdResult("finite", d=g.value),
+                                    "Gorenstein", cutoff, g)
     right_id = self_injective_dimension(a, cutoff)
     left_id = None
     if not (verdict_only and right_id.is_infinite):

@@ -170,10 +170,12 @@ def projective(a: Algebra, i: int) -> Module:
     """P_i = e_i A: basis elements with left tag i, right multiplication."""
     if not 0 <= i < a.r:
         raise ValueError(f"vertex {i} out of range")
-    idx = [k for k in range(a.dim) if a.left[k] == i]
+    idx = a.paths[i]
     pos = {k: s for s, k in enumerate(idx)}
-    action = [{s: {pos[z]: c for z, c in a.mult[k][x].items()}
-               for s, k in enumerate(idx) if a.mult[k][x]} for x in range(a.dim)]
+    action: list[dict[int, dict]] = [{} for _ in range(a.dim)]
+    for s, k in enumerate(idx):
+        for x, zs in a.products[k]:
+            action[x][s] = {pos[z]: c for z, c in zs.items()}
     return Module(a, len(idx), action, [a.right[k] for k in idx])
 
 
@@ -187,8 +189,10 @@ def simple(a: Algebra, i: int) -> Module:
 
 def regular(a: Algebra) -> Module:
     """The right regular module A_A (which is the direct sum of the P_i)."""
-    action = [{s: dict(a.mult[s][x]) for s in range(a.dim) if a.mult[s][x]}
-              for x in range(a.dim)]
+    action: list[dict[int, dict]] = [{} for _ in range(a.dim)]
+    for s, prods in enumerate(a.products):
+        for x, zs in prods:
+            action[x][s] = dict(zs)
     return Module(a, a.dim, action, list(a.right))
 
 
@@ -332,22 +336,21 @@ class Cover:
     """A minimal projective cover presented by structure constants.
 
     ``summands`` lists one vertex i per projective copy (in vertex order).
-    The copy of P_i = e_i A has as basis the paths ``paths[i]`` (the basis
-    elements with left tag i, in basis order), so basis element x acts on a
-    source coordinate standing for path k through ``algebra.mult[k][x]``.
-    ``matrix`` has one sparse row per source coordinate: the image of its
-    path in M, read at a lift chosen off M's cached radical row space.
+    The copy of P_i = e_i A has as basis the paths ``algebra.paths[i]``
+    (the basis elements with left tag i, in basis order), so basis element
+    x acts on a source coordinate standing for path k through
+    ``algebra.mult[k][x]``.  ``matrix`` has one sparse row per source
+    coordinate: the image of its path in M, read at a lift chosen off M's
+    cached radical row space.
     """
 
     def __init__(self, algebra: Algebra, summands: list[int],
-                 multiplicities: list[int], matrix: list[dict],
-                 paths: dict[int, list[int]]):
+                 multiplicities: list[int], matrix: list[dict]):
         self.algebra = algebra
         self.summands = summands
         self.multiplicities = multiplicities
         self.matrix = matrix
-        self.paths = paths
-        self.source_dim = sum(len(paths[i]) for i in summands)
+        self.source_dim = sum(len(algebra.paths[i]) for i in summands)
 
 
 def projective_cover(m: Module) -> Cover:
@@ -368,16 +371,14 @@ def projective_cover(m: Module) -> Cover:
     mults = [len(lifts_by_vertex.get(i, ())) for i in range(a.r)]
     summands: list[int] = []
     rows: list[dict] = []
-    paths: dict[int, list[int]] = {}
     for i in range(a.r):
         if mults[i] == 0:
             continue
-        pidx = paths[i] = [k for k in range(a.dim) if a.left[k] == i]
         for t in lifts_by_vertex[i]:
             summands.append(i)
-            for k in pidx:
+            for k in a.paths[i]:
                 rows.append(m.action[k].get(t) or {})
-    return Cover(a, summands, mults, rows, paths)
+    return Cover(a, summands, mults, rows)
 
 
 def syzygy(m: Module) -> Module:
@@ -430,7 +431,7 @@ def _syzygy_with_inclusion(m: Module, cov: Cover | None = None) -> tuple[Module,
     coord_of: list[dict[int, int]] = []
     off = 0
     for i in cov.summands:
-        pidx = cov.paths[i]
+        pidx = a.paths[i]
         zmap = {k: coord[off + s] for s, k in enumerate(pidx) if off + s in coord}
         path_of.extend(pidx)
         coord_of.extend([zmap] * len(pidx))
@@ -441,18 +442,14 @@ def _syzygy_with_inclusion(m: Module, cov: Cover | None = None) -> tuple[Module,
         if any(a.right[path_of[c]] != w for c in kernel[s]):
             raise AssertionError("kernel basis vector mixes weights")
     zero = F.zero
-    products: dict[int, list[tuple[int, dict]]] = {}  # path k -> non-zero k * x
+    products = a.products
     # images[x][s]: the syzygy coordinates of row s times x, filled in
     # row order and only where the product is non-zero
     images: list[dict[int, dict[int, object]]] = [{} for _ in range(a.dim)]
     for s, row in enumerate(kernel):
         for c, v in row.items():
-            k = path_of[c]
-            prods = products.get(k)
-            if prods is None:
-                prods = products[k] = [(x, zs) for x, zs in enumerate(a.mult[k]) if zs]
             zmap = coord_of[c]
-            for x, zs in prods:
+            for x, zs in products[path_of[c]]:
                 img = images[x].get(s)
                 if img is None:
                     img = images[x][s] = {}
@@ -939,7 +936,7 @@ def _derived_dims(m: Module, n: Module, cutoff: int, tor: bool) -> list[int]:
         steps.append(step)
     F = m.field
     a = m.algebra
-    paths = [[k for k in range(a.dim) if a.left[k] == i] for i in range(a.r)]
+    paths = a.paths
     blocks: list[list[int]] = [[] for _ in range(a.r)]
     npos = []  # the place of each basis vector of N in its weight block
     for t, w in enumerate(n.weights):

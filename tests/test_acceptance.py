@@ -7,6 +7,7 @@ carry a wall-clock budget of 60 seconds apiece.
 """
 
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -245,7 +246,28 @@ def test_criterion_10_structural_invariants(fixture_set, tri_corpus, nilcyc_corp
           f"{len(algebras)} algebras; Gorenstein op-symmetry on {sym_checked}")
 
 
-def test_criterion_11_certificate_soundness(fixture_set, nilcyc_corpus):
+def _gorenstein_by_gldim_holds(a, rep):
+    """True iff a Gorenstein report read off the global dimension holds: its
+    ``GldimReport`` has one Finite(d) per simple, each re-verified by
+    literal syzygies (the d-th is non-zero and the (d+1)-st is zero), and
+    the largest d is the value and both self-injective dimensions."""
+    g = rep.gldim_report
+    if rep.verdict != "Gorenstein" or len(g.per_simple) != a.r:
+        return False
+    for i, res in enumerate(g.per_simple):
+        if not res.is_finite:
+            return False
+        cur = simple(a, i)
+        for _ in range(res.d):
+            cur = syzygy(cur)
+        if cur.dim == 0 or syzygy(cur).dim != 0:
+            return False
+    d = max(res.d for res in g.per_simple)
+    return (g.value == d and rep.right_id.is_finite and rep.left_id.is_finite
+            and rep.right_id.d == rep.left_id.d == d)
+
+
+def test_criterion_11_certificate_soundness(fixture_set, nilcyc_corpus, transfer_corpus):
     results = []
     for a in list(fixture_set.values()) + nilcyc_corpus[:10]:
         for i in range(a.r):
@@ -286,7 +308,27 @@ def test_criterion_11_certificate_soundness(fixture_set, nilcyc_corpus):
             # whose syzygy dimensions grow without any repeat)
             unknown += 1
     assert finite > 0 and infinite > split > 0
+    # Gorenstein verdicts read off a finite global dimension, and the same
+    # reports with a tampered d: of one simple, or of one side
+    by_gldim = 0
+    for a in [*fixture_set.values(), *nilcyc_corpus,
+              *(x for inst in transfer_corpus for x in (inst.a, inst.b, inst.c))]:
+        rep = gorenstein(a, CUTOFF)
+        if rep.gldim_report is None:
+            continue
+        by_gldim += 1
+        assert _gorenstein_by_gldim_holds(a, rep), a.name
+        g = rep.gldim_report
+        first = replace(g.per_simple[0], d=g.per_simple[0].d + 1)
+        tampered = [replace(rep, gldim_report=replace(g, per_simple=[first, *g.per_simple[1:]])),
+                    replace(rep, right_id=replace(rep.right_id, d=rep.right_id.d + 1)),
+                    replace(rep, left_id=replace(rep.left_id, d=rep.left_id.d + 1))]
+        for bad in tampered:
+            assert not _gorenstein_by_gldim_holds(a, bad), a.name
+    assert by_gldim >= 7
     print(f"\nACCEPTANCE 11 PASS: {finite} Finite certificates re-verified by "
           f"literal zero syzygies, {infinite} InfiniteCertified witnesses "
           f"({split} of them split summands) re-verified by matrix multiplication "
-          f"(100% of certificates; {unknown} Unknown results carry none)")
+          f"(100% of certificates; {unknown} Unknown results carry none); "
+          f"{by_gldim} Gorenstein-by-gldim reports re-verified simple by simple, "
+          f"each with three tampered copies rejected")

@@ -1,7 +1,10 @@
+import contextlib
+import io
+
 import pytest
 
 from _oracles import dense_matmul, identity_matrix, invert_int
-from homkit import invariants
+from homkit import cli, invariants
 from homkit import modules as modules_mod
 from homkit.algebra import opposite, tensor, triangular
 from homkit.corpus import CorpusSpec, generate
@@ -319,3 +322,63 @@ def test_gldim_unknown_keeps_the_cutoff_text(tp11):
     g = gldim(tp11, 1)
     assert [p.reason for p in g.per_simple] == ["cutoff", "cutoff"]
     assert g.describe() == "Unknown(cutoff 1)"
+
+
+def _certificate_inputs(fixture_algebras):
+    """The fixtures and the three corpus shapes at corpus seeds 42 and 7,
+    with A, B and C of each TriangularPair."""
+    out = list(fixture_algebras.values())
+    for seed in (42, 7):
+        for shape in ("AcyclicQuiver", "NilpotentCyclic", "TriangularPair"):
+            spec = CorpusSpec(seed=seed, count=30, shape=shape)
+            for i in range(30):
+                x = generate(spec, i)
+                out += [x.a, x.b, x.c] if shape == "TriangularPair" else [x]
+    return out
+
+
+def test_gorenstein_by_gldim_matches_the_injectives_it_skips(fixture_algebras):
+    # wherever a finite global dimension answers, both self-injective
+    # dimensions resolved one injective at a time read the same
+    fired = set()
+    for a in _certificate_inputs(fixture_algebras):
+        reports = [gorenstein(a, 12, verdict_only=v) for v in (False, True)]
+        finite = gldim_is_finite(a, 12)
+        assert [g.gldim_report is not None for g in reports] == [finite] * 2, a.name
+        if not finite:
+            continue
+        fired.add(a.name)
+        right = self_injective_dimension(a, 12)
+        left = self_injective_dimension(opposite(a), 12)
+        assert right.is_finite and left.is_finite, a.name
+        for g in reports:
+            assert g.verdict == "Gorenstein", a.name
+            assert g.right_id.describe() == right.describe(), a.name
+            assert g.left_id.describe() == left.describe(), a.name
+            assert g.describe() == f"Gorenstein({right.d},{left.d})", a.name
+            assert g.gldim_report.value == right.d == left.d, a.name
+    # the seed-42 TriangularPair A's of finite global dimension
+    tri = [generate(CorpusSpec(seed=42, count=30, shape="TriangularPair"), i).a
+           for i in range(30)]
+    finite_a = {a.name for a in tri if gldim(a, 12).is_finite}
+    assert len(finite_a) == 7 and finite_a <= fired
+
+
+def test_gorenstein_resolves_no_simple_of_fix_tp2(tp2, monkeypatch):
+    # det C = 0 rules out a finite global dimension (Eilenberg 1954), so
+    # the simples, which resolve to the cutoff, are never resolved: every
+    # module that pd sees is an indecomposable injective
+    resolved = []
+    real_pd = invariants.pd
+
+    def counting_pd(m, cutoff):
+        resolved.append(m)
+        return real_pd(m, cutoff)
+
+    monkeypatch.setattr(invariants, "pd", counting_pd)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["gorenstein", "FIX-TP2"]) == 0
+    assert cartan_matrix(tp2).det == 0
+    assert "Gorenstein(0,0)" in out.getvalue()
+    assert resolved == [dual(projective(over, i)) for over in (tp2, opposite(tp2))
+                        for i in range(tp2.r)]

@@ -485,19 +485,27 @@ def test_transfer_checks_agree_with_full_reports(monkeypatch):
 def test_transfer_checks_resolve_only_what_the_verdicts_read(monkeypatch):
     import homkit.invariants as inv
     calls = []
+    injectives = {}  # id -> module, for every D(e_i A) that invariants builds
 
     def counting(m, cutoff):
         res = pd(m, cutoff)
         calls.append((m, res))
         return res
 
+    def tagging(m):
+        out = dual(m)
+        injectives[id(out)] = out
+        return out
+
     monkeypatch.setattr(inv, "pd", counting)
-    gldim_stops, gorenstein_stops = set(), set()
+    monkeypatch.setattr(inv, "dual", tagging)
+    gldim_stops, gorenstein_stops, gldim_answers = set(), set(), set()
     for t in _triples(42):
         A = triangular(t.b, t.c, t.m)
         factors = {A.name: ("A", A.r), t.b.name: ("B", t.b.r), t.c.name: ("C", t.c.r)}
         calls.clear()
         smoothness_transfer_check(t.b, t.c, t.m, 12)
+        finite_gldim = set()
         for name, (label, r) in factors.items():
             simples = [(m, res) for m, res in calls if m.algebra.name == name]
             # simples in vertex order, and none after the first infinite one
@@ -507,13 +515,30 @@ def test_transfer_checks_resolve_only_what_the_verdicts_read(monkeypatch):
             assert len(kinds) == stop
             if stop < r:
                 gldim_stops.add((t.a.name, label))
+            if kinds == ["finite"] * r:
+                finite_gldim.add(name)
         calls.clear()
-        gorenstein_transfer_check(t.b, t.c, t.m, 12)
-        for name, (label, r) in factors.items():
+        injectives.clear()
+        rep = gorenstein_transfer_check(t.b, t.c, t.m, 12)
+        for (name, (label, r)), g in zip(factors.items(), (rep.g_a, rep.g_b, rep.g_c)):
             # D(A) is resolved over A^op; the left side of A is the right
             # side of A^op, so its injectives are modules over A again
             right = [res for m, res in calls if m.algebra.name == f"op({name})"]
-            left = [res for m, res in calls if m.algebra.name == name]
+            left = [res for m, res in calls
+                    if m.algebra.name == name and id(m) in injectives]
+            simples = [res for m, res in calls
+                       if m.algebra.name == name and id(m) not in injectives]
+            assert (g.gldim_report is not None) == (name in finite_gldim), (t.a.name, label)
+            if name in finite_gldim:
+                # a finite global dimension answers: every simple is
+                # resolved to Finite, and no injective on either side
+                assert [res.kind for res in simples] == ["finite"] * r
+                assert right == [] and left == []
+                gldim_answers.add((t.a.name, label))
+                continue
+            # in this pool det C = +-1 only where the global dimension is
+            # finite, so the det gate resolves no simple of the others
+            assert simples == []
             assert right
             if right[-1].is_infinite:
                 assert left == []
@@ -521,6 +546,7 @@ def test_transfer_checks_resolve_only_what_the_verdicts_read(monkeypatch):
             else:
                 assert left
     assert ("tri-42-10", "A") in gldim_stops and ("tri-42-0", "A") in gorenstein_stops
+    assert ("tri-42-7", "B") in gldim_answers
     # a verdict-only report presents nothing it did not resolve
     monkeypatch.undo()
     t = _triples(42)[10]
