@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .linalg import Field, RowSpace, axpy
 from .presentation import AlgebraSpec, Quiver, SpecError
@@ -88,9 +88,14 @@ class Algebra:
         They lift a basis of rad/rad^2, so they generate rad A as an algebra
         (rad is nilpotent): rad M is the sum of the M * g, and a linear map
         that commutes with the idempotents and the generators commutes with
-        all of A.  Computed on first read.
+        all of A.  Computed on first read, or taken from the opposite when
+        it has them.
         """
         gens = self._generators
+        if gens is None and self._opposite is not None:
+            # the opposite spans rad^2 with the same products, so its full
+            # RREF, and with it the list, is the same
+            gens = self._generators = self._opposite._generators
         if gens is None:
             rad2 = RowSpace(self.field)
             rad = range(self.r, self.dim)
@@ -510,13 +515,15 @@ def opposite(a: Algebra) -> Algebra:
     return op
 
 
-def _tensor_pair_order(a: Algebra, b: Algebra) -> list[tuple[int, int]]:
-    """Basis pairs of a tensor product: idempotent pairs first (row-major),
-    then the remaining pairs in row-major order."""
+def _tensor_basis(a: Algebra, b: Algebra) -> tuple[list[tuple[int, int]], list[str]]:
+    """Basis pairs of a tensor product, idempotent pairs first (row-major),
+    then the remaining pairs in row-major order, and their labels.  Pair
+    (i, j) of idempotents is basis element i * b.r + j."""
     idem = [(x, y) for x in range(a.r) for y in range(b.r)]
     rest = [(x, y) for x in range(a.dim) for y in range(b.dim)
             if not (x < a.r and y < b.r)]
-    return idem + rest
+    pairs = idem + rest
+    return pairs, [f"{a.labels[x]}⊗{b.labels[y]}" for x, y in pairs]
 
 
 def tensor(a: Algebra, b: Algebra) -> Algebra:
@@ -539,7 +546,7 @@ def _tensor(a: Algebra, b: Algebra, name: str) -> Algebra:
     if a.field != b.field:
         raise ValueError("tensor factors must share the field")
     F = a.field
-    pairs = _tensor_pair_order(a, b)
+    pairs, labels = _tensor_basis(a, b)
     pidx = {p: k for k, p in enumerate(pairs)}
     rb = b.r
 
@@ -547,7 +554,6 @@ def _tensor(a: Algebra, b: Algebra, name: str) -> Algebra:
         return i * rb + j
 
     vertex_labels = [f"({va},{vb})" for va in a.vertex_labels for vb in b.vertex_labels]
-    labels = [f"{a.labels[x]}⊗{b.labels[y]}" for x, y in pairs]
     left = [vtx(a.left[x], b.left[y]) for x, y in pairs]
     right = [vtx(a.right[x], b.right[y]) for x, y in pairs]
     n = len(pairs)
@@ -648,31 +654,49 @@ def quotient_by_idempotent_ideal(a: Algebra, vertices: list[int]) -> Algebra:
                    mult, len(newverts), name=f"quot({a.name},{S})")
 
 
-def _bimodule_actions(b: Algebra, c: Algebra, m: "Module") -> tuple[list, list]:
-    """The two side actions of a C-B-bimodule M (a module over
-    T = tensor(opposite(c), b)), as sparse action matrices on M's basis.
+class SideActions(NamedTuple):
+    """A C-B-bimodule M by its two side actions, which is all that
+    ``triangular``, M_B and _CM read of it.
 
-    y in B acts on the right as the sum of e_i^op (x) y over the vertices i
-    of C, and x in C (a basis element of C^op) acts on the left as the sum
-    of x (x) e_j over the vertices j of B.  Returns ``(right, left)`` with
-    one matrix per basis element of B and of C, each ``{s: row}`` over its
-    non-zero rows in increasing s, as ``Module.action``.
+    M is a module over T = tensor(opposite(c), b).  ``right[y]`` is the
+    action of y in B, the sum of e_i^op (x) y over the vertices i of C, and
+    ``left[x]`` that of x in C (a basis element of C^op), the sum of
+    x (x) e_j over the vertices j of B; each is ``{s: row}`` over its
+    non-zero rows in increasing s, as ``Module.action``.  The basis is
+    adapted to T's idempotents, and ``weights[s]`` is the vertex
+    i * b.r + j of T that basis vector s has.  ``_bimodule_actions`` reads
+    this off an M over T, and ``modules.bimodule_from_json`` off a
+    homkit-module/1 document, with T never built.
     """
-    cop = opposite(c)
-    if m.algebra != tensor(cop, b):
-        raise ValueError("bimodule is not a module over tensor(opposite(c), b)")
+
+    dim: int
+    weights: list[int]
+    right: list[dict[int, dict]]
+    left: list[dict[int, dict]]
+
+
+def _side_sums(b: Algebra, c: Algebra, pairs, mats: list[dict[int, dict]]) -> tuple[list, list]:
+    """The side actions ``(right, left)`` of a C-B-bimodule, summed from its
+    action matrices ``mats`` over the basis ``pairs`` of
+    T = tensor(opposite(c), b), in T's basis order (see ``SideActions``)."""
     F = b.field
-    pidx = m.algebra._pair_index
+    right: list[dict[int, dict]] = [{} for _ in range(b.dim)]
+    left: list[dict[int, dict]] = [{} for _ in range(c.dim)]
+    for (x, y), mat in zip(pairs, mats):
+        # T's basis order brings each side's pairs in increasing vertex order
+        for acc in ((right[y],) if x < c.r else ()) + ((left[x],) if y < b.r else ()):
+            for s, row in mat.items():
+                axpy(F, acc.setdefault(s, {}), F.one, row)
+    return ([{s: acc[s] for s in sorted(acc) if acc[s]} for acc in right],
+            [{s: acc[s] for s in sorted(acc) if acc[s]} for acc in left])
 
-    def summed(pairs) -> dict[int, dict]:
-        acc: dict[int, dict] = {}
-        for p in pairs:
-            for k, row in m.action[pidx[p]].items():
-                axpy(F, acc.setdefault(k, {}), F.one, row)
-        return {k: acc[k] for k in sorted(acc) if acc[k]}
 
-    return ([summed([(i, y) for i in range(c.r)]) for y in range(b.dim)],
-            [summed([(x, j) for j in range(b.r)]) for x in range(c.dim)])
+def _bimodule_actions(b: Algebra, c: Algebra, m: "Module") -> SideActions:
+    """The side actions of a C-B-bimodule M, a module over
+    T = tensor(opposite(c), b), summed from M's action matrices."""
+    if m.algebra != tensor(opposite(c), b):
+        raise ValueError("bimodule is not a module over tensor(opposite(c), b)")
+    return SideActions(m.dim, m.weights, *_side_sums(b, c, m.algebra._pair_index, m.action))
 
 
 def triangular(b: Algebra, c: Algebra, m: "Module") -> Algebra:
@@ -683,15 +707,13 @@ def triangular(b: Algebra, c: Algebra, m: "Module") -> Algebra:
     basis, radical of C.  M products: m*b by the right B-action, c*m by the
     left C-action; M*M = B*M = M*C = B*C = C*B = 0.
     """
+    return _triangular(b, c, _bimodule_actions(b, c, m))
+
+
+def _triangular(b: Algebra, c: Algebra, m: SideActions) -> Algebra:
+    """:func:`triangular` from the side actions of M."""
     if b.field != c.field:
         raise ValueError("triangular factors must share the field")
-    return _triangular(b, c, m, *_bimodule_actions(b, c, m))
-
-
-def _triangular(b: Algebra, c: Algebra, m: "Module", right_act: list,
-                left_act: list) -> Algebra:
-    """:func:`triangular` from the side actions that ``_bimodule_actions``
-    returns for m, for a caller that reads them too."""
     F = b.field
     rb, rc = b.r, c.r
     r = rb + rc
@@ -734,10 +756,10 @@ def _triangular(b: Algebra, c: Algebra, m: "Module", right_act: list,
                 mult[cmap[x]][cmap[y]] = {cmap[z]: cv for z, cv in row.items()}
     # m * b (right action) and c * m (left action)
     for y in range(nb):
-        for k, row in right_act[y].items():
+        for k, row in m.right[y].items():
             mult[moff + k][bmap[y]] = {moff + t: cv for t, cv in row.items()}
     for x in range(nc):
-        for k, row in left_act[x].items():
+        for k, row in m.left[x].items():
             mult[cmap[x]][moff + k] = {moff + t: cv for t, cv in row.items()}
     return Algebra(F, vertex_labels, labels, left, right, mult, r,
                    name=f"tri({b.name},{c.name})")

@@ -25,12 +25,12 @@ import sys
 import time
 
 from . import corpus as corpus_mod
-from .algebra import (Algebra, algebra_from_json, algebra_to_json, from_quiver,
-                      opposite, tensor)
+from .algebra import (Algebra, SideActions, algebra_from_json, algebra_to_json,
+                      from_quiver, opposite, tensor)
 from .invariants import (TheoremViolation, cartan_matrix, eilenberg_check,
                          gldim, gorenstein, smooth, two_point_criterion)
 from .linalg import FieldError
-from .modules import module_from_json, module_to_json
+from .modules import bimodule_from_json, module_from_json, module_to_json
 from .presentation import SpecError, parse_spec, spec_of_fixture
 from .recollement import (det_multiplicativity_check, gorenstein_transfer_check,
                           smoothness_transfer_check, stratify_search)
@@ -196,8 +196,9 @@ def cmd_stratify(args) -> int:
     return EXIT_OK
 
 
-def _load_bimodule(args, b: Algebra, c: Algebra):
-    T = tensor(opposite(c), b)
+def _load_bimodule(args, b: Algebra, c: Algebra) -> SideActions:
+    """M's side actions, read off the file without building tensor(op(C), B),
+    which is built only to compare an inline algebra with it."""
     try:
         with open(args.module, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -208,10 +209,10 @@ def _load_bimodule(args, b: Algebra, c: Algebra):
     try:
         if isinstance(doc, dict) and isinstance(doc.get("algebra"), dict):
             inline = algebra_from_json(doc["algebra"])
-            if inline != T:
+            if inline != tensor(opposite(c), b):
                 raise InputError(
                     f"{args.module}: inline algebra does not match tensor(op(C), B)")
-        return module_from_json(doc, algebra=T)
+        return bimodule_from_json(doc, b, c)
     except (ValueError, KeyError) as e:
         raise InputError(f"{args.module}: {e}") from None
 

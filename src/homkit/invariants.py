@@ -18,7 +18,7 @@ from itertools import zip_longest
 
 from .algebra import Algebra, opposite
 from .linalg import IntMatrix, det_int
-from .modules import Module, PdResult, dual, ext_dims, pd, projective, simple
+from .modules import Module, PdResult, ext_dims, injective, pd, simple
 
 CARTAN_CONVENTION = "c[i][j] = dim e_j A e_i (multiplicity of S_i in P_j)"
 
@@ -162,7 +162,9 @@ class GorensteinReport:
 
 def self_injective_dimension(a: Algebra, cutoff: int) -> PdResult:
     """id(A_A), as pd over opposite(a) of D(A_A), one indecomposable
-    injective D(e_i A) at a time.
+    injective D(e_i A) at a time; D(e_i A) is the injective I_i of
+    opposite(a), which ``modules.injective`` builds in one pass off a's
+    products.
 
     The summands are resolved in vertex order, and the first one certified
     infinite answers at once: its result is returned with ``summand`` set
@@ -180,7 +182,7 @@ def self_injective_dimension(a: Algebra, cutoff: int) -> PdResult:
         raise ValueError("cutoff must be >= 1")
     per = []
     for i in range(a.r):
-        p = pd(dual(projective(a, i)), cutoff)
+        p = pd(injective(opposite(a), i), cutoff)
         if p.is_infinite:
             return replace(p, summand=f"injective {i}")
         per.append(p)

@@ -35,8 +35,8 @@ import random
 from dataclasses import dataclass, field as dc_field
 from itertools import product as iter_product
 
-from .algebra import (Algebra, _bimodule_actions, algebra_from_json, algebra_to_json,
-                      opposite)
+from .algebra import (Algebra, SideActions, _bimodule_actions, _side_sums, _tensor_basis,
+                      algebra_from_json, algebra_to_json, opposite)
 from .linalg import Field, RowSpace, axpy, inverse
 
 _ISO_SEARCH_SEED = 0x5EED
@@ -203,8 +203,28 @@ def dual(m: Module) -> Module:
 
 
 def injective(a: Algebra, i: int) -> Module:
-    """I_i = D(e_i A^op), the injective envelope of S_i, as a module over a."""
-    return dual(projective(opposite(a), i))
+    """I_i = D(e_i A^op), the injective envelope of S_i, as a module over a.
+
+    Built in one pass off the products of opposite(a): this is the
+    transpose of ``projective(opposite(a), i)``, with its rows sorted by
+    index as ``dual`` gives them, and neither that projective nor its
+    action is built.
+    """
+    op = opposite(a)
+    idx = op.paths[i]
+    pos = {k: s for s, k in enumerate(idx)}
+    action: list[dict[int, dict]] = [{} for _ in range(a.dim)]
+    for s, k in enumerate(idx):
+        for x, zs in op.products[k]:
+            mat = action[x]
+            for z, c in zs.items():
+                row = mat.get(pos[z])
+                if row is None:
+                    mat[pos[z]] = {s: c}
+                else:
+                    row[s] = c
+    action = [dict(sorted(mat.items())) if mat else mat for mat in action]
+    return Module(a, len(idx), action, [op.right[k] for k in idx])
 
 
 def direct_sum(a: Algebra, parts: list[Module]) -> Module:
@@ -1006,17 +1026,16 @@ def tor_dims(m: Module, n: Module, cutoff: int) -> list[int]:
 # --------------------------------------------------------------------------
 
 
-def adapt_weights(algebra: Algebra, dim: int, action: list[dict[int, dict]]) -> Module:
-    """Build a Module from raw sparse action matrices (``{s: row}`` over the
-    non-zero rows, as ``Module.action``) by choosing a basis
-    adapted to the idempotent projectors (which commute and sum to the
-    identity)."""
-    F = algebra.field
+def _weight_basis(F: Field, dim: int, projectors: list[dict[int, dict]]):
+    """A basis adapted to these idempotent projectors (which commute and sum
+    to the identity), as ``(weights, change)``: the weight of each adapted
+    basis vector, and a function that writes an action matrix in that basis,
+    or None when the given basis is adapted already."""
     # fast path: every projector row is zero or a unit vector at its own index
     weights: list[int | None] = [None] * dim
     diagonal = True
-    for i in range(algebra.r):
-        for s, row in action[i].items():
+    for i, proj in enumerate(projectors):
+        for s, row in proj.items():
             if row != {s: F.one} or weights[s] is not None:
                 diagonal = False
                 break
@@ -1024,14 +1043,14 @@ def adapt_weights(algebra: Algebra, dim: int, action: list[dict[int, dict]]) -> 
         if not diagonal:
             break
     if diagonal and None not in weights:
-        return Module(algebra, dim, action, weights)
+        return weights, None
     # general path: rows of each projector image give the adapted basis T,
     # and x acts by T A_x T^-1
     rows: list[dict] = []
     weights2: list[int] = []
-    for i in range(algebra.r):
+    for i, proj in enumerate(projectors):
         rs = RowSpace(F)
-        for row in action[i].values():
+        for row in proj.values():
             rs.add(row)
         rows.extend(rs.rows)
         weights2.extend([i] * rs.rank)
@@ -1041,9 +1060,22 @@ def adapt_weights(algebra: Algebra, dim: int, action: list[dict[int, dict]]) -> 
     if inv is None:
         raise ValueError("adapted basis is not a basis")
     inv = dict(enumerate(inv))
-    new_action = [{s: v for s, row in enumerate(rows)
-                   if (v := _vecmat(F, _vecmat(F, row, act), inv))} for act in action]
-    return Module(algebra, dim, new_action, weights2)
+
+    def change(act: dict[int, dict]) -> dict[int, dict]:
+        return {s: v for s, row in enumerate(rows)
+                if (v := _vecmat(F, _vecmat(F, row, act), inv))}
+
+    return weights2, change
+
+
+def adapt_weights(algebra: Algebra, dim: int, action: list[dict[int, dict]]) -> Module:
+    """Build a Module from raw sparse action matrices (``{s: row}`` over the
+    non-zero rows, as ``Module.action``) by choosing a basis
+    adapted to the idempotent projectors (see ``_weight_basis``)."""
+    weights, change = _weight_basis(algebra.field, dim, action[:algebra.r])
+    if change is not None:
+        action = [change(act) for act in action]
+    return Module(algebra, dim, action, weights)
 
 
 # --------------------------------------------------------------------------
@@ -1060,15 +1092,16 @@ def bimodule_restrictions(b: Algebra, c: Algebra, m: Module) -> tuple[Module, Mo
     hold by construction, so the side actions are summed directly (see
     ``algebra._bimodule_actions``) and no map is checked.
     """
-    return _restrictions(b, c, m, *_bimodule_actions(b, c, m))
+    return _restrictions(b, c, _bimodule_actions(b, c, m))
 
 
-def _restrictions(b: Algebra, c: Algebra, m: Module, right: list,
-                  left: list) -> tuple[Module, Module]:
-    """:func:`bimodule_restrictions` from the side actions that
-    ``algebra._bimodule_actions`` returns for m, for a caller that reads
-    them too."""
-    return adapt_weights(b, m.dim, right), adapt_weights(opposite(c), m.dim, left)
+def _restrictions(b: Algebra, c: Algebra, m: SideActions) -> tuple[Module, Module]:
+    """:func:`bimodule_restrictions` from the side actions of M.  Their
+    basis is adapted to T's vertices i * b.r + j, so it is adapted to B's
+    vertex j and to C's vertex i."""
+    rb = b.r
+    return (Module(b, m.dim, m.right, [w % rb for w in m.weights]),
+            Module(opposite(c), m.dim, m.left, [w // rb for w in m.weights]))
 
 
 def module_to_json(m: Module, algebra_ref: str | None = None) -> dict:
@@ -1090,24 +1123,22 @@ def module_to_json(m: Module, algebra_ref: str | None = None) -> dict:
     }
 
 
-def module_from_json(doc: dict, algebra: Algebra | None = None) -> Module:
-    """Read a homkit-module/1 document; a malformed one raises ValueError
-    naming the entry at fault.  Entries equal to the zero literal that
-    ``module_to_json`` writes are skipped unparsed, and so is a row that
-    holds nothing else; every other entry goes through ``Field.parse``."""
+def _module_header(doc: dict) -> None:
+    """Raise ValueError unless doc is a homkit-module/1 document with a
+    dimension and an action."""
     fmt = doc.get("format") if isinstance(doc, dict) else None
     if fmt != "homkit-module/1":
         raise ValueError(f"unsupported module format {fmt!r}")
     for key in ("dim", "action"):
         if key not in doc:
             raise ValueError(f"module document has no {key!r} entry")
-    if algebra is None:
-        ref = doc.get("algebra")
-        if not isinstance(ref, dict):
-            raise ValueError("module document references an external algebra "
-                             "or none; pass it explicitly")
-        algebra = algebra_from_json(ref)
-    F = algebra.field
+
+
+def _action_matrices(doc: dict, F: Field, labels: list[str]) -> tuple[int, list[dict[int, dict]]]:
+    """The dimension of a homkit-module/1 document and its action matrices,
+    one per label in this order, each ``{s: row}`` over its non-zero rows
+    as ``Module.action``; the first malformed entry in label order raises
+    ValueError naming it."""
     zero = F.format(F.zero)
     dim = doc["dim"]
     if type(dim) is not int:
@@ -1116,8 +1147,7 @@ def module_from_json(doc: dict, algebra: Algebra | None = None) -> Module:
     if not isinstance(act, dict):
         raise ValueError("'action' is not an object")
     action = []
-    for x in range(algebra.dim):
-        label = algebra.labels[x]
+    for label in labels:
         if label not in act:
             raise ValueError(f"missing action matrix for basis element {label!r}")
         mat = act[label]
@@ -1142,4 +1172,55 @@ def module_from_json(doc: dict, algebra: Algebra | None = None) -> Module:
             if out:
                 rows[i] = out
         action.append(rows)
-    return adapt_weights(algebra, dim, action)
+    return dim, action
+
+
+def module_from_json(doc: dict, algebra: Algebra | None = None) -> Module:
+    """Read a homkit-module/1 document; a malformed one raises ValueError
+    naming the entry at fault.  Entries equal to the zero literal that
+    ``module_to_json`` writes are skipped unparsed, and so is a row that
+    holds nothing else; every other entry goes through ``Field.parse``."""
+    _module_header(doc)
+    if algebra is None:
+        ref = doc.get("algebra")
+        if not isinstance(ref, dict):
+            raise ValueError("module document references an external algebra "
+                             "or none; pass it explicitly")
+        algebra = algebra_from_json(ref)
+    return adapt_weights(algebra, *_action_matrices(doc, algebra.field, algebra.labels))
+
+
+def bimodule_from_json(doc: dict, b: Algebra, c: Algebra) -> SideActions:
+    """Read a homkit-module/1 document of a C-B-bimodule M, a module over
+    T = tensor(opposite(c), b), into its side actions, without building T.
+
+    Every matrix is read and checked as ``module_from_json`` checks it, in
+    T's basis order.  The matrices of x (x) e_j and of e_i^op (x) y are
+    summed into the side actions, and the projectors of the idempotent
+    pairs give the weights and, when the file's basis is not adapted to
+    them, the change of basis (``_weight_basis``, as ``adapt_weights``).
+    Every other matrix, of x (x) y with x in rad C^op and y in rad B, must be
+    the product of its side actions, since x (x) y = (x (x) 1)(1 (x) y);
+    one that is not raises ValueError naming it.  A document's ``algebra``
+    entry is not read.
+    """
+    if b.field != c.field:
+        raise ValueError("B and C are over different fields")
+    _module_header(doc)
+    F = b.field
+    rb, rc = b.r, c.r
+    pairs, labels = _tensor_basis(opposite(c), b)
+    dim, mats = _action_matrices(doc, F, labels)
+    right, left = _side_sums(b, c, pairs, mats)
+    for k, (x, y) in enumerate(pairs):
+        if x < rc or y < rb:
+            continue
+        product = {s: v for s, row in left[x].items() if (v := _vecmat(F, row, right[y]))}
+        if mats[k] != product:
+            raise ValueError(f"action matrix for {labels[k]!r} is not the product "
+                             "of its side actions")
+    weights, change = _weight_basis(F, dim, mats[:rc * rb])
+    if change is not None:
+        right = [change(act) for act in right]
+        left = [change(act) for act in left]
+    return SideActions(dim, weights, right, left)

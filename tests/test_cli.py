@@ -509,40 +509,100 @@ def test_corpus_dim_bound_below_the_shape_minimum(capsys, shape, minimum):
     assert code == 0 and json.loads(out)["aggregate"]["pass"] == 3
 
 
-def _transfer_files(tmp_path):
-    """B, C and M of the TriangularPair instance tri-42-3, written as files."""
-    inst = corpus.generate(corpus.CorpusSpec(seed=42, count=30, shape="TriangularPair"), 3)
+def _transfer_files(tmp_path, index=3, edit=None):
+    """B, C and M of the TriangularPair instance tri-42-<index>, written as
+    files; ``edit`` changes M's document before it is written."""
+    inst = corpus.generate(corpus.CorpusSpec(seed=42, count=30, shape="TriangularPair"), index)
     files = [tmp_path / n for n in ("b.json", "c.json", "m.json")]
     files[0].write_text(json.dumps(algebra_to_json(inst.b)))
     files[1].write_text(json.dumps(algebra_to_json(inst.c)))
-    files[2].write_text(json.dumps(module_to_json(inst.m, algebra_ref="tensor(op(C),B)")))
+    doc = module_to_json(inst.m, algebra_ref="tensor(op(C),B)")
+    if edit is not None:
+        edit(inst, doc)
+    files[2].write_text(json.dumps(doc))
     return inst, files
 
 
+def _drop(mats, label):
+    del mats[label]
+
+
+def _drop_row(mats, label):
+    mats[label] = mats[label][:-1]
+
+
+def _number_entry(mats, label):
+    mats[label][0][0] = 1
+
+
+def _flip_entry(mats, label):
+    mats[label][0][0] = "1" if mats[label][0][0] == "0" else "0"
+
+
+@pytest.mark.parametrize("edit, named", [
+    (_drop, "missing action matrix for basis element {!r}"),
+    (_drop_row, "action matrix for {!r} has wrong shape (expected 12 rows of 12 entries)"),
+    (_number_entry, "action matrix for {!r}, row 0, column 0: scalar 1 is not a string"),
+    (_flip_entry, "action matrix for {!r} is not the product of its side actions"),
+], ids=["missing", "wrong-shape", "number", "not-the-product"])
+def test_bad_matrix_beside_the_side_actions_is_an_input_error(capsys, tmp_path, edit, named):
+    # the matrices of x (x) y with x in rad C^op and y in rad B are not side
+    # actions, yet each is read and checked; every one of them is broken
+    # here, the last first and in a file that lists them in reverse, and the
+    # error names the first in T's basis order
+    seen = []
+
+    def edit_all(inst, doc):
+        c, b = inst.c, inst.b
+        T = tensor(opposite(c), b)
+        labels = [T.labels[k] for (x, y), k in T._pair_index.items() if x >= c.r and y >= b.r]
+        for label in reversed(labels):
+            edit(doc["action"], label)
+        doc["action"] = dict(reversed(doc["action"].items()))
+        seen.append(labels[0])
+
+    _, files = _transfer_files(tmp_path, 7, edit_all)
+    code, out, err = run_cli(capsys, "check", "gorenstein-transfer", *map(str, files))
+    assert (code, out) == (1, "")
+    assert err == f"error: {files[2]}: {named.format(seen[0])}\n"
+
+
+def test_transfer_factors_over_different_fields_are_an_input_error(capsys, tmp_path):
+    # no tensor of the two exists, so the bimodule file cannot be read
+    b = tmp_path / "B.qa"
+    b.write_text(print_spec(spec_of_fixture("FIX-LOC")))
+    c = tmp_path / "C.qa"
+    c.write_text("field F101\nquiver { vertices: 1  arrows: }\n")
+    f = tmp_path / "M.mod"
+    f.write_text(json.dumps({"format": "homkit-module/1", "algebra": "tensor(op(C),B)",
+                             "dim": 0, "action": {}}))
+    code, out, err = run_cli(capsys, "check", "gorenstein-transfer", str(b), str(c), str(f))
+    assert (code, out, err) == (1, "", f"error: {f}: B and C are over different fields\n")
+
+
 @pytest.mark.parametrize("kind", ["gorenstein-transfer", "smoothness-transfer"])
-def test_transfer_request_builds_the_tensor_once(capsys, tmp_path, monkeypatch, kind):
-    # the bimodule's algebra tensor(op(C), B) serves loading, the triangular
-    # extension and both restrictions
+def test_transfer_request_builds_a_tensor_only_for_an_inline_algebra(capsys, tmp_path,
+                                                                       monkeypatch, kind):
+    # a module file that references tensor(op(C), B) is read by its side
+    # actions, so the tensor is never built; an inline algebra is compared
+    # with the tensor, which is then built once
     inst, files = _transfer_files(tmp_path)
-    built, ordered = [], []
+    inline = tmp_path / "inline.json"
+    inline.write_text(json.dumps(module_to_json(inst.m)))
+    built = []
     real = algebra_mod._tensor
-    real_order = algebra_mod._tensor_pair_order
 
     def counting(a, b, name):
         built.append(name)
         return real(a, b, name)
 
-    def counting_order(a, b):
-        ordered.append((a.name, b.name))
-        return real_order(a, b)
-
     monkeypatch.setattr(algebra_mod, "_tensor", counting)
-    monkeypatch.setattr(algebra_mod, "_tensor_pair_order", counting_order)
     code, out, _ = run_cli(capsys, "check", kind, *map(str, files), "--json")
     assert code == 0 and json.loads(out)["kind"] == kind
+    assert built == []
+    assert run_cli(capsys, "check", kind, *map(str, files[:2]), str(inline), "--json") == \
+        (0, out, "")
     assert built == [f"op({inst.c.name})⊗{inst.b.name}"]
-    # its pair index is kept on the tensor, not rebuilt by its readers
-    assert ordered == [(f"op({inst.c.name})", inst.b.name)]
 
 
 def test_closed_stdout_is_a_normal_end():

@@ -8,13 +8,15 @@ from dataclasses import replace
 import pytest
 
 import homkit.modules as modules_mod
-from homkit.algebra import (corner, opposite, quotient_by_idempotent_ideal, tensor,
-                            triangular, validate)
+from homkit.algebra import (_bimodule_actions, _triangular, corner, opposite,
+                            quotient_by_idempotent_ideal, tensor, triangular, validate)
 from homkit.corpus import CorpusSpec, generate
 from homkit.invariants import cartan_matrix, gldim, gorenstein
 from _oracles import algebra_map_holds, module_tensor_dim, restrict_along
-from homkit.modules import (Module, PdResult, adapt_weights, bimodule_restrictions, dual,
-                            hom_dim, pd, regular)
+from homkit.linalg import inverse
+from homkit.modules import (Module, PdResult, _restrictions, adapt_weights,
+                            bimodule_from_json, bimodule_restrictions, dual, hom_dim,
+                            injective, module_from_json, module_to_json, pd, regular)
 from homkit.recollement import (aea_dimension, det_multiplicativity_check,
                                 gorenstein_transfer_check, height_label,
                                 ladder_estimate, module_Ae, module_eA,
@@ -457,9 +459,63 @@ def test_bimodule_sides_are_the_restrictions_along_checked_maps():
 TRANSFER_REPORTS_DIGEST = "df018b5a88ff0f9b43e3a324d832e49b9949a8a98830bca93830ad24891187f3"
 
 
-def _transfer_reports():
-    return [check(t.b, t.c, t.m, 12).to_json() for seed in (42, 7) for t in _triples(seed)
+def _transfer_reports(bimodule=lambda t: t.m, seeds=(42, 7)):
+    return [check(t.b, t.c, bimodule(t), 12).to_json() for seed in seeds for t in _triples(seed)
             for check in (gorenstein_transfer_check, smoothness_transfer_check)]
+
+
+def _file_doc(m):
+    """m as the homkit-module/1 document of a file that references T."""
+    return json.loads(json.dumps(module_to_json(m, algebra_ref="tensor(op(C),B)")))
+
+
+def test_side_actions_read_off_the_file_are_those_of_the_module():
+    # bimodule_from_json reads the side actions off the document, with no T;
+    # they are the ones summed from the module over T that module_from_json
+    # reads, so A, M_B and _CM are equal, and the 120 reports read off them
+    # are those of TRANSFER_REPORTS_DIGEST
+    sides = {}
+    for seed in (42, 7):
+        for t in _triples(seed):
+            doc = _file_doc(t.m)
+            m = module_from_json(doc, tensor(opposite(t.c), t.b))
+            got = sides[t.a.name] = bimodule_from_json(doc, t.b, t.c)
+            assert got == _bimodule_actions(t.b, t.c, m), t.a.name
+            assert _triangular(t.b, t.c, got) == triangular(t.b, t.c, m), t.a.name
+            assert _restrictions(t.b, t.c, got) == bimodule_restrictions(t.b, t.c, m), t.a.name
+    doc = json.dumps(_transfer_reports(lambda t: sides[t.a.name]), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == TRANSFER_REPORTS_DIGEST
+
+
+def test_side_actions_read_off_a_basis_not_adapted_to_the_idempotents(monkeypatch):
+    # M written in the basis b_s + b_(s+1) (b_s for the last s): its idempotent
+    # projectors are no longer diagonal, so the reader changes the basis as
+    # adapt_weights does, through the same code, and the reports are unchanged
+    changed = []
+    real = modules_mod._weight_basis
+
+    def recording(*args):
+        weights, change = real(*args)
+        changed.append(change is not None)
+        return weights, change
+
+    monkeypatch.setattr(modules_mod, "_weight_basis", recording)
+    sides = {}
+    for t in _triples(42):
+        F, d = t.m.field, t.m.dim
+        mix = [{s: F.one, s + 1: F.one} if s + 1 < d else {s: F.one} for s in range(d)]
+        unmix = dict(enumerate(inverse(F, mix, d)))
+        mats = [{s: row for s, v in enumerate(mix)
+                 if (row := modules_mod._vecmat(F, modules_mod._vecmat(F, v, mat), unmix))}
+                for mat in t.m.action]
+        # module_to_json writes the matrices only, so the weights do not matter
+        doc = _file_doc(Module(t.m.algebra, d, mats, t.m.weights))
+        changed.clear()
+        got = sides[t.a.name] = bimodule_from_json(doc, t.b, t.c)
+        assert changed == [d > 1 and len(set(t.m.weights)) > 1], t.a.name
+        m = module_from_json(doc, tensor(opposite(t.c), t.b))
+        assert got == _bimodule_actions(t.b, t.c, m), t.a.name
+    assert _transfer_reports(lambda t: sides[t.a.name], (42,)) == _transfer_reports(seeds=(42,))
 
 
 def test_transfer_checks_agree_with_full_reports(monkeypatch):
@@ -492,13 +548,13 @@ def test_transfer_checks_resolve_only_what_the_verdicts_read(monkeypatch):
         calls.append((m, res))
         return res
 
-    def tagging(m):
-        out = dual(m)
+    def tagging(a, i):
+        out = injective(a, i)
         injectives[id(out)] = out
         return out
 
     monkeypatch.setattr(inv, "pd", counting)
-    monkeypatch.setattr(inv, "dual", tagging)
+    monkeypatch.setattr(inv, "injective", tagging)
     gldim_stops, gorenstein_stops, gldim_answers = set(), set(), set()
     for t in _triples(42):
         A = triangular(t.b, t.c, t.m)
