@@ -20,7 +20,7 @@ from .modules import (Module, PdResult, dual, ext_dims, hom_dim, hom_space, inje
                       top, top_multiplicities, tor_dims)
 from .invariants import (CartanReport, GldimReport, GorensteinReport,
                          TheoremViolation, cartan_matrix, eilenberg_check,
-                         euler_matrix, gldim, gldim_is_finite, gorenstein,
+                         euler_matrix, finite_gldim, gldim, gorenstein,
                          smooth, two_point_criterion)
 from .recollement import (det_multiplicativity_check, gorenstein_transfer_check,
                           ladder_estimate, module_Ae, module_eA,

@@ -15,7 +15,7 @@ import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from .linalg import Field, RowSpace, axpy
+from .linalg import Field, IntMatrix, RowSpace, axpy, det_int
 from .presentation import AlgebraSpec, Quiver, SpecError
 
 if TYPE_CHECKING:
@@ -24,6 +24,11 @@ if TYPE_CHECKING:
 
 class NotFiniteDimensionalError(SpecError):
     """The degreewise closure found no vanishing degree within the cutoff."""
+
+
+class Cartan(NamedTuple):
+    matrix: IntMatrix
+    det: int
 
 
 class Algebra:
@@ -37,13 +42,14 @@ class Algebra:
     ``_opposite`` and ``_tensors``) and hand out the same object each time.
     A tensor product keeps its basis pair index in ``_pair_index`` (see
     ``_tensor``); it holds plain ints, so no reference to either factor.
-    ``_generators``, ``_paths`` and ``_products`` keep :attr:`generators`,
-    :attr:`paths` and :attr:`products` once they are read.
+    ``_generators``, ``_paths``, ``_products`` and ``_cartan`` keep
+    :attr:`generators`, :attr:`paths`, :attr:`products` and :attr:`cartan`
+    once they are read.
     """
 
     __slots__ = ("field", "vertex_labels", "labels", "left", "right", "mult",
                  "r", "name", "_opposite", "_tensors", "_pair_index", "_generators",
-                 "_paths", "_products", "__weakref__")
+                 "_paths", "_products", "_cartan", "__weakref__")
 
     def __init__(self, field: Field, vertex_labels: list[str], labels: list[str],
                  left: list[int], right: list[int],
@@ -62,6 +68,7 @@ class Algebra:
         self._generators: list[int] | None = None
         self._paths: list[list[int]] | None = None
         self._products: list[list[tuple[int, dict]]] | None = None
+        self._cartan: Cartan | None = None
         if r != len(vertex_labels):
             raise ValueError("r must equal the number of vertices")
         if len(self.left) < r or any(self.left[i] != i or self.right[i] != i
@@ -129,6 +136,19 @@ class Algebra:
                                       for row in self.mult]
         return prods
 
+    @property
+    def cartan(self) -> Cartan:
+        """The Cartan matrix, c[j][i] = dim e_i A e_j counted off the tags,
+        and its determinant by Bareiss.  Computed on first read."""
+        cartan = self._cartan
+        if cartan is None:
+            counts = [[0] * self.r for _ in range(self.r)]
+            for i, j in zip(self.left, self.right):
+                counts[j][i] += 1
+            m = IntMatrix(counts)
+            cartan = self._cartan = Cartan(m, det_int(m))
+        return cartan
+
     def unit_coords(self) -> dict[int, object]:
         one = self.field.one
         return {i: one for i in range(self.r)}
@@ -181,6 +201,17 @@ def _word_target(quiver: Quiver, w) -> int:
     return quiver.arrows[arr[-1]].target if arr else src
 
 
+_PATH_GUARD = 20000
+_ROW_GUARD = 200000
+
+
+def _check_path_guard(words: int) -> None:
+    if words > _PATH_GUARD:
+        raise NotFiniteDimensionalError(
+            "not visibly finite-dimensional within degree_cutoff "
+            f"(path enumeration exceeded {_PATH_GUARD} words)")
+
+
 class _GradedClosure:
     """Degreewise linear closure for homogeneous relations.
 
@@ -212,6 +243,7 @@ class _GradedClosure:
                 t = _word_target(q, w)
                 for ai in self.arrows_by_src.get(t, ()):
                     cands.append((w[0], w[1] + (ai,)))
+            _check_path_guard(sum(map(len, self.normal)) + len(cands))
             cands.sort(key=lambda w: w[1])
             col = {w: k for k, w in enumerate(cands)}
             space = RowSpace(F)
@@ -268,10 +300,6 @@ class _GradedClosure:
         return self._append(u, v[1])
 
 
-_PATH_GUARD = 20000
-_ROW_GUARD = 200000
-
-
 class _WindowedClosure:
     """Linear closure on a length window, for inhomogeneous relations.
 
@@ -307,10 +335,7 @@ class _WindowedClosure:
             self.col[w] = len(self.words)
             self.words.append(w)
         self.by_deg.append(level)
-        if len(self.words) > _PATH_GUARD:
-            raise NotFiniteDimensionalError(
-                "not visibly finite-dimensional within degree_cutoff "
-                f"(path enumeration exceeded {_PATH_GUARD} words)")
+        _check_path_guard(len(self.words))
 
     def run(self) -> list[tuple]:
         F = self.F

@@ -27,8 +27,8 @@ import time
 from . import corpus as corpus_mod
 from .algebra import (Algebra, SideActions, algebra_from_json, algebra_to_json,
                       from_quiver, opposite, tensor)
-from .invariants import (TheoremViolation, cartan_matrix, eilenberg_check,
-                         gldim, gorenstein, smooth, two_point_criterion)
+from .invariants import (CARTAN_CONVENTION, TheoremViolation, cartan_matrix,
+                         eilenberg_check, gldim, gorenstein, smooth, two_point_criterion)
 from .linalg import FieldError
 from .modules import bimodule_from_json, module_from_json, module_to_json
 from .presentation import SpecError, parse_spec, spec_of_fixture
@@ -137,7 +137,7 @@ def cmd_cartan(args) -> int:
     if args.json:
         _print(canonical_json(rep.to_json()))
         return EXIT_OK
-    _print(f"Cartan matrix of {a.name} ({rep.convention}):")
+    _print(f"Cartan matrix of {a.name} ({CARTAN_CONVENTION}):")
     for row in rep.matrix.data:
         _print("  [" + ", ".join(str(x) for x in row) + "]")
     _print(f"det = {rep.det}")
@@ -322,10 +322,9 @@ def _eval_corpus_instance(payload) -> dict:
     out: dict = {"index": index}
     if spec.shape == "AcyclicQuiver":
         a = corpus_mod.generate(spec, index)
-        rep = cartan_matrix(a)
         out["dim"] = a.dim
         out["r"] = a.r
-        out["det"] = str(rep.det)
+        out["det"] = str(a.cartan.det)
         e = eilenberg_check(a, cutoff)  # |det| != 1 raises inside the check
         if not e.applicable:
             out["verdict"] = "undetermined"
@@ -357,7 +356,7 @@ def _eval_corpus_instance(payload) -> dict:
         out["dim"] = inst.a.dim
         out["r"] = inst.a.r
         out["det_a"], out["det_b"], out["det_c"] = (
-            str(cartan_matrix(x).det) for x in (inst.a, inst.b, inst.c))
+            str(x.cartan.det) for x in (inst.a, inst.b, inst.c))
         out["verdict"] = "pass"
         if suite == "gorenstein-transfer":
             rep = gorenstein_transfer_check(inst.b, inst.c, inst.m, cutoff)

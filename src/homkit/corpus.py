@@ -31,6 +31,7 @@ from .presentation import Arrow, AlgebraSpec, Path, Quiver, Relation, enumerate_
 
 SHAPES = ("AcyclicQuiver", "NilpotentCyclic", "TriangularPair")
 
+# the most vertices, arrows and relations a corpus quiver draws
 MAX_VERTICES = 6
 MAX_ARROWS = 10
 MAX_RELATIONS = 8
@@ -47,9 +48,6 @@ class CorpusSpec:
     count: int
     shape: str
     field_name: str = "F101"
-    max_vertices: int = MAX_VERTICES
-    max_arrows: int = MAX_ARROWS
-    max_relations: int = MAX_RELATIONS
     dim_bound: int = DIM_BOUND
 
     def __post_init__(self):
@@ -57,12 +55,6 @@ class CorpusSpec:
             raise ValueError(f"unknown corpus shape {self.shape!r}")
         if not (0 <= self.count):
             raise ValueError("count must be >= 0")
-        if not (1 <= self.max_vertices <= MAX_VERTICES):
-            raise ValueError(f"max_vertices must be in 1..{MAX_VERTICES}")
-        if not (1 <= self.max_arrows <= MAX_ARROWS):
-            raise ValueError(f"max_arrows must be in 1..{MAX_ARROWS}")
-        if not (0 <= self.max_relations <= MAX_RELATIONS):
-            raise ValueError(f"max_relations must be in 0..{MAX_RELATIONS}")
         low = MIN_DIM_BOUND[self.shape]
         if not (low <= self.dim_bound <= DIM_BOUND):
             raise ValueError(f"dim_bound must be in {low}..{DIM_BOUND} for "
@@ -105,8 +97,8 @@ def _acyclic_spec_once(rng: random.Random, field: Field, max_vertices: int,
 def gen_acyclic(spec: CorpusSpec, index: int) -> Algebra:
     rng = instance_rng(spec, index)
     while True:
-        s = _acyclic_spec_once(rng, spec.field, spec.max_vertices, spec.max_arrows,
-                               spec.max_relations, f"acyclic-{spec.seed}-{index}")
+        s = _acyclic_spec_once(rng, spec.field, MAX_VERTICES, MAX_ARROWS, MAX_RELATIONS,
+                               f"acyclic-{spec.seed}-{index}")
         a = from_quiver(s)
         if a.dim <= spec.dim_bound:
             return a
@@ -119,14 +111,14 @@ def gen_nilpotent_cyclic(spec: CorpusSpec, index: int) -> Algebra:
     rng = instance_rng(spec, index)
     field = spec.field
     while True:
-        v = rng.randint(1, spec.max_vertices)
-        narr = rng.randint(1, spec.max_arrows)
+        v = rng.randint(1, MAX_VERTICES)
+        narr = rng.randint(1, MAX_ARROWS)
         arrows = tuple(Arrow(f"c{k}", rng.randrange(v), rng.randrange(v))
                        for k in range(narr))
         L = rng.choice((2, 3))
         quiver = Quiver(tuple(str(i + 1) for i in range(v)), arrows)
         truncating = enumerate_paths(quiver, L)[L]
-        if not truncating or len(truncating) > spec.max_relations:
+        if not truncating or len(truncating) > MAX_RELATIONS:
             continue
         rels = tuple(Relation(((field.one, p),)) for p in truncating)
         s = AlgebraSpec(field, quiver, rels, name=f"nilcyc-{spec.seed}-{index}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from itertools import zip_longest
 
 from .algebra import Algebra, opposite
-from .linalg import IntMatrix, det_int
+from .linalg import IntMatrix
 from .modules import Module, PdResult, ext_dims, injective, pd, simple
 
 CARTAN_CONVENTION = "c[i][j] = dim e_j A e_i (multiplicity of S_i in P_j)"
@@ -32,32 +32,25 @@ class TheoremViolation(RuntimeError):
 @dataclass
 class CartanReport:
     algebra_name: str
-    r: int
     matrix: IntMatrix
     det: int
-    convention: str = CARTAN_CONVENTION
 
     def to_json(self) -> dict:
         return {
             "format": "homkit-report/1",
             "kind": "cartan",
             "algebra": self.algebra_name,
-            "r": self.r,
+            "r": self.matrix.n,
             "matrix": [[str(x) for x in row] for row in self.matrix.data],
             "det": str(self.det),
-            "convention": self.convention,
+            "convention": CARTAN_CONVENTION,
         }
 
 
 def cartan_matrix(a: Algebra) -> CartanReport:
-    """Cartan matrix by exact corner counting, determinant by Bareiss."""
-    r = a.r
-    counts = [[0] * r for _ in range(r)]
-    for k in range(a.dim):
-        # basis element in e_j A e_i contributes to c_ij
-        counts[a.right[k]][a.left[k]] += 1
-    m = IntMatrix(counts)
-    return CartanReport(a.name, r, m, det_int(m))
+    """The Cartan matrix and its determinant, as ``Algebra.cartan`` holds
+    them (corner counting, Bareiss)."""
+    return CartanReport(a.name, *a.cartan)
 
 
 @dataclass
@@ -113,23 +106,27 @@ def gldim(a: Algebra, cutoff: int, *, verdict_only: bool = False) -> GldimReport
     return GldimReport(per, "unknown", None, cutoff)
 
 
-def gldim_is_finite(a: Algebra, cutoff: int, det: int | None = None) -> bool:
-    """``gldim(a, cutoff).is_finite``, decided with as little resolving as
-    possible.
+def finite_gldim(a: Algebra, cutoff: int) -> GldimReport | None:
+    """The global dimension when it is certified finite, else None, with as
+    little resolving as possible.
 
     A finite global dimension forces det C = +-1 (Eilenberg 1954), so any
-    other Cartan determinant answers False before a single syzygy is built.
-    Otherwise the simples are resolved in vertex order and the answer is
-    False at the first one whose pd is not certified Finite.  A caller that
-    already holds det C passes it as ``det``.
+    other Cartan determinant answers None before a single syzygy is built;
+    this keeps algebras such as FIX-TP2 (det 0), whose simples resolve to
+    the cutoff, from being resolved.  Otherwise the simples are resolved in
+    vertex order, and the answer is None at the first one whose pd is not
+    certified Finite, and the full report when every one is.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    if det is None:
-        det = cartan_matrix(a).det
-    if det not in (1, -1):
-        return False
-    return all(pd(simple(a, i), cutoff).is_finite for i in range(a.r))
+    if a.cartan.det not in (1, -1):
+        return None
+    per = []
+    for i in range(a.r):
+        per.append(pd(simple(a, i), cutoff))
+        if not per[-1].is_finite:
+            return None
+    return GldimReport(per, "finite", max((p.d for p in per), default=0), cutoff)
 
 
 @dataclass
@@ -202,22 +199,18 @@ def gorenstein(a: Algebra, cutoff: int, *, verdict_only: bool = False) -> Gorens
     pd X = d has Ext^d(X, A) != 0, since Ext^d(X, -) is right exact, not
     zero, and every module is a quotient of a free one.  The left and right
     global dimensions agree (Auslander 1955), so the same holds on the left.
-    Finite global dimension forces det C = +-1 (Eilenberg 1954), so the
-    simples are resolved only when det C is +-1; that gate keeps algebras
-    such as FIX-TP2 (det 0), whose simples resolve to the cutoff, off this
-    path.  The report then carries the ``GldimReport`` as its certificate
-    in ``gldim_report``, and both ids are Finite(d) with no syzygy dims.
+    ``finite_gldim`` decides it, behind its det C = +-1 gate.  The report
+    then carries the ``GldimReport`` as its certificate in
+    ``gldim_report``, and both ids are Finite(d) with no syzygy dims.
     Otherwise the indecomposable injectives are resolved on both sides.
 
     With ``verdict_only`` the left side is not resolved once the right side
     is certified infinite: the verdict is then NotGorensteinCertified
     whatever the left side is, and ``left_id`` is None.
     """
-    if cartan_matrix(a).det in (1, -1):
-        g = gldim(a, cutoff, verdict_only=True)
-        if g.is_finite:
-            return GorensteinReport(PdResult("finite", d=g.value), PdResult("finite", d=g.value),
-                                    "Gorenstein", cutoff, g)
+    if (g := finite_gldim(a, cutoff)) is not None:
+        return GorensteinReport(PdResult("finite", d=g.value), PdResult("finite", d=g.value),
+                                "Gorenstein", cutoff, g)
     right_id = self_injective_dimension(a, cutoff)
     left_id = None
     if not (verdict_only and right_id.is_infinite):
@@ -339,7 +332,7 @@ def eilenberg_check(a: Algebra, cutoff: int) -> EilenbergReport:
     g = gldim(a, cutoff)
     if not g.is_finite:
         return EilenbergReport(False, g.describe())
-    det = cartan_matrix(a).det
+    det = a.cartan.det
     if det not in (1, -1):
         raise TheoremViolation(
             f"algebra {a.name!r} has finite gldim {g.value} but det C = {det}")
@@ -373,5 +366,5 @@ def two_point_criterion(a: Algebra) -> TwoPointReport:
     """Two-vertex algebras with det C <= 0 get the derived-simplicity flag."""
     if a.r != 2:
         return TwoPointReport(False)
-    det = cartan_matrix(a).det
+    det = a.cartan.det
     return TwoPointReport(True, det, det <= 0)

@@ -182,7 +182,7 @@ def _tokenize(text: str) -> list[_Token]:
             i += 2
             col += 2
             continue
-        if ch in "{}:,+-*()^":
+        if ch in "{}:,+-*/()^":
             toks.append(_Token(ch, ch, line, col))
             i += 1
             col += 1
@@ -246,14 +246,16 @@ def parse_spec(text: str, name: str = "", degree_cutoff: int = 30) -> AlgebraSpe
         arrow     := id ":" id "->" id
         relDecl   := "relations" "{" relList "}"
         rel       := ["-"] term (("+"|"-") term)*
-        term      := [coefficient "*"] pathExpr
+        term      := [coeff "*"] pathExpr
+        coeff     := int ["/" int]
         pathExpr  := factor ("*" factor)*
         factor    := id | "(" pathExpr ")" ["^" int]
 
-    A leading integer literal in a term is read as a coefficient
-    (coefficients may be fractions ``a/b``).  Identifiers in a path resolve
-    to arrows first, then to vertices (a vertex id denotes the trivial path,
-    which is only legal as a factor, never as a whole relation path).
+    A leading integer literal in a term is read as a coefficient, which may
+    be a fraction ``a/b`` with b non-zero in the field.  Identifiers in a
+    path resolve to arrows first, then to vertices (a vertex id denotes the
+    trivial path, which is only legal as a factor, never as a whole relation
+    path).
     """
     p = _Parser(_tokenize(text))
 
@@ -367,8 +369,15 @@ def parse_spec(text: str, name: str = "", degree_cutoff: int = 30) -> AlgebraSpe
         # path term; admissible relations never need that anyway.)
         if t is not None and t.kind == "int":
             p.next()
+            scalar = t.text
+            if p.at("/"):
+                p.next()
+                den = p.expect("int")
+                scalar += "/" + den.text
+                if fld.of_int(int(den.text)) == 0:
+                    raise SpecError(f"zero denominator in {scalar!r}", den.line, den.col)
             p.expect("*")
-            coeff = fld.mul(coeff, fld.of_int(int(t.text)))
+            coeff = fld.mul(coeff, fld.parse(scalar))
         path = parse_path_expr()
         return coeff, path
 

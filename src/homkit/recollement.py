@@ -19,14 +19,9 @@ from itertools import combinations
 
 from .algebra import (Algebra, SideActions, _bimodule_actions, _ideal_span, _triangular,
                       corner, opposite, quotient_by_idempotent_ideal)
-from .invariants import (GldimReport, GorensteinReport, TheoremViolation,
-                         cartan_matrix, gldim, gldim_is_finite, gorenstein)
+from .invariants import (GldimReport, GorensteinReport, TheoremViolation, finite_gldim,
+                         gldim, gorenstein)
 from .modules import Module, PdResult, _restrictions, dual, hom_dim, pd, tor_dims
-
-
-def _corner_indices(a: Algebra, S: list[int]) -> list[int]:
-    Sset = set(S)
-    return [k for k in range(a.dim) if a.left[k] in Sset and a.right[k] in Sset]
 
 
 def module_Ae(a: Algebra, S: list[int], cor: Algebra) -> Module:
@@ -37,7 +32,7 @@ def module_Ae(a: Algebra, S: list[int], cor: Algebra) -> Module:
     pos = {k: s for s, k in enumerate(idx)}
     action = [{s: {pos[z]: c for z, c in a.mult[k][ky].items()}
                for s, k in enumerate(idx) if a.mult[k][ky]}
-              for ky in _corner_indices(a, S)]
+              for ky in range(a.dim) if a.left[ky] in Sset and a.right[ky] in Sset]
     return Module(cor, len(idx), action, [vmap[a.right[k]] for k in idx])
 
 
@@ -61,7 +56,6 @@ class StratifyingVerdict:
     tensor_dim: int
     aea_dim: int
     first_nonzero_tor: int | None = None
-    resolution_terminated: bool = False
     cutoff: int = 0
     # pd of Ae and of eA at ``cutoff``, where the check computed them, and
     # the corner eAe it built (ladder_estimate and the search reuse them)
@@ -120,7 +114,7 @@ def stratifying_check(a: Algebra, S: list[int], cutoff: int) -> StratifyingVerdi
         if tors[l] != 0:
             return StratifyingVerdict("no", t_dim, d_aea, first_nonzero_tor=l, **pds)
     if terminated:
-        return StratifyingVerdict("yes", t_dim, d_aea, resolution_terminated=True, **pds)
+        return StratifyingVerdict("yes", t_dim, d_aea, **pds)
     return StratifyingVerdict("unknown", t_dim, d_aea, **pds)
 
 
@@ -139,32 +133,29 @@ class LadderEstimate:
         }
 
 
-def ladder_estimate(a: Algebra, S: list[int], cutoff: int,
-                    strat: StratifyingVerdict | None = None,
-                    det: int | None = None) -> LadderEstimate:
+def ladder_estimate(a: Algebra, S: list[int], cutoff: int) -> LadderEstimate:
     """Ladder-height estimate for the recollement induced by e.
 
     The downward criterion is finiteness of pd_{eAe}(Ae); the upward one is
     finiteness of pd over the opposite corner of eA.  A finite global
     dimension of A extends the recollement to every height, so that case is
     reported as ">=4" outright; only that bit is needed, so it comes from
-    ``gldim_is_finite`` (given det C(A) when the caller holds it), not a
-    full ``gldim``.  Certified-infinite corner modules block the
-    corresponding direction.
+    ``finite_gldim``, not a full ``gldim``.  Certified-infinite corner
+    modules block the corresponding direction.
     """
     S = sorted(set(S))
-    if strat is None:
-        strat = stratifying_check(a, S, cutoff)
-    if strat.kind != "yes":
+    return _ladder(a, S, stratifying_check(a, S, cutoff), cutoff)
+
+
+def _ladder(a: Algebra, S: list[int], strat: StratifyingVerdict, cutoff: int) -> LadderEstimate:
+    """The ladder of a Yes verdict, which holds pd(Ae) and, when that is not
+    Finite, pd(eA): only a missing pd(eA) is resolved here."""
+    if not strat:
         raise ValueError(f"ladder_estimate needs a stratifying idempotent, got {strat.describe()}")
-    down, up = (strat.pd_Ae, strat.pd_eA) if strat.cutoff == cutoff else (None, None)
-    if down is None or up is None:
-        cor = strat.corner
-        if down is None:
-            down = pd(module_Ae(a, S, cor), cutoff)
-        if up is None:
-            up = pd(module_eA(a, S, cor), cutoff)
-    finite = gldim_is_finite(a, cutoff, det)
+    down, up = strat.pd_Ae, strat.pd_eA
+    if up is None:
+        up = pd(module_eA(a, S, strat.corner), cutoff)
+    finite = finite_gldim(a, cutoff) is not None
     return LadderEstimate(down, up, height_label(finite, down, up), finite)
 
 
@@ -204,45 +195,40 @@ class DetSplitReport:
 
 
 def det_multiplicativity_check(a: Algebra, S: list[int], cutoff: int,
-                               diagnostic: bool = False,
-                               strat: StratifyingVerdict | None = None,
-                               ladder: LadderEstimate | None = None,
-                               dets: tuple[int, int, int] | None = None) -> DetSplitReport:
+                               diagnostic: bool = False) -> DetSplitReport:
     """Assert det C(A) = det C(A/AeA) * det C(eAe) on an established split.
 
     Applicable when the stratifying check says Yes and the downward
     extension is certified (two functor layers preserve compactness).  A
     certified failure raises TheoremViolation.  With ``diagnostic`` the
     identity is evaluated and reported even when the preconditions fail.
-    ``dets`` are the three determinants, when the caller already holds
-    them (the stratification search does); otherwise they are computed.
     """
     S = sorted(set(S))
-    if strat is None:
-        strat = stratifying_check(a, S, cutoff)
-    applicable = strat.kind == "yes"
-    reason = ""
-    if applicable:
-        if ladder is None:
-            ladder = ladder_estimate(a, S, cutoff, strat=strat)
-        if not (ladder.down.is_finite or ladder.gldim_finite):
-            applicable = False
-            reason = f"downward extension not established ({ladder.down.describe()})"
-    else:
+    strat = stratifying_check(a, S, cutoff)
+    ladder = _ladder(a, S, strat, cutoff) if strat else None
+    return _det_split(a, S, strat, ladder, quotient_by_idempotent_ideal(a, S), diagnostic)
+
+
+def _det_split(a: Algebra, S: list[int], strat: StratifyingVerdict,
+               ladder: LadderEstimate | None, quot: Algebra,
+               diagnostic: bool = False) -> DetSplitReport:
+    """The determinant identity on the split at S, given its stratifying
+    verdict, its ladder when that is Yes, and A/AeA."""
+    if not strat:
         reason = f"not stratifying: {strat.describe()}"
-    if not applicable and not diagnostic:
+    elif not (ladder.down.is_finite or ladder.gldim_finite):
+        reason = f"downward extension not established ({ladder.down.describe()})"
+    else:
+        reason = ""
+    if reason and not diagnostic:
         return DetSplitReport(False, reason)
-    if dets is None:
-        dets = (cartan_matrix(a).det,
-                cartan_matrix(quotient_by_idempotent_ideal(a, S)).det,
-                cartan_matrix(strat.corner).det)
-    det_a, det_q, det_c = dets
+    det_a, det_q, det_c = a.cartan.det, quot.cartan.det, strat.corner.cartan.det
     passed = det_a == det_q * det_c
-    if applicable and not passed:
+    if not reason and not passed:
         raise TheoremViolation(
             f"det multiplicativity failed on {a.name!r} at e={S}: "
             f"{det_a} != {det_q} * {det_c}")
-    return DetSplitReport(applicable, reason, det_a, det_q, det_c, passed)
+    return DetSplitReport(not reason, reason, det_a, det_q, det_c, passed)
 
 
 # --------------------------------------------------------------------------
@@ -440,9 +426,6 @@ def smoothness_transfer_check(b: Algebra, c: Algebra, m: Module | SideActions,
 @dataclass
 class StratNode:
     algebra: Algebra
-    dim: int
-    r: int
-    det: int
     split_vertices: list[int] | None = None
     strat: StratifyingVerdict | None = None
     ladder: LadderEstimate | None = None
@@ -451,6 +434,10 @@ class StratNode:
     corner_child: "StratNode | None" = None
     leaf_label: str = ""
     attempted: int = 0
+
+    @property
+    def det(self) -> int:
+        return self.algebra.cartan.det
 
     @property
     def is_leaf(self) -> bool:
@@ -469,8 +456,8 @@ class StratNode:
     def to_json(self) -> dict:
         out = {
             "algebra": self.algebra.name,
-            "dim": self.dim,
-            "r": self.r,
+            "dim": self.algebra.dim,
+            "r": self.algebra.r,
             "det": str(self.det),
         }
         if self.is_leaf:
@@ -487,7 +474,7 @@ class StratNode:
 
     def render(self, indent: str = "") -> str:
         head = (f"{indent}{self.algebra.name or 'algebra'} "
-                f"(dim {self.dim}, r {self.r}, det C {self.det})")
+                f"(dim {self.algebra.dim}, r {self.algebra.r}, det C {self.det})")
         if self.is_leaf:
             return head + f"  [{self.leaf_label}]"
         lines = [head + f"  split at e={self.split_vertices}"
@@ -511,30 +498,24 @@ def stratify_search(a: Algebra, cutoff: int) -> StratNode:
     record that only idempotent-induced recollements were searched; they are
     derived-simple *candidates*, not certified derived-simple algebras.
     On every split the determinant identity is checked when the downward
-    extension is established.  Each
-    node computes its Cartan determinant once; the ladder estimate and the
-    determinant check of a split read it and its children's, and the corner
-    child is the corner the stratifying check built.
+    extension is established.  Each algebra computes its Cartan determinant
+    once (``Algebra.cartan``), the ladder reuses the pds of the stratifying
+    check, and the corner child is the corner that check built.
     """
-    node = StratNode(a, a.dim, a.r, cartan_matrix(a).det)
-    tried = 0
-    for S in _proper_subsets(a.r):
-        tried += 1
+    node = StratNode(a)
+    for tried, S in enumerate(_proper_subsets(a.r), 1):
         strat = stratifying_check(a, S, cutoff)
         if strat.kind != "yes":
             continue
         quot = quotient_by_idempotent_ideal(a, S)
-        cor = strat.corner
         node.split_vertices = S
         node.strat = strat
-        node.ladder = ladder_estimate(a, S, cutoff, strat=strat, det=node.det)
+        node.ladder = _ladder(a, S, strat, cutoff)
         node.quotient_child = stratify_search(quot, cutoff)
-        node.corner_child = stratify_search(cor, cutoff)
-        node.det_check = det_multiplicativity_check(
-            a, S, cutoff, strat=strat, ladder=node.ladder,
-            dets=(node.det, node.quotient_child.det, node.corner_child.det))
+        node.corner_child = stratify_search(strat.corner, cutoff)
+        node.det_check = _det_split(a, S, strat, node.ladder, quot)
         node.attempted = tried
         return node
     node.leaf_label = "derived-simple candidate (idempotent search only)"
-    node.attempted = tried
+    node.attempted = 2 ** a.r - 2  # every proper nonempty subset
     return node

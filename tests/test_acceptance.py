@@ -121,7 +121,7 @@ def test_criterion_3_k0_additivity(fixture_trees, nilcyc_trees):
     splits = 0
     for tree in list(fixture_trees.values()) + nilcyc_trees:
         for node in tree.splits():
-            assert node.quotient_child.r + node.corner_child.r == node.r
+            assert node.quotient_child.algebra.r + node.corner_child.algebra.r == node.algebra.r
             splits += 1
     print(f"\nACCEPTANCE 3 PASS: K0 additivity r = r' + r'' on {splits}/{splits} splits")
 

@@ -3,9 +3,9 @@ import json
 
 import pytest
 
-from homkit.algebra import (Algebra, NotFiniteDimensionalError, algebra_from_json,
-                            algebra_to_json, corner, enveloping, from_quiver,
-                            opposite, quotient_by_idempotent_ideal, tensor,
+from homkit.algebra import (_PATH_GUARD, Algebra, NotFiniteDimensionalError, _WindowedClosure,
+                            algebra_from_json, algebra_to_json, corner, enveloping,
+                            from_quiver, opposite, quotient_by_idempotent_ideal, tensor,
                             triangular, validate)
 from homkit.modules import Module
 from homkit.presentation import parse_spec, spec_of_fixture
@@ -69,6 +69,40 @@ def test_not_finite_dimensional_error():
     with pytest.raises(NotFiniteDimensionalError, match="degree_cutoff"):
         from_quiver(parse_spec("field Q quiver { vertices: 1 arrows: x: 1 -> 1 }",
                                degree_cutoff=8))
+
+
+def test_graded_closure_stops_at_the_path_guard():
+    # the free algebra on two loops has 2^d words in degree d and no
+    # relation to stop it: the graded closure gives up at the same guard as
+    # the windowed one, long before the degree cutoff
+    free2 = parse_spec("field Q quiver { vertices: 1 arrows: x: 1 -> 1, y: 1 -> 1 }")
+    with pytest.raises(NotFiniteDimensionalError, match=f"exceeded {_PATH_GUARD} words"):
+        from_quiver(free2)
+
+
+def test_exterior_algebra_needs_the_graded_closure():
+    # the exterior algebra on four generators: dim 2^4 = 16, and the windowed
+    # closure, which enumerates every raw path, rejects it at its path guard
+    gens = "xyzw"
+    rels = [f"{g}*{g}" for g in gens] + [f"{g}*{h} + {h}*{g}"
+                                        for k, g in enumerate(gens) for h in gens[k + 1:]]
+    spec = parse_spec("field F101 quiver { vertices: 1 arrows: "
+                      + ", ".join(f"{g}: 1 -> 1" for g in gens)
+                      + " } relations { " + ", ".join(rels) + " }")
+    a = from_quiver(spec)
+    assert a.dim == 16 and validate(a).ok
+    with pytest.raises(NotFiniteDimensionalError, match="path enumeration"):
+        _WindowedClosure(spec).run()
+
+
+def test_cartan_table_is_computed_once(a2, monkeypatch):
+    import homkit.algebra as algebra_mod
+    calls = []
+    real = algebra_mod.det_int
+    monkeypatch.setattr(algebra_mod, "det_int", lambda m: calls.append(m) or real(m))
+    assert a2.cartan is a2.cartan
+    assert a2.cartan.matrix.data == [[1, 0], [1, 1]] and a2.cartan.det == 1
+    assert len(calls) == 1
 
 
 def test_opposite_involution_and_tags(a2):

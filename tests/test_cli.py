@@ -43,6 +43,14 @@ def test_basis(capsys):
     assert "gamma*alpha" in out and "idempotent" in out and "radical" in out
 
 
+def test_free_algebra_file_is_an_input_error(capsys, tmp_path):
+    f = tmp_path / "free2.qa"
+    f.write_text("field Q\nquiver { vertices: 1  arrows: x: 1 -> 1, y: 1 -> 1 }\n")
+    code, _, err = run_cli(capsys, "basis", str(f))
+    assert code == 1
+    assert "path enumeration exceeded 20000 words" in err
+
+
 def test_gldim_gorenstein_smooth(capsys):
     code, out, _ = run_cli(capsys, "gldim", "FIX-A2")
     assert code == 0 and "Finite(1)" in out

@@ -1,7 +1,7 @@
 import pytest
 
 from homkit.algebra import validate
-from homkit.corpus import (CorpusSpec, gen_acyclic, gen_nilpotent_cyclic,
+from homkit.corpus import (MAX_VERTICES, CorpusSpec, gen_acyclic, gen_nilpotent_cyclic,
                            gen_triangular_pair, generate)
 from homkit.invariants import cartan_matrix, gldim
 
@@ -9,8 +9,6 @@ from homkit.invariants import cartan_matrix, gldim
 def test_corpus_spec_bounds():
     with pytest.raises(ValueError):
         CorpusSpec(seed=1, count=5, shape="Nope")
-    with pytest.raises(ValueError):
-        CorpusSpec(seed=1, count=5, shape="AcyclicQuiver", max_vertices=7)
     with pytest.raises(ValueError):
         CorpusSpec(seed=1, count=5, shape="AcyclicQuiver", dim_bound=100)
     # below the smallest algebra a shape can build, generation would never end
@@ -44,7 +42,7 @@ def test_acyclic_instances_validate_and_have_finite_gldim():
     for i in range(6):
         a = gen_acyclic(spec, i)
         assert a.dim <= spec.dim_bound
-        assert a.r <= spec.max_vertices
+        assert a.r <= MAX_VERTICES
         assert validate(a).ok, i
         assert gldim(a, 12).is_finite, i
 

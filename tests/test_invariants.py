@@ -9,7 +9,7 @@ from homkit import modules as modules_mod
 from homkit.algebra import opposite, tensor, triangular
 from homkit.corpus import CorpusSpec, generate
 from homkit.invariants import (cartan_matrix, eilenberg_check, euler_matrix,
-                               gldim, gldim_is_finite, gorenstein,
+                               finite_gldim, gldim, gorenstein,
                                self_injective_dimension, smooth, two_point_criterion)
 from homkit.linalg import IntMatrix
 from homkit.modules import (DIM_GUARD, dual, hom_space, pd, projective, projective_cover,
@@ -210,17 +210,17 @@ def _finiteness_inputs(fixture_algebras, one_point, semisimple3):
 
 
 @pytest.mark.parametrize("cutoff", [2, 12])
-def test_gldim_is_finite_agrees_with_gldim(fixture_algebras, one_point, semisimple3,
-                                           cutoff):
+def test_finite_gldim_agrees_with_gldim(fixture_algebras, one_point, semisimple3, cutoff):
     seen = set()
     for a in _finiteness_inputs(fixture_algebras, one_point, semisimple3):
-        finite = gldim_is_finite(a, cutoff)
-        assert finite == gldim(a, cutoff).is_finite, (a.name, cutoff)
-        seen.add((cartan_matrix(a).det in (1, -1), finite))
-    # False from the determinant alone, and both answers after resolving
+        g, full = finite_gldim(a, cutoff), gldim(a, cutoff)
+        # the full report exactly when the global dimension is finite
+        assert g == (full if full.is_finite else None), (a.name, cutoff)
+        seen.add((cartan_matrix(a).det in (1, -1), g is not None))
+    # None from the determinant alone, and both answers after resolving
     assert seen == {(False, False), (True, False), (True, True)}
     with pytest.raises(ValueError):
-        gldim_is_finite(one_point, 0)
+        finite_gldim(one_point, 0)
 
 
 def _gorenstein_inputs(fixture_algebras):
@@ -343,7 +343,7 @@ def test_gorenstein_by_gldim_matches_the_injectives_it_skips(fixture_algebras):
     fired = set()
     for a in _certificate_inputs(fixture_algebras):
         reports = [gorenstein(a, 12, verdict_only=v) for v in (False, True)]
-        finite = gldim_is_finite(a, 12)
+        finite = finite_gldim(a, 12) is not None
         assert [g.gldim_report is not None for g in reports] == [finite] * 2, a.name
         if not finite:
             continue

@@ -233,3 +233,30 @@ def test_round_trip_with_coefficients():
     """)
     s2 = parse_spec(print_spec(s))
     assert (s2.field, s2.quiver, s2.relations) == (s.field, s.quiver, s.relations)
+
+
+@pytest.mark.parametrize("field", ["Q", "F101"])
+def test_round_trip_with_fractional_coefficients(field):
+    text = f"""
+        field {field}
+        quiver {{ vertices: 1  arrows: x: 1 -> 1, y: 1 -> 1 }}
+        relations {{ 1/2*x*x - 3/4*y*y + 2*x*y, -3/4*y*x }}
+    """
+    s = parse_spec(text)
+    F = s.field
+    half, three_quarters = F.div(F.one, F.of_int(2)), F.div(F.of_int(3), F.of_int(4))
+    assert [c for c, _ in s.relations[0].terms] == [half, F.neg(three_quarters), F.of_int(2)]
+    assert [c for c, _ in s.relations[1].terms] == [F.neg(three_quarters)]
+    printed = print_spec(s)
+    s2 = parse_spec(printed)
+    assert (s2.field, s2.quiver, s2.relations) == (s.field, s.quiver, s.relations)
+    assert print_spec(s2) == printed
+    if field == "Q":
+        assert "1/2*x*x - 3/4*y*y + 2*x*y" in printed
+
+
+@pytest.mark.parametrize("field, den", [("Q", "0"), ("F101", "0"), ("F101", "202")])
+def test_zero_denominator_is_a_located_error(field, den):
+    text = f"field {field}\nquiver {{ vertices: 1  arrows: x: 1 -> 1 }}\nrelations {{ 1/{den}*x*x }}"
+    with pytest.raises(SpecError, match=f"line 3, col 15: zero denominator in '1/{den}'"):
+        parse_spec(text)

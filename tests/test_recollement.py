@@ -3,10 +3,10 @@ import functools
 import hashlib
 import itertools
 import json
-from dataclasses import replace
 
 import pytest
 
+import homkit.algebra as algebra_mod
 import homkit.modules as modules_mod
 from homkit.algebra import (_bimodule_actions, _triangular, corner, opposite,
                             quotient_by_idempotent_ideal, tensor, triangular, validate)
@@ -85,10 +85,10 @@ def test_stratifying_direct_span_oracle(a2):
 
 
 def test_stratifying_verdicts_carry_witnesses(a2, tp11):
-    # one-sided error: Yes always has the terminating-resolution witness,
+    # one-sided error: Yes is given only on a terminating resolution,
     # No always has a dimension mismatch or an explicit Tor degree
     yes = stratifying_check(a2, [0], 12)
-    assert yes.kind == "yes" and yes.resolution_terminated
+    assert yes.kind == "yes"
     no = stratifying_check(tp11, [0], 12)
     assert no.kind == "no"
     assert no.tensor_dim != no.aea_dim or no.first_nonzero_tor is not None
@@ -111,18 +111,19 @@ def test_ladder_a2(a2):
 def test_ladder_reuses_the_pds_of_the_stratifying_check(a2, loc, one_point, monkeypatch):
     import homkit.recollement as rec
     A = triangular(loc, one_point, _simple_bimodule(loc, one_point)[1])
-    # A2: pd(Ae) is finite, so only pd(eA) is left to compute; A: the check
-    # needed both
-    for alg, missing in ((a2, 1), (A, 0)):
-        strat = stratifying_check(alg, [0], 12)
+    # A2: pd(Ae) is finite, so the check resolves only Ae and the ladder
+    # adds eA; A: the check needed both; either way each is resolved once
+    for alg, in_check in ((a2, 1), (A, 2)):
         calls = []
         monkeypatch.setattr(rec, "pd", lambda m, c: calls.append(m) or pd(m, c))
-        lad = ladder_estimate(alg, [0], 12, strat=strat)
+        strat = stratifying_check(alg, [0], 12)
+        assert len(calls) == in_check
+        lad = ladder_estimate(alg, [0], 12)
         monkeypatch.undo()
-        assert len(calls) == missing
-        assert lad.down is strat.pd_Ae
-        assert lad.to_json() == ladder_estimate(alg, [0], 12,
-                                                strat=replace(strat, pd_Ae=None)).to_json()
+        assert len(calls) == in_check + 2
+        assert calls[in_check:] == [module_Ae(alg, [0], strat.corner),
+                                    module_eA(alg, [0], strat.corner)]
+        assert lad.down == strat.pd_Ae
 
 
 # stratify_search on two NilpotentCyclic instances whose trees hold both a
@@ -164,8 +165,8 @@ def test_stratify_search_runs_no_gldim(index, monkeypatch):
         raise AssertionError("stratify_search ran a full gldim")
 
     monkeypatch.setattr(rec, "gldim", boom)
-    # each node's Cartan matrix, each split's quotient and each checked
-    # subset's corner are built once
+    # one determinant per algebra of the tree, and each split's quotient and
+    # each checked subset's corner are built once
     calls = collections.Counter()
 
     def counting(name, real):
@@ -174,12 +175,13 @@ def test_stratify_search_runs_no_gldim(index, monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    for name in ("cartan_matrix", "quotient_by_idempotent_ideal", "corner",
-                 "stratifying_check"):
+    for name in ("quotient_by_idempotent_ideal", "corner", "stratifying_check"):
         monkeypatch.setattr(rec, name, counting(name, getattr(rec, name)))
+    monkeypatch.setattr(algebra_mod, "det_int", counting("det_int", algebra_mod.det_int))
     tree = stratify_search(_nilcyc(index), 12)
+    tree.to_json()
     nodes = tree.splits() + tree.leaves()
-    assert calls == {"cartan_matrix": len(nodes),
+    assert calls == {"det_int": len(nodes),
                      "quotient_by_idempotent_ideal": len(tree.splits()),
                      "corner": calls["stratifying_check"],
                      "stratifying_check": sum(n.attempted for n in nodes)}
@@ -266,12 +268,12 @@ def test_stratify_search_a2(a2):
     assert tree.split_vertices == [0]
     leaves = tree.leaves()
     assert len(leaves) == 2
-    assert all(n.r == 1 for n in leaves)
+    assert all(n.algebra.r == 1 for n in leaves)
     prod = 1
     for n in leaves:
         prod *= n.det
     assert prod == tree.det == 1
-    assert sum(n.r for n in leaves) == tree.r
+    assert sum(n.algebra.r for n in leaves) == tree.algebra.r
 
 
 def test_stratify_search_leaves(tp11, loc):
@@ -351,7 +353,7 @@ def test_k0_additivity_on_splits(a2, tri0):
     for a in (a2, tri0):
         tree = stratify_search(a, 12)
         for node in tree.splits():
-            assert node.quotient_child.r + node.corner_child.r == node.r
+            assert node.quotient_child.algebra.r + node.corner_child.algebra.r == node.algebra.r
 
 
 def test_tor0_bounds_aea_dimension(a2, tp11):
