@@ -212,7 +212,59 @@ def _check_path_guard(words: int) -> None:
             f"(path enumeration exceeded {_PATH_GUARD} words)")
 
 
-class _GradedClosure:
+class _Closure:
+    """What both closure engines share: the arrows by source, the sorted
+    one-arrow extension of a word list, the p*rel*q sandwiches, and the
+    table of pivot expressions, which maps each eliminated word to its
+    normal form.  An engine's ``run`` returns the normal words, and its
+    ``_append`` multiplies a word by a composable raw arrow sequence."""
+
+    def __init__(self, spec: AlgebraSpec):
+        self.spec = spec
+        self.q = spec.quiver
+        self.F = spec.field
+        self.arrows_by_src: dict[int, list[int]] = {}
+        for i, a in enumerate(self.q.arrows):
+            self.arrows_by_src.setdefault(a.source, []).append(i)
+        self.pivot_expr: dict[tuple, dict[tuple, object]] = {}
+
+    def _extend(self, words: list[tuple]) -> list[tuple]:
+        """The one-arrow extensions of these words, sorted by arrow sequence."""
+        out = [(w[0], w[1] + (ai,)) for w in words
+               for ai in self.arrows_by_src.get(_word_target(self.q, w), ())]
+        out.sort(key=lambda w: w[1])
+        return out
+
+    def _sandwiches(self, rel, length: int, d: int, by_deg: list[list[tuple]]):
+        """The pairs (p, q) of words in ``by_deg`` (words by length) with
+        p ending where ``rel`` starts, q starting where it ends, and
+        len p + ``length`` + len q = d."""
+        for dp in range(d - length + 1):
+            lefts = [w for w in by_deg[dp] if _word_target(self.q, w) == rel.source]
+            rights = [w for w in by_deg[d - length - dp] if w[0] == rel.target]
+            for pw in lefts:
+                for qw in rights:
+                    yield pw, qw
+
+    def _keep_pivots(self, space: RowSpace, words: list[tuple]) -> set[int]:
+        """Keep the pivot expressions of ``space`` over columns ``words``; return its pivots."""
+        pivots = set(space.pivot_of_col)
+        for c in pivots:
+            expr = space.expression_of_pivot(c)
+            self.pivot_expr[words[c]] = {words[cc]: x for cc, x in expr.items()}
+        return pivots
+
+    def _past_cutoff(self) -> NotFiniteDimensionalError:
+        return NotFiniteDimensionalError(
+            f"not visibly finite-dimensional within degree_cutoff={self.spec.degree_cutoff}")
+
+    def reduce_product(self, u: tuple, v: tuple) -> dict[tuple, object]:
+        if _word_target(self.q, u) != v[0]:
+            return {}
+        return self._append(u, v[1])
+
+
+class _GradedClosure(_Closure):
     """Degreewise linear closure for homogeneous relations.
 
     Relations whose paths all share one length generate a graded ideal, so
@@ -224,57 +276,28 @@ class _GradedClosure:
     lookup inside already-computed degrees.
     """
 
-    def __init__(self, spec: AlgebraSpec):
-        self.spec = spec
-        self.q = spec.quiver
-        self.F = spec.field
-        self.arrows_by_src: dict[int, list[int]] = {}
-        for i, a in enumerate(self.q.arrows):
-            self.arrows_by_src.setdefault(a.source, []).append(i)
-        self.normal: list[list[tuple]] = []
-        self.pivot_expr: dict[tuple, dict[tuple, object]] = {}
-
     def run(self) -> list[tuple]:
-        q, F = self.q, self.F
-        self.normal.append([(v, ()) for v in range(q.num_vertices)])
+        F = self.F
+        normal = [[(v, ()) for v in range(self.q.num_vertices)]]
         for d in range(1, self.spec.degree_cutoff + 1):
-            cands = []
-            for w in self.normal[d - 1]:
-                t = _word_target(q, w)
-                for ai in self.arrows_by_src.get(t, ()):
-                    cands.append((w[0], w[1] + (ai,)))
-            _check_path_guard(sum(map(len, self.normal)) + len(cands))
-            cands.sort(key=lambda w: w[1])
+            cands = self._extend(normal[d - 1])
+            _check_path_guard(sum(map(len, normal)) + len(cands))
             col = {w: k for k, w in enumerate(cands)}
             space = RowSpace(F)
             if d >= 2:
                 for rel in self.spec.relations:
-                    m = rel.terms[0][1].length
-                    if m > d:
-                        continue
-                    for dp in range(d - m + 1):
-                        dq = d - m - dp
-                        lefts = [w for w in self.normal[dp]
-                                 if _word_target(q, w) == rel.source]
-                        rights = [w for w in self.normal[dq] if w[0] == rel.target]
-                        for pw in lefts:
-                            for qw in rights:
-                                acc: dict[tuple, object] = {}
-                                for coeff, relpath in rel.terms:
-                                    axpy(F, acc, coeff,
-                                         self._append(pw, relpath.arrows + qw[1]))
-                                if acc:
-                                    space.add({col[w2]: c2 for w2, c2 in acc.items()})
-            pivot_cols = set(space.pivot_of_col)
-            for c in pivot_cols:
-                expr = space.expression_of_pivot(c)
-                self.pivot_expr[cands[c]] = {cands[cc]: x for cc, x in expr.items()}
+                    for pw, qw in self._sandwiches(rel, rel.terms[0][1].length, d, normal):
+                        acc: dict[tuple, object] = {}
+                        for coeff, relpath in rel.terms:
+                            axpy(F, acc, coeff, self._append(pw, relpath.arrows + qw[1]))
+                        if acc:
+                            space.add({col[w2]: c2 for w2, c2 in acc.items()})
+            pivot_cols = self._keep_pivots(space, cands)
             nf = [w for k, w in enumerate(cands) if k not in pivot_cols]
             if not nf:
-                return [w for level in self.normal for w in level]
-            self.normal.append(nf)
-        raise NotFiniteDimensionalError(
-            f"not visibly finite-dimensional within degree_cutoff={self.spec.degree_cutoff}")
+                return [w for level in normal for w in level]
+            normal.append(nf)
+        raise self._past_cutoff()
 
     def _append(self, start: tuple, arrow_seq: tuple) -> dict[tuple, object]:
         """Multiply a normal word by a raw arrow sequence, reducing as it goes."""
@@ -283,8 +306,6 @@ class _GradedClosure:
         for ai in arrow_seq:
             nxt: dict[tuple, object] = {}
             for w, c in cur.items():
-                if _word_target(self.q, w) != self.q.arrows[ai].source:
-                    raise AssertionError("non-composable append")
                 wa = (w[0], w[1] + (ai,))
                 # a monomial relation's expression is {}, so test for None
                 expr = self.pivot_expr.get(wa)
@@ -294,13 +315,8 @@ class _GradedClosure:
                 break
         return cur
 
-    def reduce_product(self, u: tuple, v: tuple) -> dict[tuple, object]:
-        if _word_target(self.q, u) != v[0]:
-            return {}
-        return self._append(u, v[1])
 
-
-class _WindowedClosure:
+class _WindowedClosure(_Closure):
     """Linear closure on a length window, for inhomogeneous relations.
 
     All raw paths up to the current window are enumerated and every
@@ -311,81 +327,48 @@ class _WindowedClosure:
     basis words stay inside the reduction table.
     """
 
-    def __init__(self, spec: AlgebraSpec):
-        self.spec = spec
-        self.q = spec.quiver
-        self.F = spec.field
-        self.words: list[tuple] = [(v, ()) for v in range(self.q.num_vertices)]
-        self.by_deg: list[list[tuple]] = [list(self.words)]
-        self.col: dict[tuple, int] = {w: k for k, w in enumerate(self.words)}
-        self.space = RowSpace(self.F)
-        self.arrows_by_src: dict[int, list[int]] = {}
-        for i, a in enumerate(self.q.arrows):
-            self.arrows_by_src.setdefault(a.source, []).append(i)
-        self.pivot_expr: dict[tuple, dict[tuple, object]] = {}
-
-    def _extend_paths(self):
-        level = []
-        for w in self.by_deg[-1]:
-            t = _word_target(self.q, w)
-            for ai in self.arrows_by_src.get(t, ()):
-                level.append((w[0], w[1] + (ai,)))
-        level.sort(key=lambda w: w[1])
-        for w in level:
-            self.col[w] = len(self.words)
-            self.words.append(w)
-        self.by_deg.append(level)
-        _check_path_guard(len(self.words))
-
     def run(self) -> list[tuple]:
         F = self.F
+        words = [(v, ()) for v in range(self.q.num_vertices)]
+        by_deg = [list(words)]
+        col = {w: k for k, w in enumerate(words)}
+        space = RowSpace(F)
         rows_added = 0
         for D in range(1, self.spec.degree_cutoff + 1):
-            self._extend_paths()
+            level = self._extend(by_deg[-1])
+            col.update((w, len(words) + k) for k, w in enumerate(level))
+            words.extend(level)
+            by_deg.append(level)
+            _check_path_guard(len(words))
             if D < 2:
                 continue
             for rel in self.spec.relations:
                 mx = max(p.length for _, p in rel.terms)
-                span = D - mx
-                if span < 0:
-                    continue
-                for dp in range(span + 1):
-                    dq = span - dp
-                    lefts = [w for w in self.by_deg[dp]
-                             if _word_target(self.q, w) == rel.source]
-                    rights = [w for w in self.by_deg[dq] if w[0] == rel.target]
-                    for pw in lefts:
-                        for qw in rights:
-                            vec: dict[int, object] = {}
-                            for coeff, relpath in rel.terms:
-                                w2 = (pw[0], pw[1] + relpath.arrows + qw[1])
-                                axpy(F, vec, coeff, {self.col[w2]: F.one})
-                            if vec:
-                                self.space.add(vec)
-                                rows_added += 1
-                                if rows_added > _ROW_GUARD:
-                                    raise NotFiniteDimensionalError(
-                                        "not visibly finite-dimensional within "
-                                        f"degree_cutoff (row guard {_ROW_GUARD} exceeded)")
-            pivots = set(self.space.pivot_of_col)
-            normal = [w for k, w in enumerate(self.words) if k not in pivots]
+                for pw, qw in self._sandwiches(rel, mx, D, by_deg):
+                    vec: dict[int, object] = {}
+                    for coeff, relpath in rel.terms:
+                        w2 = (pw[0], pw[1] + relpath.arrows + qw[1])
+                        axpy(F, vec, coeff, {col[w2]: F.one})
+                    if vec:
+                        space.add(vec)
+                        rows_added += 1
+                        if rows_added > _ROW_GUARD:
+                            raise NotFiniteDimensionalError(
+                                "not visibly finite-dimensional within "
+                                f"degree_cutoff (row guard {_ROW_GUARD} exceeded)")
+            pivots = set(space.pivot_of_col)
+            normal = [w for k, w in enumerate(words) if k not in pivots]
             L = max(len(w[1]) for w in normal) if normal else 0
             if D >= max(L + 1, 2 * L):
-                for c in pivots:
-                    expr = self.space.expression_of_pivot(c)
-                    self.pivot_expr[self.words[c]] = {self.words[cc]: x for cc, x in expr.items()}
+                self._keep_pivots(space, words)
                 return normal
-        raise NotFiniteDimensionalError(
-            f"not visibly finite-dimensional within degree_cutoff={self.spec.degree_cutoff}")
+        raise self._past_cutoff()
 
-    def reduce_product(self, u: tuple, v: tuple) -> dict[tuple, object]:
-        if _word_target(self.q, u) != v[0]:
-            return {}
-        w = (u[0], u[1] + v[1])
-        expr = self.pivot_expr.get(w)
-        if expr is None:
-            return {w: self.F.one}
-        return dict(expr)
+    def _append(self, start: tuple, arrow_seq: tuple) -> dict[tuple, object]:
+        """Multiply a normal word by a raw arrow sequence: every path of the
+        window is reduced, so one lookup gives the product."""
+        w = (start[0], start[1] + arrow_seq)
+        return dict(self.pivot_expr.get(w, {w: self.F.one}))
 
 
 def from_quiver(spec: AlgebraSpec) -> Algebra:
@@ -658,10 +641,9 @@ def quotient_by_idempotent_ideal(a: Algebra, vertices: list[int]) -> Algebra:
     space = _ideal_span(a, S)
     Sset = set(S)
     pivots = set(space.pivot_of_col)
+    # a basis element with a tag in S lies in AeA and, as a unit vector in
+    # a full-RREF row space, on a pivot column, so every kept tag is outside S
     keep = [k for k in range(a.dim) if k not in pivots]
-    for k in keep:
-        if a.left[k] in Sset or a.right[k] in Sset:
-            raise AssertionError("surviving basis element has a tag inside e")
     old2new = {k: i for i, k in enumerate(keep)}
     newverts = [v for v in range(a.r) if v not in Sset]
     vmap = {v: i for i, v in enumerate(newverts)}
@@ -679,51 +661,6 @@ def quotient_by_idempotent_ideal(a: Algebra, vertices: list[int]) -> Algebra:
                    mult, len(newverts), name=f"quot({a.name},{S})")
 
 
-class SideActions(NamedTuple):
-    """A C-B-bimodule M by its two side actions, which is all that
-    ``triangular``, M_B and _CM read of it.
-
-    M is a module over T = tensor(opposite(c), b).  ``right[y]`` is the
-    action of y in B, the sum of e_i^op (x) y over the vertices i of C, and
-    ``left[x]`` that of x in C (a basis element of C^op), the sum of
-    x (x) e_j over the vertices j of B; each is ``{s: row}`` over its
-    non-zero rows in increasing s, as ``Module.action``.  The basis is
-    adapted to T's idempotents, and ``weights[s]`` is the vertex
-    i * b.r + j of T that basis vector s has.  ``_bimodule_actions`` reads
-    this off an M over T, and ``modules.bimodule_from_json`` off a
-    homkit-module/1 document, with T never built.
-    """
-
-    dim: int
-    weights: list[int]
-    right: list[dict[int, dict]]
-    left: list[dict[int, dict]]
-
-
-def _side_sums(b: Algebra, c: Algebra, pairs, mats: list[dict[int, dict]]) -> tuple[list, list]:
-    """The side actions ``(right, left)`` of a C-B-bimodule, summed from its
-    action matrices ``mats`` over the basis ``pairs`` of
-    T = tensor(opposite(c), b), in T's basis order (see ``SideActions``)."""
-    F = b.field
-    right: list[dict[int, dict]] = [{} for _ in range(b.dim)]
-    left: list[dict[int, dict]] = [{} for _ in range(c.dim)]
-    for (x, y), mat in zip(pairs, mats):
-        # T's basis order brings each side's pairs in increasing vertex order
-        for acc in ((right[y],) if x < c.r else ()) + ((left[x],) if y < b.r else ()):
-            for s, row in mat.items():
-                axpy(F, acc.setdefault(s, {}), F.one, row)
-    return ([{s: acc[s] for s in sorted(acc) if acc[s]} for acc in right],
-            [{s: acc[s] for s in sorted(acc) if acc[s]} for acc in left])
-
-
-def _bimodule_actions(b: Algebra, c: Algebra, m: "Module") -> SideActions:
-    """The side actions of a C-B-bimodule M, a module over
-    T = tensor(opposite(c), b), summed from M's action matrices."""
-    if m.algebra != tensor(opposite(c), b):
-        raise ValueError("bimodule is not a module over tensor(opposite(c), b)")
-    return SideActions(m.dim, m.weights, *_side_sums(b, c, m.algebra._pair_index, m.action))
-
-
 def triangular(b: Algebra, c: Algebra, m: "Module") -> Algebra:
     """Lower triangular extension [[B, 0], [M, C]] of B and C along a
     C-B-bimodule M (a module over tensor(opposite(c), b)).
@@ -732,17 +669,19 @@ def triangular(b: Algebra, c: Algebra, m: "Module") -> Algebra:
     basis, radical of C.  M products: m*b by the right B-action, c*m by the
     left C-action; M*M = B*M = M*C = B*C = C*B = 0.
     """
-    return _triangular(b, c, _bimodule_actions(b, c, m))
+    from .modules import bimodule_restrictions
+    return _triangular(b, c, *bimodule_restrictions(b, c, m))
 
 
-def _triangular(b: Algebra, c: Algebra, m: SideActions) -> Algebra:
-    """:func:`triangular` from the side actions of M."""
+def _triangular(b: Algebra, c: Algebra, mb: "Module", mc: "Module") -> Algebra:
+    """:func:`triangular` from M's restrictions M_B and _CM, the latter a
+    right module over opposite(c)."""
     if b.field != c.field:
         raise ValueError("triangular factors must share the field")
     F = b.field
     rb, rc = b.r, c.r
     r = rb + rc
-    nb, nc, nm = b.dim, c.dim, m.dim
+    nb, nc, nm = b.dim, c.dim, mb.dim
     dim = nb + nc + nm
     # index layout
     bmap = {x: (x if x < rb else r + (x - rb)) for x in range(nb)}
@@ -762,11 +701,9 @@ def _triangular(b: Algebra, c: Algebra, m: SideActions) -> Algebra:
         left[cmap[x]] = rb + c.left[x]
         right[cmap[x]] = rb + c.right[x]
     for k in range(nm):
-        w = m.weights[k]
-        i_c, j_b = divmod(w, rb)
         labels[moff + k] = f"M:{k}"
-        left[moff + k] = rb + i_c
-        right[moff + k] = j_b
+        left[moff + k] = rb + mc.weights[k]
+        right[moff + k] = mb.weights[k]
 
     mult: list[list[dict[int, object]]] = [[{} for _ in range(dim)] for _ in range(dim)]
     for x in range(nb):
@@ -781,10 +718,10 @@ def _triangular(b: Algebra, c: Algebra, m: SideActions) -> Algebra:
                 mult[cmap[x]][cmap[y]] = {cmap[z]: cv for z, cv in row.items()}
     # m * b (right action) and c * m (left action)
     for y in range(nb):
-        for k, row in m.right[y].items():
+        for k, row in mb.action[y].items():
             mult[moff + k][bmap[y]] = {moff + t: cv for t, cv in row.items()}
     for x in range(nc):
-        for k, row in m.left[x].items():
+        for k, row in mc.action[x].items():
             mult[cmap[x]][moff + k] = {moff + t: cv for t, cv in row.items()}
     return Algebra(F, vertex_labels, labels, left, right, mult, r,
                    name=f"tri({b.name},{c.name})")

@@ -9,7 +9,7 @@ smoothness-transfer}, corpus, dump.
 File arguments take ``.qa`` presentations, ``homkit-algebra/1`` JSON dumps,
 or built-in fixture names (FIX-A2, FIX-TP1(n), FIX-TP2, FIX-LOC, FIX-TRI0).
 Exit codes: 0 = computed (even when a verdict is Unknown), 1 = input error,
-2 = internal invariant violation, 3 = certified violation of an exact
+2 = internal error, 3 = certified violation of an exact
 identity (the tripwire; never expected to fire).  A standard output closed
 by its reader (``homkit ... | head -1``) is a normal end, with exit 0.
 """
@@ -25,12 +25,11 @@ import sys
 import time
 
 from . import corpus as corpus_mod
-from .algebra import (Algebra, SideActions, algebra_from_json, algebra_to_json,
-                      from_quiver, opposite, tensor)
+from .algebra import Algebra, algebra_from_json, algebra_to_json, from_quiver, opposite, tensor
 from .invariants import (CARTAN_CONVENTION, TheoremViolation, cartan_matrix,
                          eilenberg_check, gldim, gorenstein, smooth, two_point_criterion)
 from .linalg import FieldError
-from .modules import bimodule_from_json, module_from_json, module_to_json
+from .modules import Module, bimodule_from_json, module_from_json, module_to_json
 from .presentation import SpecError, parse_spec, spec_of_fixture
 from .recollement import (det_multiplicativity_check, gorenstein_transfer_check,
                           smoothness_transfer_check, stratify_search)
@@ -196,9 +195,9 @@ def cmd_stratify(args) -> int:
     return EXIT_OK
 
 
-def _load_bimodule(args, b: Algebra, c: Algebra) -> SideActions:
-    """M's side actions, read off the file without building tensor(op(C), B),
-    which is built only to compare an inline algebra with it."""
+def _load_bimodule(args, b: Algebra, c: Algebra) -> tuple[Module, Module]:
+    """M's restrictions (M_B, _CM), read off the file without building
+    tensor(op(C), B), which is built only to compare an inline algebra with it."""
     try:
         with open(args.module, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -550,9 +549,6 @@ def main(argv: list[str] | None = None) -> int:
     except TheoremViolation as e:
         print(f"THEOREM VIOLATION (tripwire): {e}", file=sys.stderr)
         return EXIT_TRIPWIRE
-    except AssertionError as e:
-        print(f"internal invariant violation: {e}", file=sys.stderr)
-        return EXIT_INTERNAL
     except Exception as e:  # noqa: BLE001 - the CLI boundary maps everything
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -35,8 +35,8 @@ import random
 from dataclasses import dataclass, field as dc_field
 from itertools import product as iter_product
 
-from .algebra import (Algebra, SideActions, _bimodule_actions, _side_sums, _tensor_basis,
-                      algebra_from_json, algebra_to_json, opposite)
+from .algebra import (Algebra, _tensor_basis, algebra_from_json, algebra_to_json, opposite,
+                      tensor)
 from .linalg import Field, RowSpace, axpy, inverse
 
 _ISO_SEARCH_SEED = 0x5EED
@@ -84,7 +84,9 @@ class Module:
     (see ``_radical_rowspace``); it is built at most once per module, and a
     syzygy arrives with it already filled in.  ``_resolution`` holds the
     steps of the minimal resolution built so far (see
-    ``_resolution_steps``), each built at most once per module.
+    ``_resolution_steps``), each built at most once per module.  The
+    constructor trusts its rows, which the library builds in this format;
+    ``adapt_weights`` checks the rows that come from outside.
     """
 
     __slots__ = ("algebra", "dim", "action", "weights", "_radical", "_resolution")
@@ -101,18 +103,6 @@ class Module:
             raise ValueError("need one action matrix per algebra basis element")
         if len(weights) != dim:
             raise ValueError("need one weight per module basis vector")
-        for mat in action:
-            if not mat:
-                continue
-            prev = -1
-            for s, row in mat.items():
-                if not prev < s < dim:
-                    raise ValueError("action rows must be stored by increasing "
-                                     "index in range(dim)")
-                prev = s
-                if not row or min(row) < 0 or max(row) >= dim or 0 in row.values():
-                    raise ValueError("action rows must be sparse: non-empty, "
-                                     "columns in range(dim), no stored zero")
 
     @property
     def field(self) -> Field:
@@ -456,11 +446,8 @@ def _syzygy_with_inclusion(m: Module, cov: Cover | None = None) -> tuple[Module,
         path_of.extend(pidx)
         coord_of.extend([zmap] * len(pidx))
         off += len(pidx)
-    weights = [0] * d
-    for fc, s in coord.items():
-        w = weights[s] = a.right[path_of[fc]]
-        if any(a.right[path_of[c]] != w for c in kernel[s]):
-            raise AssertionError("kernel basis vector mixes weights")
+    # a module map keeps weights, so each kernel vector has one weight
+    weights = [a.right[path_of[c]] for c in coord]
     zero = F.zero
     products = a.products
     # images[x][s]: the syzygy coordinates of row s times x, filled in
@@ -1071,7 +1058,18 @@ def _weight_basis(F: Field, dim: int, projectors: list[dict[int, dict]]):
 def adapt_weights(algebra: Algebra, dim: int, action: list[dict[int, dict]]) -> Module:
     """Build a Module from raw sparse action matrices (``{s: row}`` over the
     non-zero rows, as ``Module.action``) by choosing a basis
-    adapted to the idempotent projectors (see ``_weight_basis``)."""
+    adapted to the idempotent projectors (see ``_weight_basis``).  The rows
+    come from outside the library, so each is checked first, as ``Module`` does not."""
+    for mat in action:
+        prev = -1
+        for s, row in mat.items():
+            if not prev < s < dim:
+                raise ValueError("action rows must be stored by increasing "
+                                 "index in range(dim)")
+            prev = s
+            if not row or min(row) < 0 or max(row) >= dim or 0 in row.values():
+                raise ValueError("action rows must be sparse: non-empty, "
+                                 "columns in range(dim), no stored zero")
     weights, change = _weight_basis(algebra.field, dim, action[:algebra.r])
     if change is not None:
         action = [change(act) for act in action]
@@ -1083,6 +1081,28 @@ def adapt_weights(algebra: Algebra, dim: int, action: list[dict[int, dict]]) -> 
 # --------------------------------------------------------------------------
 
 
+def _side_sums(b: Algebra, c: Algebra, pairs, mats: list[dict[int, dict]]) -> tuple[list, list]:
+    """The side actions ``(right, left)`` of a C-B-bimodule M, summed from
+    its action matrices ``mats`` over the basis ``pairs`` of
+    T = tensor(opposite(c), b), in T's basis order.
+
+    ``right[y]`` is the action of y in B, the sum of e_i^op (x) y over the
+    vertices i of C, and ``left[x]`` that of x in C (a basis element of
+    C^op), the sum of x (x) e_j over the vertices j of B; each is
+    ``{s: row}`` over its non-zero rows in increasing s, as
+    ``Module.action``."""
+    F = b.field
+    right: list[dict[int, dict]] = [{} for _ in range(b.dim)]
+    left: list[dict[int, dict]] = [{} for _ in range(c.dim)]
+    for (x, y), mat in zip(pairs, mats):
+        # T's basis order brings each side's pairs in increasing vertex order
+        for acc in ((right[y],) if x < c.r else ()) + ((left[x],) if y < b.r else ()):
+            for s, row in mat.items():
+                axpy(F, acc.setdefault(s, {}), F.one, row)
+    return ([{s: acc[s] for s in sorted(acc) if acc[s]} for acc in right],
+            [{s: acc[s] for s in sorted(acc) if acc[s]} for acc in left])
+
+
 def bimodule_restrictions(b: Algebra, c: Algebra, m: Module) -> tuple[Module, Module]:
     """M_B and _CM of a C-B-bimodule M (a module over tensor(opposite(c), b)).
 
@@ -1090,18 +1110,20 @@ def bimodule_restrictions(b: Algebra, c: Algebra, m: Module) -> tuple[Module, Mo
     restrictions along the two algebra maps B -> T and C^op -> T that send
     y to the sum of e_i^op (x) y and x to the sum of x (x) e_j; the maps
     hold by construction, so the side actions are summed directly (see
-    ``algebra._bimodule_actions``) and no map is checked.
+    ``_side_sums``) and no map is checked.
     """
-    return _restrictions(b, c, _bimodule_actions(b, c, m))
+    if m.algebra != tensor(opposite(c), b):
+        raise ValueError("bimodule is not a module over tensor(opposite(c), b)")
+    return _restrictions(b, c, m.weights, *_side_sums(b, c, m.algebra._pair_index, m.action))
 
 
-def _restrictions(b: Algebra, c: Algebra, m: SideActions) -> tuple[Module, Module]:
-    """:func:`bimodule_restrictions` from the side actions of M.  Their
-    basis is adapted to T's vertices i * b.r + j, so it is adapted to B's
-    vertex j and to C's vertex i."""
+def _restrictions(b: Algebra, c: Algebra, weights: list[int], right, left) -> tuple[Module, Module]:
+    """M_B and _CM from M's side actions (see ``_side_sums``) in a basis
+    adapted to T's vertices, ``weights[s]`` = i * b.r + j, so adapted to
+    B's vertex j and to C's vertex i."""
     rb = b.r
-    return (Module(b, m.dim, m.right, [w % rb for w in m.weights]),
-            Module(opposite(c), m.dim, m.left, [w // rb for w in m.weights]))
+    return (Module(b, len(weights), right, [w % rb for w in weights]),
+            Module(opposite(c), len(weights), left, [w // rb for w in weights]))
 
 
 def module_to_json(m: Module, algebra_ref: str | None = None) -> dict:
@@ -1190,12 +1212,13 @@ def module_from_json(doc: dict, algebra: Algebra | None = None) -> Module:
     return adapt_weights(algebra, *_action_matrices(doc, algebra.field, algebra.labels))
 
 
-def bimodule_from_json(doc: dict, b: Algebra, c: Algebra) -> SideActions:
+def bimodule_from_json(doc: dict, b: Algebra, c: Algebra) -> tuple[Module, Module]:
     """Read a homkit-module/1 document of a C-B-bimodule M, a module over
-    T = tensor(opposite(c), b), into its side actions, without building T.
+    T = tensor(opposite(c), b), into its restrictions (M_B, _CM), the value
+    ``bimodule_restrictions`` gives for the M in the file, without building T.
 
-    Every matrix is read and checked as ``module_from_json`` checks it, in
-    T's basis order.  The matrices of x (x) e_j and of e_i^op (x) y are
+    Every matrix is read as ``module_from_json`` reads it, in T's basis
+    order.  The matrices of x (x) e_j and of e_i^op (x) y are
     summed into the side actions, and the projectors of the idempotent
     pairs give the weights and, when the file's basis is not adapted to
     them, the change of basis (``_weight_basis``, as ``adapt_weights``).
@@ -1223,4 +1246,4 @@ def bimodule_from_json(doc: dict, b: Algebra, c: Algebra) -> SideActions:
     if change is not None:
         right = [change(act) for act in right]
         left = [change(act) for act in left]
-    return SideActions(dim, weights, right, left)
+    return _restrictions(b, c, weights, right, left)

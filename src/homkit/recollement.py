@@ -17,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .algebra import (Algebra, SideActions, _bimodule_actions, _ideal_span, _triangular,
-                      corner, opposite, quotient_by_idempotent_ideal)
+from .algebra import (Algebra, _ideal_span, _triangular, corner, opposite,
+                      quotient_by_idempotent_ideal)
 from .invariants import (GldimReport, GorensteinReport, TheoremViolation, finite_gldim,
                          gldim, gorenstein)
-from .modules import Module, PdResult, _restrictions, dual, hom_dim, pd, tor_dims
+from .modules import Module, PdResult, bimodule_restrictions, dual, hom_dim, pd, tor_dims
 
 
 def module_Ae(a: Algebra, S: list[int], cor: Algebra) -> Module:
@@ -258,16 +258,16 @@ def _compare(lhs: bool | None, rhs: bool | None) -> str:
     return "pass" if lhs == rhs else "fail"
 
 
-def _transfer_inputs(b: Algebra, c: Algebra, m: Module | SideActions, cutoff: int, verdict):
+def _transfer_inputs(b: Algebra, c: Algebra, m: Module | tuple[Module, Module], cutoff: int,
+                     verdict):
     """What both transfer checks read on A = [[B,0],[M,C]]: A, the verdicts
     of A, B and C (each resolved only until it is certain), and the pds of
-    M over B and over C^op.  A and the two restrictions read only M's side
-    actions: a file reader gives them (``modules.bimodule_from_json``), and
-    for an M over T = tensor(op(C), B) they are summed here, once."""
-    sides = m if isinstance(m, SideActions) else _bimodule_actions(b, c, m)
-    A = _triangular(b, c, sides)
+    M over B and over C^op.  A and the two pds read only M's restrictions
+    (M_B, _CM): a file reader gives them (``modules.bimodule_from_json``),
+    and for an M over T = tensor(op(C), B) they are summed here, once."""
+    mb, mc = bimodule_restrictions(b, c, m) if isinstance(m, Module) else m
+    A = _triangular(b, c, mb, mc)
     verdicts = [verdict(x, cutoff, verdict_only=True) for x in (A, b, c)]
-    mb, mc = _restrictions(b, c, sides)
     return A, verdicts, pd(mb, cutoff), pd(mc, cutoff)
 
 
@@ -303,7 +303,7 @@ class GorensteinTransferReport:
         }
 
 
-def gorenstein_transfer_check(b: Algebra, c: Algebra, m: Module | SideActions,
+def gorenstein_transfer_check(b: Algebra, c: Algebra, m: Module | tuple[Module, Module],
                               cutoff: int) -> GorensteinTransferReport:
     """Check the two Gorenstein biconditionals on A = [[B,0],[M,C]].
 
@@ -376,7 +376,7 @@ def _tri_state_gldim(g: GldimReport) -> bool | None:
     return {"finite": True, "infinite": False, "unknown": None}[g.kind]
 
 
-def smoothness_transfer_check(b: Algebra, c: Algebra, m: Module | SideActions,
+def smoothness_transfer_check(b: Algebra, c: Algebra, m: Module | tuple[Module, Module],
                               cutoff: int) -> SmoothnessTransferReport:
     """Check both smoothness-transfer directions on A = [[B,0],[M,C]].
 

@@ -382,3 +382,39 @@ def test_gorenstein_resolves_no_simple_of_fix_tp2(tp2, monkeypatch):
     assert "Gorenstein(0,0)" in out.getvalue()
     assert resolved == [dual(projective(over, i)) for over in (tp2, opposite(tp2))
                         for i in range(tp2.r)]
+
+
+def _monomial_verdicts(field_name):
+    """``{(algebra, what): (kind, d, text)}`` over one field for the seed-42
+    AcyclicQuiver and NilpotentCyclic algebras, where ``what`` is the pd of
+    a simple or a side of the self-injective dimension."""
+    out = {}
+    for shape in ("AcyclicQuiver", "NilpotentCyclic"):
+        spec = CorpusSpec(seed=42, count=30, shape=shape, field_name=field_name)
+        for n in range(30):
+            a = generate(spec, n)
+            pds = [(f"simple {i}", p) for i, p in enumerate(gldim(a, 12).per_simple)]
+            pds += [("right", self_injective_dimension(a, 12)),
+                    ("left", self_injective_dimension(opposite(a), 12))]
+            out.update(((a.name, what), (p.kind, p.d, p.describe())) for what, p in pds)
+    return out
+
+
+def test_monomial_verdicts_do_not_depend_on_the_field():
+    # the two shapes draw the same monomial algebras over every field, and the
+    # homological verdicts of a monomial algebra do not depend on the field
+    def kinds(verdicts):
+        return {key: (kind, d) for key, (kind, d, _) in verdicts.items()}
+
+    f101 = kinds(_monomial_verdicts("F101"))
+    assert "unknown" not in {kind for kind, _ in f101.values()}
+    for field_name in ("F3", "Q"):
+        assert kinds(_monomial_verdicts(field_name)) == f101, field_name
+    # over F2 no decided verdict contradicts F101, but the summand test's
+    # fixed random draws miss the splits of two left sides, which stay
+    # Unknown (ROADMAP item 3); once it searches harder this pin must change
+    f2 = _monomial_verdicts("F2")
+    differ = {key: text for key, (kind, d, text) in f2.items() if (kind, d) != f101[key]}
+    assert all(f2[key][0] == "unknown" for key in differ)
+    assert differ == {("nilcyc-42-1", "left"): "Unknown(cutoff 12)",
+                      ("nilcyc-42-18", "left"): "Unknown(cutoff 12)"}

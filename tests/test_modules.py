@@ -845,26 +845,28 @@ def test_rows_are_sparse_with_no_stored_zero(fixture_algebras, seed42_pools):
         assert count > least
 
 
-def test_module_constructor_rejects_bad_rows(a2):
+def test_adapt_weights_rejects_bad_rows(a2):
+    # adapt_weights takes the rows the library did not build, and checks them
+    # before the basis change reads the idempotents' rows
     F = a2.field
     good = simple(a2, 0).action
-    assert Module(a2, 1, good, [0]).dim == 1
+    assert adapt_weights(a2, 1, good) == simple(a2, 0)
     # a stored zero, out-of-range columns, a Q zero written as Fraction(0),
     # and bad entries that follow a good one in the same row
     for bad_row in ({0: F.zero}, {1: F.one}, {-1: F.one}, {0: Fraction(0)},
                     {0: F.one, 1: F.one}, {0: F.one, -1: F.one}):
         action = [good[0]] + [{0: bad_row}] + good[2:]
         with pytest.raises(ValueError, match="sparse"):
-            Module(a2, 1, action, [0])
+            adapt_weights(a2, 1, action)
     P = projective(a2, 0)
     action = [P.action[0], {0: {0: F.one, 1: F.zero}}] + P.action[2:]
     with pytest.raises(ValueError, match="sparse"):
-        Module(a2, 2, action, P.weights)
+        adapt_weights(a2, 2, action)
     with pytest.raises(ValueError, match=r"range\(dim\)"):
-        Module(a2, 1, [{0: {0: F.one}, 1: {0: F.one}}] + good[1:], [0])
+        adapt_weights(a2, 1, [{0: {0: F.one}, 1: {0: F.one}}] + good[1:])
     # a stored empty row, row indices outside range(dim), and rows stored
     # out of order: equal modules must have equal ``action``
-    assert Module(a2, 2, P.action, P.weights) == P
+    assert adapt_weights(a2, 2, P.action) == P
     for x, bad_mat, match in ((0, {0: {0: F.one}, 1: {}}, "non-empty"),
                               (2, {2: {1: F.one}}, r"range\(dim\)"),
                               (2, {-1: {1: F.one}}, r"range\(dim\)"),
@@ -872,7 +874,7 @@ def test_module_constructor_rejects_bad_rows(a2):
         action = list(P.action)
         action[x] = bad_mat
         with pytest.raises(ValueError, match=match):
-            Module(a2, 2, action, P.weights)
+            adapt_weights(a2, 2, action)
 
 
 def test_module_json_writes_dense_and_reads_sparse(monkeypatch):

@@ -8,13 +8,13 @@ import pytest
 
 import homkit.algebra as algebra_mod
 import homkit.modules as modules_mod
-from homkit.algebra import (_bimodule_actions, _triangular, corner, opposite,
+from homkit.algebra import (_triangular, corner, opposite,
                             quotient_by_idempotent_ideal, tensor, triangular, validate)
 from homkit.corpus import CorpusSpec, generate
 from homkit.invariants import cartan_matrix, gldim, gorenstein
 from _oracles import algebra_map_holds, module_tensor_dim, restrict_along
 from homkit.linalg import inverse
-from homkit.modules import (Module, PdResult, _restrictions, adapt_weights,
+from homkit.modules import (Module, PdResult, adapt_weights,
                             bimodule_from_json, bimodule_restrictions, dual, hom_dim,
                             injective, module_from_json, module_to_json, pd, regular)
 from homkit.recollement import (aea_dimension, det_multiplicativity_check,
@@ -472,19 +472,18 @@ def _file_doc(m):
 
 
 def test_side_actions_read_off_the_file_are_those_of_the_module():
-    # bimodule_from_json reads the side actions off the document, with no T;
-    # they are the ones summed from the module over T that module_from_json
-    # reads, so A, M_B and _CM are equal, and the 120 reports read off them
-    # are those of TRANSFER_REPORTS_DIGEST
+    # bimodule_from_json reads M_B and _CM off the document by its side
+    # actions, with no T; they are the restrictions of the module over T that
+    # module_from_json reads, so A is equal too, and the 120 reports read off
+    # them are those of TRANSFER_REPORTS_DIGEST
     sides = {}
     for seed in (42, 7):
         for t in _triples(seed):
             doc = _file_doc(t.m)
             m = module_from_json(doc, tensor(opposite(t.c), t.b))
             got = sides[t.a.name] = bimodule_from_json(doc, t.b, t.c)
-            assert got == _bimodule_actions(t.b, t.c, m), t.a.name
-            assert _triangular(t.b, t.c, got) == triangular(t.b, t.c, m), t.a.name
-            assert _restrictions(t.b, t.c, got) == bimodule_restrictions(t.b, t.c, m), t.a.name
+            assert got == bimodule_restrictions(t.b, t.c, m), t.a.name
+            assert _triangular(t.b, t.c, *got) == triangular(t.b, t.c, m), t.a.name
     doc = json.dumps(_transfer_reports(lambda t: sides[t.a.name]), sort_keys=True)
     assert hashlib.sha256(doc.encode()).hexdigest() == TRANSFER_REPORTS_DIGEST
 
@@ -516,7 +515,7 @@ def test_side_actions_read_off_a_basis_not_adapted_to_the_idempotents(monkeypatc
         got = sides[t.a.name] = bimodule_from_json(doc, t.b, t.c)
         assert changed == [d > 1 and len(set(t.m.weights)) > 1], t.a.name
         m = module_from_json(doc, tensor(opposite(t.c), t.b))
-        assert got == _bimodule_actions(t.b, t.c, m), t.a.name
+        assert got == bimodule_restrictions(t.b, t.c, m), t.a.name
     assert _transfer_reports(lambda t: sides[t.a.name], (42,)) == _transfer_reports(seeds=(42,))
 
 
