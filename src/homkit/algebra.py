@@ -34,26 +34,28 @@ class Cartan(NamedTuple):
 class Algebra:
     """Split basic algebra over an exact field, given by structure constants.
 
-    ``mult[x][y]`` is the coordinate vector (sparse dict ``{z: coeff}``) of
-    the product of basis elements x and y.  Basis order is: the r vertex
+    ``mult[x]`` holds the non-zero products of basis element x, in the
+    matrix format of ``Module.action``: ``{y: row}`` by increasing y, where
+    row is the coordinate vector (sparse dict ``{z: coeff}``) of x * y.  A
+    zero product is an absent key; no empty row is stored.  The constructor
+    trusts its rows, as ``Module``'s does.  Basis order is: the r vertex
     idempotents in vertex order, then the radical basis in construction
     order.  Instances are immutable by convention, which is what lets
     ``opposite`` and ``tensor`` keep their results on the instance (in
     ``_opposite`` and ``_tensors``) and hand out the same object each time.
     A tensor product keeps its basis pair index in ``_pair_index`` (see
     ``_tensor``); it holds plain ints, so no reference to either factor.
-    ``_generators``, ``_paths``, ``_products`` and ``_cartan`` keep
-    :attr:`generators`, :attr:`paths`, :attr:`products` and :attr:`cartan`
-    once they are read.
+    ``_generators``, ``_paths`` and ``_cartan`` keep :attr:`generators`,
+    :attr:`paths` and :attr:`cartan` once they are read.
     """
 
     __slots__ = ("field", "vertex_labels", "labels", "left", "right", "mult",
                  "r", "name", "_opposite", "_tensors", "_pair_index", "_generators",
-                 "_paths", "_products", "_cartan", "__weakref__")
+                 "_paths", "_cartan", "__weakref__")
 
     def __init__(self, field: Field, vertex_labels: list[str], labels: list[str],
                  left: list[int], right: list[int],
-                 mult: list[list[dict[int, object]]], r: int, name: str = ""):
+                 mult: list[dict[int, dict[int, object]]], r: int, name: str = ""):
         self.field = field
         self.vertex_labels = list(vertex_labels)
         self.labels = list(labels)
@@ -67,7 +69,6 @@ class Algebra:
         self._pair_index: dict[tuple[int, int], int] | None = None
         self._generators: list[int] | None = None
         self._paths: list[list[int]] | None = None
-        self._products: list[list[tuple[int, dict]]] | None = None
         self._cartan: Cartan | None = None
         if r != len(vertex_labels):
             raise ValueError("r must equal the number of vertices")
@@ -107,10 +108,9 @@ class Algebra:
             rad2 = RowSpace(self.field)
             rad = range(self.r, self.dim)
             for x in rad:
-                mx = self.mult[x]
-                for y in rad:
-                    if mx[y]:
-                        rad2.add(mx[y])
+                for y, row in self.mult[x].items():
+                    if y >= self.r:
+                        rad2.add(row)
             gens = self._generators = [x for x in rad if x not in rad2.pivot_of_col]
         return gens
 
@@ -124,17 +124,6 @@ class Algebra:
             for k, i in enumerate(self.left):
                 paths[i].append(k)
         return paths
-
-    @property
-    def products(self) -> list[list[tuple[int, dict[int, object]]]]:
-        """``products[k]``: the pairs (x, k * x) with k * x non-zero, in basis
-        order of x, where k * x is the row ``mult[k][x]``.  Computed on
-        first read."""
-        prods = self._products
-        if prods is None:
-            prods = self._products = [[(x, zs) for x, zs in enumerate(row) if zs]
-                                      for row in self.mult]
-        return prods
 
     @property
     def cartan(self) -> Cartan:
@@ -164,10 +153,9 @@ class Algebra:
             for y, cy in v.items():
                 if cy == 0:
                     continue
-                row = mx[y]
-                if not row:
-                    continue
-                axpy(F, out, F.mul(cx, cy), row)
+                row = mx.get(y)
+                if row:
+                    axpy(F, out, F.mul(cx, cy), row)
         return out
 
     def __eq__(self, other):
@@ -394,13 +382,9 @@ def from_quiver(spec: AlgebraSpec) -> Algebra:
             labels.append("*".join(q.arrows[i].label for i in w[1]))
         left.append(w[0])
         right.append(_word_target(q, w))
-    dim = len(words)
-    mult: list[list[dict[int, object]]] = [[{} for _ in range(dim)] for _ in range(dim)]
-    for xi, u in enumerate(words):
-        for yi, v in enumerate(words):
-            red = engine.reduce_product(u, v)
-            if red:
-                mult[xi][yi] = {index[w]: c for w, c in red.items()}
+    mult = [{yi: {index[w]: c for w, c in red.items()}
+             for yi, v in enumerate(words) if (red := engine.reduce_product(u, v))}
+            for u in words]
     return Algebra(spec.field, list(q.vertex_labels), labels, left, right, mult,
                    q.num_vertices, name=spec.name or "quiver algebra")
 
@@ -439,7 +423,7 @@ def validate(a: Algebra, max_failures: int = 5) -> ValidationReport:
     # idempotent axioms and unit behaviour
     for i in range(r):
         for j in range(r):
-            got = a.mult[i][j]
+            got = a.mult[i].get(j, {})
             want = {i: F.one} if i == j else {}
             if got != want:
                 if note(f"e_{i} * e_{j} = {got}, expected {want}"):
@@ -448,18 +432,17 @@ def validate(a: Algebra, max_failures: int = 5) -> ValidationReport:
     for x in range(dim):
         for i in range(r):
             lw = {x: F.one} if i == a.left[x] else {}
-            if a.mult[i][x] != lw:
+            if a.mult[i].get(x, {}) != lw:
                 if note(f"e_{i} * b_{x} inconsistent with left tag"):
                     return ValidationReport(False, fails)
             rw = {x: F.one} if i == a.right[x] else {}
-            if a.mult[x][i] != rw:
+            if a.mult[x].get(i, {}) != rw:
                 if note(f"b_{x} * e_{i} inconsistent with right tag"):
                     return ValidationReport(False, fails)
     # structure constants respect tags and the radical is a two-sided ideal
     for x in range(dim):
-        for y in range(dim):
-            row = a.mult[x][y]
-            if row and a.right[x] != a.left[y]:
+        for y, row in a.mult[x].items():
+            if a.right[x] != a.left[y]:
                 if note(f"b_{x} * b_{y} nonzero but inner tags differ"):
                     return ValidationReport(False, fails)
             for z in row:
@@ -472,10 +455,10 @@ def validate(a: Algebra, max_failures: int = 5) -> ValidationReport:
     # associativity over all triples
     for x in range(dim):
         for y in range(dim):
-            xy = a.mult[x][y]
+            xy = a.mult[x].get(y, {})
             for z in range(dim):
-                lhs = a.mul_coords(xy, {z: F.one}) if xy else {}
-                rhs = a.mul_coords({x: F.one}, a.mult[y][z]) if a.mult[y][z] else {}
+                lhs = a.mul_coords(xy, {z: F.one})
+                rhs = a.mul_coords({x: F.one}, a.mult[y].get(z, {}))
                 if lhs != rhs:
                     if note(f"associativity fails at ({x},{y},{z}): {lhs} != {rhs}"):
                         return ValidationReport(False, fails)
@@ -515,7 +498,11 @@ def opposite(a: Algebra) -> Algebra:
     """
     op = a._opposite
     if op is None:
-        mult = [list(map(dict, col)) for col in zip(*a.mult)]
+        # the rows are shared: both algebras are immutable
+        mult: list[dict[int, dict[int, object]]] = [{} for _ in range(a.dim)]
+        for x, row in enumerate(a.mult):
+            for y, zs in row.items():
+                mult[y][x] = zs
         op = Algebra(a.field, a.vertex_labels, a.labels, a.right, a.left, mult,
                      a.r, name=f"op({a.name})")
         op._opposite = a
@@ -564,22 +551,20 @@ def _tensor(a: Algebra, b: Algebra, name: str) -> Algebra:
     vertex_labels = [f"({va},{vb})" for va in a.vertex_labels for vb in b.vertex_labels]
     left = [vtx(a.left[x], b.left[y]) for x, y in pairs]
     right = [vtx(a.right[x], b.right[y]) for x, y in pairs]
-    n = len(pairs)
-    mult: list[list[dict[int, object]]] = [[{} for _ in range(n)] for _ in range(n)]
+    mult: list[dict[int, dict[int, object]]] = []
     # (x1, y1) * (x2, y2) is non-zero only where both factor products are,
     # so only those pairs are visited
-    nonzero_a = [[(x2, rx) for x2, rx in enumerate(row) if rx] for row in a.mult]
-    nonzero_b = [[(y2, ry) for y2, ry in enumerate(row) if ry] for row in b.mult]
-    for k1, (x1, y1) in enumerate(pairs):
-        out_row = mult[k1]
-        by = nonzero_b[y1]
-        for x2, rx in nonzero_a[x1]:
-            for y2, ry in by:
+    for x1, y1 in pairs:
+        out_row = {}
+        by = b.mult[y1]
+        for x2, rx in a.mult[x1].items():
+            for y2, ry in by.items():
                 out = {}
                 for z1, c1 in rx.items():
                     for z2, c2 in ry.items():
                         out[pidx[(z1, z2)]] = F.mul(c1, c2)
                 out_row[pidx[(x2, y2)]] = out
+        mult.append(dict(sorted(out_row.items())))
     t = Algebra(F, vertex_labels, labels, left, right, mult, a.r * b.r, name=name)
     # basis pair (x, y) -> index; its key order is the basis order
     t._pair_index = pidx
@@ -602,7 +587,8 @@ def corner(a: Algebra, vertices: list[int]) -> Algebra:
     keep = [k for k in range(a.dim) if a.left[k] in S and a.right[k] in S]
     old2new = {k: i for i, k in enumerate(keep)}
     vmap = {v: i for i, v in enumerate(S)}
-    mult = [[{old2new[z]: c for z, c in a.mult[x][y].items()} for y in keep] for x in keep]
+    mult = [{old2new[y]: {old2new[z]: c for z, c in row.items()}
+             for y, row in a.mult[x].items() if y in old2new} for x in keep]
     return Algebra(a.field, [a.vertex_labels[v] for v in S],
                    [a.labels[k] for k in keep],
                    [vmap[a.left[k]] for k in keep],
@@ -612,18 +598,14 @@ def corner(a: Algebra, vertices: list[int]) -> Algebra:
 
 def _ideal_span(a: Algebra, vertices) -> RowSpace:
     """The span of AeA for e the sum of the given vertex idempotents: the
-    products u*v over basis pairs whose inner tag lies in the vertex set."""
+    non-zero products u*v with u's right tag in the vertex set (v's left
+    tag is then the same vertex)."""
     Sset = set(vertices)
     space = RowSpace(a.field)
     for u in range(a.dim):
-        if a.right[u] not in Sset:
-            continue
-        mu = a.mult[u]
-        for v in range(a.dim):
-            if a.left[v] == a.right[u]:
-                row = mu[v]
-                if row:
-                    space.add(dict(row))
+        if a.right[u] in Sset:
+            for row in a.mult[u].values():
+                space.add(row)
     return space
 
 
@@ -648,11 +630,9 @@ def quotient_by_idempotent_ideal(a: Algebra, vertices: list[int]) -> Algebra:
     newverts = [v for v in range(a.r) if v not in Sset]
     vmap = {v: i for i, v in enumerate(newverts)}
 
-    def reduce_coords(row: dict[int, object]) -> dict[int, object]:
-        res = space.reduce(dict(row))
-        return {old2new[z]: c for z, c in res.items()}
-
-    mult = [[reduce_coords(a.mult[x][y]) if a.mult[x][y] else {} for y in keep]
+    # a product that reduces to zero lies in AeA and is dropped
+    mult = [{old2new[y]: {old2new[z]: c for z, c in red.items()}
+             for y, row in a.mult[x].items() if y in old2new and (red := space.reduce(row))}
             for x in keep]
     return Algebra(F, [a.vertex_labels[v] for v in newverts],
                    [a.labels[k] for k in keep],
@@ -692,30 +672,18 @@ def _triangular(b: Algebra, c: Algebra, mb: "Module", mc: "Module") -> Algebra:
     labels = [""] * dim
     left = [0] * dim
     right = [0] * dim
-    for x in range(nb):
-        labels[bmap[x]] = f"B:{b.labels[x]}"
-        left[bmap[x]] = b.left[x]
-        right[bmap[x]] = b.right[x]
-    for x in range(nc):
-        labels[cmap[x]] = f"C:{c.labels[x]}"
-        left[cmap[x]] = rb + c.left[x]
-        right[cmap[x]] = rb + c.right[x]
+    mult: list[dict[int, dict[int, object]]] = [{} for _ in range(dim)]
+    for alg, amap, prefix, shift in ((b, bmap, "B", 0), (c, cmap, "C", rb)):
+        for x, row in enumerate(alg.mult):
+            labels[amap[x]] = f"{prefix}:{alg.labels[x]}"
+            left[amap[x]] = shift + alg.left[x]
+            right[amap[x]] = shift + alg.right[x]
+            mult[amap[x]] = {amap[y]: {amap[z]: cv for z, cv in zs.items()}
+                             for y, zs in row.items()}
     for k in range(nm):
         labels[moff + k] = f"M:{k}"
         left[moff + k] = rb + mc.weights[k]
         right[moff + k] = mb.weights[k]
-
-    mult: list[list[dict[int, object]]] = [[{} for _ in range(dim)] for _ in range(dim)]
-    for x in range(nb):
-        for y in range(nb):
-            row = b.mult[x][y]
-            if row:
-                mult[bmap[x]][bmap[y]] = {bmap[z]: cv for z, cv in row.items()}
-    for x in range(nc):
-        for y in range(nc):
-            row = c.mult[x][y]
-            if row:
-                mult[cmap[x]][cmap[y]] = {cmap[z]: cv for z, cv in row.items()}
     # m * b (right action) and c * m (left action)
     for y in range(nb):
         for k, row in mb.action[y].items():
@@ -723,7 +691,8 @@ def _triangular(b: Algebra, c: Algebra, mb: "Module", mc: "Module") -> Algebra:
     for x in range(nc):
         for k, row in mc.action[x].items():
             mult[cmap[x]][moff + k] = {moff + t: cv for t, cv in row.items()}
-    return Algebra(F, vertex_labels, labels, left, right, mult, r,
+    return Algebra(F, vertex_labels, labels, left, right,
+                   [dict(sorted(row.items())) for row in mult], r,
                    name=f"tri({b.name},{c.name})")
 
 
@@ -734,10 +703,10 @@ def _triangular(b: Algebra, c: Algebra, mb: "Module", mc: "Module") -> Algebra:
 
 def algebra_to_json(a: Algebra) -> dict:
     triples = []
-    for x in range(a.dim):
-        for y in range(a.dim):
-            for z in sorted(a.mult[x][y]):
-                triples.append([x, y, z, a.field.format(a.mult[x][y][z])])
+    for x, row in enumerate(a.mult):
+        for y, zs in row.items():
+            for z in sorted(zs):
+                triples.append([x, y, z, a.field.format(zs[z])])
     return {
         "format": "homkit-algebra/1",
         "name": a.name,
@@ -758,7 +727,9 @@ def _index_in(value, n: int) -> bool:
 def algebra_from_json(doc: dict) -> Algebra:
     """Read a homkit-algebra/1 document; a malformed one raises ValueError
     naming the entry at fault.  A structure constant that parses to zero is
-    dropped, and a product (x, y) at z may be given once only."""
+    dropped, a product (x, y) at z may be given once only, and a non-zero
+    one must respect the vertex tags: right[x] = left[y], left[z] = left[x]
+    and right[z] = right[y].  The entries may come in any order."""
     fmt = doc.get("format") if isinstance(doc, dict) else None
     if fmt != "homkit-algebra/1":
         raise ValueError(f"unsupported algebra format {fmt!r}")
@@ -781,9 +752,10 @@ def algebra_from_json(doc: dict) -> Algebra:
             raise ValueError(f"basis entry {k} is not {{label, left, right}} with "
                              f"vertices in 0..{r - 1}: {e!r}")
     dim = len(basis)
+    left, right = [e["left"] for e in basis], [e["right"] for e in basis]
     if not isinstance(doc["mult"], list):
         raise ValueError("'mult' is not a list")
-    mult: list[list[dict[int, object]]] = [[{} for _ in range(dim)] for _ in range(dim)]
+    mult: list[dict[int, dict[int, object]]] = [{} for _ in range(dim)]
     seen = set()
     for n, entry in enumerate(doc["mult"]):
         x, y, z, cv = entry if type(entry) is list and len(entry) == 4 else (None,) * 4
@@ -799,6 +771,9 @@ def algebra_from_json(doc: dict) -> Algebra:
         except ValueError as e:
             raise ValueError(f"mult entry {n}: {e}") from None
         if c != 0:
-            mult[x][y][z] = c
-    return Algebra(F, vertices, [e["label"] for e in basis], [e["left"] for e in basis],
-                   [e["right"] for e in basis], mult, r, name=doc.get("name", ""))
+            if not (right[x] == left[y] and left[z] == left[x] and right[z] == right[y]):
+                raise ValueError(f"mult entry {n}: the product ({x}, {y}) at {z} "
+                                 "does not respect the vertex tags")
+            mult[x].setdefault(y, {})[z] = c
+    return Algebra(F, vertices, [e["label"] for e in basis], left, right,
+                   [dict(sorted(row.items())) for row in mult], r, name=doc.get("name", ""))

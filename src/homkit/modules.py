@@ -137,7 +137,8 @@ class Module:
             for y in range(a.dim):
                 Ay = self.action[y]
                 lhs = {s: v for s, row in Ax.items() if (v := _vecmat(F, row, Ay))}
-                rhs = {s: v for s in range(self.dim) if (v := self._times(s, a.mult[x][y]))}
+                xy = a.mult[x].get(y, {})
+                rhs = {s: v for s in range(self.dim) if (v := self._times(s, xy))}
                 if lhs != rhs:
                     fails.append(f"action not multiplicative at basis pair ({x},{y})")
                     return fails
@@ -164,7 +165,7 @@ def projective(a: Algebra, i: int) -> Module:
     pos = {k: s for s, k in enumerate(idx)}
     action: list[dict[int, dict]] = [{} for _ in range(a.dim)]
     for s, k in enumerate(idx):
-        for x, zs in a.products[k]:
+        for x, zs in a.mult[k].items():
             action[x][s] = {pos[z]: c for z, c in zs.items()}
     return Module(a, len(idx), action, [a.right[k] for k in idx])
 
@@ -180,8 +181,8 @@ def simple(a: Algebra, i: int) -> Module:
 def regular(a: Algebra) -> Module:
     """The right regular module A_A (which is the direct sum of the P_i)."""
     action: list[dict[int, dict]] = [{} for _ in range(a.dim)]
-    for s, prods in enumerate(a.products):
-        for x, zs in prods:
+    for s, prods in enumerate(a.mult):
+        for x, zs in prods.items():
             action[x][s] = dict(zs)
     return Module(a, a.dim, action, list(a.right))
 
@@ -205,7 +206,7 @@ def injective(a: Algebra, i: int) -> Module:
     pos = {k: s for s, k in enumerate(idx)}
     action: list[dict[int, dict]] = [{} for _ in range(a.dim)]
     for s, k in enumerate(idx):
-        for x, zs in op.products[k]:
+        for x, zs in op.mult[k].items():
             mat = action[x]
             for z, c in zs.items():
                 row = mat.get(pos[z])
@@ -349,9 +350,9 @@ class Cover:
     The copy of P_i = e_i A has as basis the paths ``algebra.paths[i]``
     (the basis elements with left tag i, in basis order), so basis element
     x acts on a source coordinate standing for path k through
-    ``algebra.mult[k][x]``.  ``matrix`` has one sparse row per source
-    coordinate: the image of its path in M, read at a lift chosen off M's
-    cached radical row space.
+    ``algebra.mult[k].get(x)``, an absent key being a zero product.
+    ``matrix`` has one sparse row per source coordinate: the image of its
+    path in M, read at a lift chosen off M's cached radical row space.
     """
 
     def __init__(self, algebra: Algebra, summands: list[int],
@@ -407,8 +408,9 @@ def _syzygy_with_inclusion(m: Module, cov: Cover | None = None) -> tuple[Module,
     0 at every other free column, so the syzygy coordinates of a kernel
     element are its entries at the free columns.  A kernel row v acts
     through the structure constants: ``v * x`` sums ``v[c] * mult[k][x]``
-    over the non-zero coordinates c of v, where k is the path that source
-    column c stands for (see :class:`Cover`).  Only free columns are
+    over the non-zero coordinates c of v with x a key of ``mult[k]`` (an
+    absent key is a zero product), where k is the path that source column
+    c stands for (see :class:`Cover`).  Only free columns are
     accumulated, so the source Module is never built.  The products by the
     generators of rad A, added in x-then-row order, seed the syzygy's
     cached radical row space (see ``_radical_rowspace``), which its own
@@ -449,14 +451,14 @@ def _syzygy_with_inclusion(m: Module, cov: Cover | None = None) -> tuple[Module,
     # a module map keeps weights, so each kernel vector has one weight
     weights = [a.right[path_of[c]] for c in coord]
     zero = F.zero
-    products = a.products
+    mult = a.mult
     # images[x][s]: the syzygy coordinates of row s times x, filled in
     # row order and only where the product is non-zero
     images: list[dict[int, dict[int, object]]] = [{} for _ in range(a.dim)]
     for s, row in enumerate(kernel):
         for c, v in row.items():
             zmap = coord_of[c]
-            for x, zs in products[path_of[c]]:
+            for x, zs in mult[path_of[c]].items():
                 img = images[x].get(s)
                 if img is None:
                     img = images[x][s] = {}

@@ -30,8 +30,8 @@ def module_Ae(a: Algebra, S: list[int], cor: Algebra) -> Module:
     vmap = {v: i for i, v in enumerate(sorted(Sset))}
     idx = [k for k in range(a.dim) if a.right[k] in Sset]
     pos = {k: s for s, k in enumerate(idx)}
-    action = [{s: {pos[z]: c for z, c in a.mult[k][ky].items()}
-               for s, k in enumerate(idx) if a.mult[k][ky]}
+    action = [{s: {pos[z]: c for z, c in row.items()}
+               for s, k in enumerate(idx) if (row := a.mult[k].get(ky))}
               for ky in range(a.dim) if a.left[ky] in Sset and a.right[ky] in Sset]
     return Module(cor, len(idx), action, [vmap[a.right[k]] for k in idx])
 

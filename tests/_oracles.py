@@ -207,7 +207,7 @@ def radical_generators(algebra):
     written out densely from the structure constants."""
     r, n = algebra.r, algebra.dim
     rows = [[algebra.mult[x][y].get(z, 0) for z in range(n)]
-            for x in range(r, n) for y in range(r, n) if algebra.mult[x][y]]
+            for x in range(r, n) for y in range(r, n) if y in algebra.mult[x]]
     _, pivots = dense_rref(rows, n, algebra.field.p)
     return [x for x in range(r, n) if x not in pivots]
 
@@ -371,14 +371,15 @@ def algebra_map_holds(source, target, images):
             if ux:
                 for y, vy in enumerate(v):
                     if vy:
-                        for z, c in target.mult[x][y].items():
+                        for z, c in target.mult[x].get(y, {}).items():
                             out[z] += ux * vy * c
         return [Fraction(w) if p is None else w % p for w in out]
 
     unit = [1 if t < target.r else 0 for t in range(n)]
     if _dense_linear_image(images, {i: 1 for i in range(source.r)}, p) != unit:
         return False
-    return all(product(images[x], images[y]) == _dense_linear_image(images, source.mult[x][y], p)
+    return all(product(images[x], images[y])
+               == _dense_linear_image(images, source.mult[x].get(y, {}), p)
                for x in range(source.dim) for y in range(source.dim))
 
 

@@ -1,8 +1,10 @@
 import copy
 import json
+import random
 
 import pytest
 
+from homkit import corpus
 from homkit.algebra import (_PATH_GUARD, Algebra, NotFiniteDimensionalError, _WindowedClosure,
                             algebra_from_json, algebra_to_json, corner, enveloping,
                             from_quiver, opposite, quotient_by_idempotent_ideal, tensor,
@@ -125,7 +127,8 @@ def test_opposite_is_anti_isomorphism(fixture_algebras, seed42_pools):
     for a in algebras:
         op = opposite(a)
         assert opposite(op) is a, a.name
-        assert op.mult == [[a.mult[y][x] for y in range(a.dim)] for x in range(a.dim)], a.name
+        assert op.mult == [{y: a.mult[y][x] for y in range(a.dim) if x in a.mult[y]}
+                           for x in range(a.dim)], a.name
 
 
 def test_generators_lift_a_basis_of_rad_mod_rad2(fixture_algebras, seed42_pools):
@@ -144,7 +147,7 @@ def test_generators_lift_a_basis_of_rad_mod_rad2(fixture_algebras, seed42_pools)
         def times(u, g):
             out = [0] * a.dim
             for x, ux in enumerate(u):
-                for z, c in a.mult[x][g].items() if ux else ():
+                for z, c in a.mult[x].get(g, {}).items() if ux else ():
                     out[z] += ux * c
             return out
 
@@ -204,7 +207,7 @@ def test_corner_examples(a2, tp2):
     assert c2.dim == 2 and c2.labels == ["e1", "gamma"]
     # gamma^2 = 0 in the corner
     gi = c2.labels.index("gamma")
-    assert c2.mult[gi][gi] == {}
+    assert gi not in c2.mult[gi]
     assert validate(c2).ok
 
 
@@ -269,6 +272,50 @@ def test_json_round_trip(fixture_algebras):
         assert json.dumps(algebra_to_json(b), sort_keys=True) == text
 
 
+# inhomogeneous, so realised by the windowed closure
+_X3_IS_X4 = """
+    field Q
+    quiver { vertices: 1  arrows: x: 1 -> 1 }
+    relations { (x)^3 - (x)^4, (x)^6 }
+"""
+
+
+def _mult_is_sparse_and_ordered(a):
+    """Every ``mult[x]`` has strictly increasing keys in range and no empty row."""
+    for row in a.mult:
+        keys = list(row)
+        if keys != sorted(set(keys)) or not all(0 <= y < a.dim and row[y] for y in keys):
+            return False
+    return True
+
+
+def test_structure_constants_are_sparse_rows_on_every_construction(fixture_algebras,
+                                                                   seed42_pools):
+    inputs = list(fixture_algebras.values()) + seed42_pools["NilpotentCyclic"]
+    inputs.append(from_quiver(parse_spec(_X3_IS_X4, name="x^3 = x^4")))
+    inputs += [corpus.generate(corpus.CorpusSpec(seed=42, count=30, shape="AcyclicQuiver"), i)
+               for i in range(30)]
+    built = []
+    for inst in seed42_pools["TriangularPair"]:
+        inputs += [inst.a, inst.b, inst.c]  # inst.a is triangular(b, c, m)
+        built.append(tensor(opposite(inst.c), inst.b))
+    built += [enveloping(fixture_algebras["FIX-A2"]), enveloping(fixture_algebras["FIX-TP1(1)"])]
+    for a in inputs:
+        built += [a, opposite(a)]
+        for S in ([0], list(range(1, a.r))) if a.r > 1 else ():
+            built += [corner(a, S), quotient_by_idempotent_ideal(a, S)]
+    for a in built:
+        assert _mult_is_sparse_and_ordered(a), a.name
+    # the loader takes the products in any order and stores them in this one
+    for n, a in enumerate(inputs):
+        doc = algebra_to_json(a)
+        triples = list(doc["mult"])
+        random.Random(n).shuffle(triples)
+        b = algebra_from_json(dict(doc, mult=triples))
+        assert b == a and _mult_is_sparse_and_ordered(b), a.name
+        assert algebra_to_json(b) == doc, a.name
+
+
 def test_json_format_header(a2):
     doc = algebra_to_json(a2)
     assert doc["format"] == "homkit-algebra/1"
@@ -292,7 +339,7 @@ def test_from_quiver_with_non_unit_coefficients():
         ri = alg.labels.index("r")
         qs = alg.labels.index("q*s")
         # p*r reduces to (1/2) q*s
-        prod = alg.mult[pi][ri]
+        prod = alg.mult[pi].get(ri, {})
         half = alg.field.div(alg.field.one, alg.field.of_int(2))
         assert prod == {qs: half}
 
@@ -353,8 +400,8 @@ def test_tensor_structure_constants_associative_under_relabelling(a2, loc, one_p
     to_r = {lmap[i]: rmap[i] for i in range(lhs.dim)}
     for x in range(lhs.dim):
         for y in range(lhs.dim):
-            got = {to_r[z]: c for z, c in lhs.mult[x][y].items()}
-            assert got == rhs.mult[to_r[x]][to_r[y]], (x, y)
+            got = {to_r[z]: c for z, c in lhs.mult[x].get(y, {}).items()}
+            assert got == rhs.mult[to_r[x]].get(to_r[y], {}), (x, y)
 
 
 def test_inhomogeneous_relations_supported():
@@ -368,7 +415,7 @@ def test_inhomogeneous_relations_supported():
     a = from_quiver(s)
     assert a.dim == 2
     xi = a.labels.index("x")
-    assert a.mult[xi][xi] == {}
+    assert xi not in a.mult[xi]
     assert validate(a).ok
 
 
@@ -384,17 +431,12 @@ def test_inhomogeneous_non_admissible_errors_out():
 
 def test_inhomogeneous_multi_degree_window():
     # x^3 = x^4 and x^6 = 0 force x^3 = 0: basis {e, x, x^2}
-    s = parse_spec("""
-        field Q
-        quiver { vertices: 1  arrows: x: 1 -> 1 }
-        relations { (x)^3 - (x)^4, (x)^6 }
-    """)
-    a = from_quiver(s)
+    a = from_quiver(parse_spec(_X3_IS_X4))
     assert a.dim == 3
     xi = a.labels.index("x")
     xxi = a.labels.index("x*x")
-    assert a.mult[xi][xxi] == {}
-    assert a.mult[xxi][xi] == {}
+    assert xxi not in a.mult[xi]
+    assert xi not in a.mult[xxi]
     assert validate(a).ok
 
 
@@ -414,6 +456,6 @@ def test_inhomogeneous_two_vertex_window():
     ui = a.labels.index("u")
     vi = a.labels.index("v")
     wi = a.labels.index("w")
-    prod_uv = a.mult[ui][vi]
-    prod_ww = a.mult[wi][wi]
+    prod_uv = a.mult[ui].get(vi, {})
+    prod_ww = a.mult[wi].get(wi, {})
     assert prod_uv == prod_ww and prod_uv != {}

@@ -505,6 +505,17 @@ def test_repeated_structure_constant_is_an_input_error(capsys, tmp_path, coeffic
         assert err == f"error: {path}: mult entry 6 repeats the product (3, 0) at 3\n", cmd
 
 
+def test_structure_constant_breaking_the_tags_is_an_input_error(capsys, tmp_path):
+    # e_0 * e_0 at e_1 has a left tag other than e_0's, and the library
+    # reads every product by its tags, so the loader rejects the entry
+    path = _tp11_dump(tmp_path, "tags.json", [[0, 0, 1, "1"]])
+    for cmd in ("gorenstein", "stratify"):
+        code, out, err = run_cli(capsys, cmd, path)
+        assert (code, out) == (1, ""), cmd
+        assert err == (f"error: {path}: mult entry 6: the product (0, 0) at 1 "
+                       "does not respect the vertex tags\n"), cmd
+
+
 @pytest.mark.parametrize("shape, minimum", [("AcyclicQuiver", 3), ("NilpotentCyclic", 2),
                                             ("TriangularPair", 5)])
 def test_corpus_dim_bound_below_the_shape_minimum(capsys, shape, minimum):

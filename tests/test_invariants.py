@@ -1,12 +1,13 @@
 import contextlib
 import io
+import random
 
 import pytest
 
 from _oracles import dense_matmul, identity_matrix, invert_int
-from homkit import cli, invariants
+from homkit import cli, corpus, invariants
 from homkit import modules as modules_mod
-from homkit.algebra import opposite, tensor, triangular
+from homkit.algebra import from_quiver, opposite, tensor, triangular
 from homkit.corpus import CorpusSpec, generate
 from homkit.invariants import (cartan_matrix, eilenberg_check, euler_matrix,
                                finite_gldim, gldim, gorenstein,
@@ -14,6 +15,7 @@ from homkit.invariants import (cartan_matrix, eilenberg_check, euler_matrix,
 from homkit.linalg import IntMatrix
 from homkit.modules import (DIM_GUARD, dual, hom_space, pd, projective, projective_cover,
                             regular)
+from homkit.presentation import AlgebraSpec, Arrow, Path, Quiver, Relation
 from homkit.recollement import stratify_search
 
 # Ext table of the two-vertex one-arrow algebra, frozen from its length-1
@@ -418,3 +420,52 @@ def test_monomial_verdicts_do_not_depend_on_the_field():
     assert all(f2[key][0] == "unknown" for key in differ)
     assert differ == {("nilcyc-42-1", "left"): "Unknown(cutoff 12)",
                       ("nilcyc-42-18", "left"): "Unknown(cutoff 12)"}
+
+
+def _permuted_spec(spec, perm):
+    """The presentation with vertex v renamed perm[v]: the labels, the arrow
+    ends and the relation path ends move, the arrow order stays."""
+    labels = [None] * len(perm)
+    for v, label in enumerate(spec.quiver.vertex_labels):
+        labels[perm[v]] = label
+    arrows = tuple(Arrow(a.label, perm[a.source], perm[a.target]) for a in spec.quiver.arrows)
+    relations = tuple(Relation(tuple((c, Path(perm[p.source], perm[p.target], p.arrows))
+                                     for c, p in rel.terms)) for rel in spec.relations)
+    return AlgebraSpec(spec.field, Quiver(tuple(labels), arrows), relations,
+                       spec.degree_cutoff, spec.name)
+
+
+def test_vertex_permutation_permutes_every_per_vertex_verdict(monkeypatch):
+    # renaming the vertices gives an isomorphic algebra: the Cartan matrix is
+    # conjugated by the permutation, det C stays, and the pd of each simple
+    # and both sides of the self-injective dimension are the same verdicts
+    specs = {}
+    real_from_quiver = corpus.from_quiver
+
+    def recording_from_quiver(spec):
+        a = real_from_quiver(spec)
+        specs[a] = spec
+        return a
+
+    monkeypatch.setattr(corpus, "from_quiver", recording_from_quiver)
+    compared = 0
+    for shape in ("NilpotentCyclic", "AcyclicQuiver"):
+        spec = CorpusSpec(seed=42, count=30, shape=shape)
+        for n in range(30):
+            a = generate(spec, n)
+            perm = list(range(a.r))
+            random.Random(n).shuffle(perm)
+            b = from_quiver(_permuted_spec(specs[a], perm))
+            assert b.cartan.det == a.cartan.det, a.name
+            ca, cb = a.cartan.matrix.data, b.cartan.matrix.data
+            assert all(cb[perm[j]][perm[i]] == ca[j][i]
+                       for i in range(a.r) for j in range(a.r)), a.name
+            per_b = gldim(b, 12).per_simple
+            pairs = list(zip(gldim(a, 12).per_simple, [per_b[perm[i]] for i in range(a.r)]))
+            pairs += [(self_injective_dimension(x, 12), self_injective_dimension(y, 12))
+                      for x, y in ((a, b), (opposite(a), opposite(b)))]
+            for p, q in pairs:
+                if p.kind != "unknown" and q.kind != "unknown":
+                    assert (p.kind, p.d) == (q.kind, q.d), a.name
+                    compared += 1
+    assert compared > 300, compared
