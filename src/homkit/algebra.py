@@ -11,7 +11,6 @@ the radical is carried structurally and never recomputed.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -40,18 +39,15 @@ class Algebra:
     zero product is an absent key; no empty row is stored.  The constructor
     trusts its rows, as ``Module``'s does.  Basis order is: the r vertex
     idempotents in vertex order, then the radical basis in construction
-    order.  Instances are immutable by convention, which is what lets
-    ``opposite`` and ``tensor`` keep their results on the instance (in
-    ``_opposite`` and ``_tensors``) and hand out the same object each time.
-    A tensor product keeps its basis pair index in ``_pair_index`` (see
-    ``_tensor``); it holds plain ints, so no reference to either factor.
-    ``_generators``, ``_paths`` and ``_cartan`` keep :attr:`generators`,
-    :attr:`paths` and :attr:`cartan` once they are read.
+    order.  Instances are immutable by convention, which lets ``opposite``
+    keep its result in ``_opposite`` and hand out the same object each
+    time, and ``_generators``, ``_paths`` and ``_cartan`` keep
+    :attr:`generators`, :attr:`paths` and :attr:`cartan` once read.
     """
 
     __slots__ = ("field", "vertex_labels", "labels", "left", "right", "mult",
-                 "r", "name", "_opposite", "_tensors", "_pair_index", "_generators",
-                 "_paths", "_cartan", "__weakref__")
+                 "r", "name", "_opposite", "_generators", "_paths", "_cartan",
+                 "__weakref__")
 
     def __init__(self, field: Field, vertex_labels: list[str], labels: list[str],
                  left: list[int], right: list[int],
@@ -65,8 +61,6 @@ class Algebra:
         self.r = r
         self.name = name
         self._opposite: Algebra | None = None
-        self._tensors: weakref.WeakKeyDictionary | None = None
-        self._pair_index: dict[tuple[int, int], int] | None = None
         self._generators: list[int] | None = None
         self._paths: list[list[int]] | None = None
         self._cartan: Cartan | None = None
@@ -169,8 +163,8 @@ class Algebra:
                 and self.r == other.r
                 and self.mult == other.mult)
 
-    # identity hashing: structural equality stays available for checks, but
-    # caches key algebras by object identity
+    # structural equality serves the checks; a hash by identity keeps an
+    # algebra usable as a dict or set key without hashing its table
     __hash__ = object.__hash__
 
     def __repr__(self):
@@ -393,6 +387,8 @@ def from_quiver(spec: AlgebraSpec) -> Algebra:
 # validation
 # --------------------------------------------------------------------------
 
+_MAX_FAILURES = 5
+
 
 @dataclass
 class ValidationReport:
@@ -404,20 +400,20 @@ class ValidationReport:
         return self.ok
 
 
-def validate(a: Algebra, max_failures: int = 5) -> ValidationReport:
+def validate(a: Algebra) -> ValidationReport:
     """Exhaustively check the Algebra invariants.
 
     Covers: tag consistency of every structure constant, the idempotent
     axioms, two-sidedness and nilpotency of the radical span, associativity
     over all basis triples, and the split basic shape.  Failures carry the
-    first counterexample found.
+    first counterexample found; the check stops at ``_MAX_FAILURES``.
     """
     F = a.field
     fails: list[str] = []
 
     def note(msg: str) -> bool:
         fails.append(msg)
-        return len(fails) >= max_failures
+        return len(fails) >= _MAX_FAILURES
 
     dim, r = a.dim, a.r
     # idempotent axioms and unit behaviour
@@ -522,19 +518,9 @@ def _tensor_basis(a: Algebra, b: Algebra) -> tuple[list[tuple[int, int]], list[s
 
 
 def tensor(a: Algebra, b: Algebra) -> Algebra:
-    """Tensor product algebra a (x) b (componentwise products, no signs).
-
-    Built once per pair of factors: the product is kept on ``a``, keyed
-    weakly by ``b``, and holds no reference to either factor, so the cache
-    keeps neither alive.
-    """
-    cache = a._tensors
-    if cache is None:
-        cache = a._tensors = weakref.WeakKeyDictionary()
-    t = cache.get(b)
-    if t is None:
-        t = cache[b] = _tensor(a, b, f"{a.name}⊗{b.name}")
-    return t
+    """Tensor product algebra a (x) b (componentwise products, no signs),
+    built anew at each call, in the basis order of ``_tensor_basis``."""
+    return _tensor(a, b, f"{a.name}⊗{b.name}")
 
 
 def _tensor(a: Algebra, b: Algebra, name: str) -> Algebra:
@@ -565,10 +551,7 @@ def _tensor(a: Algebra, b: Algebra, name: str) -> Algebra:
                         out[pidx[(z1, z2)]] = F.mul(c1, c2)
                 out_row[pidx[(x2, y2)]] = out
         mult.append(dict(sorted(out_row.items())))
-    t = Algebra(F, vertex_labels, labels, left, right, mult, a.r * b.r, name=name)
-    # basis pair (x, y) -> index; its key order is the basis order
-    t._pair_index = pidx
-    return t
+    return Algebra(F, vertex_labels, labels, left, right, mult, a.r * b.r, name=name)
 
 
 def enveloping(a: Algebra) -> Algebra:
@@ -726,10 +709,14 @@ def _index_in(value, n: int) -> bool:
 
 def algebra_from_json(doc: dict) -> Algebra:
     """Read a homkit-algebra/1 document; a malformed one raises ValueError
-    naming the entry at fault.  A structure constant that parses to zero is
-    dropped, a product (x, y) at z may be given once only, and a non-zero
-    one must respect the vertex tags: right[x] = left[y], left[z] = left[x]
-    and right[z] = right[y].  The entries may come in any order."""
+    naming the entry or basis element at fault.  A structure constant that
+    parses to zero is dropped, a product (x, y) at z may be given once only,
+    and a non-zero one must respect the vertex tags: right[x] = left[y],
+    left[z] = left[x] and right[z] = right[y].  A product with an idempotent
+    is the unit one, x * e_y = x or e_x * y = y with coefficient 1, and a
+    product of two radical elements has no idempotent component.  Every
+    basis element k needs both of its unit products, e_left[k] * k and
+    k * e_right[k].  The entries may come in any order."""
     fmt = doc.get("format") if isinstance(doc, dict) else None
     if fmt != "homkit-algebra/1":
         raise ValueError(f"unsupported algebra format {fmt!r}")
@@ -774,6 +761,17 @@ def algebra_from_json(doc: dict) -> Algebra:
             if not (right[x] == left[y] and left[z] == left[x] and right[z] == right[y]):
                 raise ValueError(f"mult entry {n}: the product ({x}, {y}) at {z} "
                                  "does not respect the vertex tags")
+            unit = x if y < r else y if x < r else None
+            if unit is None and z < r:
+                raise ValueError(f"mult entry {n}: the radical product ({x}, {y}) has "
+                                 f"an idempotent component at {z}")
+            if unit is not None and (z != unit or c != 1):
+                raise ValueError(f"mult entry {n}: the product ({x}, {y}) with an "
+                                 f"idempotent must be {unit} with coefficient 1")
             mult[x].setdefault(y, {})[z] = c
+    for k in range(dim):
+        for x, y in ((left[k], k), (k, right[k])):
+            if y not in mult[x]:
+                raise ValueError(f"basis element {k} has no unit product ({x}, {y})")
     return Algebra(F, vertices, [e["label"] for e in basis], left, right,
                    [dict(sorted(row.items())) for row in mult], r, name=doc.get("name", ""))

@@ -1,10 +1,12 @@
 """The homkit command line.
 
-    homkit <command> [args] [--cutoff N] [--json] [--seed S] [--field Q|Fp] [--jobs N]
+    homkit <command> [args] [--json] [--cutoff N]
+    homkit corpus --shape S [--count N] [--seed S] [--field Q|Fp] [--jobs N] [--json]
 
 Commands: basis, cartan, gldim, gorenstein, smooth, stratify,
 check {theorem1, two-point, eilenberg, gorenstein-transfer,
-smoothness-transfer}, corpus, dump.
+smoothness-transfer}, corpus, dump.  Every command takes ``--json``; all but
+basis, cartan and dump take ``--cutoff``; only corpus takes the rest.
 
 File arguments take ``.qa`` presentations, ``homkit-algebra/1`` JSON dumps,
 or built-in fixture names (FIX-A2, FIX-TP1(n), FIX-TP2, FIX-LOC, FIX-TRI0).

@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from itertools import zip_longest
 
-from .algebra import Algebra, opposite
+from .algebra import Algebra, _tensor_basis, enveloping, opposite
 from .linalg import IntMatrix
-from .modules import Module, PdResult, ext_dims, injective, pd, simple
+from .modules import Module, PdResult, adapt_weights, ext_dims, injective, pd, simple
 
 CARTAN_CONVENTION = "c[i][j] = dim e_j A e_i (multiplicity of S_i in P_j)"
 
@@ -271,14 +271,12 @@ def smooth(a: Algebra, cutoff: int, cross_check: bool = False) -> SmoothReport:
 
 def _regular_bimodule(a: Algebra) -> Module:
     """A as a right module over enveloping(a) = op(a) (x) a."""
-    from .algebra import enveloping
     env = enveloping(a)
     F = a.field
     # v * (x^op (x) y) = x v y
     action = [{s: v for s in range(a.dim)
                if (v := a.mul_coords(a.mul_coords({x: F.one}, {s: F.one}), {y: F.one}))}
-              for (x, y) in env._pair_index]
-    from .modules import adapt_weights
+              for (x, y) in _tensor_basis(opposite(a), a)[0]]
     return adapt_weights(env, a.dim, action)
 
 

@@ -1116,7 +1116,8 @@ def bimodule_restrictions(b: Algebra, c: Algebra, m: Module) -> tuple[Module, Mo
     """
     if m.algebra != tensor(opposite(c), b):
         raise ValueError("bimodule is not a module over tensor(opposite(c), b)")
-    return _restrictions(b, c, m.weights, *_side_sums(b, c, m.algebra._pair_index, m.action))
+    pairs = _tensor_basis(opposite(c), b)[0]
+    return _restrictions(b, c, m.weights, *_side_sums(b, c, pairs, m.action))
 
 
 def _restrictions(b: Algebra, c: Algebra, weights: list[int], right, left) -> tuple[Module, Module]:

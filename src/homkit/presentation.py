@@ -62,11 +62,6 @@ class Path:
     def length(self) -> int:
         return len(self.arrows)
 
-    def label(self, quiver: Quiver) -> str:
-        if not self.arrows:
-            return "e" + quiver.vertex_labels[self.source]
-        return "*".join(quiver.arrows[i].label for i in self.arrows)
-
 
 def trivial_path(vertex: int) -> Path:
     return Path(vertex, vertex, ())

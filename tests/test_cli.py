@@ -9,7 +9,7 @@ import pytest
 
 from homkit import algebra as algebra_mod
 from homkit import cli, corpus
-from homkit.algebra import (algebra_from_json, algebra_to_json, from_quiver,
+from homkit.algebra import (_tensor_basis, algebra_from_json, algebra_to_json, from_quiver,
                             opposite, tensor)
 from homkit.invariants import TheoremViolation
 from homkit.modules import Module, module_to_json
@@ -516,6 +516,54 @@ def test_structure_constant_breaking_the_tags_is_an_input_error(capsys, tmp_path
                        "does not respect the vertex tags\n"), cmd
 
 
+@pytest.mark.parametrize("extra, named", [
+    ([2, 1, 2, "2"], "the product (2, 1) with an idempotent must be 2 with coefficient 1"),
+    ([1, 3, 3, "3"], "the product (1, 3) with an idempotent must be 3 with coefficient 1"),
+    ([2, 3, 0, "1"], "the radical product (2, 3) has an idempotent component at 0"),
+], ids=["scaled-right-unit", "scaled-left-unit", "radical-to-idempotent"])
+def test_structure_constant_breaking_the_unit_is_an_input_error(capsys, tmp_path, extra, named):
+    # each entry respects the tags, but x * e_y = x, e_x * y = y and a radical
+    # product lies in the radical; a scaled unit replaces FIX-TP1(1)'s own
+    # entry for its product, the radical one is appended
+    path = tmp_path / "unit.json"
+    doc = algebra_to_json(from_quiver(spec_of_fixture("FIX-TP1(1)")))
+    doc["mult"] = [e for e in doc["mult"] if e[:3] != extra[:3]] + [extra]
+    path.write_text(json.dumps(doc))
+    n = len(doc["mult"]) - 1
+    for cmd in ("gorenstein", "stratify"):
+        code, out, err = run_cli(capsys, cmd, str(path))
+        assert (code, out) == (1, ""), cmd
+        assert err == f"error: {path}: mult entry {n}: {named}\n", cmd
+
+
+def test_idempotent_component_of_a_unit_product_is_an_input_error(capsys, tmp_path):
+    # the loop 4 of nilcyc-42-17 times its idempotent e_1 gains an e_1
+    # component; the tags allow it, and read unchecked it made stratify fire
+    # a false det multiplicativity tripwire (exit 3)
+    doc = algebra_to_json(corpus.generate(
+        corpus.CorpusSpec(seed=42, count=30, shape="NilpotentCyclic"), 17))
+    doc["mult"].append([4, 1, 1, "1"])
+    path = tmp_path / "nilcyc-42-17.json"
+    path.write_text(json.dumps(doc))
+    for cmd in ("stratify", "gldim", "gorenstein"):
+        code, out, err = run_cli(capsys, cmd, str(path))
+        assert (code, out) == (1, ""), cmd
+        assert err == (f"error: {path}: mult entry 9: the product (4, 1) with an "
+                       "idempotent must be 4 with coefficient 1\n"), cmd
+
+
+def test_missing_unit_product_is_an_input_error(capsys, tmp_path):
+    # without alpha * e_2 = alpha, alpha would act as zero on the right
+    path = tmp_path / "no-unit.json"
+    doc = algebra_to_json(from_quiver(spec_of_fixture("FIX-TP1(1)")))
+    doc["mult"].remove([2, 1, 2, "1"])
+    path.write_text(json.dumps(doc))
+    for cmd in ("gorenstein", "stratify"):
+        code, out, err = run_cli(capsys, cmd, str(path))
+        assert (code, out) == (1, ""), cmd
+        assert err == f"error: {path}: basis element 2 has no unit product (2, 1)\n", cmd
+
+
 @pytest.mark.parametrize("shape, minimum", [("AcyclicQuiver", 3), ("NilpotentCyclic", 2),
                                             ("TriangularPair", 5)])
 def test_corpus_dim_bound_below_the_shape_minimum(capsys, shape, minimum):
@@ -573,8 +621,8 @@ def test_bad_matrix_beside_the_side_actions_is_an_input_error(capsys, tmp_path, 
 
     def edit_all(inst, doc):
         c, b = inst.c, inst.b
-        T = tensor(opposite(c), b)
-        labels = [T.labels[k] for (x, y), k in T._pair_index.items() if x >= c.r and y >= b.r]
+        labels = [label for (x, y), label in zip(*_tensor_basis(opposite(c), b))
+                  if x >= c.r and y >= b.r]
         for label in reversed(labels):
             edit(doc["action"], label)
         doc["action"] = dict(reversed(doc["action"].items()))

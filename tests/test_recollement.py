@@ -8,7 +8,7 @@ import pytest
 
 import homkit.algebra as algebra_mod
 import homkit.modules as modules_mod
-from homkit.algebra import (_triangular, corner, opposite,
+from homkit.algebra import (_tensor_basis, _triangular, corner, opposite,
                             quotient_by_idempotent_ideal, tensor, triangular, validate)
 from homkit.corpus import CorpusSpec, generate
 from homkit.invariants import cartan_matrix, gldim, gorenstein
@@ -440,7 +440,7 @@ def test_bimodule_sides_are_the_restrictions_along_checked_maps():
     for inst in _triples(42):
         b, c, m = inst.b, inst.c, inst.m
         T = m.algebra
-        pidx = T._pair_index
+        pidx = {p: k for k, p in enumerate(_tensor_basis(opposite(c), b)[0])}
 
         def dense(coords):
             return [coords.get(t, 0) for t in range(T.dim)]
