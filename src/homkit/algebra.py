@@ -716,7 +716,11 @@ def algebra_from_json(doc: dict) -> Algebra:
     is the unit one, x * e_y = x or e_x * y = y with coefficient 1, and a
     product of two radical elements has no idempotent component.  Every
     basis element k needs both of its unit products, e_left[k] * k and
-    k * e_right[k].  The entries may come in any order."""
+    k * e_right[k].  The entries may come in any order.  Associativity is
+    checked against the generators, as the Hom systems read A:
+    (x * y) * g = x * (y * g) for every non-zero product x * y of radical
+    elements and every generator g (see ``Algebra.generators``); ``validate``
+    checks every triple."""
     fmt = doc.get("format") if isinstance(doc, dict) else None
     if fmt != "homkit-algebra/1":
         raise ValueError(f"unsupported algebra format {fmt!r}")
@@ -773,5 +777,16 @@ def algebra_from_json(doc: dict) -> Algebra:
         for x, y in ((left[k], k), (k, right[k])):
             if y not in mult[x]:
                 raise ValueError(f"basis element {k} has no unit product ({x}, {y})")
-    return Algebra(F, vertices, [e["label"] for e in basis], left, right,
-                   [dict(sorted(row.items())) for row in mult], r, name=doc.get("name", ""))
+    a = Algebra(F, vertices, [e["label"] for e in basis], left, right,
+                [dict(sorted(row.items())) for row in mult], r, name=doc.get("name", ""))
+    # a product with an idempotent is a unit one, so only radical x and y
+    # can fail, and x * y * g is zero unless g starts where y ends
+    starting = [[g for g in a.generators if left[g] == i] for i in range(r)]
+    for x in range(r, dim):
+        for y, xy in a.mult[x].items():
+            for g in starting[right[y]] if y >= r else ():
+                if (a.mul_coords(xy, {g: F.one})
+                        != a.mul_coords({x: F.one}, a.mult[y].get(g, {}))):
+                    raise ValueError(f"the product ({x}, {y}, {g}) is not associative: "
+                                     f"({x} * {y}) * {g} != {x} * ({y} * {g})")
+    return a

@@ -272,6 +272,15 @@ def test_json_round_trip(fixture_algebras):
         assert json.dumps(algebra_to_json(b), sort_keys=True) == text
 
 
+def test_pool_algebras_pass_the_load_rules(seed42_pools):
+    # every algebra of the seed-42 pools, the transfer factors included, is
+    # associative, so the loader reads its document back unchanged
+    for shape, pool in seed42_pools.items():
+        for x in pool:
+            for a in ((x.a, x.b, x.c) if shape == "TriangularPair" else (x,)):
+                assert algebra_from_json(algebra_to_json(a)) == a, a.name
+
+
 # inhomogeneous, so realised by the windowed closure
 _X3_IS_X4 = """
     field Q

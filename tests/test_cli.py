@@ -552,6 +552,24 @@ def test_idempotent_component_of_a_unit_product_is_an_input_error(capsys, tmp_pa
                        "idempotent must be 4 with coefficient 1\n"), cmd
 
 
+def test_non_associative_structure_constant_is_an_input_error(capsys, tmp_path):
+    # scaling tri-42-10's product 8 * 4 = 9 by 2 keeps the tags and the unit
+    # products, but (20 * 8) * 4 no longer equals 20 * (8 * 4); read
+    # unchecked, gldim, gorenstein, stratify and cartan all exited 0 with
+    # verdicts on a table that is no algebra
+    doc = algebra_to_json(corpus.generate(
+        corpus.CorpusSpec(seed=42, count=30, shape="TriangularPair"), 10).a)
+    assert [8, 4, 9, "1"] in doc["mult"]
+    doc["mult"] = [[8, 4, 9, "2"] if e == [8, 4, 9, "1"] else e for e in doc["mult"]]
+    path = tmp_path / "tri-42-10.json"
+    path.write_text(json.dumps(doc))
+    for cmd in ("gldim", "gorenstein", "stratify", "cartan"):
+        code, out, err = run_cli(capsys, cmd, str(path))
+        assert (code, out) == (1, ""), cmd
+        assert err == (f"error: {path}: the product (20, 8, 4) is not associative: "
+                       "(20 * 8) * 4 != 20 * (8 * 4)\n"), cmd
+
+
 def test_missing_unit_product_is_an_input_error(capsys, tmp_path):
     # without alpha * e_2 = alpha, alpha would act as zero on the right
     path = tmp_path / "no-unit.json"
