@@ -718,8 +718,8 @@ def algebra_from_json(doc: dict) -> Algebra:
     basis element k needs both of its unit products, e_left[k] * k and
     k * e_right[k].  The entries may come in any order.  Associativity is
     checked against the generators, as the Hom systems read A:
-    (x * y) * g = x * (y * g) for every non-zero product x * y of radical
-    elements and every generator g (see ``Algebra.generators``); ``validate``
+    (x * y) * g = x * (y * g) for all radical x and y, x * y zero or not,
+    and every generator g (see ``Algebra.generators``); ``validate``
     checks every triple."""
     fmt = doc.get("format") if isinstance(doc, dict) else None
     if fmt != "homkit-algebra/1":
@@ -780,13 +780,16 @@ def algebra_from_json(doc: dict) -> Algebra:
     a = Algebra(F, vertices, [e["label"] for e in basis], left, right,
                 [dict(sorted(row.items())) for row in mult], r, name=doc.get("name", ""))
     # a product with an idempotent is a unit one, so only radical x and y
-    # can fail, and x * y * g is zero unless g starts where y ends
+    # can fail, and x * y * g is zero unless y starts where x ends and g
+    # where y ends; an absent product x * y is zero and is checked too
     starting = [[g for g in a.generators if left[g] == i] for i in range(r)]
     for x in range(r, dim):
-        for y, xy in a.mult[x].items():
-            for g in starting[right[y]] if y >= r else ():
-                if (a.mul_coords(xy, {g: F.one})
-                        != a.mul_coords({x: F.one}, a.mult[y].get(g, {}))):
+        for y in a.paths[right[x]][1:]:  # the idempotent e_right[x] comes first
+            xy = a.mult[x].get(y, {})
+            for g in starting[right[y]]:
+                yg = a.mult[y].get(g, {})
+                if (xy or yg) and (a.mul_coords(xy, {g: F.one})
+                                   != a.mul_coords({x: F.one}, yg)):
                     raise ValueError(f"the product ({x}, {y}, {g}) is not associative: "
                                      f"({x} * {y}) * {g} != {x} * ({y} * {g})")
     return a

@@ -36,8 +36,6 @@ from .presentation import SpecError, parse_spec, spec_of_fixture
 from .recollement import (det_multiplicativity_check, gorenstein_transfer_check,
                           smoothness_transfer_check, stratify_search)
 
-_encode_str = json.encoder.encode_basestring
-
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INTERNAL = 2
@@ -70,30 +68,7 @@ def _bounded_int(low: int, high: int | None = None):
 
 
 def canonical_json(obj) -> str:
-    """The bytes of ``json.dumps(obj, sort_keys=True, indent=2,
-    ensure_ascii=False)`` and a newline, from one recursive pass: with
-    ``indent`` set the stdlib encodes in pure Python, which is slower."""
-    return _json_text(obj, "\n") + "\n"
-
-
-def _json_text(obj, nl: str) -> str:
-    """The JSON text of obj, each nested line starting with ``nl`` and two
-    more spaces per level."""
-    if isinstance(obj, str):
-        return _encode_str(obj)
-    if obj is None or obj is True or obj is False:
-        return "null" if obj is None else "true" if obj else "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, dict) and obj:
-        inner = nl + "  "
-        return "{" + ",".join(
-            f"{inner}{_encode_str(k if isinstance(k, str) else json.dumps(k))}: "
-            f"{_json_text(v, inner)}" for k, v in sorted(obj.items())) + nl + "}"
-    if isinstance(obj, (list, tuple)) and obj:
-        inner = nl + "  "
-        return "[" + ",".join(inner + _json_text(v, inner) for v in obj) + nl + "]"
-    return json.dumps(obj)  # floats and empty containers
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 def load_algebra(path: str) -> Algebra:

@@ -24,10 +24,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .algebra import Algebra, _triangular, from_quiver, opposite, tensor
+from .algebra import Algebra, from_quiver, opposite, tensor, triangular
 from .linalg import Field
-from .modules import (Module, _tensor_restrictions, direct_sum, projective, quotient_module,
-                      spanned_submodule)
+from .modules import Module, projective, direct_sum, quotient_module, spanned_submodule
 from .presentation import Arrow, AlgebraSpec, Path, Quiver, Relation, enumerate_paths
 
 SHAPES = ("AcyclicQuiver", "NilpotentCyclic", "TriangularPair")
@@ -209,7 +208,7 @@ def gen_triangular_pair(spec: CorpusSpec, index: int) -> TriangularInstance:
         if m_bound < 1:
             continue
         m = _random_bimodule(rng, b, c, m_bound)
-        a = _triangular(b, c, *_tensor_restrictions(b, c, m))
+        a = triangular(b, c, m)
         a.name = f"tri-{spec.seed}-{index}"
         if a.dim <= spec.dim_bound:
             return TriangularInstance(b, c, m, a)

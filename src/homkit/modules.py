@@ -43,7 +43,11 @@ _ISO_SEARCH_SEED = 0x5EED
 _ISO_RETRIES = 8
 _EXHAUSTIVE_LIMIT = 4096
 
-WORK_GUARD = 1280  # the bound of ``_stop``, read at call time
+# Resolutions abort (soundly, to Unknown / aborted) when a cover source
+# would exceed this dimension, and a proper summand test is skipped when its
+# Hom system has more unknowns; both numbers are fixed by the module, not by
+# its basis.  Syzygies of wild input can grow exponentially.  Read at call time.
+DIM_GUARD = 1024
 
 
 def _vecmat(F: Field, v: dict, A: dict) -> dict:
@@ -348,15 +352,16 @@ class Cover:
     x acts on a source coordinate standing for path k through
     ``algebra.mult[k].get(x)``, an absent key being a zero product.
     ``matrix`` has one sparse row per source coordinate: the image of its
-    path in M, read at a lift chosen off M's cached radical row space, so
-    the source dimension is its length.
+    path in M, read at a lift chosen off M's cached radical row space.
     """
 
-    def __init__(self, summands: list[int], multiplicities: list[int], matrix: list[dict]):
+    def __init__(self, algebra: Algebra, summands: list[int],
+                 multiplicities: list[int], matrix: list[dict]):
+        self.algebra = algebra
         self.summands = summands
         self.multiplicities = multiplicities
         self.matrix = matrix
-        self.source_dim = len(matrix)
+        self.source_dim = sum(len(algebra.paths[i]) for i in summands)
 
 
 def projective_cover(m: Module) -> Cover:
@@ -384,7 +389,7 @@ def projective_cover(m: Module) -> Cover:
             summands.append(i)
             for k in a.paths[i]:
                 rows.append(m.action[k].get(t) or {})
-    return Cover(summands, mults, rows)
+    return Cover(a, summands, mults, rows)
 
 
 def syzygy(m: Module) -> Module:
@@ -426,6 +431,8 @@ def _syzygy_with_inclusion(m: Module, cov: Cover | None = None) -> tuple[Module,
     for eq in _transpose(enumerate(cov.matrix)).values():
         eqs.add(eq)
     kernel = eqs.kernel_basis(cov.source_dim)
+    if not kernel:
+        return zero_module(a), cov, []
     d = len(kernel)
     # kernel_basis lists its vectors in free-column order
     coord = {c: s for s, c in enumerate(c for c in range(cov.source_dim)
@@ -478,17 +485,6 @@ def _syzygy_with_inclusion(m: Module, cov: Cover | None = None) -> tuple[Module,
     return sub, cov, kernel
 
 
-def _stop(work: int) -> str | None:
-    """The one stop rule of a resolution: ``"work_guard"`` when a step or a
-    proper summand test would do more work than ``WORK_GUARD`` (syzygies of
-    wild input can grow exponentially), else None.  A step with cover P -> M
-    does none when dim P = dim M (the syzygy is zero, with no equation), and
-    otherwise the non-zeros of the cover equations plus dim P - dim M, both
-    known before the elimination since the cover is onto; a summand test
-    does the number of unknowns of its Hom system (see ``_fits``)."""
-    return "work_guard" if work > WORK_GUARD else None
-
-
 def _resolution_steps(m: Module, steps: int):
     """The minimal resolution of a non-zero m, one syzygy at a time.
 
@@ -496,18 +492,17 @@ def _resolution_steps(m: Module, steps: int):
     and ends after the first zero one.  The steps are kept on
     ``m._resolution`` and a step is built only when a caller first reads
     it, so pd, Ext, Tor and ``min_resolution`` on one module object share
-    one resolution.  When ``_stop`` stops the next step it yields the stop
-    reason, a string, and ends; that stop is not kept, so the rule is read
-    at every call.
+    one resolution.  When a cover source would exceed ``DIM_GUARD`` it
+    yields None and ends; that stop is not kept, so the guard is read at
+    every call.
     """
     done = m._resolution
     for j in range(steps):
         if j == len(done):
             cur = done[-1][0] if done else m
             cov = projective_cover(cur)
-            extra = cov.source_dim - cur.dim
-            if (reason := _stop(extra + sum(map(len, cov.matrix)) if extra else 0)) is not None:
-                yield reason
+            if cov.source_dim > DIM_GUARD:
+                yield None
                 return
             done.append(_syzygy_with_inclusion(cur, cov))
         step = done[j]
@@ -532,7 +527,7 @@ class Resolution:
     steps: list[ResolutionStep]
     syzygies: list[Module]
     terminated: bool
-    aborted: bool = False  # a step was stopped by ``_stop``
+    aborted: bool = False  # a cover source exceeded the dimension guard
 
     @property
     def length(self) -> int:
@@ -546,8 +541,9 @@ def min_resolution(m: Module, cutoff: int) -> Resolution:
     """Minimal projective resolution out to at most ``cutoff`` terms.
 
     ``terminated`` is True iff some syzygy vanished within the cutoff; in
-    that case the last stored step covers the final nonzero syzygy.  When
-    ``_stop`` stops a step the resolution ends early with ``aborted`` set.
+    that case the last stored step covers the final nonzero syzygy.  When a
+    cover source would exceed ``DIM_GUARD`` the resolution stops early with
+    ``aborted`` set.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
@@ -557,7 +553,7 @@ def min_resolution(m: Module, cutoff: int) -> Resolution:
         return Resolution(m, steps, syzygies, True)
     incl_prev: dict[int, dict] | None = None  # the last inclusion, by row index
     for step in _resolution_steps(m, cutoff + 1):
-        if isinstance(step, str):
+        if step is None:
             return Resolution(m, steps, syzygies, False, aborted=True)
         sub, cov, incl = step
         if incl_prev is None:
@@ -811,8 +807,8 @@ class PdResult:
     syzygy would be zero or of pd d - k < d, neither of which can hold a
     summand X != 0, so pd X is infinite, and with it pd of the module.
     Unknown: ``reason`` says what stopped the search, ``cutoff`` when
-    ``step`` = cutoff syzygies were built, or the reason of ``_stop`` for
-    the step from syzygy number ``step``, ``work_guard``.  ``summand`` names
+    ``step`` = cutoff syzygies were built, ``dim_guard`` when the cover of
+    syzygy number ``step`` exceeded the dimension guard.  ``summand`` names
     the summand of a larger module that a result was certified on (see
     ``invariants.gorenstein``).
     """
@@ -826,7 +822,7 @@ class PdResult:
     witness: SplitWitness | None = None
     witness_modules: tuple[Module, Module] | None = None
     summand: str | None = None
-    reason: str | None = None  # Unknown only: "cutoff" | a reason of _stop
+    reason: str | None = None  # Unknown only: "cutoff" | "dim_guard"
     step: int | None = None
 
     @property
@@ -846,9 +842,9 @@ class PdResult:
             repeat = "summand repeat" if x.dim < y.dim else "repeat"
             return (f"InfiniteCertified({where}{repeat} at {self.first_repeat}, "
                     f"period {self.period})")
-        if self.reason == "cutoff":
-            return f"Unknown(cutoff {self.cutoff})"
-        return f"Unknown({self.reason.replace('_', ' ')} at step {self.step})"
+        if self.reason == "dim_guard":
+            return f"Unknown(dim guard at step {self.step})"
+        return f"Unknown(cutoff {self.cutoff})"
 
 
 def _signature(m: Module) -> tuple:
@@ -860,13 +856,13 @@ def _fits(small: tuple, big: tuple) -> bool:
     Y of signature ``big``?  Always when they are equal (X may be Y).  A
     proper summand, Y = X (+) Z with Z != 0, needs X smaller, no larger at
     any weight or in any top multiplicity, and a top smaller in total,
-    since top Z != 0; it is tested only when ``_stop`` lets through the
-    unknowns of the Hom system of X and Y."""
+    since top Z != 0; it is tested only when the Hom system of X and Y has
+    at most ``DIM_GUARD`` unknowns."""
     return small == big or (
         small[0] < big[0] and sum(small[2]) < sum(big[2])
         and all(u <= v for u, v in zip(small[1], big[1]))
         and all(u <= v for u, v in zip(small[2], big[2]))
-        and _stop(sum(u * v for u, v in zip(small[1], big[1]))) is None)
+        and sum(u * v for u, v in zip(small[1], big[1])) <= DIM_GUARD)
 
 
 def pd(m: Module, cutoff: int) -> PdResult:
@@ -874,7 +870,8 @@ def pd(m: Module, cutoff: int) -> PdResult:
 
     At each step j every earlier syzygy that ``_fits`` into the new one,
     the most recent first, is tested as a direct summand of it
-    (``_split``).  A step that ``_stop`` stops ends in Unknown.
+    (``_split``).  A cover source exceeding ``DIM_GUARD`` aborts the
+    resolution and yields Unknown (never a wrong certificate).
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
@@ -884,8 +881,9 @@ def pd(m: Module, cutoff: int) -> PdResult:
     sigs = [_signature(m)]
     dims = [m.dim]
     for j, step in enumerate(_resolution_steps(m, cutoff), 1):
-        if isinstance(step, str):
-            return PdResult("unknown", cutoff=cutoff, syzygy_dims=dims, reason=step, step=j - 1)
+        if step is None:
+            return PdResult("unknown", cutoff=cutoff, syzygy_dims=dims,
+                            reason="dim_guard", step=j - 1)
         nxt = step[0]
         dims.append(nxt.dim)
         if nxt.is_zero():
@@ -925,7 +923,9 @@ def _derived_dims(m: Module, n: Module, cutoff: int, tor: bool) -> list[int]:
     blocks the induced map sends basis vector t to ``t * a``: out of the
     e_i A block for Ext (phi |-> phi o d), and out of the e_j A block for
     Tor (d (x) 1, where N's action is A's left action).  Homology is
-    dim C_l minus the ranks of the maps in and out.
+    dim C_l minus the ranks of the maps in and out.  When the dimension
+    guard stops the resolution, Ext raises and Tor keeps the degrees that
+    are still certain.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
@@ -936,10 +936,10 @@ def _derived_dims(m: Module, n: Module, cutoff: int, tor: bool) -> list[int]:
     steps = []
     limit = cutoff
     for step in _resolution_steps(m, cutoff + 2):
-        if isinstance(step, str):
+        if step is None:
             if not tor:
-                raise ValueError(f"the {step.replace('_', ' ')} stopped the resolution at step "
-                                 f"{len(steps)}; Ext dimensions cannot be certified")
+                raise ValueError(f"the dimension guard stopped the resolution at step {len(steps)}"
+                                 "; Ext cannot be certified (raise modules.DIM_GUARD)")
             limit = min(cutoff, len(steps) - 2)
             break
         steps.append(step)
@@ -996,16 +996,16 @@ def _derived_dims(m: Module, n: Module, cutoff: int, tor: bool) -> list[int]:
 
 def ext_dims(m: Module, n: Module, cutoff: int) -> list[int]:
     """dim Ext^l(M, N) for 0 <= l <= cutoff, from a minimal resolution of M;
-    raises ValueError when ``_stop`` stops the resolution."""
+    raises ValueError when the resolution hits the dimension guard."""
     return _derived_dims(m, n, cutoff, tor=False)
 
 
 def tor_dims(m: Module, n: Module, cutoff: int) -> list[int]:
     """dim Tor_l^R(M, N) for 0 <= l <= cutoff via a minimal resolution of M.
 
-    N is a right module over opposite(R).  When ``_stop`` stops the
-    resolution the list is truncated to the degrees that are still certain
-    (possibly fewer than cutoff + 1).
+    N is a right module over opposite(R).  When the resolution hits the
+    dimension guard the list is truncated to the degrees that are still
+    certain (possibly fewer than cutoff + 1).
     """
     return _derived_dims(m, n, cutoff, tor=True)
 
@@ -1116,12 +1116,6 @@ def bimodule_restrictions(b: Algebra, c: Algebra, m: Module) -> tuple[Module, Mo
     """
     if m.algebra != tensor(opposite(c), b):
         raise ValueError("bimodule is not a module over tensor(opposite(c), b)")
-    return _tensor_restrictions(b, c, m)
-
-
-def _tensor_restrictions(b: Algebra, c: Algebra, m: Module) -> tuple[Module, Module]:
-    """``bimodule_restrictions`` of an M that the caller built over
-    tensor(opposite(c), b), with no tensor built to compare its algebra."""
     pairs = _tensor_basis(opposite(c), b)[0]
     return _restrictions(b, c, m.weights, *_side_sums(b, c, pairs, m.action))
 

@@ -552,15 +552,20 @@ def test_idempotent_component_of_a_unit_product_is_an_input_error(capsys, tmp_pa
                        "idempotent must be 4 with coefficient 1\n"), cmd
 
 
-def test_non_associative_structure_constant_is_an_input_error(capsys, tmp_path):
-    # scaling tri-42-10's product 8 * 4 = 9 by 2 keeps the tags and the unit
-    # products, but (20 * 8) * 4 no longer equals 20 * (8 * 4); read
-    # unchecked, gldim, gorenstein, stratify and cartan all exited 0 with
-    # verdicts on a table that is no algebra
+@pytest.mark.parametrize("edit", ["scale", "delete"])
+def test_non_associative_structure_constant_is_an_input_error(edit, capsys, tmp_path):
+    # in tri-42-10, (20 * 8) * 4 = 20 * (8 * 4) != 0; scaling 8 * 4 by 2, or
+    # deleting the product 20 * 8 (which then reads as zero), keeps the tags
+    # and the unit products but breaks that equation; read unchecked, gldim,
+    # gorenstein, stratify and cartan all exited 0 with verdicts on a table
+    # that is no algebra
     doc = algebra_to_json(corpus.generate(
         corpus.CorpusSpec(seed=42, count=30, shape="TriangularPair"), 10).a)
-    assert [8, 4, 9, "1"] in doc["mult"]
-    doc["mult"] = [[8, 4, 9, "2"] if e == [8, 4, 9, "1"] else e for e in doc["mult"]]
+    assert [8, 4, 9, "1"] in doc["mult"] and [20, 8, 13, "1"] in doc["mult"]
+    if edit == "scale":
+        doc["mult"] = [[8, 4, 9, "2"] if e == [8, 4, 9, "1"] else e for e in doc["mult"]]
+    else:
+        doc["mult"] = [e for e in doc["mult"] if e[:2] != [20, 8]]
     path = tmp_path / "tri-42-10.json"
     path.write_text(json.dumps(doc))
     for cmd in ("gldim", "gorenstein", "stratify", "cartan"):

@@ -13,7 +13,7 @@ from homkit.invariants import (cartan_matrix, eilenberg_check, euler_matrix,
                                finite_gldim, gldim, gorenstein,
                                self_injective_dimension, smooth, two_point_criterion)
 from homkit.linalg import IntMatrix
-from homkit.modules import (WORK_GUARD, dual, hom_space, pd, projective, projective_cover,
+from homkit.modules import (DIM_GUARD, dual, hom_space, pd, projective, projective_cover,
                             regular, simple)
 from homkit.presentation import AlgebraSpec, Arrow, Path, Quiver, Relation
 from homkit.recollement import stratify_search
@@ -263,8 +263,8 @@ def test_self_injective_dimension_agrees_with_the_sum(fixture_algebras):
                 assert whole.is_infinite, key
                 x, y = whole.witness_modules
                 assert x.dim < y.dim, key
-    # nilcyc-42-20's D(A) resolved whole is decided too, by a proper
-    # summand test (summand repeat at 4, period 2)
+    # nilcyc-42-20's D(A) resolved whole is decided too, on both sides, by
+    # proper summand tests (summand repeat at 4 and at 3, period 2)
     assert {"nilcyc-42-10"} <= decided
 
 
@@ -286,48 +286,50 @@ def test_self_injective_dimension_stops_at_the_first_infinite_injective(monkeypa
 
 
 def test_self_injective_dimension_keeps_the_guard_unknown(monkeypatch):
-    # the step from injective 2 over A^op does 933 units of work at step 0,
-    # the most of the three, so the right side is Finite(1) under the work
-    # guard and an honest Unknown under any bound below 933
+    # injective 2 over A^op has the largest cover at step 0, with 864 source
+    # columns; under the guard the right side is Finite(1), and under any
+    # guard below 864 it is an honest Unknown
     a = generate(CorpusSpec(seed=42, count=30, shape="TriangularPair"), 14).a
     right = self_injective_dimension(a, 12)
     assert (right.describe(), right.syzygy_dims) == ("Finite(1)", [42, 982, 0])
-    assert WORK_GUARD >= 933
-    monkeypatch.setattr(modules_mod, "WORK_GUARD", 932)
+    sources = [projective_cover(dual(projective(a, i))).source_dim for i in range(a.r)]
+    assert max(sources) == 864 <= DIM_GUARD
+    monkeypatch.setattr(modules_mod, "DIM_GUARD", 863)
     right = self_injective_dimension(a, 12)
     assert right.kind == "unknown"
     # and says so: the side takes the reason of its first non-Finite summand
-    assert right.describe() == "Unknown(work guard at step 0)"
-    assert (right.reason, right.step, right.cutoff) == ("work_guard", 0, 12)
+    assert right.describe() == "Unknown(dim guard at step 0)"
+    assert (right.reason, right.step, right.cutoff) == ("dim_guard", 0, 12)
 
 
-_CERTIFIED = {19: ("summand repeat at 1, period 1", "work guard at step 0"),
-              21: ("summand repeat at 1, period 1", "work guard at step 0"),
-              23: ("summand repeat at 2, period 2", "work guard at step 1")}
+_CERTIFIED = {19: ("summand repeat at 1, period 1", "dim guard at step 0"),
+              21: ("summand repeat at 1, period 1", "dim guard at step 0"),
+              23: ("summand repeat at 2, period 2", "dim guard at step 1")}
 
 
 @pytest.mark.parametrize("index, stop", [(19, 8), (21, 8), (23, 11)])
 def test_gldim_unknown_names_what_stopped_it(index, stop, monkeypatch):
     # without summand tests the syzygies of simple 0 grow (doubling, or
-    # tripling every second step), and the cover of syzygy `stop` is the
-    # first with more than 512 source columns; an earlier syzygy of it
-    # splits off a later one before that
+    # tripling every second step), and a guard of 512 stops them at step
+    # `stop` (the default guard later, or not before the cutoff); an
+    # earlier syzygy of it splits off a later one before that
     a = generate(CorpusSpec(seed=42, count=30, shape="NilpotentCyclic"), index)
     certified, guard_stop = _CERTIFIED[index]
-    with monkeypatch.context() as no_split:
-        no_split.setattr(modules_mod, "_split", lambda x, y: None)
-        dims = pd(simple(a, 0), 12).syzygy_dims
-    assert next(j for j in range(len(dims) - 1) if dims[j] + dims[j + 1] > 512) == stop
+    with monkeypatch.context() as unsplit:
+        unsplit.setattr(modules_mod, "_split", lambda x, y: None)
+        unsplit.setattr(modules_mod, "DIM_GUARD", 512)
+        res = pd(simple(a, 0), 12)
+    assert (res.reason, res.step) == ("dim_guard", stop)
     g = gldim(a, 12)
     assert g.describe() == f"InfiniteCertified(simple 0: InfiniteCertified({certified}))"
     assert g.per_simple[0].first_repeat < stop
     # a guard that stops every simple before its split: each simple that is
     # not Finite was stopped by the guard, and the verdict names the first
-    monkeypatch.setattr(modules_mod, "WORK_GUARD", 2)
+    monkeypatch.setattr(modules_mod, "DIM_GUARD", 2)
     g = gldim(a, 12)
     assert g.kind == "unknown"
     assert g.describe() == f"Unknown({guard_stop})"
-    assert all(p.reason == "work_guard" for p in g.per_simple if not p.is_finite)
+    assert all(p.reason == "dim_guard" for p in g.per_simple if not p.is_finite)
     assert g.describe() == next(p for p in g.per_simple if not p.is_finite).describe()
 
 

@@ -265,27 +265,6 @@ def test_module_over_the_wrong_algebra_is_not_a_bimodule(a2, tp11):
     assert len(bimodule_restrictions(tp11, a2, m)) == 2
 
 
-def test_corpus_builds_one_tensor_per_bimodule(monkeypatch):
-    # a TriangularPair instance builds T = tensor(op(C), B) for its random
-    # bimodule and reads A off that M with no second T to compare against
-    import homkit.algebra as algebra_mod
-    counts = {"tensor": 0, "bimodule": 0}
-
-    def counted(name, real):
-        def wrapper(*args):
-            counts[name] += 1
-            return real(*args)
-        return wrapper
-
-    monkeypatch.setattr(algebra_mod, "_tensor", counted("tensor", algebra_mod._tensor))
-    monkeypatch.setattr(corpus, "_random_bimodule",
-                        counted("bimodule", corpus._random_bimodule))
-    spec = corpus.CorpusSpec(seed=42, count=30, shape="TriangularPair")
-    for i in range(5):
-        corpus.generate(spec, i)
-    assert counts["tensor"] == counts["bimodule"] >= 5
-
-
 def test_tensor_keeps_no_reference_to_its_factors():
     b = from_quiver(spec_of_fixture("FIX-A2"))
     c = from_quiver(spec_of_fixture("FIX-TP1(1)"))
@@ -388,44 +367,38 @@ def test_euler_matrix_resolves_each_simple_once(monkeypatch, fixture_algebras):
 
 
 def test_guard_stop_is_not_kept_on_the_module(monkeypatch):
-    # the cover of D(e_2 A) for tri-42-14 has 864 source columns but only 105
-    # equation non-zeros, so its step does 105 + 828 = 933 units of work; the
-    # guard is read at call time, so once it is back above that the same
-    # module object resolves, and the next cover, with the source dimension
-    # 828 of its module, gives the zero syzygy with no equation and no stop
+    # the cover of D(e_2 A) for tri-42-14 has source dimension 864; the
+    # guard is read at call time, so under a guard of 512 it stops, and once
+    # the guard is back at its value the same module object resolves
     a = corpus.generate(corpus.CorpusSpec(seed=42, count=30, shape="TriangularPair"), 14).a
     m = dual(projective(a, 2))
-    cov = projective_cover(m)
-    assert (m.dim, cov.source_dim, sum(map(len, cov.matrix))) == (36, 864, 105)
-    monkeypatch.setattr(modules_mod, "WORK_GUARD", 932)
-    assert pd(m, 12).describe() == "Unknown(work guard at step 0)"
+    assert (m.dim, projective_cover(m).source_dim, modules_mod.DIM_GUARD) == (36, 864, 1024)
+    monkeypatch.setattr(modules_mod, "DIM_GUARD", 512)
+    assert pd(m, 12).describe() == "Unknown(dim guard at step 0)"
     monkeypatch.undo()
     res = pd(m, 12)
     assert (res.describe(), res.syzygy_dims) == ("Finite(1)", [36, 828, 0])
-    omega = m._resolution[0][0]
-    assert projective_cover(omega).source_dim == omega.dim == 828
 
 
-def test_the_work_guard_stops_a_doubling_blow_up(monkeypatch):
+def test_the_dim_guard_stops_a_doubling_blow_up(monkeypatch):
     # with no summand test, simple 0 of nilcyc-42-19 doubles at every step;
-    # the step from syzygy 8 does 256 + 512 units of work and the one from
-    # syzygy 9 does 512 + 1024, over the guard
+    # the cover of syzygy 8 has 256 + 512 source columns and the cover of
+    # syzygy 9 has 512 + 1024, over the guard
     a = corpus.generate(corpus.CorpusSpec(seed=42, count=30, shape="NilpotentCyclic"), 19)
     monkeypatch.setattr(modules_mod, "_split", lambda x, y: None)
-    works = []
-    real = modules_mod._stop
-    monkeypatch.setattr(modules_mod, "_stop", lambda work: works.append(work) or real(work))
-    res = pd(simple(a, 0), 12)
-    assert res.describe() == "Unknown(work guard at step 9)"
-    assert (res.kind, res.reason, res.step, res.cutoff) == ("unknown", "work_guard", 9, 12)
+    m = simple(a, 0)
+    res = pd(m, 12)
+    assert res.describe() == "Unknown(dim guard at step 9)"
+    assert (res.kind, res.reason, res.step, res.cutoff) == ("unknown", "dim_guard", 9, 12)
     assert res.syzygy_dims == [2 ** j for j in range(10)]
-    assert 256 + 512 in works and works[-1] == 512 + 1024
+    sources = [projective_cover(x).source_dim for x in [m] + [s[0] for s in m._resolution]]
+    assert sources == [3 * 2 ** j for j in range(9)] + [512 + 1024]
 
 
 def test_summand_search_keeps_its_hom_systems_within_the_guard(monkeypatch):
     # pd tests each earlier syzygy that fits as a direct summand of the new
     # one; a proper summand test is set up only when its Hom system has at
-    # most WORK_GUARD unknowns, and on these simples no equal-signature test
+    # most DIM_GUARD unknowns, and on these simples no equal-signature test
     # (see the next test) is larger either
     unknowns = []
     real = modules_mod._hom_system
@@ -441,12 +414,12 @@ def test_summand_search_keeps_its_hom_systems_within_the_guard(monkeypatch):
         a = corpus.generate(spec, index)
         for i in range(a.r):
             pd(simple(a, i), 12)
-    assert unknowns and max(unknowns) <= modules_mod.WORK_GUARD
+    assert unknowns and max(unknowns) <= modules_mod.DIM_GUARD
 
 
 def test_equal_signature_summand_test_is_not_bounded_by_the_guard():
     # nilcyc-42-18's op-side injective 1 has syzygy 3 isomorphic to syzygy 1,
-    # whose Hom system has 1296 unknowns, over WORK_GUARD; the guard bounds
+    # whose Hom system has 1296 unknowns, over DIM_GUARD; the guard bounds
     # proper summand tests only, and bounding this one too would find only
     # the later repeat at 4
     a = corpus.generate(corpus.CorpusSpec(seed=42, count=30, shape="NilpotentCyclic"), 18)
@@ -454,22 +427,22 @@ def test_equal_signature_summand_test_is_not_bounded_by_the_guard():
     assert (r.describe(), r.syzygy_dims) == ("InfiniteCertified(repeat at 3, period 2)",
                                              [9, 36, 18, 36])
     x, y = r.witness_modules
-    assert modules_mod._hom_system(x, y)[1] == 1296 > modules_mod.WORK_GUARD
+    assert modules_mod._hom_system(x, y)[1] == 1296 > modules_mod.DIM_GUARD
     _assert_witness_reverifies(r)
 
 
-def test_proper_summand_test_within_the_work_guard(monkeypatch):
+def test_proper_summand_test_within_the_guard(monkeypatch):
     # nilcyc-42-10's op-side injective 0 has syzygy 1 split off syzygy 2, a
-    # proper summand test whose Hom system has 900 unknowns; the same rule
-    # that bounds a step's work lets it through, and with the bound below 900
-    # it is skipped and the chain runs to the cutoff
+    # proper summand test whose Hom system has 900 unknowns; the guard lets
+    # it through, and with the guard below 900 it is skipped and the chain
+    # runs to the cutoff
     a = corpus.generate(corpus.CorpusSpec(seed=42, count=30, shape="NilpotentCyclic"), 10)
     r = pd(injective(opposite(a), 0), 12)
     assert r.describe() == "InfiniteCertified(summand repeat at 2, period 1)"
     x, y = r.witness_modules
-    assert modules_mod._hom_system(x, y)[1] == 900 <= modules_mod.WORK_GUARD
+    assert modules_mod._hom_system(x, y)[1] == 900 <= modules_mod.DIM_GUARD
     _assert_witness_reverifies(r)
-    monkeypatch.setattr(modules_mod, "WORK_GUARD", 899)
+    monkeypatch.setattr(modules_mod, "DIM_GUARD", 899)
     assert pd(injective(opposite(a), 0), 12).describe() == "Unknown(cutoff 12)"
 
 
@@ -726,9 +699,9 @@ EXT_TOR_SHA256 = "d36b57c3e5112daa194a15f848ffadbbbd3578e17ad8ff1b94c444f1b33dd0
 def test_ext_and_tor_values_are_unchanged(fixture_algebras, seed42_pools):
     # every Ext and Tor list of this sweep, hashed when both were computed
     # from Hom spaces and tensor quotients of the resolution's Module terms;
-    # "guard" stands for an Ext whose resolution the work guard stopped.  It
-    # was re-recorded when the work guard replaced the dimension guard: the
-    # four Ext lists of nilcyc-7-17's simple that were "guard" got values
+    # "guard" stands for an Ext whose resolution hit the dimension guard.  It
+    # was re-recorded when the guard went from 512 to 1024: the four Ext
+    # lists of nilcyc-7-17's simple that were "guard" got values
     # (Ext(S_0, S_0) = [1, 2, 8, 16, 64], the multiplicities of its minimal
     # resolution), and 41 truncated Tor lists grew by a degree or more, each
     # keeping every entry it had
@@ -1027,22 +1000,18 @@ def test_unknown_names_what_stopped_it(tp11, monkeypatch):
     res = pd(simple(tp11, 0), 1)
     assert res.describe() == "Unknown(cutoff 1)"
     assert (res.reason, res.step) == ("cutoff", 1)
-    # its first step does at least 1 equation non-zero plus 1 syzygy vector
-    # of work; with the bound below that every caller of the one stop rule
-    # ends as documented: pd in Unknown, Ext raises, Tor keeps its certain
-    # degrees (none) and min_resolution is aborted
-    monkeypatch.setattr(modules_mod, "WORK_GUARD", 1)
+    # with a guard below the cover's source dimension every reader of the
+    # resolution ends as documented: pd in Unknown, Ext raises, Tor keeps its
+    # certain degrees (none) and min_resolution is aborted
+    monkeypatch.setattr(modules_mod, "DIM_GUARD", 1)
     res = pd(simple(tp11, 0), 12)
-    assert res.describe() == "Unknown(work guard at step 0)"
-    assert (res.reason, res.step, res.cutoff) == ("work_guard", 0, 12)
-    with pytest.raises(ValueError, match="work guard stopped the resolution at step 0"):
+    assert res.describe() == "Unknown(dim guard at step 0)"
+    assert (res.reason, res.step, res.cutoff) == ("dim_guard", 0, 12)
+    with pytest.raises(ValueError, match="dimension guard stopped the resolution at step 0"):
         ext_dims(simple(tp11, 0), simple(tp11, 0), 2)
     assert tor_dims(simple(tp11, 0), regular(opposite(tp11)), 2) == []
     r = min_resolution(simple(tp11, 0), 4)
     assert (r.aborted, r.terminated, r.steps) == (True, False, [])
-    # a cover with the module's own dimension gives the zero syzygy with no
-    # equation built, so that step never stops
-    assert pd(projective(tp11, 0), 12).describe() == "Finite(0)"
 
 
 # recorded with the row-invariant cases of each fixture less the identity

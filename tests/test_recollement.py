@@ -408,18 +408,18 @@ def test_injective_dimension_via_dual(loc):
 
 def test_ladder_names_the_dimension_guard(monkeypatch):
     # pd of Ae over the local corner at e=[0] (det 3) grows, and its syzygy
-    # 1 splits off syzygy 2; without that test the work guard would stop it
-    # at step 8
+    # 1 splits off syzygy 2; without that test its cover would pass the
+    # guard at step 8
     doc = stratify_search(_nilcyc(19), 12).to_json()
     assert doc["ladder"]["down_extension"] == "InfiniteCertified(summand repeat at 2, period 1)"
     assert doc["det_check"] == ("inapplicable (downward extension not established "
                                 "(InfiniteCertified(summand repeat at 2, period 1)))")
-    # a guard that the step from syzygy 2 passes stops it first, and says so
-    monkeypatch.setattr(modules_mod, "WORK_GUARD", 16)
+    # a guard that the cover of syzygy 2 passes stops it first, and says so
+    monkeypatch.setattr(modules_mod, "DIM_GUARD", 16)
     doc = stratify_search(_nilcyc(19), 12).to_json()
-    assert doc["ladder"]["down_extension"] == "Unknown(work guard at step 2)"
+    assert doc["ladder"]["down_extension"] == "Unknown(dim guard at step 2)"
     assert doc["det_check"] == ("inapplicable (downward extension not established "
-                                "(Unknown(work guard at step 2)))")
+                                "(Unknown(dim guard at step 2)))")
 
 
 @functools.lru_cache(maxsize=None)
@@ -457,8 +457,8 @@ def test_bimodule_sides_are_the_restrictions_along_checked_maps():
 
 # SHA-256 of the 120 transfer reports below (30 triples x 2 checks x 2
 # corpus seeds), recorded while both checks still resolved every simple and
-# both sides of A, B and C, and re-recorded when the work guard replaced the
-# dimension guard: then only tri-42-14's gorenstein-transfer report changed,
+# both sides of A, B and C, and re-recorded when the dimension guard went
+# from 512 to 1024: then only tri-42-14's gorenstein-transfer report changed,
 # A from Unknown to Gorenstein and pd_form, factors_form and overall from
 # undetermined to pass
 TRANSFER_REPORTS_DIGEST = "104660fb24d86f62e34ddaeff30b79a27a1511e5ca54ecb7f5d5505164dc231b"
