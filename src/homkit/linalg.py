@@ -176,10 +176,19 @@ class Matrix:
 class RowSpace:
     """Incrementally built row space in full reduced echelon form.
 
-    Rows are sparse dicts ``{column: scalar}``.  Pivots sit on the earliest
-    (smallest-index) column of each row, every pivot column is eliminated
-    from every other row, and pivot entries are normalised to 1.  This is
-    the workhorse behind span/quotient computations.
+    Rows are sparse dicts ``{column: scalar}`` that store no zero; every
+    caller passes such rows (``Matrix.kernel_basis`` filters its dense
+    ones).  Pivots sit on the earliest (smallest-index) column of each row,
+    every pivot column is eliminated from every other row, and pivot
+    entries are normalised to 1.  This is the workhorse behind
+    span/quotient computations.
+
+    The full RREF of a span is unique, so the ``{pivot: row}`` map, the
+    kernel basis and every residue do not depend on the order of the adds;
+    only the order of ``rows`` and ``pivot_cols`` does.  Nor does the order
+    of the eliminations in :meth:`reduce`: a stored row holds no pivot
+    column but its own, so eliminating one pivot column leaves the entries
+    at the others as they were.
 
     ``_cols`` holds every column that a stored row has ever used.  It only
     grows, so a new pivot column outside it occurs in no stored row and
@@ -200,14 +209,14 @@ class RowSpace:
         return len(self.rows)
 
     def reduce(self, vec: dict) -> dict:
-        """Eliminate all pivot columns from ``vec``; returns the residue."""
+        """Eliminate all pivot columns from ``vec``; returns the residue, a
+        new dict."""
         F = self.field
-        v = {c: x for c, x in vec.items() if x != 0}
-        hits = [c for c in v if c in self.pivot_of_col]
-        for c in sorted(hits):
-            coeff = v.get(c)
-            if coeff is not None:
-                axpy(F, v, F.neg(coeff), self.rows[self.pivot_of_col[c]])
+        v = dict(vec)
+        pivot_of_col = self.pivot_of_col
+        rows = self.rows
+        for c in [c for c in v if c in pivot_of_col]:
+            axpy(F, v, F.neg(v[c]), rows[pivot_of_col[c]])
         return v
 
     def add(self, vec: dict) -> bool:
@@ -217,8 +226,10 @@ class RowSpace:
         if not v:
             return False
         lead = min(v)
-        inv = F.inv(v[lead])
-        v = {c: F.mul(inv, x) for c, x in v.items()}
+        x = v[lead]
+        if x != 1:
+            inv = F.inv(x)
+            v = {c: F.mul(inv, y) for c, y in v.items()}
         # back-substitute the new pivot column out of the existing rows
         if lead in self._cols:
             for row in self.rows:
@@ -245,7 +256,9 @@ class RowSpace:
         return a kernel basis, one sparse vector per free column.
         """
         F = self.field
-        basis = {fc: {fc: F.one} for fc in range(ncols) if fc not in self.pivot_of_col}
+        one = F.one
+        pivots = self.pivot_of_col
+        basis = {fc: {fc: one} for fc in range(ncols) if fc not in pivots}
         # in full RREF a row's non-pivot entries all sit in free columns
         for pc, row in zip(self.pivot_cols, self.rows):
             for c, x in row.items():

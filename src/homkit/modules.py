@@ -40,14 +40,23 @@ from .algebra import (Algebra, _tensor_basis, algebra_from_json, algebra_to_json
 from .linalg import Field, RowSpace, axpy, inverse
 
 _ISO_SEARCH_SEED = 0x5EED
-_ISO_RETRIES = 8
 _EXHAUSTIVE_LIMIT = 4096
+# Random draws per iso or summand search.  A random map over F2 is injective,
+# or invertible, far less often than over a larger field: with 8 draws a few
+# F2 syzygy chains that F3, F101 and Q certify infinite stay Unknown, and 64
+# draws decide them all in the seeded monomial surveys.  Read at call time.
+_ISO_RETRIES = 8
+_ISO_RETRIES_F2 = 64
 
 # Resolutions abort (soundly, to Unknown / aborted) when a cover source
 # would exceed this dimension, and a proper summand test is skipped when its
 # Hom system has more unknowns; both numbers are fixed by the module, not by
 # its basis.  Syzygies of wild input can grow exponentially.  Read at call time.
 DIM_GUARD = 1024
+
+
+def _retries(F: Field) -> int:
+    return _ISO_RETRIES_F2 if F.p == 2 else _ISO_RETRIES
 
 
 def _vecmat(F: Field, v: dict, A: dict) -> dict:
@@ -62,8 +71,9 @@ def _vecmat(F: Field, v: dict, A: dict) -> dict:
 
 
 def _transpose(rows) -> dict:
-    """The transpose of the matrix with these ``(index, sparse row)`` pairs,
-    given in increasing index: its non-zero rows by increasing index."""
+    """The transpose of the matrix with these ``(index, sparse row)`` pairs:
+    its non-zero rows, each with its entries in the order of the pairs, by
+    first appearance (not sorted)."""
     out: dict = {}
     for s, row in rows:
         for t, x in row.items():
@@ -72,7 +82,7 @@ def _transpose(rows) -> dict:
                 out[t] = {s: x}
             else:
                 col[s] = x
-    return dict(sorted(out.items()))
+    return out
 
 
 class Module:
@@ -189,7 +199,7 @@ def regular(a: Algebra) -> Module:
 
 def dual(m: Module) -> Module:
     """D(M) = Hom_k(M, k) as a right module over the opposite algebra."""
-    action = [_transpose(mat.items()) for mat in m.action]
+    action = [dict(sorted(_transpose(mat.items()).items())) for mat in m.action]
     return Module(opposite(m.algebra), m.dim, action, list(m.weights))
 
 
@@ -353,6 +363,8 @@ class Cover:
     ``algebra.mult[k].get(x)``, an absent key being a zero product.
     ``matrix`` has one sparse row per source coordinate: the image of its
     path in M, read at a lift chosen off M's cached radical row space.
+    Its rows are M's own action rows, and a zero image is one shared empty
+    row, so they are all read-only.
     """
 
     def __init__(self, algebra: Algebra, summands: list[int],
@@ -361,7 +373,10 @@ class Cover:
         self.summands = summands
         self.multiplicities = multiplicities
         self.matrix = matrix
-        self.source_dim = sum(len(algebra.paths[i]) for i in summands)
+        self.source_dim = len(matrix)
+
+
+_EMPTY_ROW: dict = {}  # the zero row of every cover matrix; never written
 
 
 def projective_cover(m: Module) -> Cover:
@@ -373,23 +388,20 @@ def projective_cover(m: Module) -> Cover:
     if m.is_zero():
         raise ValueError("projective cover of the zero module")
     a = m.algebra
-    rs = _radical_rowspace(m)
-    pivots = set(rs.pivot_of_col)
-    lifts_by_vertex: dict[int, list[int]] = {}
-    for t in range(m.dim):
+    pivots = _radical_rowspace(m).pivot_of_col
+    lifts: list[list[int]] = [[] for _ in range(a.r)]
+    for t, w in enumerate(m.weights):
         if t not in pivots:
-            lifts_by_vertex.setdefault(m.weights[t], []).append(t)
-    mults = [len(lifts_by_vertex.get(i, ())) for i in range(a.r)]
+            lifts[w].append(t)
     summands: list[int] = []
     rows: list[dict] = []
-    for i in range(a.r):
-        if mults[i] == 0:
-            continue
-        for t in lifts_by_vertex[i]:
+    action = m.action
+    for i, ts in enumerate(lifts):
+        paths = a.paths[i]
+        for t in ts:
             summands.append(i)
-            for k in a.paths[i]:
-                rows.append(m.action[k].get(t) or {})
-    return Cover(a, summands, mults, rows)
+            rows += [action[k].get(t, _EMPTY_ROW) for k in paths]
+    return Cover(a, summands, [len(ts) for ts in lifts], rows)
 
 
 def syzygy(m: Module) -> Module:
@@ -403,19 +415,24 @@ def _syzygy_with_inclusion(m: Module, cov: Cover | None = None) -> tuple[Module,
     """Syzygy as a Module, the cover, and the inclusion into the source.
 
     Only non-zero entries are touched.  The cover-matrix equations are
-    solved in one sparse RREF, and the kernel basis it gives is the syzygy
+    solved in one sparse RREF, added shortest first (a single-unknown
+    equation then needs no back-substitution, and the full RREF does not
+    depend on the order), and the kernel basis it gives is the syzygy
     basis as it stands: each kernel vector has 1 at its own free column and
     0 at every other free column, so the syzygy coordinates of a kernel
-    element are its entries at the free columns.  A kernel row v acts
-    through the structure constants: ``v * x`` sums ``v[c] * mult[k][x]``
-    over the non-zero coordinates c of v with x a key of ``mult[k]`` (an
-    absent key is a zero product), where k is the path that source column
-    c stands for (see :class:`Cover`).  Only free columns are
-    accumulated, so the source Module is never built.  The products by the
-    generators of rad A, added in x-then-row order, seed the syzygy's
-    cached radical row space (see ``_radical_rowspace``), which its own
-    cover and top multiplicities then read without another pass over the
-    action.
+    element are its entries at the free columns.  A kernel vector of weight
+    i is fixed by e_i and killed by every other idempotent, so each
+    idempotent's action is the identity on the rows of its weight.  A
+    radical basis element x acts through the structure constants: ``v * x``
+    sums ``v[c] * mult[k][x]`` over the non-zero coordinates c of v with x
+    a key of ``mult[k]`` (an absent key is a zero product), where k is the
+    path that source column c stands for (see :class:`Cover`).  Only free
+    columns are accumulated, so the source Module is never built, and an
+    image row is filtered again only where a cancellation left a zero.
+    The products by the generators of rad A, added in x-then-row order,
+    seed the syzygy's cached radical row space (see ``_radical_rowspace``),
+    which its own cover and top multiplicities then read without another
+    pass over the action.
 
     The cover is onto (its lifts span top M, so they generate M by
     Nakayama), so the kernel has ``source_dim - dim M`` vectors, and equal
@@ -428,15 +445,15 @@ def _syzygy_with_inclusion(m: Module, cov: Cover | None = None) -> tuple[Module,
         return zero_module(a), cov, []
     F = m.field
     eqs = RowSpace(F)
-    for eq in _transpose(enumerate(cov.matrix)).values():
+    for eq in sorted(_transpose(enumerate(cov.matrix)).values(), key=len):
         eqs.add(eq)
     kernel = eqs.kernel_basis(cov.source_dim)
     if not kernel:
         return zero_module(a), cov, []
     d = len(kernel)
     # kernel_basis lists its vectors in free-column order
-    coord = {c: s for s, c in enumerate(c for c in range(cov.source_dim)
-                                          if c not in eqs.pivot_of_col)}
+    pivots = eqs.pivot_of_col
+    coord = {c: s for s, c in enumerate(c for c in range(cov.source_dim) if c not in pivots)}
     # per source column: its path, and a map from the paths of its summand
     # to syzygy coordinates (free columns only)
     path_of: list[int] = []
@@ -444,38 +461,41 @@ def _syzygy_with_inclusion(m: Module, cov: Cover | None = None) -> tuple[Module,
     off = 0
     for i in cov.summands:
         pidx = a.paths[i]
-        zmap = {k: coord[off + s] for s, k in enumerate(pidx) if off + s in coord}
+        zmap = {k: t for c, k in enumerate(pidx, off) if (t := coord.get(c)) is not None}
         path_of.extend(pidx)
         coord_of.extend([zmap] * len(pidx))
         off += len(pidx)
     # a module map keeps weights, so each kernel vector has one weight
     weights = [a.right[path_of[c]] for c in coord]
+    one = F.one
+    r = a.r
+    action: list[dict[int, dict]] = [{} for _ in range(a.dim)]
+    for s, w in enumerate(weights):
+        action[w][s] = {s: one}
     zero = F.zero
     mult = a.mult
-    # images[x][s]: the syzygy coordinates of row s times x, filled in
-    # row order and only where the product is non-zero
-    images: list[dict[int, dict[int, object]]] = [{} for _ in range(a.dim)]
     for s, row in enumerate(kernel):
+        # row s times each radical x, in syzygy coordinates, where non-zero
+        out: dict[int, dict] = {}
         for c, v in row.items():
             zmap = coord_of[c]
             for x, zs in mult[path_of[c]].items():
-                img = images[x].get(s)
+                if x < r:
+                    continue
+                img = out.get(x)
                 if img is None:
-                    img = images[x][s] = {}
+                    img = out[x] = {}
                 # inline rather than linalg.axpy, which would need zs remapped
                 # through zmap for every source column
                 for z, cz in zs.items():
                     t = zmap.get(z)
                     if t is not None:
                         img[t] = F.add(img.get(t, zero), F.mul(v, cz))
-    action = []
-    for by_row in images:
-        mat = {}
-        for s, img in by_row.items():
-            row = {t: val for t, val in img.items() if val != 0}
-            if row:
-                mat[s] = row
-        action.append(mat)
+        for x, img in out.items():
+            if zero in img.values():
+                img = {t: val for t, val in img.items() if val != 0}
+            if img:
+                action[x][s] = img
     radical = RowSpace(F)
     for x in a.generators:
         for row in action[x].values():
@@ -749,7 +769,7 @@ def is_iso(m: Module, n: Module) -> IsoResult:
                  for values in iter_product(range(p), repeat=h) if any(values))
     else:
         rng = random.Random(_ISO_SEARCH_SEED + 31 * m.dim + h)
-        tries = (_random_hom(system, rng) for _ in range(_ISO_RETRIES))
+        tries = (_random_hom(system, rng) for _ in range(_retries(F)))
     for f in tries:
         if (witness := _iso_witness(F, f, m.dim)) is not None:
             return IsoResult("iso", witness)
@@ -771,7 +791,7 @@ def _split(x: Module, y: Module) -> SplitWitness | None:
     back = None
     F = x.field
     rng = random.Random(_ISO_SEARCH_SEED + 31 * x.dim + y.dim)
-    for _ in range(_ISO_RETRIES):
+    for _ in range(_retries(F)):
         f = _random_hom(into, rng)
         if x.dim == y.dim:
             if (witness := _iso_witness(F, f, x.dim)) is not None:

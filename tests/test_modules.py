@@ -207,6 +207,10 @@ def _check_sparse_syzygy(m: Module) -> Module:
     assert len(incl) == n - m.dim == sub.dim == dense_rank(dense_incl, p)
     assert dense_matmul(dense_incl, dense_rows(cov.matrix, m.dim), p) == \
         [[0] * m.dim for _ in incl]
+    # the kernel basis of the unique full RREF, whatever order the
+    # equations were added in
+    equations = [list(col) for col in zip(*dense_rows(cov.matrix, m.dim))]
+    assert dense_incl == dense_kernel(equations, n, p)
     source = direct_sum(m.algebra, [projective(m.algebra, i) for i in cov.summands])
     for x in range(m.algebra.dim):
         moved = dense_matmul(dense_incl, dense_action(source.action[x], n), p)
@@ -225,13 +229,21 @@ def _sparse_kernel_cases(fixture_algebras):
             yield name, simple(a, i)
         yield name, dual(regular(a))
     for shape, count in (("TriangularPair", 2), ("NilpotentCyclic", 3)):
-        for field_name in ("F101", "Q"):
+        for field_name in ("F2", "F101", "Q"):
             spec = corpus.CorpusSpec(seed=42, count=count, shape=shape,
                                      field_name=field_name)
             for index in range(count):
                 inst = corpus.generate(spec, index)
                 if shape == "TriangularPair":
                     yield inst.a.name, inst.m
+                    if field_name != "Q":  # dense products over Q are slow
+                        # what the transfer checks resolve: M's two
+                        # restrictions and the injectives of A on both sides
+                        for side in bimodule_restrictions(inst.b, inst.c, inst.m):
+                            yield inst.a.name, side
+                        for over in (inst.a, opposite(inst.a)):
+                            for i in range(over.r):
+                                yield inst.a.name, injective(over, i)
                     inst = inst.a
                 for i in range(inst.r):
                     yield inst.name, simple(inst, i)
