@@ -475,7 +475,7 @@ def _syzygy_with_inclusion(m: Module, cov: Cover | None = None) -> tuple[Module,
     zero = F.zero
     mult = a.mult
     for s, row in enumerate(kernel):
-        # row s times each radical x, in syzygy coordinates, where non-zero
+        # out[x]: row s times the radical basis element x, in syzygy coordinates
         out: dict[int, dict] = {}
         for c, v in row.items():
             zmap = coord_of[c]
