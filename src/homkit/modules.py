@@ -72,8 +72,8 @@ def _vecmat(F: Field, v: dict, A: dict) -> dict:
 
 def _transpose(rows) -> dict:
     """The transpose of the matrix with these ``(index, sparse row)`` pairs:
-    its non-zero rows, each with its entries in the order of the pairs, by
-    first appearance (not sorted)."""
+    its non-zero rows in order of first appearance (not sorted), each with
+    its entries in the order of the pairs."""
     out: dict = {}
     for s, row in rows:
         for t, x in row.items():
