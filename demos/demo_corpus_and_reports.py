@@ -2,8 +2,10 @@
 
 Generates a few instances of each corpus shape, runs the per-shape suite
 through the library API, and shows the JSON serialisation round trips:
-algebras (homkit-algebra/1), modules (homkit-module/1), and the corpus run
-report (homkit-report/1), which is byte-deterministic for a fixed seed.
+algebras (homkit-algebra/1), modules (homkit-module/2, which lists the
+non-zero entries of each action matrix; the dense homkit-module/1 is still
+read), and the corpus run report (homkit-report/1), which is
+byte-deterministic for a fixed seed.
 """
 
 import json
@@ -11,6 +13,7 @@ import json
 from homkit import algebra_from_json, algebra_to_json, cartan_matrix
 from homkit.cli import run_corpus
 from homkit.corpus import CorpusSpec, generate
+from homkit.modules import bimodule_from_json, bimodule_restrictions, module_to_json
 
 
 def shape_summary(shape, count=5, seed=42):
@@ -41,8 +44,30 @@ def algebra_round_trip():
           f"(format {doc['format']}, dim {a.dim})")
 
 
+def module_round_trip():
+    # the bimodule M of a TriangularPair instance, written as homkit-module/2
+    # and as the dense homkit-module/1 of earlier versions; both read back,
+    # by M's two side actions, to the same restrictions (M_B, _CM)
+    inst = generate(CorpusSpec(seed=42, count=8, shape="TriangularPair"), 7)
+    m = inst.m
+    sparse = module_to_json(m, algebra_ref="tensor(op(C),B)")
+    F = m.field
+    dense = {**sparse, "format": "homkit-module/1",
+             "action": {m.algebra.labels[x]: [[F.format(mat.get(s, {}).get(t, F.zero))
+                                               for t in range(m.dim)] for s in range(m.dim)]
+                        for x, mat in enumerate(m.action)}}
+    sides = bimodule_restrictions(inst.b, inst.c, m)
+    print(f"\nbimodule of dim {m.dim} over {m.algebra.dim} tensor basis elements: "
+          f"{len(json.dumps(sparse))} bytes as {sparse['format']}, "
+          f"{len(json.dumps(dense))} bytes as {dense['format']}")
+    for doc in (sparse, dense):
+        got = bimodule_from_json(json.loads(json.dumps(doc)), inst.b, inst.c)
+        print(f"  {doc['format']} reads back to M_B and _CM: {got == sides}")
+
+
 if __name__ == "__main__":
     for shape in ("AcyclicQuiver", "NilpotentCyclic", "TriangularPair"):
         shape_summary(shape)
     report_determinism()
     algebra_round_trip()
+    module_round_trip()

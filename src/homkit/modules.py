@@ -12,8 +12,10 @@ that same ``{s: row}`` format.  Each basis vector carries a
 weight: basis vector v has weight i when ``v * e_i == v``.  The vectors
 that ``submodule``, ``spanned_submodule`` and ``quotient_module`` take and
 return are sparse rows, and cover matrices, inclusions and resolution
-differentials are lists of sparse rows, one per row index.  Only the
-homkit-module/1 JSON is dense.  Every constructor here produces
+differentials are lists of sparse rows, one per row index.  The JSON
+written is sparse too: homkit-module/2 lists the non-zero entries
+``[s, t, value]`` of each matrix, and the dense homkit-module/1 is still
+read.  Every constructor here produces
 weight-adapted bases, which keeps Hom systems block diagonal and makes
 semisimple data (tops, simple multiplicities) readable off the weights.
 
@@ -32,8 +34,10 @@ off a later one, an isomorphism between equal dimensions (see PdResult).
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass, field as dc_field
-from itertools import product as iter_product
+from itertools import compress, product as iter_product
+from operator import ne
 
 from .algebra import (Algebra, _tensor_basis, algebra_from_json, algebra_to_json, opposite,
                       tensor)
@@ -68,6 +72,12 @@ def _vecmat(F: Field, v: dict, A: dict) -> dict:
         if row:
             axpy(F, out, a, row)
     return out
+
+
+def _matmul(F: Field, A: dict, B: dict) -> dict:
+    """The matrix ``A @ B`` of two ``{s: row}`` matrices, over its non-zero
+    rows."""
+    return {s: v for s, row in A.items() if (v := _vecmat(F, row, B))}
 
 
 def _transpose(rows) -> dict:
@@ -146,7 +156,7 @@ class Module:
             Ax = self.action[x]
             for y in range(a.dim):
                 Ay = self.action[y]
-                lhs = {s: v for s, row in Ax.items() if (v := _vecmat(F, row, Ay))}
+                lhs = _matmul(F, Ax, Ay)
                 xy = a.mult[x].get(y, {})
                 rhs = {s: v for s in range(self.dim) if (v := self._times(s, xy))}
                 if lhs != rhs:
@@ -1035,11 +1045,13 @@ def tor_dims(m: Module, n: Module, cutoff: int) -> list[int]:
 # --------------------------------------------------------------------------
 
 
-def _weight_basis(F: Field, dim: int, projectors: list[dict[int, dict]]):
-    """A basis adapted to these idempotent projectors (which commute and sum
-    to the identity), as ``(weights, change)``: the weight of each adapted
-    basis vector, and a function that writes an action matrix in that basis,
-    or None when the given basis is adapted already."""
+def _weight_basis(F: Field, dim: int, projectors: list[dict[int, dict]], labels: list[str]):
+    """A basis adapted to these idempotent projectors, the actions of the
+    basis elements with these labels, as ``(weights, change)``: the weight
+    of each adapted basis vector, and a function that writes an action
+    matrix in that basis, or None when the given basis is adapted already.
+    Projectors that are not orthogonal idempotents summing to the identity
+    raise ValueError."""
     # fast path: every projector row is zero or a unit vector at its own index
     weights: list[int | None] = [None] * dim
     diagonal = True
@@ -1074,6 +1086,11 @@ def _weight_basis(F: Field, dim: int, projectors: list[dict[int, dict]]):
         return {s: v for s, row in enumerate(rows)
                 if (v := _vecmat(F, _vecmat(F, row, act), inv))}
 
+    # in the adapted basis each projector must be the identity on its block,
+    # which holds exactly when they are orthogonal idempotents
+    for i, proj in enumerate(projectors):
+        if change(proj) != {s: {s: F.one} for s, w in enumerate(weights2) if w == i}:
+            raise ValueError(f"{labels[i]!r} does not act as one of orthogonal idempotents")
     return weights2, change
 
 
@@ -1092,37 +1109,60 @@ def adapt_weights(algebra: Algebra, dim: int, action: list[dict[int, dict]]) -> 
             if not row or min(row) < 0 or max(row) >= dim or 0 in row.values():
                 raise ValueError("action rows must be sparse: non-empty, "
                                  "columns in range(dim), no stored zero")
-    weights, change = _weight_basis(algebra.field, dim, action[:algebra.r])
+    weights, change = _weight_basis(algebra.field, dim, action[:algebra.r], algebra.labels)
     if change is not None:
         action = [change(act) for act in action]
     return Module(algebra, dim, action, weights)
 
 
 # --------------------------------------------------------------------------
-# bimodule helpers and serialisation (homkit-module/1)
+# bimodule helpers and serialisation (homkit-module/2, and /1 read)
 # --------------------------------------------------------------------------
 
 
-def _side_sums(b: Algebra, c: Algebra, pairs, mats: list[dict[int, dict]]) -> tuple[list, list]:
+def _side_sums(b: Algebra, c: Algebra, pairs, entries) -> tuple[list, list, dict]:
     """The side actions ``(right, left)`` of a C-B-bimodule M, summed from
-    its action matrices ``mats`` over the basis ``pairs`` of
-    T = tensor(opposite(c), b), in T's basis order.
+    the non-zero entries ``(k, s, t, value)`` of its action matrices, row s
+    and column t of the matrix of basis pair k of T = tensor(opposite(c),
+    b) (``pairs``), in T's basis order; and, by pair index, the whole
+    matrices of the pairs that do not go into exactly one side: the
+    idempotent pairs, which go into both, and the radical pairs x (x) y,
+    x in rad C^op and y in rad B, which go into neither.
 
     ``right[y]`` is the action of y in B, the sum of e_i^op (x) y over the
     vertices i of C, and ``left[x]`` that of x in C (a basis element of
     C^op), the sum of x (x) e_j over the vertices j of B; each is
     ``{s: row}`` over its non-zero rows in increasing s, as
-    ``Module.action``."""
+    ``Module.action``.  Each entry is added in as it arrives."""
     F = b.field
+    rb, rc = b.r, c.r
     right: list[dict[int, dict]] = [{} for _ in range(b.dim)]
     left: list[dict[int, dict]] = [{} for _ in range(c.dim)]
-    for (x, y), mat in zip(pairs, mats):
+    whole = {k: {} for k, (x, y) in enumerate(pairs) if (x < rc) == (y < rb)}
+
+    def add(acc: dict, s: int, t: int, v) -> None:
+        # axpy(F, acc[s], F.one, {t: v}) for one entry, with no row built
+        row = acc.get(s)
+        if row is None:
+            acc[s] = {t: v}
+        elif t not in row:
+            row[t] = v
+        elif w := F.add(row[t], v):
+            row[t] = w
+        else:
+            del row[t]
+
+    for k, s, t, v in entries:
+        x, y = pairs[k]
         # T's basis order brings each side's pairs in increasing vertex order
-        for acc in ((right[y],) if x < c.r else ()) + ((left[x],) if y < b.r else ()):
-            for s, row in mat.items():
-                axpy(F, acc.setdefault(s, {}), F.one, row)
+        if x < rc:
+            add(right[y], s, t, v)
+        if y < rb:
+            add(left[x], s, t, v)
+        if k in whole:
+            add(whole[k], s, t, v)
     return ([{s: acc[s] for s in sorted(acc) if acc[s]} for acc in right],
-            [{s: acc[s] for s in sorted(acc) if acc[s]} for acc in left])
+            [{s: acc[s] for s in sorted(acc) if acc[s]} for acc in left], whole)
 
 
 def bimodule_restrictions(b: Algebra, c: Algebra, m: Module) -> tuple[Module, Module]:
@@ -1137,7 +1177,9 @@ def bimodule_restrictions(b: Algebra, c: Algebra, m: Module) -> tuple[Module, Mo
     if m.algebra != tensor(opposite(c), b):
         raise ValueError("bimodule is not a module over tensor(opposite(c), b)")
     pairs = _tensor_basis(opposite(c), b)[0]
-    return _restrictions(b, c, m.weights, *_side_sums(b, c, pairs, m.action))
+    right, left, _ = _side_sums(b, c, pairs, ((k, s, t, v) for k, mat in enumerate(m.action)
+                                              for s, row in mat.items() for t, v in row.items()))
+    return _restrictions(b, c, m.weights, right, left)
 
 
 def _restrictions(b: Algebra, c: Algebra, weights: list[int], right, left) -> tuple[Module, Module]:
@@ -1149,82 +1191,160 @@ def _restrictions(b: Algebra, c: Algebra, weights: list[int], right, left) -> tu
             Module(opposite(c), len(weights), left, [w // rb for w in weights]))
 
 
+def _act(F: Field, action: list[dict[int, dict]], coords: dict) -> dict:
+    """The action matrix of the algebra element with these coordinates,
+    the sum of ``coords[z] * action[z]``; a basis element's own matrix is
+    returned as it is."""
+    if len(coords) == 1:
+        (z, cz), = coords.items()
+        if cz == F.one:
+            return action[z]
+    out: dict = {}
+    for z, cz in coords.items():
+        for s, row in action[z].items():
+            axpy(F, out.setdefault(s, {}), cz, row)
+    return {s: row for s, row in out.items() if row}
+
+
+def _check_sides(mb: Module, mc: Module) -> None:
+    """Raise ValueError, naming the basis elements at fault, unless the
+    pair (M_B, _CM) read off a file, in one basis adapted to the vertices of
+    both sides and with generators that commute (``bimodule_from_json``
+    checks that), is a C-B-bimodule.  The idempotents act as the weight
+    projectors, as ``_weight_basis`` makes them; the rest is checked on
+    generators, as ``algebra_from_json`` checks associativity.  On each side
+    every radical basis element y maps weight left[y] to weight right[y]
+    and keeps the other side's weight, and y * g acts as y then g for every
+    generator g.  Since rad is spanned by the products of generators, each
+    side is then a module (B and C are associative, as they are checked on
+    load), and the two sides commute."""
+    F = mb.field
+    empty: frozenset = frozenset()
+    for m, other, side in ((mb, mc.weights, "B"), (mc, mb.weights, "C^op")):
+        a, own, act = m.algebra, m.weights, m.action
+        # the basis vectors by their weights on this side and on the other
+        block: dict[tuple[int, int], set[int]] = {}
+        for s, key in enumerate(zip(own, other)):
+            block.setdefault(key, set()).add(s)
+        for y in range(a.r, a.dim):
+            ly, ry = a.left[y], a.right[y]
+            for s, row in act[y].items():
+                if own[s] != ly or not row.keys() <= block.get((ry, other[s]), empty):
+                    raise ValueError(f"{a.labels[y]!r} in {side} does not respect the "
+                                     "vertex tags")
+        starting = [[g for g in a.generators if a.left[g] == i] for i in range(a.r)]
+        for y in range(a.r, a.dim):
+            for g in starting[a.right[y]]:
+                if _matmul(F, act[y], act[g]) != _act(F, act, a.mult[y].get(g, {})):
+                    raise ValueError(f"{a.labels[y]!r} then {a.labels[g]!r} in {side} does "
+                                     "not act as their product")
+
+
 def module_to_json(m: Module, algebra_ref: str | None = None) -> dict:
-    """homkit-module/1 document; the algebra is inline unless a reference
-    string (file path) is supplied."""
+    """homkit-module/2 document: each basis label maps to the non-zero
+    entries ``[s, t, value]`` of its action matrix, sorted by (s, t); the
+    algebra is inline unless a reference string (file path) is supplied."""
     F = m.field
-    zero = F.format(F.zero)
-    empty: dict = {}
-
-    def dense(mat: dict) -> list[list[str]]:
-        return [[F.format(row[t]) if t in row else zero for t in range(m.dim)]
-                for row in (mat.get(s, empty) for s in range(m.dim))]
-
     return {
-        "format": "homkit-module/1",
+        "format": "homkit-module/2",
         "algebra": algebra_ref if algebra_ref is not None else algebra_to_json(m.algebra),
         "dim": m.dim,
-        "action": {m.algebra.labels[x]: dense(m.action[x]) for x in range(m.algebra.dim)},
+        "action": {m.algebra.labels[x]: [[s, t, F.format(row[t])]
+                                          for s, row in m.action[x].items() for t in sorted(row)]
+                   for x in range(m.algebra.dim)},
     }
 
 
 def _module_header(doc: dict) -> None:
-    """Raise ValueError unless doc is a homkit-module/1 document with a
-    dimension and an action."""
+    """Raise ValueError unless doc is a homkit-module/1 or /2 document with
+    a dimension and an action."""
     fmt = doc.get("format") if isinstance(doc, dict) else None
-    if fmt != "homkit-module/1":
+    if fmt not in ("homkit-module/1", "homkit-module/2"):
         raise ValueError(f"unsupported module format {fmt!r}")
     for key in ("dim", "action"):
         if key not in doc:
             raise ValueError(f"module document has no {key!r} entry")
 
 
-def _action_matrices(doc: dict, F: Field, labels: list[str]) -> tuple[int, list[dict[int, dict]]]:
-    """The dimension of a homkit-module/1 document and its action matrices,
-    one per label in this order, each ``{s: row}`` over its non-zero rows
-    as ``Module.action``; the first malformed entry in label order raises
-    ValueError naming it."""
-    zero = F.format(F.zero)
+def _dense_entries(label: str, mat, zero_mat: list) -> list:
+    """The entries ``[s, t, value]`` of a homkit-module/1 dense matrix that
+    differ from the zero literal, by increasing (s, t).  A matrix equal to
+    ``zero_mat``, dim rows of the zero literal, and a row that holds nothing
+    else are skipped after one list comparison."""
+    if mat == zero_mat:
+        return []
+    dim = len(zero_mat)
+    if isinstance(mat, list) and len(mat) == dim:
+        zero_row = zero_mat[0]
+        entries = []
+        for s, row in enumerate(mat):
+            if row != zero_row:
+                if type(row) is not list or len(row) != dim:
+                    break
+                entries += ([s, t, row[t]] for t in compress(range(dim), map(ne, row, zero_row)))
+        else:
+            return entries
+    raise ValueError(f"action matrix for {label!r} has wrong shape "
+                     f"(expected {dim} rows of {dim} entries)")
+
+
+def _action_entries(doc: dict, F: Field, labels: list[str]):
+    """The dimension of a homkit-module/1 or /2 document and a generator of
+    the non-zero entries ``(k, s, t, value)`` of its action matrices: row s
+    and column t of the matrix of ``labels[k]``, by increasing k and, within
+    one matrix, by increasing (s, t).  A /1 dense matrix is first turned
+    into the /2 entries ``[s, t, value]`` (``_dense_entries``), so both
+    formats are checked by one code path: every label is present, each
+    entry has s and t in range(dim), the entries of a matrix come by
+    strictly increasing (s, t), and each value goes through
+    ``Field.parse``, a zero being dropped as ``algebra_from_json`` drops
+    one.  The first malformed entry in label order raises ValueError naming
+    it when the generator reaches it."""
     dim = doc["dim"]
-    if type(dim) is not int:
-        raise ValueError(f"'dim' {dim!r} is not an integer")
+    if type(dim) is not int or dim < 0:
+        raise ValueError(f"'dim' {dim!r} is not a non-negative integer")
     act = doc["action"]
     if not isinstance(act, dict):
         raise ValueError("'action' is not an object")
-    action = []
-    for label in labels:
-        if label not in act:
-            raise ValueError(f"missing action matrix for basis element {label!r}")
-        mat = act[label]
-        if not (isinstance(mat, list) and len(mat) == dim
-                and all(isinstance(row, list) and len(row) == dim for row in mat)):
-            raise ValueError(f"action matrix for {label!r} has wrong shape "
-                             f"(expected {dim} rows of {dim} entries)")
-        rows = {}
-        for i, row in enumerate(mat):
-            if row.count(zero) == dim:
-                continue
-            out = {}
-            for t, text in enumerate(row):
-                if text != zero:
-                    try:
-                        v = F.parse(text)
-                    except ValueError as e:
-                        raise ValueError(f"action matrix for {label!r}, row {i}, "
-                                         f"column {t}: {e}") from None
-                    if v != 0:
-                        out[t] = v
-            if out:
-                rows[i] = out
-        action.append(rows)
-    return dim, action
+    # a /1 matrix of zero literals only, as most of them are; the literal is
+    # interned, as the JSON decoder's one-character strings are, so that the
+    # list comparisons meet the same object and compare by identity
+    zero_mat = ([[sys.intern(F.format(F.zero))] * dim] * dim
+                if doc["format"] == "homkit-module/1" else None)
+
+    def entries():
+        for k, label in enumerate(labels):
+            if label not in act:
+                raise ValueError(f"missing action matrix for basis element {label!r}")
+            raw = act[label]
+            if zero_mat is not None:
+                raw = _dense_entries(label, raw, zero_mat)
+            elif not isinstance(raw, list):
+                raise ValueError(f"action matrix for {label!r} is not a list of entries")
+            last = -1
+            for n, entry in enumerate(raw):
+                s, t, text = entry if type(entry) is list and len(entry) == 3 else (None,) * 3
+                if not (type(s) is type(t) is int and 0 <= s < dim and 0 <= t < dim):
+                    raise ValueError(f"action matrix for {label!r}, entry {n} is not "
+                                     f"[s, t, value] with s, t in 0..{dim - 1}: {entry!r}")
+                if s * dim + t <= last:
+                    raise ValueError(f"action matrix for {label!r}, entry {n} repeats or "
+                                     f"precedes the (s, t) before it: {entry!r}")
+                last = s * dim + t
+                try:
+                    v = F.parse(text)
+                except ValueError as e:
+                    raise ValueError(f"action matrix for {label!r}, row {s}, "
+                                     f"column {t}: {e}") from None
+                if v != 0:
+                    yield k, s, t, v
+
+    return dim, entries()
 
 
 def module_from_json(doc: dict, algebra: Algebra | None = None) -> Module:
-    """Read a homkit-module/1 document; a malformed one raises ValueError
-    naming the entry at fault.  Entries equal to the zero literal that
-    ``module_to_json`` writes are skipped unparsed, and so is a row that
-    holds nothing else; every other entry goes through ``Field.parse``."""
+    """Read a homkit-module/1 or /2 document (see ``_action_entries``); a
+    malformed one raises ValueError naming the entry at fault."""
     _module_header(doc)
     if algebra is None:
         ref = doc.get("algebra")
@@ -1232,23 +1352,31 @@ def module_from_json(doc: dict, algebra: Algebra | None = None) -> Module:
             raise ValueError("module document references an external algebra "
                              "or none; pass it explicitly")
         algebra = algebra_from_json(ref)
-    return adapt_weights(algebra, *_action_matrices(doc, algebra.field, algebra.labels))
+    dim, entries = _action_entries(doc, algebra.field, algebra.labels)
+    action: list[dict[int, dict]] = [{} for _ in range(algebra.dim)]
+    for k, s, t, v in entries:
+        action[k].setdefault(s, {})[t] = v
+    return adapt_weights(algebra, dim, action)
 
 
 def bimodule_from_json(doc: dict, b: Algebra, c: Algebra) -> tuple[Module, Module]:
-    """Read a homkit-module/1 document of a C-B-bimodule M, a module over
-    T = tensor(opposite(c), b), into its restrictions (M_B, _CM), the value
-    ``bimodule_restrictions`` gives for the M in the file, without building T.
+    """Read a homkit-module/1 or /2 document of a C-B-bimodule M, a module
+    over T = tensor(opposite(c), b), into its restrictions (M_B, _CM), the
+    value ``bimodule_restrictions`` gives for the M in the file, without
+    building T.
 
-    Every matrix is read as ``module_from_json`` reads it, in T's basis
-    order.  The matrices of x (x) e_j and of e_i^op (x) y are
-    summed into the side actions, and the projectors of the idempotent
-    pairs give the weights and, when the file's basis is not adapted to
-    them, the change of basis (``_weight_basis``, as ``adapt_weights``).
-    Every other matrix, of x (x) y with x in rad C^op and y in rad B, must be
-    the product of its side actions, since x (x) y = (x (x) 1)(1 (x) y);
-    one that is not raises ValueError naming it.  A document's ``algebra``
-    entry is not read.
+    The entries are read as ``module_from_json`` reads them, in T's basis
+    order, and those of x (x) e_j and of e_i^op (x) y are added into the
+    side actions as they are read (``_side_sums``).  The projectors of the
+    idempotent pairs give the weights and, when the file's basis is not
+    adapted to them, the change of basis (``_weight_basis``, as
+    ``adapt_weights``).  Every other matrix, of x (x) y with x in rad C^op
+    and y in rad B, must be the product of its side actions, since
+    x (x) y = (x (x) 1)(1 (x) y), and for generators x and y also the
+    product in the other order, (1 (x) y)(x (x) 1); with that the side
+    actions must make M a bimodule (``_check_sides``).  A failure
+    raises ValueError naming the matrix or basis elements at fault.  A
+    document's ``algebra`` entry is not read.
     """
     if b.field != c.field:
         raise ValueError("B and C are over different fields")
@@ -1256,17 +1384,24 @@ def bimodule_from_json(doc: dict, b: Algebra, c: Algebra) -> tuple[Module, Modul
     F = b.field
     rb, rc = b.r, c.r
     pairs, labels = _tensor_basis(opposite(c), b)
-    dim, mats = _action_matrices(doc, F, labels)
-    right, left = _side_sums(b, c, pairs, mats)
-    for k, (x, y) in enumerate(pairs):
-        if x < rc or y < rb:
-            continue
-        product = {s: v for s, row in left[x].items() if (v := _vecmat(F, row, right[y]))}
-        if mats[k] != product:
+    dim, entries = _action_entries(doc, F, labels)
+    right, left, whole = _side_sums(b, c, pairs, entries)
+    gens_c, gens_b = set(c.generators), set(b.generators)
+    for k, mat in whole.items():
+        x, y = pairs[k]
+        if x < rc:
+            continue  # an idempotent pair
+        product = _matmul(F, left[x], right[y])
+        if mat != product:
             raise ValueError(f"action matrix for {labels[k]!r} is not the product "
                              "of its side actions")
-    weights, change = _weight_basis(F, dim, mats[:rc * rb])
+        if x in gens_c and y in gens_b and product != _matmul(F, right[y], left[x]):
+            raise ValueError(f"{c.labels[x]!r} in C^op and {b.labels[y]!r} in B do not "
+                             "commute")
+    weights, change = _weight_basis(F, dim, [whole[k] for k in range(rc * rb)], labels)
     if change is not None:
         right = [change(act) for act in right]
         left = [change(act) for act in left]
-    return _restrictions(b, c, weights, right, left)
+    mb, mc = _restrictions(b, c, weights, right, left)
+    _check_sides(mb, mc)
+    return mb, mc

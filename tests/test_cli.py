@@ -7,12 +7,14 @@ from pathlib import Path
 
 import pytest
 
+from _module_v1 import module_to_json_v1
 from homkit import algebra as algebra_mod
 from homkit import cli, corpus
 from homkit.algebra import (_tensor_basis, algebra_from_json, algebra_to_json, from_quiver,
                             opposite, tensor)
 from homkit.invariants import TheoremViolation
-from homkit.modules import Module, module_to_json
+from homkit.modules import (Module, _matmul, bimodule_restrictions, module_from_json,
+                            module_to_json)
 from homkit.presentation import print_spec, spec_of_fixture
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -202,13 +204,31 @@ def test_dump_module_round_trip(capsys, tmp_path, one_point, loc):
     action = [{0: {0: F.one}} if t < T.r else {} for t in range(T.dim)]
     m = Module(T, 1, action, [0])
     f = tmp_path / "m.mod"
-    f.write_text(json.dumps(module_to_json(m)))
+    f.write_text(json.dumps(module_to_json_v1(m)))
     code, out, _ = run_cli(capsys, "dump", str(f), "--dump-module")
     assert code == 0
     doc = json.loads(out)
-    assert doc["format"] == "homkit-module/1"
+    assert doc["format"] == "homkit-module/2"
     code2, out2, _ = run_cli(capsys, "dump", str(f), "--dump-module")
     assert out2 == out
+
+
+def test_dump_module_converts_a_dense_file_to_sparse(capsys, tmp_path):
+    # a /1 file dumps to the /2 document module_to_json writes, which reads
+    # back to an equal module and dumps to the same bytes
+    inst = corpus.generate(corpus.CorpusSpec(seed=42, count=30, shape="TriangularPair"), 7)
+    dense = module_to_json_v1(inst.m)
+    f, g = tmp_path / "m1.mod", tmp_path / "m2.mod"
+    f.write_text(json.dumps(dense))
+    code, out, _ = run_cli(capsys, "dump", str(f), "--dump-module")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc == module_to_json(inst.m)
+    assert module_from_json(doc) == module_from_json(dense) == inst.m
+    assert inst.m.dim == 12
+    assert len(json.dumps(doc["action"])) * 5 < len(json.dumps(dense["action"]))
+    g.write_text(out)
+    assert run_cli(capsys, "dump", str(g), "--dump-module") == (0, out, "")
 
 
 def test_dump_module_with_path_reference(capsys, tmp_path, a2):
@@ -420,6 +440,10 @@ def _entry_is_a_number(doc):
     next(iter(doc["action"].values()))[0][0] = 1
 
 
+def _sparse_entry_is_a_number(doc):
+    next(iter(doc["action"].values()))[0][2] = 1
+
+
 def _action_is_not_a_list(doc):
     doc["action"][next(iter(doc["action"]))] = 5
 
@@ -439,10 +463,13 @@ def _no_basis(doc):
 @pytest.mark.parametrize("kind, edit, named", [
     ("module", _entry_is_a_number, "row 0, column 0: scalar 1 is not a string"),
     ("module", _action_is_not_a_list, "has wrong shape"),
+    ("module/2", _sparse_entry_is_a_number, "row 0, column 0: scalar 1 is not a string"),
+    ("module/2", _action_is_not_a_list, "is not a list of entries"),
     ("algebra", _coefficient_is_a_number, "mult entry 0: scalar 1 is not a string"),
     ("algebra", _index_out_of_range, "mult entry 0 is not [x, y, z, coefficient]"),
     ("algebra", _no_basis, "no 'basis' entry"),
-], ids=["module-entry-number", "module-action-not-list", "algebra-coefficient-number",
+], ids=["module-entry-number", "module-action-not-list", "module2-entry-number",
+        "module2-action-not-list", "algebra-coefficient-number",
         "algebra-index-out-of-range", "algebra-no-basis"])
 def test_malformed_json_is_an_input_error(capsys, tmp_path, kind, edit, named):
     """A malformed algebra exits 1 from load_algebra and as a module's inline
@@ -452,7 +479,7 @@ def test_malformed_json_is_an_input_error(capsys, tmp_path, kind, edit, named):
     (tmp_path / "C.qa").write_text(print_spec(c))
     T = tensor(opposite(from_quiver(c)), from_quiver(b))
     m = Module(T, 1, [{0: {0: T.field.one}} if t == 0 else {} for t in range(T.dim)], [0])
-    mod = module_to_json(m)
+    mod = (module_to_json if kind == "module/2" else module_to_json_v1)(m)
     runs = []
     if kind == "algebra":
         alg = algebra_to_json(from_quiver(c))
@@ -599,14 +626,15 @@ def test_corpus_dim_bound_below_the_shape_minimum(capsys, shape, minimum):
     assert code == 0 and json.loads(out)["aggregate"]["pass"] == 3
 
 
-def _transfer_files(tmp_path, index=3, edit=None):
+def _transfer_files(tmp_path, index=3, edit=None, writer=module_to_json):
     """B, C and M of the TriangularPair instance tri-42-<index>, written as
-    files; ``edit`` changes M's document before it is written."""
+    files, M by ``writer``; ``edit`` changes M's document before it is
+    written."""
     inst = corpus.generate(corpus.CorpusSpec(seed=42, count=30, shape="TriangularPair"), index)
     files = [tmp_path / n for n in ("b.json", "c.json", "m.json")]
     files[0].write_text(json.dumps(algebra_to_json(inst.b)))
     files[1].write_text(json.dumps(algebra_to_json(inst.c)))
-    doc = module_to_json(inst.m, algebra_ref="tensor(op(C),B)")
+    doc = writer(inst.m, algebra_ref="tensor(op(C),B)")
     if edit is not None:
         edit(inst, doc)
     files[2].write_text(json.dumps(doc))
@@ -629,13 +657,7 @@ def _flip_entry(mats, label):
     mats[label][0][0] = "1" if mats[label][0][0] == "0" else "0"
 
 
-@pytest.mark.parametrize("edit, named", [
-    (_drop, "missing action matrix for basis element {!r}"),
-    (_drop_row, "action matrix for {!r} has wrong shape (expected 12 rows of 12 entries)"),
-    (_number_entry, "action matrix for {!r}, row 0, column 0: scalar 1 is not a string"),
-    (_flip_entry, "action matrix for {!r} is not the product of its side actions"),
-], ids=["missing", "wrong-shape", "number", "not-the-product"])
-def test_bad_matrix_beside_the_side_actions_is_an_input_error(capsys, tmp_path, edit, named):
+def _break_radical_matrices(capsys, tmp_path, writer, edit, named):
     # the matrices of x (x) y with x in rad C^op and y in rad B are not side
     # actions, yet each is read and checked; every one of them is broken
     # here, the last first and in a file that lists them in reverse, and the
@@ -651,10 +673,140 @@ def test_bad_matrix_beside_the_side_actions_is_an_input_error(capsys, tmp_path, 
         doc["action"] = dict(reversed(doc["action"].items()))
         seen.append(labels[0])
 
-    _, files = _transfer_files(tmp_path, 7, edit_all)
+    _, files = _transfer_files(tmp_path, 7, edit_all, writer)
     code, out, err = run_cli(capsys, "check", "gorenstein-transfer", *map(str, files))
     assert (code, out) == (1, "")
     assert err == f"error: {files[2]}: {named.format(seen[0])}\n"
+
+
+@pytest.mark.parametrize("edit, named", [
+    (_drop, "missing action matrix for basis element {!r}"),
+    (_drop_row, "action matrix for {!r} has wrong shape (expected 12 rows of 12 entries)"),
+    (_number_entry, "action matrix for {!r}, row 0, column 0: scalar 1 is not a string"),
+    (_flip_entry, "action matrix for {!r} is not the product of its side actions"),
+], ids=["missing", "wrong-shape", "number", "not-the-product"])
+def test_bad_matrix_beside_the_side_actions_is_an_input_error(capsys, tmp_path, edit, named):
+    _break_radical_matrices(capsys, tmp_path, module_to_json_v1, edit, named)
+
+
+def _prepend(*entries):
+    def edit(mats, label):
+        mats[label] = [*entries, *mats[label]]
+    return edit
+
+
+def _toggle_entry(mats, label):
+    entries = mats[label]
+    if entries and entries[0][:2] == [0, 0]:
+        del entries[0]
+    else:
+        entries.insert(0, [0, 0, "1"])
+
+
+@pytest.mark.parametrize("edit, named", [
+    (_prepend("x"), "action matrix for {!r}, entry 0 is not [s, t, value] with s, t in "
+                    "0..11: 'x'"),
+    (_prepend([12, 0, "1"]), "action matrix for {!r}, entry 0 is not [s, t, value] with "
+                             "s, t in 0..11: [12, 0, '1']"),
+    (_prepend([0, 0, "1"], [0, 0, "1"]), "action matrix for {!r}, entry 1 repeats or "
+                                         "precedes the (s, t) before it: [0, 0, '1']"),
+    (_prepend([0, 0, 1]), "action matrix for {!r}, row 0, column 0: scalar 1 is not a "
+                          "string"),
+    (_drop, "missing action matrix for basis element {!r}"),
+    (_toggle_entry, "action matrix for {!r} is not the product of its side actions"),
+], ids=["not-a-list", "out-of-range", "repeated", "number", "missing", "not-the-product"])
+def test_bad_sparse_matrix_beside_the_side_actions_is_an_input_error(capsys, tmp_path, edit,
+                                                                     named):
+    _break_radical_matrices(capsys, tmp_path, module_to_json, edit, named)
+
+
+def _side_action_files(tmp_path, index, tamper=None):
+    """B, C and M of tri-42-<index>, M written from its side actions
+    (M_B, _CM) after ``tamper(F, right, left, weights)`` changed them, with
+    the matrix of every pair x (x) y the product left[x] right[y], so that
+    only the checks on the side actions themselves can fail."""
+    inst = corpus.generate(corpus.CorpusSpec(seed=42, count=30, shape="TriangularPair"), index)
+    mb, mc = bimodule_restrictions(inst.b, inst.c, inst.m)
+    right, left = list(mb.action), list(mc.action)
+    F = inst.m.field
+    if tamper is not None:
+        tamper(F, right, left, inst.m.weights)
+    pairs = _tensor_basis(opposite(inst.c), inst.b)[0]
+    m = Module(inst.m.algebra, inst.m.dim, [_matmul(F, left[x], right[y]) for x, y in pairs],
+               inst.m.weights)
+    files = [tmp_path / n for n in ("b.json", "c.json", "m.json")]
+    files[0].write_text(json.dumps(algebra_to_json(inst.b)))
+    files[1].write_text(json.dumps(algebra_to_json(inst.c)))
+    files[2].write_text(json.dumps(module_to_json(m, algebra_ref="tensor(op(C),B)")))
+    return files
+
+
+def _scale(side, x):
+    def tamper(F, right, left, weights):
+        acts = right if side == "B" else left
+        acts[x] = {s: {t: F.mul(F.of_int(2), v) for t, v in row.items()}
+                   for s, row in acts[x].items()}
+    return tamper
+
+
+def _entry_off_the_tags(F, right, left, weights):
+    # basis element 1 of B ('c0') gets an entry between vectors of two
+    # weights of C, so it moves the weight of the other side; this one
+    # entry still commutes with the radical of C^op
+    s, t = 0, 9
+    assert weights[s] != weights[t]
+    right[1] = {**right[1], s: {**right[1].get(s, {}), t: F.one}}
+
+
+def _conjugate_left(F, right, left, weights):
+    # _CM becomes Q (_CM) Q^-1 for Q = 1 + E_st, s != t of one weight of
+    # T: still a module over C^op with the same weights, but its action no
+    # longer commutes with that of B
+    s, t = 1, 3
+    assert weights[s] == weights[t]
+    fill = {k: {k: F.one} for k in range(len(weights)) if k != s}
+    q, q_inv = {**fill, s: {s: F.one, t: F.one}}, {**fill, s: {s: F.one, t: F.neg(F.one)}}
+    for x in range(len(left)):
+        left[x] = dict(sorted(_matmul(F, _matmul(F, q, left[x]), q_inv).items()))
+
+
+@pytest.mark.parametrize("tamper, named", [
+    (_entry_off_the_tags, "'c0' in B does not respect the vertex tags"),
+    (_scale("B", 1), "'c0' then 'c0' in B does not act as their product"),
+    (_scale("C", 3), "'c0' then 'c1' in C^op does not act as their product"),
+    (_conjugate_left, "'c0' in C^op and 'c0' in B do not commute"),
+], ids=["tags", "b-not-multiplicative", "cop-not-multiplicative", "do-not-commute"])
+def test_bad_side_action_is_an_input_error(capsys, tmp_path, tamper, named):
+    # every x (x) y is the product of its side actions, so the file passes
+    # the product check; the side actions do not make M a bimodule
+    files = _side_action_files(tmp_path, 21, tamper)
+    code, out, err = run_cli(capsys, "check", "gorenstein-transfer", *map(str, files))
+    assert (code, out, err) == (1, "", f"error: {files[2]}: {named}\n")
+
+
+def test_idempotent_that_is_no_projector_is_an_input_error(capsys, tmp_path):
+    # e_1 (x) e_1 scaled by 2 on one vector: the projector images still fill
+    # the space, so the basis is changed, but e_1 (x) e_1 is not idempotent
+    def edit(inst, doc):
+        assert doc["action"]["e1⊗e1"][0] == [0, 0, "1"]
+        doc["action"]["e1⊗e1"][0][2] = "2"
+
+    _, files = _transfer_files(tmp_path, 21, edit)
+    code, out, err = run_cli(capsys, "check", "gorenstein-transfer", *map(str, files))
+    assert (code, out, err) == (
+        1, "", f"error: {files[2]}: 'e1⊗e1' does not act as one of orthogonal idempotents\n")
+
+
+def test_side_action_files_read_as_the_corpus_files(capsys, tmp_path):
+    # untampered, the files of the test above give the reports of the
+    # corpus' own files
+    (tmp_path / "rebuilt").mkdir()
+    rebuilt = _side_action_files(tmp_path / "rebuilt", 21)
+    _, files = _transfer_files(tmp_path, 21)
+    for kind in ("gorenstein-transfer", "smoothness-transfer"):
+        want = run_cli(capsys, "check", kind, *map(str, files), "--json")
+        assert want[0] == 0
+        assert run_cli(capsys, "check", kind, *map(str, rebuilt), "--json") == want
 
 
 def test_transfer_factors_over_different_fields_are_an_input_error(capsys, tmp_path):

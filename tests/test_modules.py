@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+from _module_v1 import module_to_json_v1
 from _oracles import (algebra_map_holds, basis_with_tags, dense_action, dense_kernel,
                       dense_matmul, dense_rank, dense_rows, iso_witness_holds,
                       module_tensor_dim, restrict_along, split_witness_holds)
@@ -798,13 +799,25 @@ def test_spanned_submodule_and_quotient(tp2):
 
 def test_module_json_round_trip(a2):
     m = projective(a2, 0)
-    doc = module_to_json(m)
+    doc = module_to_json_v1(m)
     assert doc["format"] == "homkit-module/1"
     text = json.dumps(doc, sort_keys=True)
     m2 = module_from_json(json.loads(text))
     assert m2.dim == m.dim
     assert m2.action == m.action
+    assert json.dumps(module_to_json_v1(m2), sort_keys=True) == text
+
+
+def test_sparse_module_json_round_trip(a2):
+    m = projective(a2, 0)
+    doc = module_to_json(m)
+    assert doc["format"] == "homkit-module/2"
+    text = json.dumps(doc, sort_keys=True)
+    m2 = module_from_json(json.loads(text))
+    assert m2 == m
     assert json.dumps(module_to_json(m2), sort_keys=True) == text
+    # the /1 document of the same module reads to the same module
+    assert module_from_json(module_to_json_v1(m)) == m
 
 
 def test_module_json_with_external_algebra(a2):
@@ -944,7 +957,7 @@ def test_module_json_writes_dense_and_reads_sparse(monkeypatch):
         a2 = from_quiver(parse_spec(f"field {field} quiver {{ vertices: 1, 2  "
                                     "arrows: a: 1 -> 2 }", name="A2"))
         m = projective(a2, 0)
-        doc = module_to_json(m)
+        doc = module_to_json_v1(m)
         assert all(len(row) == m.dim for mat in doc["action"].values() for row in mat)
         assert doc["action"][a2.labels[0]] == [["1", "0"], ["0", "0"]]
         # only the entries that differ from the zero literal are parsed
@@ -964,6 +977,49 @@ def test_module_json_writes_dense_and_reads_sparse(monkeypatch):
         doc["action"][a2.labels[2]][1][0] = "0"
         doc["action"][a2.labels[0]][0].append("0")
         with pytest.raises(ValueError, match="wrong shape"):
+            module_from_json(doc)
+
+
+def test_sparse_module_json_writes_and_reads_the_non_zero_entries(monkeypatch):
+    from homkit.linalg import Field
+    parse = Field.parse
+    parsed = []
+    monkeypatch.setattr(Field, "parse", lambda F, text: parsed.append(text) or parse(F, text))
+    for field in ("Q", "F101"):
+        a2 = from_quiver(parse_spec(f"field {field} quiver {{ vertices: 1, 2  "
+                                    "arrows: a: 1 -> 2 }", name="A2"))
+        m = projective(a2, 0)
+        doc = module_to_json(m)
+        arrow = a2.labels[2]
+        assert doc["action"] == {a2.labels[0]: [[0, 0, "1"]], a2.labels[1]: [[1, 1, "1"]],
+                                 arrow: [[0, 1, "1"]]}
+        # every entry is parsed
+        parsed.clear()
+        assert module_from_json(doc, algebra=a2).action == m.action
+        assert parsed == ["1", "1", "1"]
+        # a zero entry is parsed, and dropped
+        for zero in ("0", "00", " 0", "0/3"):
+            doc["action"][arrow] = [[0, 1, "1"], [1, 0, zero]]
+            assert module_from_json(doc).action == m.action, (field, zero)
+        # and bad entries still raise, naming where they are
+        for bad in ("abc", "1/0", " ", "0.0", 1):
+            doc["action"][arrow] = [[0, 1, "1"], [1, 0, bad]]
+            with pytest.raises(ValueError, match=r"row 1, column 0"):
+                module_from_json(doc)
+        for bad, match in (([1, 0], r"entry 1 is not \[s, t, value\]"),
+                           ([1, 2, "1"], r"entry 1 is not .* in 0\.\.1"),
+                           ([-1, 0, "1"], r"entry 1 is not .* in 0\.\.1"),
+                           ([True, 0, "1"], r"entry 1 is not \[s, t, value\]"),
+                           ("1", r"entry 1 is not \[s, t, value\]")):
+            doc["action"][arrow] = [[0, 1, "1"], bad]
+            with pytest.raises(ValueError, match=match):
+                module_from_json(doc)
+        for entries in ([[0, 1, "1"], [0, 1, "2"]], [[0, 1, "1"], [0, 0, "1"]]):
+            doc["action"][arrow] = entries
+            with pytest.raises(ValueError, match="entry 1 repeats or precedes"):
+                module_from_json(doc)
+        doc["action"][arrow] = {"0": []}
+        with pytest.raises(ValueError, match="is not a list of entries"):
             module_from_json(doc)
 
 
@@ -1029,13 +1085,20 @@ def test_unknown_names_what_stopped_it(tp11, monkeypatch):
 # recorded with the row-invariant cases of each fixture less the identity
 # restriction of P, which equalled P and followed it in the stream
 MODULE_JSON_SHA256 = "b8b56291d0119fcf1268962d2870562eaec880dd39d9c84716e80a7113d1f409"
+# the homkit-module/2 text of the same modules, recorded when /2 was added
+MODULE_JSON_V2_SHA256 = "bb4e8f19e34c5868e8cb627afdc5ff7646e248802f8c37536a551259b8b98b71"
 
 
 def test_module_json_is_unchanged(fixture_algebras, seed42_pools):
     # the homkit-module/1 text of the fixture and pool modules, hashed when
-    # the action still stored every row, empty ones included
-    digest = hashlib.sha256()
+    # the action still stored every row, empty ones included; each module is
+    # now written as /2, read back, and written as /1 again
+    digest, digest2 = hashlib.sha256(), hashlib.sha256()
     for cases in (_row_invariant_cases(fixture_algebras), _pool_modules(seed42_pools)):
         for _, m in cases:
-            digest.update(json.dumps(module_to_json(m), sort_keys=True).encode())
+            text = json.dumps(module_to_json(m), sort_keys=True)
+            digest2.update(text.encode())
+            back = module_from_json(json.loads(text), algebra=m.algebra)
+            digest.update(json.dumps(module_to_json_v1(back), sort_keys=True).encode())
     assert digest.hexdigest() == MODULE_JSON_SHA256
+    assert digest2.hexdigest() == MODULE_JSON_V2_SHA256
