@@ -214,7 +214,7 @@ def _load_bimodule(args, b: Algebra, c: Algebra) -> tuple[Module, Module]:
                 raise InputError(
                     f"{args.module}: inline algebra does not match tensor(op(C), B)")
         return bimodule_from_json(doc, b, c)
-    except (ValueError, KeyError) as e:
+    except ValueError as e:
         raise InputError(f"{args.module}: {e}") from None
 
 
@@ -303,7 +303,7 @@ def cmd_dump(args) -> int:
                     "file, so the module cannot be validated standalone")
         try:
             m = module_from_json(doc, algebra=algebra)
-        except (ValueError, KeyError) as e:
+        except ValueError as e:
             raise InputError(f"{args.file}: {e}") from None
         _print(canonical_json(module_to_json(
             m, algebra_ref=ref if isinstance(ref, str) else None)))

@@ -1052,6 +1052,10 @@ def _weight_basis(F: Field, dim: int, projectors: list[dict[int, dict]], labels:
     matrix in that basis, or None when the given basis is adapted already.
     Projectors that are not orthogonal idempotents summing to the identity
     raise ValueError."""
+    # projectors that sum to the identity hold at least dim non-zero entries;
+    # counted first, so that a large dim allocates nothing
+    if sum(len(row) for proj in projectors for row in proj.values()) < dim:
+        raise ValueError("idempotent projector images do not fill the space")
     # fast path: every projector row is zero or a unit vector at its own index
     weights: list[int | None] = [None] * dim
     diagonal = True
@@ -1098,7 +1102,9 @@ def adapt_weights(algebra: Algebra, dim: int, action: list[dict[int, dict]]) -> 
     """Build a Module from raw sparse action matrices (``{s: row}`` over the
     non-zero rows, as ``Module.action``) by choosing a basis
     adapted to the idempotent projectors (see ``_weight_basis``).  The rows
-    come from outside the library, so each is checked first, as ``Module`` does not."""
+    come from outside the library, so each is checked first, as ``Module`` does not,
+    and the module is checked on generators (``_check_module``, with one
+    block for the other side): a non-multiplicative action raises ValueError."""
     for mat in action:
         prev = -1
         for s, row in mat.items():
@@ -1112,7 +1118,9 @@ def adapt_weights(algebra: Algebra, dim: int, action: list[dict[int, dict]]) -> 
     weights, change = _weight_basis(algebra.field, dim, action[:algebra.r], algebra.labels)
     if change is not None:
         action = [change(act) for act in action]
-    return Module(algebra, dim, action, weights)
+    m = Module(algebra, dim, action, weights)
+    _check_module(m, [0] * dim, algebra.name)
+    return m
 
 
 # --------------------------------------------------------------------------
@@ -1120,49 +1128,30 @@ def adapt_weights(algebra: Algebra, dim: int, action: list[dict[int, dict]]) -> 
 # --------------------------------------------------------------------------
 
 
-def _side_sums(b: Algebra, c: Algebra, pairs, entries) -> tuple[list, list, dict]:
+def _side_actions(b: Algebra, c: Algebra, pairs, action) -> tuple[list, list]:
     """The side actions ``(right, left)`` of a C-B-bimodule M, summed from
-    the non-zero entries ``(k, s, t, value)`` of its action matrices, row s
-    and column t of the matrix of basis pair k of T = tensor(opposite(c),
-    b) (``pairs``), in T's basis order; and, by pair index, the whole
-    matrices of the pairs that do not go into exactly one side: the
-    idempotent pairs, which go into both, and the radical pairs x (x) y,
-    x in rad C^op and y in rad B, which go into neither.
+    its action matrices ``action[k]``, one per basis pair k of
+    T = tensor(opposite(c), b) (``pairs``), in T's basis order.
 
     ``right[y]`` is the action of y in B, the sum of e_i^op (x) y over the
     vertices i of C, and ``left[x]`` that of x in C (a basis element of
     C^op), the sum of x (x) e_j over the vertices j of B; each is
     ``{s: row}`` over its non-zero rows in increasing s, as
-    ``Module.action``.  Each entry is added in as it arrives."""
+    ``Module.action``.  The first row that reaches a side row is copied,
+    and the later ones are added into the copy."""
     F = b.field
     rb, rc = b.r, c.r
     right: list[dict[int, dict]] = [{} for _ in range(b.dim)]
     left: list[dict[int, dict]] = [{} for _ in range(c.dim)]
-    whole = {k: {} for k, (x, y) in enumerate(pairs) if (x < rc) == (y < rb)}
-
-    def add(acc: dict, s: int, t: int, v) -> None:
-        # axpy(F, acc[s], F.one, {t: v}) for one entry, with no row built
-        row = acc.get(s)
-        if row is None:
-            acc[s] = {t: v}
-        elif t not in row:
-            row[t] = v
-        elif w := F.add(row[t], v):
-            row[t] = w
-        else:
-            del row[t]
-
-    for k, s, t, v in entries:
-        x, y = pairs[k]
-        # T's basis order brings each side's pairs in increasing vertex order
-        if x < rc:
-            add(right[y], s, t, v)
-        if y < rb:
-            add(left[x], s, t, v)
-        if k in whole:
-            add(whole[k], s, t, v)
+    for (x, y), mat in zip(pairs, action):
+        for acc in ([right[y]] if x < rc else []) + ([left[x]] if y < rb else []):
+            for s, row in mat.items():
+                if s in acc:
+                    axpy(F, acc[s], F.one, row)
+                else:
+                    acc[s] = dict(row)
     return ([{s: acc[s] for s in sorted(acc) if acc[s]} for acc in right],
-            [{s: acc[s] for s in sorted(acc) if acc[s]} for acc in left], whole)
+            [{s: acc[s] for s in sorted(acc) if acc[s]} for acc in left])
 
 
 def bimodule_restrictions(b: Algebra, c: Algebra, m: Module) -> tuple[Module, Module]:
@@ -1172,18 +1161,16 @@ def bimodule_restrictions(b: Algebra, c: Algebra, m: Module) -> tuple[Module, Mo
     restrictions along the two algebra maps B -> T and C^op -> T that send
     y to the sum of e_i^op (x) y and x to the sum of x (x) e_j; the maps
     hold by construction, so the side actions are summed directly (see
-    ``_side_sums``) and no map is checked.
+    ``_side_actions``) and no map is checked.
     """
     if m.algebra != tensor(opposite(c), b):
         raise ValueError("bimodule is not a module over tensor(opposite(c), b)")
-    pairs = _tensor_basis(opposite(c), b)[0]
-    right, left, _ = _side_sums(b, c, pairs, ((k, s, t, v) for k, mat in enumerate(m.action)
-                                              for s, row in mat.items() for t, v in row.items()))
+    right, left = _side_actions(b, c, _tensor_basis(opposite(c), b)[0], m.action)
     return _restrictions(b, c, m.weights, right, left)
 
 
 def _restrictions(b: Algebra, c: Algebra, weights: list[int], right, left) -> tuple[Module, Module]:
-    """M_B and _CM from M's side actions (see ``_side_sums``) in a basis
+    """M_B and _CM from M's side actions (see ``_side_actions``) in a basis
     adapted to T's vertices, ``weights[s]`` = i * b.r + j, so adapted to
     B's vertex j and to C's vertex i."""
     rb = b.r
@@ -1206,38 +1193,36 @@ def _act(F: Field, action: list[dict[int, dict]], coords: dict) -> dict:
     return {s: row for s, row in out.items() if row}
 
 
-def _check_sides(mb: Module, mc: Module) -> None:
-    """Raise ValueError, naming the basis elements at fault, unless the
-    pair (M_B, _CM) read off a file, in one basis adapted to the vertices of
-    both sides and with generators that commute (``bimodule_from_json``
-    checks that), is a C-B-bimodule.  The idempotents act as the weight
-    projectors, as ``_weight_basis`` makes them; the rest is checked on
-    generators, as ``algebra_from_json`` checks associativity.  On each side
-    every radical basis element y maps weight left[y] to weight right[y]
-    and keeps the other side's weight, and y * g acts as y then g for every
-    generator g.  Since rad is spanned by the products of generators, each
-    side is then a module (B and C are associative, as they are checked on
-    load), and the two sides commute."""
-    F = mb.field
+def _check_module(m: Module, other: list[int], side: str) -> None:
+    """Raise ValueError, naming the basis elements at fault, unless m, read
+    off a file in a basis adapted to its weights, is a module.  The
+    idempotents act as the weight projectors, as ``_weight_basis`` makes
+    them; the rest is checked on generators, as ``algebra_from_json`` checks
+    associativity.  Every radical basis element y maps weight left[y] to
+    weight right[y] and keeps the weight ``other[s]`` of each basis vector
+    s (the other side's weight of a bimodule, or one block for a module on
+    its own), and y * g acts as y then g for every generator g.  Since rad
+    is spanned by the products of generators, m is then a module (its
+    algebra is associative, as it is checked on load).  ``side`` names m's
+    algebra in the message."""
+    F, a, own, act = m.field, m.algebra, m.weights, m.action
+    # the basis vectors by their weights on this side and on the other
+    block: dict[tuple[int, int], set[int]] = {}
+    for s, key in enumerate(zip(own, other)):
+        block.setdefault(key, set()).add(s)
     empty: frozenset = frozenset()
-    for m, other, side in ((mb, mc.weights, "B"), (mc, mb.weights, "C^op")):
-        a, own, act = m.algebra, m.weights, m.action
-        # the basis vectors by their weights on this side and on the other
-        block: dict[tuple[int, int], set[int]] = {}
-        for s, key in enumerate(zip(own, other)):
-            block.setdefault(key, set()).add(s)
-        for y in range(a.r, a.dim):
-            ly, ry = a.left[y], a.right[y]
-            for s, row in act[y].items():
-                if own[s] != ly or not row.keys() <= block.get((ry, other[s]), empty):
-                    raise ValueError(f"{a.labels[y]!r} in {side} does not respect the "
-                                     "vertex tags")
-        starting = [[g for g in a.generators if a.left[g] == i] for i in range(a.r)]
-        for y in range(a.r, a.dim):
-            for g in starting[a.right[y]]:
-                if _matmul(F, act[y], act[g]) != _act(F, act, a.mult[y].get(g, {})):
-                    raise ValueError(f"{a.labels[y]!r} then {a.labels[g]!r} in {side} does "
-                                     "not act as their product")
+    for y in range(a.r, a.dim):
+        ly, ry = a.left[y], a.right[y]
+        for s, row in act[y].items():
+            if own[s] != ly or not row.keys() <= block.get((ry, other[s]), empty):
+                raise ValueError(f"{a.labels[y]!r} in {side} does not respect the "
+                                 "vertex tags")
+    starting = [[g for g in a.generators if a.left[g] == i] for i in range(a.r)]
+    for y in range(a.r, a.dim):
+        for g in starting[a.right[y]]:
+            if _matmul(F, act[y], act[g]) != _act(F, act, a.mult[y].get(g, {})):
+                raise ValueError(f"{a.labels[y]!r} then {a.labels[g]!r} in {side} does "
+                                 "not act as their product")
 
 
 def module_to_json(m: Module, algebra_ref: str | None = None) -> dict:
@@ -1266,15 +1251,15 @@ def _module_header(doc: dict) -> None:
             raise ValueError(f"module document has no {key!r} entry")
 
 
-def _dense_entries(label: str, mat, zero_mat: list) -> list:
+def _dense_entries(label: str, mat, dim: int, zero_mat: list | None) -> list:
     """The entries ``[s, t, value]`` of a homkit-module/1 dense matrix that
     differ from the zero literal, by increasing (s, t).  A matrix equal to
     ``zero_mat``, dim rows of the zero literal, and a row that holds nothing
-    else are skipped after one list comparison."""
-    if mat == zero_mat:
-        return []
-    dim = len(zero_mat)
-    if isinstance(mat, list) and len(mat) == dim:
+    else are skipped after one list comparison; ``zero_mat`` is built once
+    a matrix of dim rows is read, so it is None only for a wrong shape."""
+    if type(mat) is list and len(mat) == dim:
+        if mat == zero_mat:
+            return []
         zero_row = zero_mat[0]
         entries = []
         for s, row in enumerate(mat):
@@ -1288,63 +1273,67 @@ def _dense_entries(label: str, mat, zero_mat: list) -> list:
                      f"(expected {dim} rows of {dim} entries)")
 
 
-def _action_entries(doc: dict, F: Field, labels: list[str]):
-    """The dimension of a homkit-module/1 or /2 document and a generator of
-    the non-zero entries ``(k, s, t, value)`` of its action matrices: row s
-    and column t of the matrix of ``labels[k]``, by increasing k and, within
-    one matrix, by increasing (s, t).  A /1 dense matrix is first turned
-    into the /2 entries ``[s, t, value]`` (``_dense_entries``), so both
-    formats are checked by one code path: every label is present, each
-    entry has s and t in range(dim), the entries of a matrix come by
-    strictly increasing (s, t), and each value goes through
-    ``Field.parse``, a zero being dropped as ``algebra_from_json`` drops
-    one.  The first malformed entry in label order raises ValueError naming
-    it when the generator reaches it."""
+def _read_action(doc: dict, F: Field, labels: list[str]) -> tuple[int, list[dict[int, dict]]]:
+    """The dimension of a homkit-module/1 or /2 document and its action
+    matrices, one per label in ``labels``, each ``{s: row}`` over its
+    non-zero rows in increasing s, as ``Module.action``.  A /1 dense matrix
+    is first turned into the /2 entries ``[s, t, value]``
+    (``_dense_entries``), so both formats are checked by one code path:
+    every label is present, each entry has s and t in range(dim), the
+    entries of a matrix come by strictly increasing (s, t), and each value
+    goes through ``Field.parse``, a zero being dropped as
+    ``algebra_from_json`` drops one.  The first malformed entry in label
+    order raises ValueError naming it."""
     dim = doc["dim"]
     if type(dim) is not int or dim < 0:
         raise ValueError(f"'dim' {dim!r} is not a non-negative integer")
     act = doc["action"]
     if not isinstance(act, dict):
         raise ValueError("'action' is not an object")
-    # a /1 matrix of zero literals only, as most of them are; the literal is
-    # interned, as the JSON decoder's one-character strings are, so that the
-    # list comparisons meet the same object and compare by identity
-    zero_mat = ([[sys.intern(F.format(F.zero))] * dim] * dim
-                if doc["format"] == "homkit-module/1" else None)
-
-    def entries():
-        for k, label in enumerate(labels):
-            if label not in act:
-                raise ValueError(f"missing action matrix for basis element {label!r}")
-            raw = act[label]
-            if zero_mat is not None:
-                raw = _dense_entries(label, raw, zero_mat)
-            elif not isinstance(raw, list):
-                raise ValueError(f"action matrix for {label!r} is not a list of entries")
-            last = -1
-            for n, entry in enumerate(raw):
-                s, t, text = entry if type(entry) is list and len(entry) == 3 else (None,) * 3
-                if not (type(s) is type(t) is int and 0 <= s < dim and 0 <= t < dim):
-                    raise ValueError(f"action matrix for {label!r}, entry {n} is not "
-                                     f"[s, t, value] with s, t in 0..{dim - 1}: {entry!r}")
-                if s * dim + t <= last:
-                    raise ValueError(f"action matrix for {label!r}, entry {n} repeats or "
-                                     f"precedes the (s, t) before it: {entry!r}")
-                last = s * dim + t
-                try:
-                    v = F.parse(text)
-                except ValueError as e:
-                    raise ValueError(f"action matrix for {label!r}, row {s}, "
-                                     f"column {t}: {e}") from None
-                if v != 0:
-                    yield k, s, t, v
-
-    return dim, entries()
+    dense = doc["format"] == "homkit-module/1"
+    zero_mat = None
+    action: list[dict[int, dict]] = []
+    for label in labels:
+        if label not in act:
+            raise ValueError(f"missing action matrix for basis element {label!r}")
+        raw = act[label]
+        if dense:
+            if zero_mat is None and type(raw) is list and len(raw) == dim:
+                # a /1 matrix of zero literals only, as most of them are; the
+                # literal is interned, as the JSON decoder's one-character
+                # strings are, so that the list comparisons meet the same
+                # object and compare by identity.  Built only once a matrix
+                # has dim rows, so that a large 'dim' allocates nothing.
+                zero_mat = [[sys.intern(F.format(F.zero))] * dim] * dim
+            raw = _dense_entries(label, raw, dim, zero_mat)
+        elif not isinstance(raw, list):
+            raise ValueError(f"action matrix for {label!r} is not a list of entries")
+        mat: dict[int, dict] = {}
+        last = -1
+        for n, entry in enumerate(raw):
+            s, t, text = entry if type(entry) is list and len(entry) == 3 else (None,) * 3
+            if not (type(s) is type(t) is int and 0 <= s < dim and 0 <= t < dim):
+                raise ValueError(f"action matrix for {label!r}, entry {n} is not "
+                                 f"[s, t, value] with s, t in 0..{dim - 1}: {entry!r}")
+            if s * dim + t <= last:
+                raise ValueError(f"action matrix for {label!r}, entry {n} repeats or "
+                                 f"precedes the (s, t) before it: {entry!r}")
+            last = s * dim + t
+            try:
+                v = F.parse(text)
+            except ValueError as e:
+                raise ValueError(f"action matrix for {label!r}, row {s}, "
+                                 f"column {t}: {e}") from None
+            if v != 0:
+                mat.setdefault(s, {})[t] = v
+        action.append(mat)
+    return dim, action
 
 
 def module_from_json(doc: dict, algebra: Algebra | None = None) -> Module:
-    """Read a homkit-module/1 or /2 document (see ``_action_entries``); a
-    malformed one raises ValueError naming the entry at fault."""
+    """Read a homkit-module/1 or /2 document (see ``_read_action``) and
+    check it as ``adapt_weights`` does; a malformed one raises ValueError
+    naming the entry at fault."""
     _module_header(doc)
     if algebra is None:
         ref = doc.get("algebra")
@@ -1352,11 +1341,7 @@ def module_from_json(doc: dict, algebra: Algebra | None = None) -> Module:
             raise ValueError("module document references an external algebra "
                              "or none; pass it explicitly")
         algebra = algebra_from_json(ref)
-    dim, entries = _action_entries(doc, algebra.field, algebra.labels)
-    action: list[dict[int, dict]] = [{} for _ in range(algebra.dim)]
-    for k, s, t, v in entries:
-        action[k].setdefault(s, {})[t] = v
-    return adapt_weights(algebra, dim, action)
+    return adapt_weights(algebra, *_read_action(doc, algebra.field, algebra.labels))
 
 
 def bimodule_from_json(doc: dict, b: Algebra, c: Algebra) -> tuple[Module, Module]:
@@ -1365,18 +1350,20 @@ def bimodule_from_json(doc: dict, b: Algebra, c: Algebra) -> tuple[Module, Modul
     value ``bimodule_restrictions`` gives for the M in the file, without
     building T.
 
-    The entries are read as ``module_from_json`` reads them, in T's basis
-    order, and those of x (x) e_j and of e_i^op (x) y are added into the
-    side actions as they are read (``_side_sums``).  The projectors of the
-    idempotent pairs give the weights and, when the file's basis is not
-    adapted to them, the change of basis (``_weight_basis``, as
-    ``adapt_weights``).  Every other matrix, of x (x) y with x in rad C^op
-    and y in rad B, must be the product of its side actions, since
-    x (x) y = (x (x) 1)(1 (x) y), and for generators x and y also the
-    product in the other order, (1 (x) y)(x (x) 1); with that the side
-    actions must make M a bimodule (``_check_sides``).  A failure
-    raises ValueError naming the matrix or basis elements at fault.  A
-    document's ``algebra`` entry is not read.
+    The matrices are read as ``module_from_json`` reads them, in T's basis
+    order (``_read_action``).  The projectors of the idempotent pairs
+    e_i^op (x) e_j must be orthogonal idempotents; they give the weights
+    and, when the file's basis is not adapted to them, the change of basis
+    (``_weight_basis``, as ``adapt_weights``).  The side actions L_x of x in
+    C^op and R_y of y in B are the sums of x (x) e_j and of e_i^op (x) y
+    (``_side_actions``), and every other pair's matrix must be L_x R_y,
+    since x (x) y = (x (x) 1)(1 (x) y); so must the matrices that go into
+    the sums, which pins how the file splits each side action over them.
+    For generators x and y also R_y L_x must be that product; with that
+    each side must be a module (``_check_module``, once per side, the other
+    side's weights as ``other``).  A failure raises ValueError naming the
+    matrix or basis elements at fault.  A document's ``algebra`` entry is
+    not read.
     """
     if b.field != c.field:
         raise ValueError("B and C are over different fields")
@@ -1384,24 +1371,25 @@ def bimodule_from_json(doc: dict, b: Algebra, c: Algebra) -> tuple[Module, Modul
     F = b.field
     rb, rc = b.r, c.r
     pairs, labels = _tensor_basis(opposite(c), b)
-    dim, entries = _action_entries(doc, F, labels)
-    right, left, whole = _side_sums(b, c, pairs, entries)
+    dim, action = _read_action(doc, F, labels)
+    # T's basis order puts the idempotent pairs first
+    weights, change = _weight_basis(F, dim, action[:rc * rb], labels)
+    right, left = _side_actions(b, c, pairs, action)
     gens_c, gens_b = set(c.generators), set(b.generators)
-    for k, mat in whole.items():
-        x, y = pairs[k]
-        if x < rc:
-            continue  # an idempotent pair
+    for k, (x, y) in enumerate(pairs):
+        if x < rc and y < rb:
+            continue
         product = _matmul(F, left[x], right[y])
-        if mat != product:
+        if action[k] != product:
             raise ValueError(f"action matrix for {labels[k]!r} is not the product "
                              "of its side actions")
         if x in gens_c and y in gens_b and product != _matmul(F, right[y], left[x]):
             raise ValueError(f"{c.labels[x]!r} in C^op and {b.labels[y]!r} in B do not "
                              "commute")
-    weights, change = _weight_basis(F, dim, [whole[k] for k in range(rc * rb)], labels)
     if change is not None:
         right = [change(act) for act in right]
         left = [change(act) for act in left]
     mb, mc = _restrictions(b, c, weights, right, left)
-    _check_sides(mb, mc)
+    _check_module(mb, mc.weights, "B")
+    _check_module(mc, mb.weights, "C^op")
     return mb, mc

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -13,8 +14,8 @@ from homkit import cli, corpus
 from homkit.algebra import (_tensor_basis, algebra_from_json, algebra_to_json, from_quiver,
                             opposite, tensor)
 from homkit.invariants import TheoremViolation
-from homkit.modules import (Module, _matmul, bimodule_restrictions, module_from_json,
-                            module_to_json)
+from homkit.modules import (Module, _matmul, bimodule_from_json, bimodule_restrictions,
+                            module_from_json, module_to_json)
 from homkit.presentation import print_spec, spec_of_fixture
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -246,6 +247,38 @@ def test_dump_module_with_path_reference(capsys, tmp_path, a2):
     g.write_text(json.dumps(module_to_json(m, algebra_ref="missing.qa")))
     code2, _, err = run_cli(capsys, "dump", str(g), "--dump-module")
     assert code2 == 1 and "resolvable" in err
+
+
+def test_dump_module_checks_that_the_action_is_multiplicative(capsys, tmp_path):
+    # one entry of c0 (x) a0 scaled by 2 keeps the rows, the weights and the
+    # idempotents, so only the check on generators sees it
+    inst = corpus.generate(corpus.CorpusSpec(seed=42, count=30, shape="TriangularPair"), 7)
+    doc = module_to_json(inst.m)
+    f = tmp_path / "m.mod"
+    f.write_text(json.dumps(doc))
+    assert run_cli(capsys, "dump", str(f), "--dump-module")[0] == 0
+    assert doc["action"]["c0⊗a0"][0] == [6, 10, "1"]
+    doc["action"]["c0⊗a0"][0][2] = "2"
+    f.write_text(json.dumps(doc))
+    assert run_cli(capsys, "dump", str(f), "--dump-module") == (
+        1, "", f"error: {f}: 'e1⊗a0' then 'c0⊗e3' in op(C-42-7)⊗B-42-7 does not act as "
+               "their product\n")
+
+
+@pytest.mark.parametrize("reader", ["module_from_json", "bimodule_from_json"])
+def test_key_error_in_a_reader_is_an_internal_error(capsys, tmp_path, monkeypatch, reader):
+    # no document reaches a reader's KeyError, so one is a fault of the library
+    inst, files = _transfer_files(tmp_path)
+    inline = tmp_path / "inline.json"
+    inline.write_text(json.dumps(module_to_json(inst.m)))
+
+    def broken(*args, **kwargs):
+        raise KeyError("x")
+
+    monkeypatch.setattr(cli, reader, broken)
+    argv = (["dump", str(inline), "--dump-module"] if reader == "module_from_json" else
+            ["check", "gorenstein-transfer", *map(str, files)])
+    assert run_cli(capsys, *argv) == (2, "", "internal error: KeyError: 'x'\n")
 
 
 def test_check_gorenstein_transfer_files(capsys, tmp_path, one_point, loc):
@@ -718,6 +751,74 @@ def _toggle_entry(mats, label):
 def test_bad_sparse_matrix_beside_the_side_actions_is_an_input_error(capsys, tmp_path, edit,
                                                                      named):
     _break_radical_matrices(capsys, tmp_path, module_to_json, edit, named)
+
+
+def _move_entry(F, mats, source, target):
+    """Move the first entry of the /2 matrix ``source`` to the same place in
+    ``target``, so that the sum of the two matrices stays the same."""
+    s, t, text = mats[source].pop(0)
+    entries = {(u, w): F.parse(x) for u, w, x in mats[target]}
+    entries[s, t] = F.add(entries.get((s, t), F.zero), F.parse(text))
+    mats[target] = [[u, w, F.format(x)] for (u, w), x in sorted(entries.items()) if x != 0]
+
+
+def _side_moves(inst, mats, sides=("B", "C^op")):
+    """The (source, target) labels of the moves within a side: on B, from a
+    non-zero e_i (x) y to e_i' (x) y for y in rad B, matrices that M_B sums;
+    on C^op, from x (x) e_j to x (x) e_j' for x in rad C^op, which _CM sums."""
+    c, b = inst.c, inst.b
+    pairs, labels = _tensor_basis(opposite(c), b)
+    label_of = dict(zip(pairs, labels))
+    moves = []
+    for (x, y), label in zip(pairs, labels):
+        if not mats[label]:
+            continue
+        if "B" in sides and x < c.r and y >= b.r:
+            moves += [(label, label_of[i, y]) for i in range(c.r) if i != x]
+        if "C^op" in sides and y < b.r and x >= c.r:
+            moves += [(label, label_of[x, j]) for j in range(b.r) if j != y]
+    return moves
+
+
+@pytest.mark.parametrize("side", ["B", "C^op"])
+def test_entry_moved_within_a_side_is_an_input_error(capsys, tmp_path, side):
+    # the move keeps M_B and _CM, the sums of the matrices it moves between,
+    # but the file's module over the tensor is no longer a module: each
+    # matrix that goes into a side sum must be the product of its sides too
+    moved = []
+
+    def edit(inst, doc):
+        move = _side_moves(inst, doc["action"], (side,))[0]
+        labels = _tensor_basis(opposite(inst.c), inst.b)[1]
+        moved.extend(sorted(move, key=labels.index))
+        _move_entry(inst.m.field, doc["action"], *move)
+
+    _, files = _transfer_files(tmp_path, 22, edit)
+    code, out, err = run_cli(capsys, "check", "gorenstein-transfer", *map(str, files))
+    assert (code, out, err) == (
+        1, "", f"error: {files[2]}: action matrix for {moved[0]!r} is not the product of its "
+               "side actions\n")
+
+
+def test_every_seeded_move_within_a_side_is_rejected():
+    # one seeded move in each of the seed-42 bimodule files; none loads.  In
+    # tri-42-3 and tri-42-6 every radical element acts as zero on both
+    # sides, so there is nothing to move
+    spec = corpus.CorpusSpec(seed=42, count=30, shape="TriangularPair")
+    unmoved = []
+    for index in range(30):
+        inst = corpus.generate(spec, index)
+        doc = json.loads(json.dumps(module_to_json(inst.m, algebra_ref="tensor(op(C),B)")))
+        assert bimodule_from_json(doc, inst.b, inst.c) == bimodule_restrictions(inst.b, inst.c,
+                                                                                inst.m)
+        moves = _side_moves(inst, doc["action"])
+        if not moves:
+            unmoved.append(index)
+            continue
+        _move_entry(inst.m.field, doc["action"], *random.Random(index).choice(moves))
+        with pytest.raises(ValueError, match="is not the product of its side actions"):
+            bimodule_from_json(doc, inst.b, inst.c)
+    assert unmoved == [3, 6]
 
 
 def _side_action_files(tmp_path, index, tamper=None):

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import tracemalloc
 import weakref
 from fractions import Fraction
 from itertools import combinations
@@ -22,7 +23,8 @@ from homkit.modules import (Module, adapt_weights, direct_sum, dual,
                             regular, simple, spanned_submodule,
                             syzygy, top, top_multiplicities,
                             tor_dims, zero_module, _radical_rowspace,
-                            _syzygy_with_inclusion, bimodule_restrictions)
+                            _syzygy_with_inclusion, bimodule_from_json,
+                            bimodule_restrictions)
 from homkit.presentation import parse_spec, spec_of_fixture
 from homkit.recollement import aea_dimension, module_Ae, module_eA
 from homkit.algebra import corner
@@ -946,6 +948,46 @@ def test_adapt_weights_rejects_bad_rows(a2):
         action[x] = bad_mat
         with pytest.raises(ValueError, match=match):
             adapt_weights(a2, 2, action)
+
+
+def test_adapt_weights_rejects_an_action_that_is_not_a_module():
+    # P_1 of 1 -> 2 -> 3: a then b acts as a*b, which is checked on generators
+    a3 = from_quiver(parse_spec("field Q quiver { vertices: 1, 2, 3  "
+                                "arrows: a: 1 -> 2, b: 2 -> 3 }", name="A3"))
+    F = a3.field
+    P = projective(a3, 0)
+    ab = a3.labels.index("a*b")
+    assert adapt_weights(a3, P.dim, P.action) == P
+    scaled = list(P.action)
+    scaled[ab] = {s: {t: F.mul(F.of_int(2), v) for t, v in row.items()}
+                  for s, row in P.action[ab].items()}
+    with pytest.raises(ValueError, match="^'a' then 'b' in A3 does not act as their product$"):
+        adapt_weights(a3, P.dim, scaled)
+    # a's entry moved to the row of a basis vector of another weight
+    off_tags = list(P.action)
+    off_tags[a3.labels.index("a")] = {1: {1: F.one}}
+    with pytest.raises(ValueError, match="^'a' in A3 does not respect the vertex tags$"):
+        adapt_weights(a3, P.dim, off_tags)
+
+
+@pytest.mark.parametrize("fmt", ["homkit-module/1", "homkit-module/2"])
+def test_a_large_dim_allocates_nothing(a2, loc, one_point, fmt):
+    # a document of a few hundred bytes whose dim is 10**6 is rejected
+    # before anything of length dim is built
+    doc = {"format": fmt, "dim": 10 ** 6}
+    T = tensor(opposite(one_point), loc)
+    for read, labels in ((lambda d: module_from_json(d, a2), a2.labels),
+                         (lambda d: bimodule_from_json(d, loc, one_point), T.labels)):
+        doc["action"] = {label: [] for label in labels}
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="wrong shape" if fmt.endswith("1") else
+                               "idempotent projector images do not fill the space"):
+                read(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 def test_module_json_writes_dense_and_reads_sparse(monkeypatch):
