@@ -359,14 +359,11 @@ def _eval_corpus_instance(payload) -> dict:
         out["det_a"], out["det_b"], out["det_c"] = (
             str(x.cartan.det) for x in (inst.a, inst.b, inst.c))
         out["verdict"] = "pass"
-        if suite == "gorenstein-transfer":
-            rep = gorenstein_transfer_check(inst.b, inst.c, inst.m, cutoff)
-            out["transfer"] = rep.overall
-            out["verdict"] = "pass" if rep.overall != "undetermined" else "undetermined"
-        elif suite == "smoothness-transfer":
-            rep = smoothness_transfer_check(inst.b, inst.c, inst.m, cutoff)
-            out["transfer"] = rep.overall
-            out["verdict"] = "pass" if rep.overall != "undetermined" else "undetermined"
+        check = {"gorenstein-transfer": gorenstein_transfer_check,
+                 "smoothness-transfer": smoothness_transfer_check}.get(suite)
+        if check is not None:
+            out["transfer"] = check(inst.b, inst.c, inst.m, cutoff).overall
+            out["verdict"] = "pass" if out["transfer"] != "undetermined" else "undetermined"
     return out
 
 

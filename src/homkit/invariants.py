@@ -18,7 +18,7 @@ from itertools import zip_longest
 
 from .algebra import Algebra, _tensor_basis, enveloping, opposite
 from .linalg import IntMatrix
-from .modules import Module, PdResult, adapt_weights, ext_dims, injective, pd, simple
+from .modules import Module, PdResult, adapt_weights, conjoin, ext_dims, injective, pd, simple
 
 CARTAN_CONVENTION = "c[i][j] = dim e_j A e_i (multiplicity of S_i in P_j)"
 
@@ -53,21 +53,41 @@ def cartan_matrix(a: Algebra) -> CartanReport:
     return CartanReport(a.name, *a.cartan)
 
 
+def _pds(modules, cutoff: int, stop: tuple[str, ...]) -> list[PdResult]:
+    """pd of each module in order, ending after the first whose kind is in
+    ``stop``; ``modules`` may be a generator, so none is built past it."""
+    per = []
+    for m in modules:
+        per.append(pd(m, cutoff))
+        if per[-1].kind in stop:
+            break
+    return per
+
+
 @dataclass
 class GldimReport:
+    """pd of the simples in vertex order, the verdict read off them: ``kind``
+    is their ``conjoin``, ``value`` the largest d when that is finite."""
+
     per_simple: list[PdResult]
-    kind: str              # "finite" | "infinite" | "unknown"
-    value: int | None      # max pd over simples, when finite
     cutoff: int
+
+    @property
+    def kind(self) -> str:
+        return conjoin([p.kind for p in self.per_simple])
+
+    @property
+    def value(self) -> int | None:
+        return max((p.d for p in self.per_simple), default=0) if self.is_finite else None
 
     @property
     def is_finite(self) -> bool:
         return self.kind == "finite"
 
     def describe(self) -> str:
-        if self.kind == "finite":
-            return f"Finite({self.value})"
-        if self.kind == "infinite":
+        if (d := self.value) is not None:
+            return f"Finite({d})"
+        if any(p.is_infinite for p in self.per_simple):
             bad = next(i for i, p in enumerate(self.per_simple) if p.is_infinite)
             return f"InfiniteCertified(simple {bad}: {self.per_simple[bad].describe()})"
         # Unknown: what stopped the first simple that is not Finite
@@ -93,17 +113,8 @@ def gldim(a: Algebra, cutoff: int, *, verdict_only: bool = False) -> GldimReport
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    per = []
-    for i in range(a.r):
-        per.append(pd(simple(a, i), cutoff))
-        if verdict_only and per[-1].is_infinite:
-            break
-    if any(p.is_infinite for p in per):
-        return GldimReport(per, "infinite", None, cutoff)
-    if all(p.is_finite for p in per):
-        value = max((p.d for p in per), default=0)
-        return GldimReport(per, "finite", value, cutoff)
-    return GldimReport(per, "unknown", None, cutoff)
+    simples = (simple(a, i) for i in range(a.r))
+    return GldimReport(_pds(simples, cutoff, ("infinite",) if verdict_only else ()), cutoff)
 
 
 def finite_gldim(a: Algebra, cutoff: int) -> GldimReport | None:
@@ -121,23 +132,35 @@ def finite_gldim(a: Algebra, cutoff: int) -> GldimReport | None:
         raise ValueError("cutoff must be >= 1")
     if a.cartan.det not in (1, -1):
         return None
-    per = []
-    for i in range(a.r):
-        per.append(pd(simple(a, i), cutoff))
-        if not per[-1].is_finite:
-            return None
-    return GldimReport(per, "finite", max((p.d for p in per), default=0), cutoff)
+    g = GldimReport(_pds((simple(a, i) for i in range(a.r)), cutoff, ("infinite", "unknown")),
+                    cutoff)
+    return g if g.is_finite else None
+
+
+_GORENSTEIN_VERDICTS = {"finite": "Gorenstein", "infinite": "NotGorensteinCertified",
+                        "unknown": "Unknown"}
 
 
 @dataclass
 class GorensteinReport:
+    """The self-injective dimensions of A, the verdict read off them: ``kind``
+    is the ``conjoin`` of the ids resolved (not of a ``left_id`` of None),
+    and ``verdict`` names it Gorenstein, NotGorensteinCertified or Unknown."""
+
     right_id: PdResult        # id of A as a right module, via pd over A^op of D(A)
     left_id: PdResult | None  # id of A as a left module; None when not resolved
-    verdict: str              # "Gorenstein" | "NotGorensteinCertified" | "Unknown"
     cutoff: int
     # the certificate of a verdict read off a finite global dimension; None
     # when the injectives were resolved
     gldim_report: GldimReport | None = field(default=None, compare=False)
+
+    @property
+    def kind(self) -> str:
+        return conjoin([p.kind for p in (self.right_id, self.left_id) if p is not None])
+
+    @property
+    def verdict(self) -> str:
+        return _GORENSTEIN_VERDICTS[self.kind]
 
     def describe(self) -> str:
         if self.verdict == "Gorenstein":
@@ -177,12 +200,9 @@ def self_injective_dimension(a: Algebra, cutoff: int) -> PdResult:
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    per = []
-    for i in range(a.r):
-        p = pd(injective(opposite(a), i), cutoff)
-        if p.is_infinite:
-            return replace(p, summand=f"injective {i}")
-        per.append(p)
+    per = _pds((injective(opposite(a), i) for i in range(a.r)), cutoff, ("infinite",))
+    if per and per[-1].is_infinite:
+        return replace(per[-1], summand=f"injective {len(per) - 1}")
     dims = [sum(col) for col in zip_longest(*(p.syzygy_dims for p in per), fillvalue=0)]
     stop = next((p for p in per if not p.is_finite), None)
     if stop is None:
@@ -210,26 +230,27 @@ def gorenstein(a: Algebra, cutoff: int, *, verdict_only: bool = False) -> Gorens
     """
     if (g := finite_gldim(a, cutoff)) is not None:
         return GorensteinReport(PdResult("finite", d=g.value), PdResult("finite", d=g.value),
-                                "Gorenstein", cutoff, g)
+                                cutoff, g)
     right_id = self_injective_dimension(a, cutoff)
     left_id = None
     if not (verdict_only and right_id.is_infinite):
         left_id = self_injective_dimension(opposite(a), cutoff)
-    if right_id.is_finite and left_id.is_finite:
-        verdict = "Gorenstein"
-    elif right_id.is_infinite or left_id.is_infinite:
-        verdict = "NotGorensteinCertified"
-    else:
-        verdict = "Unknown"
-    return GorensteinReport(right_id, left_id, verdict, cutoff)
+    return GorensteinReport(right_id, left_id, cutoff)
 
 
 @dataclass
 class SmoothReport:
-    verdict: str  # "smooth" | "not_smooth" | "unknown"
+    """Smoothness read off ``gldim_report.kind``: smooth, not_smooth or
+    unknown."""
+
     gldim_report: GldimReport
     bimodule_pd: PdResult | None = None  # optional cross-check over A^e
     cross_check_skipped: str = ""  # why a requested cross-check did not run
+
+    @property
+    def verdict(self) -> str:
+        return {"finite": "smooth", "infinite": "not_smooth",
+                "unknown": "unknown"}[self.gldim_report.kind]
 
     def describe(self) -> str:
         return self.verdict
@@ -256,9 +277,8 @@ def smooth(a: Algebra, cutoff: int, cross_check: bool = False) -> SmoothReport:
     dim 8 the check is skipped, and the report says so.
     """
     g = gldim(a, cutoff)
-    verdict = {"finite": "smooth", "infinite": "not_smooth", "unknown": "unknown"}[g.kind]
     if cross_check and a.dim > 8:
-        return SmoothReport(verdict, g, cross_check_skipped=f"skipped (dim {a.dim} > 8)")
+        return SmoothReport(g, cross_check_skipped=f"skipped (dim {a.dim} > 8)")
     bimodule_pd = None
     if cross_check:
         bimodule_pd = pd(_regular_bimodule(a), cutoff)
@@ -266,7 +286,7 @@ def smooth(a: Algebra, cutoff: int, cross_check: bool = False) -> SmoothReport:
             raise TheoremViolation("bimodule pd finite but gldim certified infinite")
         if bimodule_pd.is_infinite and g.kind == "finite":
             raise TheoremViolation("bimodule pd certified infinite but gldim finite")
-    return SmoothReport(verdict, g, bimodule_pd)
+    return SmoothReport(g, bimodule_pd)
 
 
 def _regular_bimodule(a: Algebra) -> Module:

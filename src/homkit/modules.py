@@ -877,6 +877,15 @@ class PdResult:
         return f"Unknown(cutoff {self.cutoff})"
 
 
+def conjoin(kinds) -> str:
+    """The kind of a conjunction of certified parts: ``infinite`` if any
+    part is, else ``unknown`` if any part is, else ``finite`` (also for no
+    parts).  A sum of modules has finite pd iff every summand has, and a
+    verdict built from such parts is read off their kinds this way."""
+    kinds = tuple(kinds)
+    return "infinite" if "infinite" in kinds else "unknown" if "unknown" in kinds else "finite"
+
+
 def _signature(m: Module) -> tuple:
     return (m.dim, tuple(m.weight_counts()), tuple(top_multiplicities(m)) if m.dim else ())
 

@@ -21,7 +21,8 @@ from .algebra import (Algebra, _ideal_span, _triangular, corner, opposite,
                       quotient_by_idempotent_ideal)
 from .invariants import (GldimReport, GorensteinReport, TheoremViolation, finite_gldim,
                          gldim, gorenstein)
-from .modules import Module, PdResult, bimodule_restrictions, dual, hom_dim, pd, tor_dims
+from .modules import (Module, PdResult, bimodule_restrictions, conjoin, dual, hom_dim, pd,
+                      tor_dims)
 
 
 def module_Ae(a: Algebra, S: list[int], cor: Algebra) -> Module:
@@ -159,23 +160,25 @@ def _ladder(a: Algebra, S: list[int], strat: StratifyingVerdict, cutoff: int) ->
     return LadderEstimate(down, up, height_label(finite, down, up), finite)
 
 
+_HEIGHTS = {  # (kind of pd(Ae), kind of pd(eA)) -> label
+    ("finite", "finite"): ">=3", ("finite", "infinite"): ">=2", ("finite", "unknown"): ">=2",
+    ("infinite", "finite"): ">=2 (up)", ("unknown", "finite"): ">=2 (up)",
+    ("infinite", "infinite"): "1 (blocked both ways)", ("unknown", "unknown"): ">=1",
+    ("infinite", "unknown"): "1 (down-blocked; up undetermined)",
+    ("unknown", "infinite"): ">=1 (up-blocked)",
+}
+
+
 def height_label(gldim_finite: bool, down: PdResult, up: PdResult) -> str:
-    """Text estimate of the ladder height from the two extension criteria."""
+    """Text estimate of the ladder height from the two extension criteria.
+
+    A finite global dimension answers ">=4"; otherwise the label is looked
+    up by the kinds of pd(Ae) (down) and pd(eA) (up): each finite one adds
+    a level, and a certified infinite one blocks its direction.
+    """
     if gldim_finite:
         return ">=4 (finite global dimension extends the recollement to all heights)"
-    if down.is_finite and up.is_finite:
-        return ">=3"
-    if down.is_finite:
-        return ">=2"
-    if up.is_finite:
-        return ">=2 (up)"
-    if down.is_infinite and up.is_infinite:
-        return "1 (blocked both ways)"
-    if down.is_infinite:
-        return "1 (down-blocked; up undetermined)"
-    if up.is_infinite:
-        return ">=1 (up-blocked)"
-    return ">=1"
+    return _HEIGHTS[down.kind, up.kind]
 
 
 @dataclass
@@ -236,24 +239,10 @@ def _det_split(a: Algebra, S: list[int], strat: StratifyingVerdict,
 # --------------------------------------------------------------------------
 
 
-def _tri_state_gorenstein(g: GorensteinReport) -> bool | None:
-    if g.verdict == "Gorenstein":
-        return True
-    if g.verdict == "NotGorensteinCertified":
-        return False
-    return None
-
-
-def _tri_state_pd_pair(p1: PdResult, p2: PdResult) -> bool | None:
-    if p1.is_finite and p2.is_finite:
-        return True
-    if p1.is_infinite or p2.is_infinite:
-        return False
-    return None
-
-
-def _compare(lhs: bool | None, rhs: bool | None) -> str:
-    if lhs is None or rhs is None:
+def _compare(lhs: str, rhs: str) -> str:
+    """The two sides of a biconditional, as kinds: ``undetermined`` if
+    either is unknown, else ``pass`` when they agree and ``fail`` when not."""
+    if "unknown" in (lhs, rhs):
         return "undetermined"
     return "pass" if lhs == rhs else "fail"
 
@@ -315,26 +304,11 @@ def gorenstein_transfer_check(b: Algebra, c: Algebra, m: Module | tuple[Module, 
     only until it is certain (``gorenstein(..., verdict_only=True)``).
     """
     A, (g_a, g_b, g_c), pd_mb, pd_mc = _transfer_inputs(b, c, m, cutoff, gorenstein)
-    sa = _tri_state_gorenstein(g_a)
-    sb = _tri_state_gorenstein(g_b)
-    sc = _tri_state_gorenstein(g_c)
-    s_pd = _tri_state_pd_pair(pd_mb, pd_mc)
-
-    if sb is True and sc is True:
-        pd_form = _compare(sa, s_pd)
-    elif sb is False or sc is False:
-        pd_form = "inapplicable (B or C certified not Gorenstein)"
-    else:
-        pd_form = "undetermined"
-
-    if s_pd is True:
-        factors = True if (sb is True and sc is True) else (
-            False if (sb is False or sc is False) else None)
-        factors_form = _compare(sa, factors)
-    elif s_pd is False:
-        factors_form = "inapplicable (a pd condition is certified infinite)"
-    else:
-        factors_form = "undetermined"
+    factors, pds = conjoin((g_b.kind, g_c.kind)), conjoin((pd_mb.kind, pd_mc.kind))
+    pd_form = {"finite": _compare(g_a.kind, pds), "unknown": "undetermined",
+               "infinite": "inapplicable (B or C certified not Gorenstein)"}[factors]
+    factors_form = {"finite": _compare(g_a.kind, factors), "unknown": "undetermined",
+                    "infinite": "inapplicable (a pd condition is certified infinite)"}[pds]
 
     for label, outcome in (("pd-form", pd_form), ("factors-form", factors_form)):
         if outcome == "fail":
@@ -372,10 +346,6 @@ class SmoothnessTransferReport:
         }
 
 
-def _tri_state_gldim(g: GldimReport) -> bool | None:
-    return {"finite": True, "infinite": False, "unknown": None}[g.kind]
-
-
 def smoothness_transfer_check(b: Algebra, c: Algebra, m: Module | tuple[Module, Module],
                               cutoff: int) -> SmoothnessTransferReport:
     """Check both smoothness-transfer directions on A = [[B,0],[M,C]].
@@ -387,32 +357,27 @@ def smoothness_transfer_check(b: Algebra, c: Algebra, m: Module | tuple[Module, 
     only until it is certain (``gldim(..., verdict_only=True)``).
     """
     A, (gl_a, gl_b, gl_c), pd_mb, pd_mc = _transfer_inputs(b, c, m, cutoff, gldim)
-    sa, sb, sc = _tri_state_gldim(gl_a), _tri_state_gldim(gl_b), _tri_state_gldim(gl_c)
+    a, factors = gl_a.kind, conjoin((gl_b.kind, gl_c.kind))
 
-    if sa is True:
-        if sb is False or sc is False:
-            raise TheoremViolation(
-                f"smoothness transfer (downward) certified failure on {A.name!r}")
-        downward = "pass" if (sb is True and sc is True) else "undetermined"
-    elif sa is False:
-        downward = "inapplicable (A not smooth)"
-    else:
-        downward = "undetermined"
+    if a == "finite" and factors == "infinite":
+        raise TheoremViolation(
+            f"smoothness transfer (downward) certified failure on {A.name!r}")
+    downward = {"finite": _compare(a, factors), "unknown": "undetermined",
+                "infinite": "inapplicable (A not smooth)"}[a]
 
-    premise = (sb is True and sc is True
-               and (pd_mb.is_finite or pd_mc.is_finite))
-    if premise:
-        if sa is False:
+    # the upward premise needs one pd finite, not both
+    pds = {pd_mb.kind, pd_mc.kind}
+    if factors == "finite" and "finite" in pds:
+        if a == "infinite":
             raise TheoremViolation(
                 f"smoothness transfer (upward) certified failure on {A.name!r}")
-        upward = "pass" if sa is True else "undetermined"
+        upward = "pass" if a == "finite" else "undetermined"
+    elif factors == "infinite":
+        upward = "inapplicable (B or C not smooth)"
+    elif pds == {"infinite"}:
+        upward = "inapplicable (both pd conditions certified infinite)"
     else:
-        if sb is False or sc is False:
-            upward = "inapplicable (B or C not smooth)"
-        elif pd_mb.is_infinite and pd_mc.is_infinite:
-            upward = "inapplicable (both pd conditions certified infinite)"
-        else:
-            upward = "undetermined"
+        upward = "undetermined"
 
     return SmoothnessTransferReport(A.name, gl_a, gl_b, gl_c, pd_mb, pd_mc,
                                     downward, upward, _overall((downward, upward)))

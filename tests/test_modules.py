@@ -16,7 +16,7 @@ import homkit.modules as modules_mod
 from homkit import corpus
 from homkit.algebra import from_quiver, opposite, tensor, triangular
 from homkit.invariants import _regular_bimodule, euler_matrix, gorenstein
-from homkit.modules import (Module, adapt_weights, direct_sum, dual,
+from homkit.modules import (Module, adapt_weights, conjoin, direct_sum, dual,
                             ext_dims, hom_dim, hom_space, injective, is_iso, min_resolution,
                             module_from_json, module_to_json, pd, projective,
                             projective_cover, quotient_module, radical_submodule,
@@ -467,6 +467,26 @@ def test_pd_examples(a2, tp11):
     r = pd(simple(tp11, 0), 12)
     assert r.kind == "infinite"
     assert (r.first_repeat, r.period) == (2, 2)
+
+
+def test_conjoin_truth_table():
+    # an infinite part decides the conjunction, then an unknown one; no
+    # parts at all is finite, as the global dimension of no simples is
+    table = {
+        ("finite", "finite"): "finite",
+        ("finite", "infinite"): "infinite",
+        ("finite", "unknown"): "unknown",
+        ("infinite", "finite"): "infinite",
+        ("infinite", "infinite"): "infinite",
+        ("infinite", "unknown"): "infinite",
+        ("unknown", "finite"): "unknown",
+        ("unknown", "infinite"): "infinite",
+        ("unknown", "unknown"): "unknown",
+    }
+    for pair, kind in table.items():
+        assert conjoin(pair) == kind, pair
+        assert conjoin(iter(pair)) == kind, pair
+    assert conjoin(()) == "finite"
 
 
 def _tampered(mat, F):

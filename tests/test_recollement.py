@@ -3,6 +3,7 @@ import functools
 import hashlib
 import itertools
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,7 +12,7 @@ import homkit.modules as modules_mod
 from homkit.algebra import (_tensor_basis, _triangular, corner, opposite,
                             quotient_by_idempotent_ideal, tensor, triangular, validate)
 from homkit.corpus import CorpusSpec, generate
-from homkit.invariants import cartan_matrix, gldim, gorenstein
+from homkit.invariants import TheoremViolation, cartan_matrix, gldim, gorenstein
 from _oracles import algebra_map_holds, module_tensor_dim, restrict_along
 from homkit.linalg import inverse
 from homkit.modules import (Module, PdResult, adapt_weights,
@@ -244,6 +245,8 @@ def test_height_label_branches():
     assert height_label(False, inf, unk) == "1 (down-blocked; up undetermined)"
     assert height_label(False, unk, inf) == ">=1 (up-blocked)"
     assert height_label(False, unk, unk) == ">=1"
+    assert height_label(False, fin, inf) == ">=2"
+    assert height_label(False, inf, fin) == ">=2 (up)"
 
 
 def test_det_check_a2(a2):
@@ -347,6 +350,97 @@ def test_smoothness_transfer_acyclic_factors(a2, one_point):
     rep = smoothness_transfer_check(a2, one_point, m, 12)
     assert rep.gl_b.is_finite and rep.gl_c.is_finite
     assert rep.downward == "pass" and rep.upward == "pass"
+
+
+_TRUTH = {"finite": True, "infinite": False, "unknown": None}
+_GORENSTEIN_VERDICT = {"finite": "Gorenstein", "infinite": "NotGorensteinCertified",
+                       "unknown": "Unknown"}
+
+
+def _and(*xs):
+    """Kleene conjunction: False wins, then None."""
+    return False if False in xs else None if None in xs else True
+
+
+def _or(*xs):
+    return True if True in xs else None if None in xs else False
+
+
+def _same(x, y):
+    if x is None or y is None:
+        return "undetermined"
+    return "pass" if x == y else "fail"
+
+
+def _gorenstein_oracle(a, b, c, pb, pc):
+    """(pd_form, factors_form), or the label of the first form that fails:
+    with B and C Gorenstein, A is Gorenstein iff both pds are finite; with
+    both pds finite, A is Gorenstein iff B and C are."""
+    bc, pds = _and(b, c), _and(pb, pc)
+    pd_form = {True: _same(a, pds), None: "undetermined",
+               False: "inapplicable (B or C certified not Gorenstein)"}[bc]
+    factors_form = {True: _same(a, bc), None: "undetermined",
+                    False: "inapplicable (a pd condition is certified infinite)"}[pds]
+    for label, outcome in (("pd-form", pd_form), ("factors-form", factors_form)):
+        if outcome == "fail":
+            return label
+    return pd_form, factors_form
+
+
+def _smoothness_oracle(a, b, c, pb, pc):
+    """(downward, upward), or the direction that fails: A smooth implies B
+    and C smooth; B and C smooth and one pd finite imply A smooth."""
+    if a is True and _and(b, c) is False:
+        return "downward"
+    downward = {True: "pass" if _and(b, c) else "undetermined", None: "undetermined",
+                False: "inapplicable (A not smooth)"}[a]
+    premise = _and(b, c, _or(pb, pc))
+    if premise is True:
+        if a is False:
+            return "upward"
+        upward = "pass" if a else "undetermined"
+    elif premise is None:
+        upward = "undetermined"
+    elif _and(b, c) is False:
+        upward = "inapplicable (B or C not smooth)"
+    else:
+        upward = "inapplicable (both pd conditions certified infinite)"
+    return downward, upward
+
+
+@pytest.mark.parametrize("check, oracle, forms", [
+    (gorenstein_transfer_check, _gorenstein_oracle,
+     ("biconditional_pd_form", "biconditional_factors_form")),
+    (smoothness_transfer_check, _smoothness_oracle, ("downward", "upward")),
+], ids=["gorenstein", "smoothness"])
+def test_transfer_checks_match_the_branch_table(monkeypatch, check, oracle, forms):
+    # every kind of A, B, C, pd M_B and pd _CM, against a three-valued
+    # oracle; the reports carry both the verdict text and the kind
+    import homkit.recollement as rec
+
+    def report(kind):
+        return SimpleNamespace(kind=kind, verdict=_GORENSTEIN_VERDICT[kind])
+
+    def pd_result(kind):
+        return SimpleNamespace(kind=kind, is_finite=kind == "finite",
+                               is_infinite=kind == "infinite", describe=lambda: kind)
+
+    kinds = list(_TRUTH)
+    for combo in itertools.product(kinds, repeat=5):
+        ka, kb, kc, kpb, kpc = combo
+        inputs = (SimpleNamespace(name="A"), [report(k) for k in (ka, kb, kc)],
+                  pd_result(kpb), pd_result(kpc))
+        monkeypatch.setattr(rec, "_transfer_inputs", lambda *args: inputs)
+        expected = oracle(*(_TRUTH[k] for k in combo))
+        if isinstance(expected, str):
+            with pytest.raises(TheoremViolation, match=expected):
+                check(None, None, None, 12)
+            continue
+        rep = check(None, None, None, 12)
+        assert tuple(getattr(rep, f) for f in forms) == expected, combo
+        overall = ("undetermined" if "undetermined" in expected
+                   else "pass" if "pass" in expected else "vacuous")
+        assert rep.overall == overall, combo
 
 
 def test_k0_additivity_on_splits(a2, tri0):
