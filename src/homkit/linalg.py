@@ -132,15 +132,21 @@ class Field:
 def axpy(F: Field, acc: dict, c, row: dict) -> None:
     """``acc += c * row`` in place on sparse rows ``{column: scalar}``,
     storing no zero: an entry that cancels is removed.  ``acc`` and ``row``
-    must be distinct objects.  This is the one sparse-row update of the
-    package."""
-    zero = F.zero
-    for k, x in row.items():
-        v = F.add(acc.get(k, zero), F.mul(c, x))
-        if v == 0:
-            acc.pop(k, None)
-        else:
-            acc[k] = v
+    must be distinct objects.  The one sparse-row update of the package, it
+    reads ``F.p`` once and runs a loop over Q or over F_p, arithmetic inline."""
+    p = F.p
+    if p is None:
+        for k, x in row.items():
+            if v := acc.get(k, 0) + c * x:
+                acc[k] = v
+            else:
+                acc.pop(k, None)
+    else:
+        for k, x in row.items():
+            if v := (acc.get(k, 0) + c * x) % p:
+                acc[k] = v
+            else:
+                acc.pop(k, None)
 
 
 class Matrix:
@@ -185,10 +191,10 @@ class RowSpace:
 
     The full RREF of a span is unique, so the ``{pivot: row}`` map, the
     kernel basis and every residue do not depend on the order of the adds;
-    only the order of ``rows`` and ``pivot_cols`` does.  Nor does the order
-    of the eliminations in :meth:`reduce`: a stored row holds no pivot
-    column but its own, so eliminating one pivot column leaves the entries
-    at the others as they were.
+    only the order of ``rows`` and ``pivot_cols`` does.  :meth:`reduce` and
+    :meth:`add` eliminate in one pass over the input's keys, in any order: a
+    stored row holds no pivot column but its own, so eliminating one pivot
+    column leaves the input's entries at the others as they were.
 
     ``_cols`` holds every column that a stored row has ever used.  It only
     grows, so a new pivot column outside it occurs in no stored row and
@@ -215,17 +221,21 @@ class RowSpace:
         v = dict(vec)
         pivot_of_col = self.pivot_of_col
         rows = self.rows
-        for c in [c for c in v if c in pivot_of_col]:
-            axpy(F, v, F.neg(v[c]), rows[pivot_of_col[c]])
+        for c, x in vec.items():
+            if (s := pivot_of_col.get(c)) is not None:
+                axpy(F, v, F.neg(x), rows[s])
         return v
 
     def add(self, vec: dict) -> bool:
-        """Add a vector to the span; True iff the rank grew."""
+        """Add a vector, reduced inline as in :meth:`reduce`; True iff the rank grew."""
         F = self.field
-        v = self.reduce(vec)
+        v = dict(vec)
+        for c, x in vec.items():
+            if (s := self.pivot_of_col.get(c)) is not None:
+                axpy(F, v, F.neg(x), self.rows[s])
         if not v:
             return False
-        lead = min(v)
+        lead = min(v) if len(v) > 1 else next(iter(v))
         x = v[lead]
         if x != 1:
             inv = F.inv(x)
@@ -253,8 +263,8 @@ class RowSpace:
 
     def kernel_basis(self, ncols: int) -> list[dict]:
         """Treat the stored rows as equations in ``ncols`` unknowns and
-        return a kernel basis, one sparse vector per free column.
-        """
+        return a kernel basis in free-column order, one sparse vector per
+        free column, that column being its first key."""
         F = self.field
         one = F.one
         pivots = self.pivot_of_col

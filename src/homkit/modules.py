@@ -460,29 +460,24 @@ def _syzygy_with_inclusion(m: Module, cov: Cover | None = None) -> tuple[Module,
     kernel = eqs.kernel_basis(cov.source_dim)
     if not kernel:
         return zero_module(a), cov, []
-    d = len(kernel)
-    # kernel_basis lists its vectors in free-column order
-    pivots = eqs.pivot_of_col
-    coord = {c: s for s, c in enumerate(c for c in range(cov.source_dim) if c not in pivots)}
-    # per source column: its path, and a map from the paths of its summand
-    # to syzygy coordinates (free columns only)
+    free = [next(iter(v)) for v in kernel]  # see RowSpace.kernel_basis
+    # per source column: its path, and a map (shared by its summand) from
+    # the summand's paths to syzygy coordinates, free columns only
     path_of: list[int] = []
     coord_of: list[dict[int, int]] = []
-    off = 0
     for i in cov.summands:
-        pidx = a.paths[i]
-        zmap = {k: t for c, k in enumerate(pidx, off) if (t := coord.get(c)) is not None}
-        path_of.extend(pidx)
-        coord_of.extend([zmap] * len(pidx))
-        off += len(pidx)
+        path_of += a.paths[i]
+        coord_of += [{}] * len(a.paths[i])
+    for t, c in enumerate(free):
+        coord_of[c][path_of[c]] = t
     # a module map keeps weights, so each kernel vector has one weight
-    weights = [a.right[path_of[c]] for c in coord]
+    weights = [a.right[path_of[c]] for c in free]
     one = F.one
     r = a.r
     action: list[dict[int, dict]] = [{} for _ in range(a.dim)]
     for s, w in enumerate(weights):
         action[w][s] = {s: one}
-    zero = F.zero
+    p = F.p
     mult = a.mult
     for s, row in enumerate(kernel):
         # out[x]: row s times the radical basis element x, in syzygy coordinates
@@ -496,13 +491,19 @@ def _syzygy_with_inclusion(m: Module, cov: Cover | None = None) -> tuple[Module,
                 if img is None:
                     img = out[x] = {}
                 # inline rather than linalg.axpy, which would need zs remapped
-                # through zmap for every source column
-                for z, cz in zs.items():
-                    t = zmap.get(z)
-                    if t is not None:
-                        img[t] = F.add(img.get(t, zero), F.mul(v, cz))
+                # through zmap for every source column; F.p is read once a step
+                if p is None:
+                    for z, cz in zs.items():
+                        t = zmap.get(z)
+                        if t is not None:
+                            img[t] = img.get(t, 0) + v * cz
+                else:
+                    for z, cz in zs.items():
+                        t = zmap.get(z)
+                        if t is not None:
+                            img[t] = (img.get(t, 0) + v * cz) % p
         for x, img in out.items():
-            if zero in img.values():
+            if 0 in img.values():
                 img = {t: val for t, val in img.items() if val != 0}
             if img:
                 action[x][s] = img
@@ -510,7 +511,7 @@ def _syzygy_with_inclusion(m: Module, cov: Cover | None = None) -> tuple[Module,
     for x in a.generators:
         for row in action[x].values():
             radical.add(row)
-    sub = Module(a, d, action, weights)
+    sub = Module(a, len(kernel), action, weights)
     sub._radical = radical
     return sub, cov, kernel
 
@@ -1174,6 +1175,11 @@ def bimodule_restrictions(b: Algebra, c: Algebra, m: Module) -> tuple[Module, Mo
     """
     if m.algebra != tensor(opposite(c), b):
         raise ValueError("bimodule is not a module over tensor(opposite(c), b)")
+    return _unchecked_restrictions(b, c, m)
+
+
+def _unchecked_restrictions(b: Algebra, c: Algebra, m: Module) -> tuple[Module, Module]:
+    """``bimodule_restrictions`` of an m built over tensor(opposite(c), b)."""
     right, left = _side_actions(b, c, _tensor_basis(opposite(c), b)[0], m.action)
     return _restrictions(b, c, m.weights, right, left)
 

@@ -172,10 +172,12 @@ _HEIGHTS = {  # (kind of pd(Ae), kind of pd(eA)) -> label
 def height_label(gldim_finite: bool, down: PdResult, up: PdResult) -> str:
     """Text estimate of the ladder height from the two extension criteria.
 
-    A finite global dimension answers ">=4"; otherwise the label is looked
-    up by the kinds of pd(Ae) (down) and pd(eA) (up): each finite one adds
-    a level, and a certified infinite one blocks its direction.
-    """
+    It reads whether gldim A is finite (then ">=4") and otherwise the kinds
+    of pd(Ae) over eAe (down) and of pd(eA) over (eAe)^op (up): each finite
+    one adds a level, and a certified infinite one blocks its direction.  No
+    pd over A/AeA is read, so ">=3" does not certify that A is Gorenstein
+    when A/AeA and eAe are: nilcyc-7-16 splits at e = [0] with ">=3" and
+    both pieces Gorenstein, but A is not."""
     if gldim_finite:
         return ">=4 (finite global dimension extends the recollement to all heights)"
     return _HEIGHTS[down.kind, up.kind]

@@ -379,6 +379,24 @@ def test_gorenstein_by_gldim_matches_the_injectives_it_skips(fixture_algebras):
     assert len(finite_a) == 7 and finite_a <= fired
 
 
+@pytest.mark.parametrize("seed, finite, infinite", [(42, 39, 51), (7, 40, 50)])
+def test_gldim_of_the_opposite_algebra_agrees(seed, finite, infinite):
+    # Auslander (1955): a finite-dimensional algebra and its opposite have
+    # the same global dimension.  The two sides resolve different simples,
+    # right A-modules and left ones (as right modules over the opposite), so
+    # the resolutions check each other; every pair here is decided
+    kinds = []
+    for shape in ("AcyclicQuiver", "NilpotentCyclic", "TriangularPair"):
+        spec = CorpusSpec(seed=seed, count=30, shape=shape)
+        for i in range(30):
+            x = generate(spec, i)
+            a = x.a if shape == "TriangularPair" else x
+            right, left = gldim(a, 12), gldim(opposite(a), 12)
+            assert (left.kind, left.value) == (right.kind, right.value), a.name
+            kinds.append(right.kind)
+    assert (kinds.count("finite"), kinds.count("infinite")) == (finite, infinite)
+
+
 def test_gorenstein_resolves_no_simple_of_fix_tp2(tp2, monkeypatch):
     # det C = 0 rules out a finite global dimension (Eilenberg 1954), so
     # the simples, which resolve to the cutoff, are never resolved: every

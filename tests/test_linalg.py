@@ -93,6 +93,10 @@ def test_det_empty_is_one():
 
 
 small_ints = st.integers(min_value=-6, max_value=6)
+# axpy and the row space do their F_p arithmetic inline: F2 makes every
+# non-zero scalar 1, and the largest modulus Field.prime accepts makes the
+# products of reduced scalars pass 2^31 before they are reduced
+MERSENNE = 2 ** 31 - 1
 
 
 @st.composite
@@ -132,7 +136,7 @@ def _sparse(dense):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from([None, 101]), st.data())
+@given(st.sampled_from([None, 2, 101, MERSENNE]), st.data())
 def test_axpy_matches_dense_oracle(p, data):
     F = Q if p is None else Field.prime(p)
     ncols = data.draw(st.integers(min_value=0, max_value=7))
@@ -164,7 +168,7 @@ def test_axpy_empty_row_and_zero_scalar_leave_acc_alone(F):
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.sampled_from([None, 2, 101]), st.data())
+@given(st.sampled_from([None, 2, 101, MERSENNE]), st.data())
 def test_rowspace_matches_dense_rref(p, data):
     F = Q if p is None else Field.prime(p)
     ncols = data.draw(st.integers(min_value=1, max_value=7))
@@ -199,11 +203,14 @@ def test_rowspace_matches_dense_rref(p, data):
         for row, c in zip(red, piv):
             expect = [mod(x - vec[c] * y) for x, y in zip(expect, row)]
         assert rs.reduce(_sparse(vec)) == _sparse(expect)
-    assert rs.kernel_basis(ncols) == [_sparse(v) for v in dense_kernel(added, ncols, p)]
+    kernel = rs.kernel_basis(ncols)
+    assert kernel == [_sparse(v) for v in dense_kernel(added, ncols, p)]
+    # the syzygy step reads each vector's free column off its first key
+    assert [next(iter(v)) for v in kernel] == [c for c in range(ncols) if c not in rs.pivot_of_col]
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.sampled_from([None, 2, 101]), st.data())
+@given(st.sampled_from([None, 2, 101, MERSENNE]), st.data())
 def test_rowspace_does_not_depend_on_the_order_of_adds(p, data):
     # the syzygy step adds its cover equations shortest first, most of them
     # single-entry, and reduce eliminates its pivot hits in the order of the

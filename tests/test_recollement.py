@@ -249,6 +249,23 @@ def test_height_label_branches():
     assert height_label(False, inf, fin) == ">=2 (up)"
 
 
+def test_height_3_split_of_nilcyc_7_16_does_not_carry_gorenstein():
+    # A = kQ/J^2 with two arrows into a sink and a loop at the other vertex;
+    # e is the sink, so eAe = k and A/AeA = k[x]/x^2, both self-injective.
+    # Both corner pds are 0, so the label reads >=3, yet id A_A is infinite:
+    # the label reads no pd over A/AeA and does not certify the transfer
+    a = generate(CorpusSpec(seed=7, count=30, shape="NilpotentCyclic"), 16)
+    assert (a.name, a.dim, a.r) == ("nilcyc-7-16", 5, 2)
+    tree = stratify_search(a, 12)
+    assert tree.split_vertices == [0]
+    assert (tree.ladder.height, tree.ladder.gldim_finite) == (">=3", False)
+    assert (tree.ladder.down.kind, tree.ladder.up.kind) == ("finite", "finite")
+    assert gorenstein(a, 12).verdict == "NotGorensteinCertified"
+    for piece in (tree.quotient_child, tree.corner_child):
+        assert piece.is_leaf
+        assert gorenstein(piece.algebra, 12).describe() == "Gorenstein(0,0)"
+
+
 def test_det_check_a2(a2):
     rep = det_multiplicativity_check(a2, [0], 12)
     assert rep.applicable and rep.passed
