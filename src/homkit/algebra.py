@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from .linalg import Field, IntMatrix, RowSpace, axpy, det_int
+from .linalg import Field, IntMatrix, RowSpace, _matmul, _transpose, axpy, det_int
 from .presentation import AlgebraSpec, Quiver, SpecError
 
 if TYPE_CHECKING:
@@ -480,13 +480,44 @@ def validate(a: Algebra) -> ValidationReport:
     return ValidationReport(not fails, fails, nilpotency)
 
 
+def _check_products(a: Algebra, action: list[dict[int, dict]], side: str) -> None:
+    """The load-time product rule: raise ValueError, naming y, g and by
+    ``side`` the algebra, unless y then g acts as y * g for every radical
+    basis element y and generator g (see ``Algebra.generators``); products
+    of generators span rad, so the rule then holds for all of A.  ``action``
+    holds the ``{s: row}`` matrices of a right module, as ``Module.action``,
+    whose radical elements the caller has checked against the vertex tags.
+    ``modules._check_module`` runs it on each module read off a file, and
+    ``algebra_from_json`` on A_A, whose action is ``opposite(a).mult``: row
+    x reads (x * y) * g = x * (y * g), associativity on generators
+    (``validate`` checks every triple)."""
+    F, one = a.field, a.field.one
+    starting = [[g for g in a.generators if a.left[g] == i] for i in range(a.r)]
+    for y in range(a.r, a.dim):
+        for g in starting[a.right[y]]:
+            yg = a.mult[y].get(g, {})
+            if len(yg) == 1 and one in yg.values():
+                product = action[next(iter(yg))]  # a basis element's own matrix
+            else:
+                out: dict = {}
+                for z, cz in yg.items():
+                    for s, row in action[z].items():
+                        axpy(F, out.setdefault(s, {}), cz, row)
+                product = {s: row for s, row in out.items() if row}
+            if _matmul(F, action[y], action[g]) != product:
+                raise ValueError(f"{a.labels[y]!r} then {a.labels[g]!r} in "
+                                 f"{side or 'an unnamed algebra'} does not act as their product")
+
+
 # --------------------------------------------------------------------------
 # constructions
 # --------------------------------------------------------------------------
 
 
 def opposite(a: Algebra) -> Algebra:
-    """Same basis, products reversed, vertex tags swapped.
+    """Same basis, products reversed, vertex tags swapped: ``mult`` is the
+    transpose of a's, so row x of its ``mult[y]`` is x * y in a, the
+    action matrix of y on A_A (see ``modules.regular``).
 
     Built once per algebra: the two are kept on each other, so
     ``opposite(opposite(a)) is a``.  The pair is a reference cycle, which
@@ -495,12 +526,9 @@ def opposite(a: Algebra) -> Algebra:
     op = a._opposite
     if op is None:
         # the rows are shared: both algebras are immutable
-        mult: list[dict[int, dict[int, object]]] = [{} for _ in range(a.dim)]
-        for x, row in enumerate(a.mult):
-            for y, zs in row.items():
-                mult[y][x] = zs
-        op = Algebra(a.field, a.vertex_labels, a.labels, a.right, a.left, mult,
-                     a.r, name=f"op({a.name})")
+        cols = _transpose(enumerate(a.mult))
+        op = Algebra(a.field, a.vertex_labels, a.labels, a.right, a.left,
+                     [cols.get(y, {}) for y in range(a.dim)], a.r, name=f"op({a.name})")
         op._opposite = a
         a._opposite = op
     return op
@@ -717,10 +745,8 @@ def algebra_from_json(doc: dict) -> Algebra:
     product of two radical elements has no idempotent component.  Every
     basis element k needs both of its unit products, e_left[k] * k and
     k * e_right[k].  The entries may come in any order.  Associativity is
-    checked against the generators, as the Hom systems read A:
-    (x * y) * g = x * (y * g) for all radical x and y, x * y zero or not,
-    and every generator g (see ``Algebra.generators``); ``validate``
-    checks every triple."""
+    the product rule of ``_check_products`` on the right regular module
+    A_A: (x * y) * g = x * (y * g) for every x, radical y and generator g."""
     fmt = doc.get("format") if isinstance(doc, dict) else None
     if fmt != "homkit-algebra/1":
         raise ValueError(f"unsupported algebra format {fmt!r}")
@@ -779,17 +805,5 @@ def algebra_from_json(doc: dict) -> Algebra:
                 raise ValueError(f"basis element {k} has no unit product ({x}, {y})")
     a = Algebra(F, vertices, [e["label"] for e in basis], left, right,
                 [dict(sorted(row.items())) for row in mult], r, name=doc.get("name", ""))
-    # a product with an idempotent is a unit one, so only radical x and y
-    # can fail, and x * y * g is zero unless y starts where x ends and g
-    # where y ends; an absent product x * y is zero and is checked too
-    starting = [[g for g in a.generators if left[g] == i] for i in range(r)]
-    for x in range(r, dim):
-        for y in a.paths[right[x]][1:]:  # the idempotent e_right[x] comes first
-            xy = a.mult[x].get(y, {})
-            for g in starting[right[y]]:
-                yg = a.mult[y].get(g, {})
-                if (xy or yg) and (a.mul_coords(xy, {g: F.one})
-                                   != a.mul_coords({x: F.one}, yg)):
-                    raise ValueError(f"the product ({x}, {y}, {g}) is not associative: "
-                                     f"({x} * {y}) * {g} != {x} * ({y} * {g})")
+    _check_products(a, opposite(a).mult, a.name)
     return a

@@ -71,14 +71,24 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
+def _read_json(path: str):
+    """The JSON value in this file; one that cannot be read, is not UTF-8 or
+    is not JSON is an input error naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as e:
+        raise InputError(f"{path}: {e}") from None
+
+
 def load_algebra(path: str) -> Algebra:
     """Resolve a CLI algebra argument: .qa file, algebra JSON, or fixture name."""
     if os.path.exists(path):
         try:
+            if path.endswith(".json"):
+                return algebra_from_json(_read_json(path))
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-            if path.endswith(".json"):
-                return algebra_from_json(json.loads(text))
             spec = parse_spec(text, name=os.path.basename(path))
             return from_quiver(spec)
         except (OSError, ValueError) as e:
@@ -200,13 +210,7 @@ def cmd_stratify(args) -> int:
 def _load_bimodule(args, b: Algebra, c: Algebra) -> tuple[Module, Module]:
     """M's restrictions (M_B, _CM), read off the file without building
     tensor(op(C), B), which is built only to compare an inline algebra with it."""
-    try:
-        with open(args.module, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as e:
-        raise InputError(f"{args.module}: {e}") from None
-    except json.JSONDecodeError as e:
-        raise InputError(f"{args.module}: not valid JSON ({e})") from None
+    doc = _read_json(args.module)
     try:
         if isinstance(doc, dict) and isinstance(doc.get("algebra"), dict):
             inline = algebra_from_json(doc["algebra"])
@@ -282,11 +286,7 @@ def cmd_check(args) -> int:
 
 def cmd_dump(args) -> int:
     if args.dump_module:
-        try:
-            with open(args.file, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError) as e:
-            raise InputError(f"{args.file}: {e}") from None
+        doc = _read_json(args.file)
         algebra = None
         ref = doc.get("algebra") if isinstance(doc, dict) else None
         if isinstance(ref, str):

@@ -9,6 +9,7 @@ matrices (:class:`IntMatrix`) are dense and square, for Cartan data.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -120,6 +121,7 @@ class Field:
         return "Q" if self.p is None else f"F{self.p}"
 
     @staticmethod
+    @functools.cache  # every document names its field; is_prime runs once per name
     def from_name(name: str) -> "Field":
         name = name.strip()
         if name == "Q":
@@ -147,6 +149,42 @@ def axpy(F: Field, acc: dict, c, row: dict) -> None:
                 acc[k] = v
             else:
                 acc.pop(k, None)
+
+
+# Sparse matrices are ``{s: row}`` dicts over their non-zero rows, as
+# ``Module.action`` and ``Algebra.mult`` store them.  The helpers are
+# private to the package: they run too often to be spans of their own.
+
+def _vecmat(F: Field, v: dict, A: dict) -> dict:
+    """The sparse row ``v @ A``; ``A`` maps a row index to its sparse row,
+    and a row it does not hold is zero."""
+    out: dict = {}
+    for i, a in v.items():
+        row = A.get(i)
+        if row:
+            axpy(F, out, a, row)
+    return out
+
+
+def _matmul(F: Field, A: dict, B: dict) -> dict:
+    """The matrix ``A @ B`` of two ``{s: row}`` matrices, over its non-zero
+    rows."""
+    return {s: v for s, row in A.items() if (v := _vecmat(F, row, B))}
+
+
+def _transpose(rows) -> dict:
+    """The transpose of the matrix with these ``(index, sparse row)`` pairs:
+    its non-zero rows in order of first appearance (not sorted), each with
+    its entries in the order of the pairs."""
+    out: dict = {}
+    for s, row in rows:
+        for t, x in row.items():
+            col = out.get(t)
+            if col is None:
+                out[t] = {s: x}
+            else:
+                col[s] = x
+    return out
 
 
 class Matrix:

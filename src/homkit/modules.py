@@ -39,9 +39,9 @@ from dataclasses import dataclass, field as dc_field
 from itertools import compress, product as iter_product
 from operator import ne
 
-from .algebra import (Algebra, _tensor_basis, algebra_from_json, algebra_to_json, opposite,
-                      tensor)
-from .linalg import Field, RowSpace, axpy, inverse
+from .algebra import (Algebra, _check_products, _tensor_basis, algebra_from_json,
+                      algebra_to_json, opposite, tensor)
+from .linalg import Field, RowSpace, _matmul, _transpose, _vecmat, axpy, inverse
 
 _ISO_SEARCH_SEED = 0x5EED
 _EXHAUSTIVE_LIMIT = 4096
@@ -61,38 +61,6 @@ DIM_GUARD = 1024
 
 def _retries(F: Field) -> int:
     return _ISO_RETRIES_F2 if F.p == 2 else _ISO_RETRIES
-
-
-def _vecmat(F: Field, v: dict, A: dict) -> dict:
-    """The sparse row ``v @ A``; ``A`` maps a row index to its sparse row,
-    and a row it does not hold is zero."""
-    out: dict = {}
-    for i, a in v.items():
-        row = A.get(i)
-        if row:
-            axpy(F, out, a, row)
-    return out
-
-
-def _matmul(F: Field, A: dict, B: dict) -> dict:
-    """The matrix ``A @ B`` of two ``{s: row}`` matrices, over its non-zero
-    rows."""
-    return {s: v for s, row in A.items() if (v := _vecmat(F, row, B))}
-
-
-def _transpose(rows) -> dict:
-    """The transpose of the matrix with these ``(index, sparse row)`` pairs:
-    its non-zero rows in order of first appearance (not sorted), each with
-    its entries in the order of the pairs."""
-    out: dict = {}
-    for s, row in rows:
-        for t, x in row.items():
-            col = out.get(t)
-            if col is None:
-                out[t] = {s: x}
-            else:
-                col[s] = x
-    return out
 
 
 class Module:
@@ -199,12 +167,10 @@ def simple(a: Algebra, i: int) -> Module:
 
 
 def regular(a: Algebra) -> Module:
-    """The right regular module A_A (which is the direct sum of the P_i)."""
-    action: list[dict[int, dict]] = [{} for _ in range(a.dim)]
-    for s, prods in enumerate(a.mult):
-        for x, zs in prods.items():
-            action[x][s] = dict(zs)
-    return Module(a, a.dim, action, list(a.right))
+    """The right regular module A_A (which is the direct sum of the P_i).
+    Row s of the action of x is b_s * x, so the action matrices are those
+    of ``opposite(a).mult``, shared with it: both are immutable."""
+    return Module(a, a.dim, opposite(a).mult, a.right)
 
 
 def dual(m: Module) -> Module:
@@ -1193,34 +1159,16 @@ def _restrictions(b: Algebra, c: Algebra, weights: list[int], right, left) -> tu
             Module(opposite(c), len(weights), left, [w // rb for w in weights]))
 
 
-def _act(F: Field, action: list[dict[int, dict]], coords: dict) -> dict:
-    """The action matrix of the algebra element with these coordinates,
-    the sum of ``coords[z] * action[z]``; a basis element's own matrix is
-    returned as it is."""
-    if len(coords) == 1:
-        (z, cz), = coords.items()
-        if cz == F.one:
-            return action[z]
-    out: dict = {}
-    for z, cz in coords.items():
-        for s, row in action[z].items():
-            axpy(F, out.setdefault(s, {}), cz, row)
-    return {s: row for s, row in out.items() if row}
-
-
 def _check_module(m: Module, other: list[int], side: str) -> None:
     """Raise ValueError, naming the basis elements at fault, unless m, read
     off a file in a basis adapted to its weights, is a module.  The
     idempotents act as the weight projectors, as ``_weight_basis`` makes
-    them; the rest is checked on generators, as ``algebra_from_json`` checks
-    associativity.  Every radical basis element y maps weight left[y] to
-    weight right[y] and keeps the weight ``other[s]`` of each basis vector
-    s (the other side's weight of a bimodule, or one block for a module on
-    its own), and y * g acts as y then g for every generator g.  Since rad
-    is spanned by the products of generators, m is then a module (its
-    algebra is associative, as it is checked on load).  ``side`` names m's
-    algebra in the message."""
-    F, a, own, act = m.field, m.algebra, m.weights, m.action
+    them.  Every radical basis element y maps weight left[y] to weight
+    right[y] and keeps the weight ``other[s]`` of each basis vector s (the
+    other side's weight of a bimodule, or one block for a module on its
+    own); then the product rule ``algebra._check_products`` is checked on
+    generators.  ``side`` names m's algebra in the message."""
+    a, own, act = m.algebra, m.weights, m.action
     # the basis vectors by their weights on this side and on the other
     block: dict[tuple[int, int], set[int]] = {}
     for s, key in enumerate(zip(own, other)):
@@ -1232,12 +1180,7 @@ def _check_module(m: Module, other: list[int], side: str) -> None:
             if own[s] != ly or not row.keys() <= block.get((ry, other[s]), empty):
                 raise ValueError(f"{a.labels[y]!r} in {side} does not respect the "
                                  "vertex tags")
-    starting = [[g for g in a.generators if a.left[g] == i] for i in range(a.r)]
-    for y in range(a.r, a.dim):
-        for g in starting[a.right[y]]:
-            if _matmul(F, act[y], act[g]) != _act(F, act, a.mult[y].get(g, {})):
-                raise ValueError(f"{a.labels[y]!r} then {a.labels[g]!r} in {side} does "
-                                 "not act as their product")
+    _check_products(a, act, side)
 
 
 def module_to_json(m: Module, algebra_ref: str | None = None) -> dict:

@@ -281,6 +281,57 @@ def test_pool_algebras_pass_the_load_rules(seed42_pools):
                 assert algebra_from_json(algebra_to_json(a)) == a, a.name
 
 
+def test_load_time_product_rule_rejects_what_validate_rejects(seed42_pools):
+    # single-entry edits of the radical x radical products of the seed-42
+    # pool algebras: the coefficient at z of x * y is doubled or deleted.
+    # The edit keeps the tags and the unit products, so only associativity
+    # can fail, and the reader, which checks it on A_A against the
+    # generators, must reject exactly the tables that validate's sweep over
+    # every triple rejects.  All 1112 edits agree; a seeded 90 are checked
+    edits = []
+    for shape, pool in seed42_pools.items():
+        for inst in pool:
+            for a in ((inst.a, inst.b, inst.c) if shape == "TriangularPair" else (inst,)):
+                edits += [(a, x, y, z, scale) for x in a.radical_basis
+                          for y, row in a.mult[x].items() if y >= a.r
+                          for z in row for scale in (True, False)]
+    assert len(edits) == 1112
+    outcomes = []
+    for a, x, y, z, scale in random.Random(0).sample(edits, 90):
+        F = a.field
+        mult = list(a.mult)
+        mult[x] = dict(mult[x])
+        row = mult[x][y] = dict(mult[x][y])
+        if scale:
+            row[z] = F.mul(row[z], F.of_int(2))
+        else:
+            del row[z]
+            if not row:
+                del mult[x][y]
+        b = Algebra(F, a.vertex_labels, a.labels, a.left, a.right, mult, a.r, name=a.name)
+        try:
+            algebra_from_json(algebra_to_json(b))
+            loaded = True
+        except ValueError:
+            loaded = False
+        assert loaded == bool(validate(b)), (a.name, x, y, z, scale)
+        outcomes.append(loaded)
+    assert True in outcomes and False in outcomes
+
+
+def test_product_rule_error_names_an_unnamed_algebra():
+    # in tri-42-10, (20 * 8) * 4 = 20 * (8 * 4); scaling 8 * 4 breaks it, and
+    # a document with no name still gets a message that reads as a sentence
+    doc = algebra_to_json(corpus.generate(
+        corpus.CorpusSpec(seed=42, count=30, shape="TriangularPair"), 10).a)
+    del doc["name"]
+    doc["mult"] = [[8, 4, 9, "2"] if e == [8, 4, 9, "1"] else e for e in doc["mult"]]
+    with pytest.raises(ValueError) as err:
+        algebra_from_json(doc)
+    assert str(err.value) == ("'M:0' then 'B:a0' in an unnamed algebra does not act as "
+                              "their product")
+
+
 # inhomogeneous, so realised by the windowed closure
 _X3_IS_X4 = """
     field Q

@@ -14,7 +14,8 @@ from homkit import cli, corpus
 from homkit.algebra import (_tensor_basis, algebra_from_json, algebra_to_json, from_quiver,
                             opposite, tensor)
 from homkit.invariants import TheoremViolation
-from homkit.modules import (Module, _matmul, bimodule_from_json, bimodule_restrictions,
+from homkit.linalg import _matmul
+from homkit.modules import (Module, bimodule_from_json, bimodule_restrictions,
                             module_from_json, module_to_json)
 from homkit.presentation import print_spec, spec_of_fixture
 
@@ -631,8 +632,9 @@ def test_non_associative_structure_constant_is_an_input_error(edit, capsys, tmp_
     for cmd in ("gldim", "gorenstein", "stratify", "cartan"):
         code, out, err = run_cli(capsys, cmd, str(path))
         assert (code, out) == (1, ""), cmd
-        assert err == (f"error: {path}: the product (20, 8, 4) is not associative: "
-                       "(20 * 8) * 4 != 20 * (8 * 4)\n"), cmd
+        # the product rule on A_A names y = 8 and the generator g = 4
+        assert err == (f"error: {path}: 'M:0' then 'B:a0' in tri-42-10 does not act as "
+                       "their product\n"), cmd
 
 
 def test_missing_unit_product_is_an_input_error(capsys, tmp_path):
@@ -921,6 +923,50 @@ def test_transfer_factors_over_different_fields_are_an_input_error(capsys, tmp_p
                              "dim": 0, "action": {}}))
     code, out, err = run_cli(capsys, "check", "gorenstein-transfer", str(b), str(c), str(f))
     assert (code, out, err) == (1, "", f"error: {f}: B and C are over different fields\n")
+
+
+def test_single_byte_edits_of_input_files_never_exit_2(capsys, tmp_path):
+    # 300 seeded single-byte edits (insert, delete or replace, by any byte)
+    # of tri-42-7's transfer files, written as the benchmark writes them, and
+    # of three fixture .qa texts, each run through two commands: every run
+    # computes (exit 0) or names its bad input (exit 1), a module file that
+    # is not UTF-8 included, which must not reach main as an internal error
+    inst = corpus.generate(corpus.CorpusSpec(seed=42, count=30, shape="TriangularPair"), 7)
+    texts = {"b7.json": algebra_to_json(inst.b), "c7.json": algebra_to_json(inst.c),
+             "m7.json": module_to_json(inst.m, algebra_ref="tensor(op(C),B)")}
+    texts = {name: json.dumps(doc, sort_keys=True).encode() for name, doc in texts.items()}
+    for name in ("FIX-TP1(1)", "FIX-LOC", "FIX-A2"):
+        texts[f"{name}.qa"] = print_spec(spec_of_fixture(name)).encode()
+    paths = {name: str(tmp_path / name) for name in texts}
+    rng = random.Random(1)
+    bad, undecodable_modules = [], 0
+    for _ in range(300):
+        name = rng.choice(sorted(texts))
+        data = bytearray(texts[name])
+        pos, edit, byte = rng.randrange(len(data)), rng.choice("idr"), rng.randrange(256)
+        if edit == "i":
+            data.insert(pos, byte)
+        elif edit == "d":
+            del data[pos]
+        else:
+            data[pos] = byte
+        for other, text in texts.items():
+            Path(paths[other]).write_bytes(bytes(data) if other == name else text)
+        if name.endswith(".qa"):
+            runs = [["gldim", paths[name]], ["stratify", paths[name]]]
+        else:
+            runs = [["check", kind, paths["b7.json"], paths["c7.json"], paths["m7.json"]]
+                    for kind in ("gorenstein-transfer", "smoothness-transfer")]
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError:
+                undecodable_modules += name == "m7.json"
+        for argv in runs:
+            code, _, err = run_cli(capsys, *argv)
+            if code not in (0, 1):
+                bad.append((name, pos, edit, byte, argv[:2], code, err))
+    assert bad == []
+    assert undecodable_modules > 0
 
 
 @pytest.mark.parametrize("kind", ["gorenstein-transfer", "smoothness-transfer"])

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from _oracles import dense_matmul, identity_matrix, invert_int
+from _oracles import dense_matmul, identity_matrix, invert_int, monomial_simple_syzygies
 from homkit import cli, corpus, invariants
 from homkit import modules as modules_mod
 from homkit.algebra import from_quiver, opposite, tensor, triangular
@@ -395,6 +395,30 @@ def test_gldim_of_the_opposite_algebra_agrees(seed, finite, infinite):
             assert (left.kind, left.value) == (right.kind, right.value), a.name
             kinds.append(right.kind)
     assert (kinds.count("finite"), kinds.count("infinite")) == (finite, infinite)
+
+
+def test_simple_resolutions_match_the_monomial_path_graph():
+    # every AcyclicQuiver and NilpotentCyclic algebra is monomial, so the
+    # syzygies of its simples are read off the graph of minimal zero
+    # products; each pd of a simple, its kind and value, and each syzygy
+    # dimension that pd built must be the oracle's
+    kinds = []
+    for shape in ("AcyclicQuiver", "NilpotentCyclic"):
+        spec = CorpusSpec(seed=42, count=30, shape=shape)
+        for i in range(30):
+            a = generate(spec, i)
+            g = gldim(a, 12)
+            expected = monomial_simple_syzygies(a.r, a.left, a.right, a.mult, 12)
+            for v, (res, (d, dims)) in enumerate(zip(g.per_simple, expected, strict=True)):
+                where = (a.name, v)
+                if d is None:
+                    assert res.kind == "infinite", where
+                else:
+                    assert (res.kind, res.d) == ("finite", d), where
+                    assert dims[d + 1] == 0 and len(res.syzygy_dims) == d + 2, where
+                assert res.syzygy_dims == dims[:len(res.syzygy_dims)], where
+                kinds.append(res.kind)
+    assert (kinds.count("finite"), kinds.count("infinite")) == (186, 50)
 
 
 def test_gorenstein_resolves_no_simple_of_fix_tp2(tp2, monkeypatch):

@@ -14,7 +14,7 @@ from homkit.algebra import (_tensor_basis, _triangular, corner, opposite,
 from homkit.corpus import CorpusSpec, generate
 from homkit.invariants import TheoremViolation, cartan_matrix, gldim, gorenstein
 from _oracles import algebra_map_holds, module_tensor_dim, restrict_along
-from homkit.linalg import inverse
+from homkit.linalg import _vecmat, inverse
 from homkit.modules import (Module, PdResult, adapt_weights,
                             bimodule_from_json, bimodule_restrictions, dual, hom_dim,
                             injective, module_from_json, module_to_json, pd, regular)
@@ -621,7 +621,7 @@ def test_side_actions_read_off_a_basis_not_adapted_to_the_idempotents(monkeypatc
         mix = [{s: F.one, s + 1: F.one} if s + 1 < d else {s: F.one} for s in range(d)]
         unmix = dict(enumerate(inverse(F, mix, d)))
         mats = [{s: row for s, v in enumerate(mix)
-                 if (row := modules_mod._vecmat(F, modules_mod._vecmat(F, v, mat), unmix))}
+                 if (row := _vecmat(F, _vecmat(F, v, mat), unmix))}
                 for mat in t.m.action]
         # module_to_json writes the matrices only, so the weights do not matter
         doc = _file_doc(Module(t.m.algebra, d, mats, t.m.weights))
