@@ -994,6 +994,62 @@ def test_transfer_request_builds_a_tensor_only_for_an_inline_algebra(capsys, tmp
     assert built == [f"op({inst.c.name})⊗{inst.b.name}"]
 
 
+_TRI_42_7_REPORTS = {
+    ("gorenstein-transfer", False): (
+        "A = triangular(B-42-7, C-42-7, M):\n"
+        "  A Gorenstein; B Gorenstein; C Gorenstein\n"
+        "  pd_B M = Finite(2); pd_Cop M = Finite(0)\n"
+        "  pd-form biconditional: pass\n"
+        "  factors-form biconditional: pass\n"
+        "  overall: pass\n"),
+    ("gorenstein-transfer", True): """{
+  "A": "Gorenstein",
+  "B": "Gorenstein",
+  "C": "Gorenstein",
+  "algebra": "tri(B-42-7,C-42-7)",
+  "factors_form": "pass",
+  "format": "homkit-report/1",
+  "kind": "gorenstein-transfer",
+  "overall": "pass",
+  "pd_M_over_B": "Finite(2)",
+  "pd_M_over_Cop": "Finite(0)",
+  "pd_form": "pass"
+}
+""",
+    ("smoothness-transfer", False): (
+        "A = triangular(B-42-7, C-42-7, M):\n"
+        "  gldim A InfiniteCertified(simple 3: InfiniteCertified(repeat at 5, period 1)); "
+        "B Finite(2); C InfiniteCertified(simple 0: InfiniteCertified(repeat at 1, period 1))\n"
+        "  downward: inapplicable (A not smooth); upward: inapplicable (B or C not smooth); "
+        "overall: vacuous\n"),
+    ("smoothness-transfer", True): """{
+  "A": "InfiniteCertified(simple 3: InfiniteCertified(repeat at 5, period 1))",
+  "B": "Finite(2)",
+  "C": "InfiniteCertified(simple 0: InfiniteCertified(repeat at 1, period 1))",
+  "algebra": "tri(B-42-7,C-42-7)",
+  "downward": "inapplicable (A not smooth)",
+  "format": "homkit-report/1",
+  "kind": "smoothness-transfer",
+  "overall": "vacuous",
+  "pd_M_over_B": "Finite(2)",
+  "pd_M_over_Cop": "Finite(0)",
+  "upward": "inapplicable (B or C not smooth)"
+}
+""",
+}
+
+
+@pytest.mark.parametrize("kind, as_json", list(_TRI_42_7_REPORTS),
+                         ids=["gorenstein-text", "gorenstein-json", "smoothness-text",
+                              "smoothness-json"])
+def test_transfer_report_bytes_of_tri_42_7(capsys, tmp_path, kind, as_json):
+    # the text and JSON reports of both transfer checks, byte for byte, on
+    # the triple that the benchmark writes as tri-42-7
+    _, files = _transfer_files(tmp_path, 7)
+    argv = ["check", kind, *map(str, files)] + (["--json"] if as_json else [])
+    assert run_cli(capsys, *argv) == (0, _TRI_42_7_REPORTS[kind, as_json], "")
+
+
 def test_closed_stdout_is_a_normal_end():
     # the report is far larger than a pipe buffer, so the reader closes the
     # pipe while homkit is still writing

@@ -35,11 +35,19 @@ SUITES = [("AcyclicQuiver", "default"), ("NilpotentCyclic", "default"),
 
 # corpus seed 42 is the benchmark's reference pool, 7 its held-out pool
 CORPUS_SEEDS = ["42", "7"]
+# the fixtures with at least two vertices, so that --e 1 leaves one out
+SPLIT_FIXTURES = ["FIX-A2", "FIX-TP1(1)", "FIX-TP1(2)", "FIX-TP2", "FIX-TRI0"]
+# FIX-TP2's cross-check takes over a second, so it is left out
+CROSS_CHECKED = ["FIX-A2", "FIX-TP1(1)"]
 
 RUNS = ([cmd + [name] + fmt for cmd in COMMANDS for name in FIXTURE_NAMES
          for fmt in ([], ["--json"])]
         + [["corpus", "--shape", shape, "--suite", suite, "--seed", seed, "--count", "30",
-            "--jobs", "1", "--json"] for seed in CORPUS_SEEDS for shape, suite in SUITES])
+            "--jobs", "1", "--json"] for seed in CORPUS_SEEDS for shape, suite in SUITES]
+        + [["check", "theorem1", name, "--e", "1"] + fmt for name in SPLIT_FIXTURES
+           for fmt in ([], ["--json"])]
+        + [["check", "theorem1", "FIX-TP1(1)", "--e", "1", "--diagnostic"]]
+        + [["smooth", name, "--cross-check"] for name in CROSS_CHECKED])
 
 
 def run(argv: list[str]) -> dict:
