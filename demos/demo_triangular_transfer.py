@@ -30,12 +30,13 @@ def report(label, b, c, m):
     print(f"  det C(A) = {cartan_matrix(a).det} = "
           f"{cartan_matrix(b).det} * {cartan_matrix(c).det}")
     g = gorenstein_transfer_check(b, c, m, cutoff=12)
-    print(f"  Gorenstein: A {g.g_a.verdict}, B {g.g_b.verdict}, C {g.g_c.verdict}")
+    g_a, g_b, g_c = g.parts  # the Gorenstein reports of A, B and C
+    print(f"  Gorenstein: A {g_a.verdict}, B {g_b.verdict}, C {g_c.verdict}")
     print(f"  pd_B M = {g.pd_mb.describe()}, pd over C^op = {g.pd_mc.describe()}")
-    print(f"  biconditionals: pd-form {g.biconditional_pd_form}, "
-          f"factors-form {g.biconditional_factors_form}")
+    print(f"  biconditionals: pd-form {g.outcomes['pd_form']}, "
+          f"factors-form {g.outcomes['factors_form']}")
     s = smoothness_transfer_check(b, c, m, cutoff=12)
-    print(f"  smoothness: downward {s.downward}, upward {s.upward}")
+    print(f"  smoothness: downward {s.outcomes['downward']}, upward {s.outcomes['upward']}")
 
 
 def corpus_sweep(count=10):

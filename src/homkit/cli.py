@@ -6,7 +6,9 @@
 Commands: basis, cartan, gldim, gorenstein, smooth, stratify,
 check {theorem1, two-point, eilenberg, gorenstein-transfer,
 smoothness-transfer}, corpus, dump.  Every command takes ``--json``; all but
-basis, cartan and dump take ``--cutoff``; only corpus takes the rest.
+basis, cartan and dump take ``--cutoff``; only corpus takes the rest, and a
+check kind takes only the arguments it reads.  All but corpus and dump print
+through ``_report``, which builds either the JSON report or the text.
 
 File arguments take ``.qa`` presentations, ``homkit-algebra/1`` JSON dumps,
 or built-in fixture names (FIX-A2, FIX-TP1(n), FIX-TP2, FIX-LOC, FIX-TRI0).
@@ -119,10 +121,18 @@ def _print(text: str):
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+def _report(args, doc, text) -> int:
+    """Print a report: the canonical JSON of ``doc()`` under ``--json``, else
+    the lines of ``text()``; only the one asked for is built."""
+    _print(canonical_json(doc()) if args.json else "\n".join(text()))
+    return EXIT_OK
+
+
 def cmd_basis(args) -> int:
     a = load_algebra(args.file)
-    if args.json:
-        doc = {
+
+    def doc():
+        return {
             "format": "homkit-report/1",
             "kind": "basis",
             "algebra": a.name,
@@ -132,79 +142,74 @@ def cmd_basis(args) -> int:
             "basis": [{"label": a.labels[k], "left": a.vertex_labels[a.left[k]],
                        "right": a.vertex_labels[a.right[k]]} for k in range(a.dim)],
         }
-        _print(canonical_json(doc))
-        return EXIT_OK
-    _print(f"{a.name}: dim {a.dim}, {a.r} simples over {a.field.name()}")
-    for k in range(a.dim):
-        kind = "idempotent" if k < a.r else "radical"
-        _print(f"  {a.labels[k]:<20} ({a.vertex_labels[a.left[k]]} -> "
-                     f"{a.vertex_labels[a.right[k]]})  [{kind}]")
-    return EXIT_OK
+
+    def text():
+        yield f"{a.name}: dim {a.dim}, {a.r} simples over {a.field.name()}"
+        for k in range(a.dim):
+            kind = "idempotent" if k < a.r else "radical"
+            yield (f"  {a.labels[k]:<20} ({a.vertex_labels[a.left[k]]} -> "
+                   f"{a.vertex_labels[a.right[k]]})  [{kind}]")
+    return _report(args, doc, text)
 
 
 def cmd_cartan(args) -> int:
     a = load_algebra(args.file)
     rep = cartan_matrix(a)
-    if args.json:
-        _print(canonical_json(rep.to_json()))
-        return EXIT_OK
-    _print(f"Cartan matrix of {a.name} ({CARTAN_CONVENTION}):")
-    for row in rep.matrix.data:
-        _print("  [" + ", ".join(str(x) for x in row) + "]")
-    _print(f"det = {rep.det}")
-    return EXIT_OK
+
+    def text():
+        yield f"Cartan matrix of {a.name} ({CARTAN_CONVENTION}):"
+        for row in rep.matrix.data:
+            yield "  [" + ", ".join(str(x) for x in row) + "]"
+        yield f"det = {rep.det}"
+    return _report(args, rep.to_json, text)
 
 
 def cmd_gldim(args) -> int:
     a = load_algebra(args.file)
     rep = gldim(a, args.cutoff)
-    if args.json:
-        _print(canonical_json(rep.to_json()))
-    else:
-        _print(f"gldim({a.name}) = {rep.describe()}")
+
+    def text():
+        yield f"gldim({a.name}) = {rep.describe()}"
         for i, p in enumerate(rep.per_simple):
-            _print(f"  pd(S_{a.vertex_labels[i]}) = {p.describe()}")
-    return EXIT_OK
+            yield f"  pd(S_{a.vertex_labels[i]}) = {p.describe()}"
+    return _report(args, rep.to_json, text)
 
 
 def cmd_gorenstein(args) -> int:
     a = load_algebra(args.file)
     rep = gorenstein(a, args.cutoff)
-    if args.json:
-        _print(canonical_json(rep.to_json()))
-    else:
-        _print(f"{a.name}: {rep.describe()}")
-        _print(f"  right self-injective dimension: {rep.right_id.describe()}")
-        _print(f"  left self-injective dimension:  {rep.left_id.describe()}")
-    return EXIT_OK
+
+    def text():
+        yield f"{a.name}: {rep.describe()}"
+        yield f"  right self-injective dimension: {rep.right_id.describe()}"
+        yield f"  left self-injective dimension:  {rep.left_id.describe()}"
+    return _report(args, rep.to_json, text)
 
 
 def cmd_smooth(args) -> int:
     a = load_algebra(args.file)
     rep = smooth(a, args.cutoff, cross_check=args.cross_check)
-    if args.json:
-        _print(canonical_json(rep.to_json()))
-    else:
-        _print(f"{a.name}: {rep.verdict} (gldim {rep.gldim_report.describe()})")
+
+    def text():
+        yield f"{a.name}: {rep.verdict} (gldim {rep.gldim_report.describe()})"
         if rep.bimodule_pd is not None:
-            _print(f"  enveloping-algebra cross-check: pd = {rep.bimodule_pd.describe()}")
+            yield f"  enveloping-algebra cross-check: pd = {rep.bimodule_pd.describe()}"
         elif rep.cross_check_skipped:
-            _print(f"  enveloping-algebra cross-check: {rep.cross_check_skipped}")
-    return EXIT_OK
+            yield f"  enveloping-algebra cross-check: {rep.cross_check_skipped}"
+    return _report(args, rep.to_json, text)
 
 
 def cmd_stratify(args) -> int:
     a = load_algebra(args.file)
     tree = stratify_search(a, args.cutoff)
-    if args.json:
-        doc = {"format": "homkit-report/1", "kind": "stratify", "tree": tree.to_json()}
-        _print(canonical_json(doc))
-    else:
-        _print(tree.render())
+
+    def text():
+        yield tree.render()
         leaves = tree.leaves()
-        _print(f"{len(leaves)} leaves; leaf det product = "
-                     f"{math.prod(n.det for n in leaves)}; root det = {tree.det}")
-    return EXIT_OK
+        yield (f"{len(leaves)} leaves; leaf det product = "
+               f"{math.prod(n.det for n in leaves)}; root det = {tree.det}")
+    return _report(args, lambda: {"format": "homkit-report/1", "kind": "stratify",
+                                  "tree": tree.to_json()}, text)
 
 
 def _load_bimodule(args, b: Algebra, c: Algebra) -> tuple[Module, Module]:
@@ -222,66 +227,60 @@ def _load_bimodule(args, b: Algebra, c: Algebra) -> tuple[Module, Module]:
         raise InputError(f"{args.module}: {e}") from None
 
 
+_TRANSFER_CHECKS = {"gorenstein-transfer": gorenstein_transfer_check,
+                    "smoothness-transfer": smoothness_transfer_check}
+# the optional arguments that each kind of check reads; any other is an input error
+_CHECK_READS = {"theorem1": ("e", "diagnostic"), "gorenstein-transfer": ("cfile", "module"),
+                "smoothness-transfer": ("cfile", "module")}
+
+
+def _transfer_text(b: Algebra, c: Algebra, rep):
+    """The lines of a transfer check's text report."""
+    va, vb, vc = (p.verdict for p in rep.parts)
+    o = rep.outcomes
+    yield f"A = triangular({b.name}, {c.name}, M):"
+    if rep.kind == "gorenstein-transfer":
+        yield f"  A {va}; B {vb}; C {vc}"
+        yield f"  pd_B M = {rep.pd_mb.describe()}; pd_Cop M = {rep.pd_mc.describe()}"
+        yield f"  pd-form biconditional: {o['pd_form']}"
+        yield f"  factors-form biconditional: {o['factors_form']}"
+        yield f"  overall: {rep.overall}"
+    else:
+        yield f"  gldim A {va}; B {vb}; C {vc}"
+        yield f"  downward: {o['downward']}; upward: {o['upward']}; overall: {rep.overall}"
+
+
 def cmd_check(args) -> int:
     kind = args.kind
+    # each optional argument given, by the text that names it
+    given = {"cfile": args.cfile, "module": args.module,
+             "e": "--e" if args.e is not None else None,
+             "diagnostic": "--diagnostic" if args.diagnostic else None}
+    unused = [text for k, text in given.items() if text and k not in _CHECK_READS.get(kind, ())]
+    if unused:
+        raise InputError(f"check {kind} does not use {', '.join(unused)}")
+    if kind in _TRANSFER_CHECKS:
+        if not args.cfile or not args.module:
+            raise InputError(f"check {kind} needs B.qa C.qa M.mod")
+        b = load_algebra(args.file)
+        c = load_algebra(args.cfile)
+        rep = _TRANSFER_CHECKS[kind](b, c, _load_bimodule(args, b, c), args.cutoff)
+        return _report(args, rep.to_json, lambda: _transfer_text(b, c, rep))
+    a = load_algebra(args.file)
     if kind == "theorem1":
-        a = load_algebra(args.file)
         if not args.e:
             raise InputError("check theorem1 needs --e VERTICES")
         S = _resolve_e(a, args.e)
         if len(S) == a.r:
             raise InputError("--e must leave at least one vertex out")
         rep = det_multiplicativity_check(a, S, args.cutoff, diagnostic=args.diagnostic)
-        if args.json:
-            doc = {"format": "homkit-report/1", "kind": "theorem1",
-                   "algebra": a.name, "e": S, "result": rep.describe(),
-                   "applicable": rep.applicable, "passed": rep.passed}
-            _print(canonical_json(doc))
-        else:
-            _print(f"{a.name}, e = {[a.vertex_labels[i] for i in S]}: {rep.describe()}")
-        return EXIT_OK
-    if kind == "two-point":
-        a = load_algebra(args.file)
-        rep = two_point_criterion(a)
-        _print(canonical_json(rep.to_json()) if args.json
-               else f"{a.name}: {rep.describe()}")
-        return EXIT_OK
-    if kind == "eilenberg":
-        a = load_algebra(args.file)
-        rep = eilenberg_check(a, args.cutoff)
-        _print(canonical_json(rep.to_json()) if args.json
-               else f"{a.name}: {rep.describe()}")
-        return EXIT_OK
-    if kind in ("gorenstein-transfer", "smoothness-transfer"):
-        if not args.cfile or not args.module:
-            raise InputError(f"check {kind} needs B.qa C.qa M.mod")
-        b = load_algebra(args.file)
-        c = load_algebra(args.cfile)
-        m = _load_bimodule(args, b, c)
-        if kind == "gorenstein-transfer":
-            rep = gorenstein_transfer_check(b, c, m, args.cutoff)
-            if args.json:
-                _print(canonical_json(rep.to_json()))
-            else:
-                _print(f"A = triangular({b.name}, {c.name}, M):")
-                _print(f"  A {rep.g_a.verdict}; B {rep.g_b.verdict}; C {rep.g_c.verdict}")
-                _print(f"  pd_B M = {rep.pd_mb.describe()}; "
-                             f"pd_Cop M = {rep.pd_mc.describe()}")
-                _print(f"  pd-form biconditional: {rep.biconditional_pd_form}")
-                _print(f"  factors-form biconditional: {rep.biconditional_factors_form}")
-                _print(f"  overall: {rep.overall}")
-        else:
-            rep = smoothness_transfer_check(b, c, m, args.cutoff)
-            if args.json:
-                _print(canonical_json(rep.to_json()))
-            else:
-                _print(f"A = triangular({b.name}, {c.name}, M):")
-                _print(f"  gldim A {rep.gl_a.describe()}; B {rep.gl_b.describe()}; "
-                             f"C {rep.gl_c.describe()}")
-                _print(f"  downward: {rep.downward}; upward: {rep.upward}; "
-                             f"overall: {rep.overall}")
-        return EXIT_OK
-    raise InputError(f"unknown check kind {kind!r}")
+        return _report(args, lambda: {"format": "homkit-report/1", "kind": "theorem1",
+                                      "algebra": a.name, "e": S, "result": rep.describe(),
+                                      "applicable": rep.applicable, "passed": rep.passed},
+                       lambda: [f"{a.name}, e = {[a.vertex_labels[i] for i in S]}: "
+                                f"{rep.describe()}"])
+    rep = two_point_criterion(a) if kind == "two-point" else eilenberg_check(a, args.cutoff)
+    return _report(args, rep.to_json, lambda: [f"{a.name}: {rep.describe()}"])
 
 
 def cmd_dump(args) -> int:
@@ -359,8 +358,7 @@ def _eval_corpus_instance(payload) -> dict:
         out["det_a"], out["det_b"], out["det_c"] = (
             str(x.cartan.det) for x in (inst.a, inst.b, inst.c))
         out["verdict"] = "pass"
-        check = {"gorenstein-transfer": gorenstein_transfer_check,
-                 "smoothness-transfer": smoothness_transfer_check}.get(suite)
+        check = _TRANSFER_CHECKS.get(suite)
         if check is not None:
             out["transfer"] = check(inst.b, inst.c, inst.m, cutoff).overall
             out["verdict"] = "pass" if out["transfer"] != "undetermined" else "undetermined"
@@ -449,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     Each subcommand runs the ``cmd_<command>`` function that ``main`` looks
     up by name at call time, so a later patched or wrapped ``cmd_*`` is the
-    one that runs.
+    one that runs; ``--json`` is read in one place, ``_report``.
     """
     p = _Parser(prog="homkit",
                 description="Exact invariants of quiver algebras "

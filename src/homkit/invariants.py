@@ -67,7 +67,8 @@ def _pds(modules, cutoff: int, stop: tuple[str, ...]) -> list[PdResult]:
 @dataclass
 class GldimReport:
     """pd of the simples in vertex order, the verdict read off them: ``kind``
-    is their ``conjoin``, ``value`` the largest d when that is finite."""
+    is their ``conjoin``, ``value`` the largest d when that is finite, and
+    ``verdict`` the text of ``describe()``, as the JSON report names it."""
 
     per_simple: list[PdResult]
     cutoff: int
@@ -92,6 +93,8 @@ class GldimReport:
             return f"InfiniteCertified(simple {bad}: {self.per_simple[bad].describe()})"
         # Unknown: what stopped the first simple that is not Finite
         return next(p for p in self.per_simple if not p.is_finite).describe()
+
+    verdict = property(describe)
 
     def to_json(self) -> dict:
         return {
@@ -321,10 +324,16 @@ def euler_matrix(a: Algebra, cutoff: int) -> IntMatrix | None:
 
 @dataclass
 class EilenbergReport:
-    applicable: bool
     gldim_desc: str
-    det: int | None = None
-    conjecture_holds: bool | None = None  # det == +1
+    det: int | None = None  # None unless gldim is certified finite
+
+    @property
+    def applicable(self) -> bool:
+        return self.det is not None
+
+    @property
+    def conjecture_holds(self) -> bool | None:  # det == +1
+        return None if self.det is None else self.det == 1
 
     def describe(self) -> str:
         if not self.applicable:
@@ -349,19 +358,25 @@ def eilenberg_check(a: Algebra, cutoff: int) -> EilenbergReport:
     the determinant-conjecture instance."""
     g = gldim(a, cutoff)
     if not g.is_finite:
-        return EilenbergReport(False, g.describe())
+        return EilenbergReport(g.describe())
     det = a.cartan.det
     if det not in (1, -1):
         raise TheoremViolation(
             f"algebra {a.name!r} has finite gldim {g.value} but det C = {det}")
-    return EilenbergReport(True, g.describe(), det, det == 1)
+    return EilenbergReport(g.describe(), det)
 
 
 @dataclass
 class TwoPointReport:
-    applicable: bool
-    det: int | None = None
-    flagged: bool | None = None
+    det: int | None = None  # None unless A has exactly two simples
+
+    @property
+    def applicable(self) -> bool:
+        return self.det is not None
+
+    @property
+    def flagged(self) -> bool | None:  # det <= 0
+        return None if self.det is None else self.det <= 0
 
     def describe(self) -> str:
         if not self.applicable:
@@ -383,6 +398,5 @@ class TwoPointReport:
 def two_point_criterion(a: Algebra) -> TwoPointReport:
     """Two-vertex algebras with det C <= 0 get the derived-simplicity flag."""
     if a.r != 2:
-        return TwoPointReport(False)
-    det = a.cartan.det
-    return TwoPointReport(True, det, det <= 0)
+        return TwoPointReport()
+    return TwoPointReport(a.cartan.det)

@@ -19,8 +19,7 @@ from itertools import combinations
 
 from .algebra import (Algebra, _ideal_span, _triangular, corner, opposite,
                       quotient_by_idempotent_ideal)
-from .invariants import (GldimReport, GorensteinReport, TheoremViolation, finite_gldim,
-                         gldim, gorenstein)
+from .invariants import TheoremViolation, finite_gldim, gldim, gorenstein
 from .modules import (Module, PdResult, bimodule_restrictions, conjoin, dual, hom_dim, pd,
                       tor_dims)
 
@@ -123,8 +122,11 @@ def stratifying_check(a: Algebra, S: list[int], cutoff: int) -> StratifyingVerdi
 class LadderEstimate:
     down: PdResult   # pd of Ae over eAe (downward extension criterion)
     up: PdResult     # pd of eA over (eAe)^op (upward extension criterion)
-    height: str
     gldim_finite: bool
+
+    @property
+    def height(self) -> str:
+        return height_label(self.gldim_finite, self.down, self.up)
 
     def to_json(self) -> dict:
         return {
@@ -156,8 +158,7 @@ def _ladder(a: Algebra, S: list[int], strat: StratifyingVerdict, cutoff: int) ->
     down, up = strat.pd_Ae, strat.pd_eA
     if up is None:
         up = pd(module_eA(a, S, strat.corner), cutoff)
-    finite = finite_gldim(a, cutoff) is not None
-    return LadderEstimate(down, up, height_label(finite, down, up), finite)
+    return LadderEstimate(down, up, finite_gldim(a, cutoff) is not None)
 
 
 _HEIGHTS = {  # (kind of pd(Ae), kind of pd(eA)) -> label
@@ -185,12 +186,18 @@ def height_label(gldim_finite: bool, down: PdResult, up: PdResult) -> str:
 
 @dataclass
 class DetSplitReport:
-    applicable: bool
-    reason: str = ""
-    det_a: int | None = None
+    reason: str  # why the identity is inapplicable; empty when it applies
+    det_a: int | None = None  # the three determinants, None when not computed
     det_quotient: int | None = None
     det_corner: int | None = None
-    passed: bool | None = None
+
+    @property
+    def applicable(self) -> bool:
+        return not self.reason
+
+    @property
+    def passed(self) -> bool | None:  # det A = det A/AeA * det eAe
+        return None if self.det_a is None else self.det_a == self.det_quotient * self.det_corner
 
     def describe(self) -> str:
         if not self.applicable:
@@ -226,14 +233,13 @@ def _det_split(a: Algebra, S: list[int], strat: StratifyingVerdict,
     else:
         reason = ""
     if reason and not diagnostic:
-        return DetSplitReport(False, reason)
-    det_a, det_q, det_c = a.cartan.det, quot.cartan.det, strat.corner.cartan.det
-    passed = det_a == det_q * det_c
-    if not reason and not passed:
+        return DetSplitReport(reason)
+    rep = DetSplitReport(reason, a.cartan.det, quot.cartan.det, strat.corner.cartan.det)
+    if rep.applicable and not rep.passed:
         raise TheoremViolation(
             f"det multiplicativity failed on {a.name!r} at e={S}: "
-            f"{det_a} != {det_q} * {det_c}")
-    return DetSplitReport(not reason, reason, det_a, det_q, det_c, passed)
+            f"{rep.det_a} != {rep.det_quotient} * {rep.det_corner}")
+    return rep
 
 
 # --------------------------------------------------------------------------
@@ -262,40 +268,43 @@ def _transfer_inputs(b: Algebra, c: Algebra, m: Module | tuple[Module, Module], 
     return A, verdicts, pd(mb, cutoff), pd(mc, cutoff)
 
 
-def _overall(outcomes: tuple[str, str]) -> str:
-    if "undetermined" in outcomes:
-        return "undetermined"
-    return "pass" if "pass" in outcomes else "vacuous"
-
-
 @dataclass
-class GorensteinTransferReport:
+class TransferReport:
+    """A transfer check on A = [[B,0],[M,C]]: the reports of A, B and C, the
+    pds of M over B and over C^op, and the check's two outcomes keyed by
+    their JSON field names.  ``overall`` is read off the outcomes:
+    undetermined if either is, else pass if either passes, else vacuous."""
+
+    kind: str  # "gorenstein-transfer" | "smoothness-transfer"
     algebra_name: str
-    g_a: GorensteinReport
-    g_b: GorensteinReport
-    g_c: GorensteinReport
+    parts: tuple  # the reports of A, B and C
     pd_mb: PdResult
     pd_mc: PdResult
-    biconditional_pd_form: str      # A Gorenstein <=> both pd finite (needs B, C Gorenstein)
-    biconditional_factors_form: str  # A Gorenstein <=> B and C Gorenstein (needs pd finite)
-    overall: str                     # "pass" | "undetermined"
+    outcomes: dict[str, str]
+
+    @property
+    def overall(self) -> str:
+        outcomes = self.outcomes.values()
+        if "undetermined" in outcomes:
+            return "undetermined"
+        return "pass" if "pass" in outcomes else "vacuous"
 
     def to_json(self) -> dict:
+        a, b, c = (part.verdict for part in self.parts)
         return {
             "format": "homkit-report/1",
-            "kind": "gorenstein-transfer",
+            "kind": self.kind,
             "algebra": self.algebra_name,
-            "A": self.g_a.verdict, "B": self.g_b.verdict, "C": self.g_c.verdict,
+            "A": a, "B": b, "C": c,
             "pd_M_over_B": self.pd_mb.describe(),
             "pd_M_over_Cop": self.pd_mc.describe(),
-            "pd_form": self.biconditional_pd_form,
-            "factors_form": self.biconditional_factors_form,
+            **self.outcomes,
             "overall": self.overall,
         }
 
 
 def gorenstein_transfer_check(b: Algebra, c: Algebra, m: Module | tuple[Module, Module],
-                              cutoff: int) -> GorensteinTransferReport:
+                              cutoff: int) -> TransferReport:
     """Check the two Gorenstein biconditionals on A = [[B,0],[M,C]].
 
     With B and C Gorenstein: A is Gorenstein iff pd_B(M) and pd over C^op of
@@ -318,38 +327,12 @@ def gorenstein_transfer_check(b: Algebra, c: Algebra, m: Module | tuple[Module, 
                 f"Gorenstein transfer {label} certified failure on {A.name!r}: "
                 f"A={g_a.verdict} B={g_b.verdict} C={g_c.verdict} "
                 f"pd_B M={pd_mb.describe()} pd_Cop M={pd_mc.describe()}")
-    return GorensteinTransferReport(A.name, g_a, g_b, g_c, pd_mb, pd_mc, pd_form,
-                                    factors_form, _overall((pd_form, factors_form)))
-
-
-@dataclass
-class SmoothnessTransferReport:
-    algebra_name: str
-    gl_a: GldimReport
-    gl_b: GldimReport
-    gl_c: GldimReport
-    pd_mb: PdResult
-    pd_mc: PdResult
-    downward: str   # A smooth => B and C smooth
-    upward: str     # B, C smooth + one pd finite => A smooth
-    overall: str
-
-    def to_json(self) -> dict:
-        return {
-            "format": "homkit-report/1",
-            "kind": "smoothness-transfer",
-            "algebra": self.algebra_name,
-            "A": self.gl_a.describe(), "B": self.gl_b.describe(), "C": self.gl_c.describe(),
-            "pd_M_over_B": self.pd_mb.describe(),
-            "pd_M_over_Cop": self.pd_mc.describe(),
-            "downward": self.downward,
-            "upward": self.upward,
-            "overall": self.overall,
-        }
+    return TransferReport("gorenstein-transfer", A.name, (g_a, g_b, g_c), pd_mb, pd_mc,
+                          {"pd_form": pd_form, "factors_form": factors_form})
 
 
 def smoothness_transfer_check(b: Algebra, c: Algebra, m: Module | tuple[Module, Module],
-                              cutoff: int) -> SmoothnessTransferReport:
+                              cutoff: int) -> TransferReport:
     """Check both smoothness-transfer directions on A = [[B,0],[M,C]].
 
     Downward: if A is smooth then so are B and C.  Upward: if B and C are
@@ -381,8 +364,8 @@ def smoothness_transfer_check(b: Algebra, c: Algebra, m: Module | tuple[Module, 
     else:
         upward = "undetermined"
 
-    return SmoothnessTransferReport(A.name, gl_a, gl_b, gl_c, pd_mb, pd_mc,
-                                    downward, upward, _overall((downward, upward)))
+    return TransferReport("smoothness-transfer", A.name, (gl_a, gl_b, gl_c), pd_mb, pd_mc,
+                          {"downward": downward, "upward": upward})
 
 
 # --------------------------------------------------------------------------

@@ -98,6 +98,16 @@ def test_check_two_point_and_eilenberg(capsys):
     assert code == 0 and "det 1" in out
 
 
+@pytest.mark.parametrize("argv, unused", [
+    (["check", "two-point", "FIX-A2", "FIX-LOC"], "FIX-LOC"),
+    (["check", "theorem1", "FIX-A2", "FIX-LOC", "--e", "1"], "FIX-LOC"),
+    (["check", "eilenberg", "FIX-A2", "--e", "1", "--diagnostic"], "--e, --diagnostic"),
+], ids=["two-point-file", "theorem1-file", "eilenberg-flags"])
+def test_argument_a_check_does_not_read_is_an_input_error(capsys, argv, unused):
+    # each kind names what it was given and does not read, and computes nothing
+    assert run_cli(capsys, *argv) == (1, "", f"error: check {argv[1]} does not use {unused}\n")
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = run_cli(capsys, "cartan", "nope.qa")
     assert code == 1

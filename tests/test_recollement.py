@@ -325,8 +325,8 @@ def test_stratify_tree_json_and_render(a2):
 def test_gorenstein_transfer_trivial(one_point):
     T, m = _simple_bimodule(one_point, one_point)
     rep = gorenstein_transfer_check(one_point, one_point, m, 12)
-    assert rep.biconditional_pd_form == "pass"
-    assert rep.biconditional_factors_form == "pass"
+    assert rep.outcomes["pd_form"] == "pass"
+    assert rep.outcomes["factors_form"] == "pass"
     assert rep.overall == "pass"
 
 
@@ -339,9 +339,9 @@ def test_gorenstein_transfer_selfinjective_factors(loc):
     rep = gorenstein_transfer_check(loc, loc, m, 12)
     assert rep.pd_mb.describe() == "Finite(0)"
     assert rep.pd_mc.describe() == "Finite(0)"
-    assert rep.g_a.verdict == "Gorenstein"
-    assert rep.biconditional_pd_form == "pass"
-    assert rep.biconditional_factors_form == "pass"
+    assert rep.parts[0].verdict == "Gorenstein"
+    assert rep.outcomes["pd_form"] == "pass"
+    assert rep.outcomes["factors_form"] == "pass"
 
 
 def test_gorenstein_transfer_infinite_pd(loc, one_point):
@@ -349,24 +349,24 @@ def test_gorenstein_transfer_infinite_pd(loc, one_point):
     T, m = _simple_bimodule(loc, one_point)
     rep = gorenstein_transfer_check(loc, one_point, m, 12)
     assert rep.pd_mb.is_infinite
-    assert rep.g_a.verdict == "NotGorensteinCertified"
-    assert rep.biconditional_pd_form == "pass"
-    assert rep.biconditional_factors_form.startswith("inapplicable")
+    assert rep.parts[0].verdict == "NotGorensteinCertified"
+    assert rep.outcomes["pd_form"] == "pass"
+    assert rep.outcomes["factors_form"].startswith("inapplicable")
 
 
 def test_smoothness_transfer_trivial(one_point):
     T, m = _simple_bimodule(one_point, one_point)
     rep = smoothness_transfer_check(one_point, one_point, m, 12)
-    assert rep.downward == "pass"
-    assert rep.upward == "pass"
+    assert rep.outcomes["downward"] == "pass"
+    assert rep.outcomes["upward"] == "pass"
     assert rep.overall == "pass"
 
 
 def test_smoothness_transfer_acyclic_factors(a2, one_point):
     T, m = _simple_bimodule(a2, one_point)
     rep = smoothness_transfer_check(a2, one_point, m, 12)
-    assert rep.gl_b.is_finite and rep.gl_c.is_finite
-    assert rep.downward == "pass" and rep.upward == "pass"
+    assert rep.parts[1].is_finite and rep.parts[2].is_finite
+    assert rep.outcomes["downward"] == "pass" and rep.outcomes["upward"] == "pass"
 
 
 _TRUTH = {"finite": True, "infinite": False, "unknown": None}
@@ -427,7 +427,7 @@ def _smoothness_oracle(a, b, c, pb, pc):
 
 @pytest.mark.parametrize("check, oracle, forms", [
     (gorenstein_transfer_check, _gorenstein_oracle,
-     ("biconditional_pd_form", "biconditional_factors_form")),
+     ("pd_form", "factors_form")),
     (smoothness_transfer_check, _smoothness_oracle, ("downward", "upward")),
 ], ids=["gorenstein", "smoothness"])
 def test_transfer_checks_match_the_branch_table(monkeypatch, check, oracle, forms):
@@ -454,7 +454,7 @@ def test_transfer_checks_match_the_branch_table(monkeypatch, check, oracle, form
                 check(None, None, None, 12)
             continue
         rep = check(None, None, None, 12)
-        assert tuple(getattr(rep, f) for f in forms) == expected, combo
+        assert tuple(rep.outcomes[f] for f in forms) == expected, combo
         overall = ("undetermined" if "undetermined" in expected
                    else "pass" if "pass" in expected else "vacuous")
         assert rep.overall == overall, combo
@@ -691,7 +691,7 @@ def test_transfer_checks_resolve_only_what_the_verdicts_read(monkeypatch):
         calls.clear()
         injectives.clear()
         rep = gorenstein_transfer_check(t.b, t.c, t.m, 12)
-        for (name, (label, r)), g in zip(factors.items(), (rep.g_a, rep.g_b, rep.g_c)):
+        for (name, (label, r)), g in zip(factors.items(), rep.parts):
             # D(A) is resolved over A^op; the left side of A is the right
             # side of A^op, so its injectives are modules over A again
             right = [res for m, res in calls if m.algebra.name == f"op({name})"]
