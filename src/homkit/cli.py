@@ -1,14 +1,16 @@
 """The homkit command line.
 
     homkit <command> [args] [--json] [--cutoff N]
+    homkit check <kind> FILE [C M] [--e V] [--diagnostic] [--json] [--cutoff N]
     homkit corpus --shape S [--count N] [--seed S] [--field Q|Fp] [--jobs N] [--json]
 
-Commands: basis, cartan, gldim, gorenstein, smooth, stratify,
-check {theorem1, two-point, eilenberg, gorenstein-transfer,
-smoothness-transfer}, corpus, dump.  Every command takes ``--json``; all but
-basis, cartan and dump take ``--cutoff``; only corpus takes the rest, and a
-check kind takes only the arguments it reads.  All but corpus and dump print
-through ``_report``, which builds either the JSON report or the text.
+Commands: basis, cartan, gldim, gorenstein, smooth, stratify, check, corpus,
+dump.  Each kind of check is a subcommand of check that declares only what it
+reads: the transfer checks take C and M, theorem1 takes --e and --diagnostic,
+and two-point takes no --cutoff.  Every command and kind takes ``--json``
+after its arguments; all but basis, cartan, dump and check two-point take
+``--cutoff``.  All but corpus and dump print through ``_report``, which builds
+either the JSON report or the text.
 
 File arguments take ``.qa`` presentations, ``homkit-algebra/1`` JSON dumps,
 or built-in fixture names (FIX-A2, FIX-TP1(n), FIX-TP2, FIX-LOC, FIX-TRI0).
@@ -229,9 +231,6 @@ def _load_bimodule(args, b: Algebra, c: Algebra) -> tuple[Module, Module]:
 
 _TRANSFER_CHECKS = {"gorenstein-transfer": gorenstein_transfer_check,
                     "smoothness-transfer": smoothness_transfer_check}
-# the optional arguments that each kind of check reads; any other is an input error
-_CHECK_READS = {"theorem1": ("e", "diagnostic"), "gorenstein-transfer": ("cfile", "module"),
-                "smoothness-transfer": ("cfile", "module")}
 
 
 def _transfer_text(b: Algebra, c: Algebra, rep):
@@ -252,24 +251,13 @@ def _transfer_text(b: Algebra, c: Algebra, rep):
 
 def cmd_check(args) -> int:
     kind = args.kind
-    # each optional argument given, by the text that names it
-    given = {"cfile": args.cfile, "module": args.module,
-             "e": "--e" if args.e is not None else None,
-             "diagnostic": "--diagnostic" if args.diagnostic else None}
-    unused = [text for k, text in given.items() if text and k not in _CHECK_READS.get(kind, ())]
-    if unused:
-        raise InputError(f"check {kind} does not use {', '.join(unused)}")
     if kind in _TRANSFER_CHECKS:
-        if not args.cfile or not args.module:
-            raise InputError(f"check {kind} needs B.qa C.qa M.mod")
         b = load_algebra(args.file)
         c = load_algebra(args.cfile)
         rep = _TRANSFER_CHECKS[kind](b, c, _load_bimodule(args, b, c), args.cutoff)
         return _report(args, rep.to_json, lambda: _transfer_text(b, c, rep))
     a = load_algebra(args.file)
     if kind == "theorem1":
-        if not args.e:
-            raise InputError("check theorem1 needs --e VERTICES")
         S = _resolve_e(a, args.e)
         if len(S) == a.r:
             raise InputError("--e must leave at least one vertex out")
@@ -447,7 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     Each subcommand runs the ``cmd_<command>`` function that ``main`` looks
     up by name at call time, so a later patched or wrapped ``cmd_*`` is the
-    one that runs; ``--json`` is read in one place, ``_report``.
+    one that runs; ``--json`` is read in one place, ``_report``.  Each check
+    kind is a subcommand of ``check`` with only the arguments it reads, so
+    argparse rejects any other as unrecognized.
     """
     p = _Parser(prog="homkit",
                 description="Exact invariants of quiver algebras "
@@ -489,23 +479,25 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
 
     sp = sub.add_parser("check", help="run one named identity check")
-    sp.add_argument("kind", choices=["theorem1", "two-point", "eilenberg",
-                                     "gorenstein-transfer", "smoothness-transfer"])
-    sp.add_argument("file", help="algebra file (B.qa for transfer checks)")
-    sp.add_argument("cfile", nargs="?", help="C.qa (transfer checks)")
-    sp.add_argument("module", nargs="?", help="M.mod (transfer checks)")
-    sp.add_argument("--e", help="comma-separated vertex labels for theorem1")
-    sp.add_argument("--diagnostic", action="store_true",
-                    help="evaluate theorem1 even when preconditions fail")
-    common(sp)
+    kinds = sp.add_subparsers(dest="kind", required=True)
+    for kind in ("theorem1", "two-point", "eilenberg", *_TRANSFER_CHECKS):
+        ks = kinds.add_parser(kind)
+        ks.add_argument("file", help="algebra file (B for a transfer check)")
+        if kind in _TRANSFER_CHECKS:
+            ks.add_argument("cfile", help="C's algebra file")
+            ks.add_argument("module", help="M's bimodule file")
+        if kind == "theorem1":
+            ks.add_argument("--e", required=True, help="comma-separated vertex labels")
+            ks.add_argument("--diagnostic", action="store_true",
+                            help="evaluate even when preconditions fail")
+        common(ks, cutoff=kind != "two-point")
 
     sp = sub.add_parser("corpus", help="run a seeded random corpus suite")
     sp.add_argument("--shape", required=True, choices=list(corpus_mod.SHAPES))
     sp.add_argument("--count", type=_bounded_int(0), default=50)
     sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--field", default="F101", help="Q or Fp (default F101)")
-    sp.add_argument("--suite", default="default",
-                    choices=["default", "gorenstein-transfer", "smoothness-transfer"])
+    sp.add_argument("--suite", default="default", choices=["default", *_TRANSFER_CHECKS])
     sp.add_argument("--jobs", type=_bounded_int(1), default=os.cpu_count() or 1,
                     help="worker processes")
     sp.add_argument("--dim-bound", type=_bounded_int(1, corpus_mod.DIM_BOUND),

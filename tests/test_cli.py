@@ -101,11 +101,13 @@ def test_check_two_point_and_eilenberg(capsys):
 @pytest.mark.parametrize("argv, unused", [
     (["check", "two-point", "FIX-A2", "FIX-LOC"], "FIX-LOC"),
     (["check", "theorem1", "FIX-A2", "FIX-LOC", "--e", "1"], "FIX-LOC"),
-    (["check", "eilenberg", "FIX-A2", "--e", "1", "--diagnostic"], "--e, --diagnostic"),
-], ids=["two-point-file", "theorem1-file", "eilenberg-flags"])
+    (["check", "eilenberg", "FIX-A2", "--e", "1", "--diagnostic"], "--e 1 --diagnostic"),
+    (["check", "two-point", "FIX-A2", "--cutoff", "3"], "--cutoff 3"),
+], ids=["two-point-file", "theorem1-file", "eilenberg-flags", "two-point-cutoff"])
 def test_argument_a_check_does_not_read_is_an_input_error(capsys, argv, unused):
-    # each kind names what it was given and does not read, and computes nothing
-    assert run_cli(capsys, *argv) == (1, "", f"error: check {argv[1]} does not use {unused}\n")
+    # each kind declares only what it reads, so the parser names the rest
+    # and nothing is computed
+    assert run_cli(capsys, *argv) == (1, "", f"error: homkit: unrecognized arguments: {unused}\n")
 
 
 def test_missing_file_is_input_error(capsys):
@@ -453,6 +455,9 @@ def test_corpus_with_timing_flag(capsys):
     (["cartan", "FIX-TP1(\u00b2)"], "FIX-TP1"),
     (["corpus", "--shape", "AcyclicQuiver", "--count", "1", "--jobs", "1",
       "--field", "F\u00b2"], "unknown field"),
+    # a transfer check needs C and M, and theorem1 needs --e
+    (["check", "gorenstein-transfer", "FIX-A2"], "required: cfile, module"),
+    (["check", "theorem1", "FIX-A2"], "required: --e"),
 ])
 def test_bad_arguments_are_input_errors(capsys, argv, named):
     code, out, err = run_cli(capsys, *argv)

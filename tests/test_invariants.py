@@ -397,14 +397,15 @@ def test_gldim_of_the_opposite_algebra_agrees(seed, finite, infinite):
     assert (kinds.count("finite"), kinds.count("infinite")) == (finite, infinite)
 
 
-def test_simple_resolutions_match_the_monomial_path_graph():
+@pytest.mark.parametrize("seed, finite, infinite", [(42, 186, 50), (7, 169, 53)])
+def test_simple_resolutions_match_the_monomial_path_graph(seed, finite, infinite):
     # every AcyclicQuiver and NilpotentCyclic algebra is monomial, so the
     # syzygies of its simples are read off the graph of minimal zero
     # products; each pd of a simple, its kind and value, and each syzygy
     # dimension that pd built must be the oracle's
     kinds = []
     for shape in ("AcyclicQuiver", "NilpotentCyclic"):
-        spec = CorpusSpec(seed=42, count=30, shape=shape)
+        spec = CorpusSpec(seed=seed, count=30, shape=shape)
         for i in range(30):
             a = generate(spec, i)
             g = gldim(a, 12)
@@ -418,7 +419,7 @@ def test_simple_resolutions_match_the_monomial_path_graph():
                     assert dims[d + 1] == 0 and len(res.syzygy_dims) == d + 2, where
                 assert res.syzygy_dims == dims[:len(res.syzygy_dims)], where
                 kinds.append(res.kind)
-    assert (kinds.count("finite"), kinds.count("infinite")) == (186, 50)
+    assert (kinds.count("finite"), kinds.count("infinite")) == (finite, infinite)
 
 
 def test_gorenstein_resolves_no_simple_of_fix_tp2(tp2, monkeypatch):

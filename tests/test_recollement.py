@@ -9,7 +9,7 @@ import pytest
 
 import homkit.algebra as algebra_mod
 import homkit.modules as modules_mod
-from homkit.algebra import (_tensor_basis, _triangular, corner, opposite,
+from homkit.algebra import (_tensor_basis, _triangular, corner, from_quiver, opposite,
                             quotient_by_idempotent_ideal, tensor, triangular, validate)
 from homkit.corpus import CorpusSpec, generate
 from homkit.invariants import TheoremViolation, cartan_matrix, gldim, gorenstein
@@ -18,6 +18,7 @@ from homkit.linalg import _vecmat, inverse
 from homkit.modules import (Module, PdResult, adapt_weights,
                             bimodule_from_json, bimodule_restrictions, dual, hom_dim,
                             injective, module_from_json, module_to_json, pd, regular)
+from homkit.presentation import parse_spec
 from homkit.recollement import (aea_dimension, det_multiplicativity_check,
                                 gorenstein_transfer_check, height_label,
                                 ladder_estimate, module_Ae, module_eA,
@@ -249,12 +250,23 @@ def test_height_label_branches():
     assert height_label(False, inf, fin) == ">=2 (up)"
 
 
-def test_height_3_split_of_nilcyc_7_16_does_not_carry_gorenstein():
+# nilcyc-7-16 of the seed-7 NilpotentCyclic corpus, written as a presentation
+NILCYC_7_16_QA = """field F101
+quiver { vertices: 1, 2  arrows: c0: 2 -> 1, c1: 2 -> 1, c2: 2 -> 2 }
+relations { c2*c0, c2*c1, c2*c2 }
+"""
+
+
+@pytest.mark.parametrize("source", ["corpus", "qa"])
+def test_height_3_split_of_nilcyc_7_16_does_not_carry_gorenstein(source):
     # A = kQ/J^2 with two arrows into a sink and a loop at the other vertex;
     # e is the sink, so eAe = k and A/AeA = k[x]/x^2, both self-injective.
     # Both corner pds are 0, so the label reads >=3, yet id A_A is infinite:
     # the label reads no pd over A/AeA and does not certify the transfer
-    a = generate(CorpusSpec(seed=7, count=30, shape="NilpotentCyclic"), 16)
+    if source == "corpus":
+        a = generate(CorpusSpec(seed=7, count=30, shape="NilpotentCyclic"), 16)
+    else:
+        a = from_quiver(parse_spec(NILCYC_7_16_QA, name="nilcyc-7-16"))
     assert (a.name, a.dim, a.r) == ("nilcyc-7-16", 5, 2)
     tree = stratify_search(a, 12)
     assert tree.split_vertices == [0]
