@@ -34,10 +34,8 @@ off a later one, an isomorphism between equal dimensions (see PdResult).
 from __future__ import annotations
 
 import random
-import sys
 from dataclasses import dataclass, field as dc_field
-from itertools import compress, product as iter_product
-from operator import ne
+from itertools import product as iter_product
 
 from .algebra import (Algebra, _check_products, _tensor_basis, algebra_from_json,
                       algebra_to_json, opposite, tensor)
@@ -69,8 +67,8 @@ class Module:
     ``action[x]`` is ``{s: row}`` over the non-zero rows only, in
     increasing s, so equal modules have equal ``action`` and read their
     rows in the same order.  ``_radical`` caches the row space of rad M
-    (see ``_radical_rowspace``); it is built at most once per module, and a
-    syzygy arrives with it already filled in.  ``_resolution`` holds the
+    (see ``_radical_rowspace``); it is built at most once per module, by
+    the first cover or top that reads it.  ``_resolution`` holds the
     steps of the minimal resolution built so far (see
     ``_resolution_steps``), each built at most once per module.  The
     constructor trusts its rows, which the library builds in this format;
@@ -405,10 +403,9 @@ def _syzygy_with_inclusion(m: Module, cov: Cover | None = None) -> tuple[Module,
     path that source column c stands for (see :class:`Cover`).  Only free
     columns are accumulated, so the source Module is never built, and an
     image row is filtered again only where a cancellation left a zero.
-    The products by the generators of rad A, added in x-then-row order,
-    seed the syzygy's cached radical row space (see ``_radical_rowspace``),
-    which its own cover and top multiplicities then read without another
-    pass over the action.
+    The syzygy's radical row space is not built here: as for every other
+    module, its first cover or top multiplicities build it
+    (``_radical_rowspace``).
 
     The cover is onto (its lifts span top M, so they generate M by
     Nakayama), so the kernel has ``source_dim - dim M`` vectors, and equal
@@ -473,13 +470,7 @@ def _syzygy_with_inclusion(m: Module, cov: Cover | None = None) -> tuple[Module,
                 img = {t: val for t, val in img.items() if val != 0}
             if img:
                 action[x][s] = img
-    radical = RowSpace(F)
-    for x in a.generators:
-        for row in action[x].values():
-            radical.add(row)
-    sub = Module(a, len(kernel), action, weights)
-    sub._radical = radical
-    return sub, cov, kernel
+    return Module(a, len(kernel), action, weights), cov, kernel
 
 
 def _resolution_steps(m: Module, steps: int):
@@ -1209,39 +1200,29 @@ def _module_header(doc: dict) -> None:
             raise ValueError(f"module document has no {key!r} entry")
 
 
-def _dense_entries(label: str, mat, dim: int, zero_mat: list | None) -> list:
+def _dense_entries(label: str, mat, dim: int, zero: str) -> list:
     """The entries ``[s, t, value]`` of a homkit-module/1 dense matrix that
-    differ from the zero literal, by increasing (s, t).  A matrix equal to
-    ``zero_mat``, dim rows of the zero literal, and a row that holds nothing
-    else are skipped after one list comparison; ``zero_mat`` is built once
-    a matrix of dim rows is read, so it is None only for a wrong shape."""
-    if type(mat) is list and len(mat) == dim:
-        if mat == zero_mat:
-            return []
-        zero_row = zero_mat[0]
-        entries = []
-        for s, row in enumerate(mat):
-            if row != zero_row:
-                if type(row) is not list or len(row) != dim:
-                    break
-                entries += ([s, t, row[t]] for t in compress(range(dim), map(ne, row, zero_row)))
-        else:
-            return entries
-    raise ValueError(f"action matrix for {label!r} has wrong shape "
-                     f"(expected {dim} rows of {dim} entries)")
+    differ from ``zero``, the zero literal, by increasing (s, t).  The
+    matrix must be dim lists of dim entries, which is checked before any
+    entry is read."""
+    if not (type(mat) is list and len(mat) == dim
+            and all(type(row) is list and len(row) == dim for row in mat)):
+        raise ValueError(f"action matrix for {label!r} has wrong shape "
+                         f"(expected {dim} rows of {dim} entries)")
+    return [[s, t, v] for s, row in enumerate(mat) for t, v in enumerate(row) if v != zero]
 
 
 def _read_action(doc: dict, F: Field, labels: list[str]) -> tuple[int, list[dict[int, dict]]]:
     """The dimension of a homkit-module/1 or /2 document and its action
     matrices, one per label in ``labels``, each ``{s: row}`` over its
     non-zero rows in increasing s, as ``Module.action``.  A /1 dense matrix
-    is first turned into the /2 entries ``[s, t, value]``
-    (``_dense_entries``), so both formats are checked by one code path:
-    every label is present, each entry has s and t in range(dim), the
-    entries of a matrix come by strictly increasing (s, t), and each value
-    goes through ``Field.parse``, a zero being dropped as
-    ``algebra_from_json`` drops one.  The first malformed entry in label
-    order raises ValueError naming it."""
+    is shape-checked whole and turned into the /2 entries ``[s, t, value]``
+    that differ from the zero literal (``_dense_entries``), so both formats
+    are read by the one /2 loop: every label is present, each entry has s
+    and t in range(dim), the entries of a matrix come by strictly
+    increasing (s, t), and each value goes through ``Field.parse``, a zero
+    being dropped as ``algebra_from_json`` drops one.  The first malformed
+    entry in label order raises ValueError naming it."""
     dim = doc["dim"]
     if type(dim) is not int or dim < 0:
         raise ValueError(f"'dim' {dim!r} is not a non-negative integer")
@@ -1249,21 +1230,14 @@ def _read_action(doc: dict, F: Field, labels: list[str]) -> tuple[int, list[dict
     if not isinstance(act, dict):
         raise ValueError("'action' is not an object")
     dense = doc["format"] == "homkit-module/1"
-    zero_mat = None
+    zero = F.format(F.zero)
     action: list[dict[int, dict]] = []
     for label in labels:
         if label not in act:
             raise ValueError(f"missing action matrix for basis element {label!r}")
         raw = act[label]
         if dense:
-            if zero_mat is None and type(raw) is list and len(raw) == dim:
-                # a /1 matrix of zero literals only, as most of them are; the
-                # literal is interned, as the JSON decoder's one-character
-                # strings are, so that the list comparisons meet the same
-                # object and compare by identity.  Built only once a matrix
-                # has dim rows, so that a large 'dim' allocates nothing.
-                zero_mat = [[sys.intern(F.format(F.zero))] * dim] * dim
-            raw = _dense_entries(label, raw, dim, zero_mat)
+            raw = _dense_entries(label, raw, dim, zero)
         elif not isinstance(raw, list):
             raise ValueError(f"action matrix for {label!r} is not a list of entries")
         mat: dict[int, dict] = {}

@@ -97,7 +97,9 @@ def test_traced_stratify_request_keeps_its_work_counts(tmp_path):
     # one benchmark request on nilcyc-42-1, whose stratifying checks compute
     # Tor seven times.  Tor reads the resolution steps kept on its module
     # and never calls modules.min_resolution, so the syzygies it builds past
-    # pd's stop are not counted; the covers it builds are
+    # pd's stop are not counted; the covers it builds are.  The RowSpace.add
+    # calls pin Tor's path, where a syzygy's radical is built only if a
+    # cover or top reads it
     a = corpus.generate(corpus.CorpusSpec(seed=42, count=30, shape="NilpotentCyclic"), 1)
     path = tmp_path / "a.json"
     path.write_text(json.dumps(algebra_to_json(a)))
@@ -114,4 +116,5 @@ def test_traced_stratify_request_keeps_its_work_counts(tmp_path):
     assert "modules.min_resolution" not in calls
     assert (tracer.counters["modules.syzygies_built"],
             tracer.counters["modules.syzygy_dim_sum"],
-            tracer.counters["modules.cover_source_dim_sum"]) == (22, 16, 158)
+            tracer.counters["modules.cover_source_dim_sum"],
+            calls["linalg.RowSpace.add"]) == (22, 16, 158, 220)

@@ -202,8 +202,6 @@ def _check_sparse_syzygy(m: Module) -> Module:
     if not incl:
         assert sub.dim == 0
         return sub
-    cached = sub._radical
-    assert cached is not None
     p = m.field.p
     n = cov.source_dim
     dense_incl = dense_rows(incl, n)
@@ -220,9 +218,6 @@ def _check_sparse_syzygy(m: Module) -> Module:
         read = dense_matmul(dense_action(sub.action[x], sub.dim), dense_incl, p)
         assert moved == read, x
     assert sub.validate() == []
-    fresh = _radical_rowspace(Module(sub.algebra, sub.dim, sub.action, sub.weights))
-    assert cached.pivot_cols == fresh.pivot_cols
-    assert cached.rows == fresh.rows
     return sub
 
 
