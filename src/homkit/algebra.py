@@ -303,10 +303,13 @@ class _WindowedClosure(_Closure):
 
     All raw paths up to the current window are enumerated and every
     p*rel*q product that fits the window is added to one global row space
-    (columns ordered by length then lex).  The window stops at the first D
-    with no surviving word of length in (L, D] and D >= 2L, where L is the
-    longest surviving word: every longer path then reduces, and products of
-    basis words stay inside the reduction table.
+    (columns ordered by length then lex).  With L the longest surviving
+    word, the window stops at the first D >= max(L + 1, 2L) that also has
+    D >= L - lo + hi for each relation with terms of lengths lo..hi, lo <= L
+    (equal paths merged, so terms that cancel do not count).
+    Every word of length in (L, D] is then a pivot whose row is the word
+    alone, each p*rel*q of lowest degree <= L fits the window, and products
+    of basis words stay inside the reduction table.
     """
 
     def run(self) -> list[tuple]:
@@ -316,32 +319,32 @@ class _WindowedClosure(_Closure):
         col = {w: k for k, w in enumerate(words)}
         space = RowSpace(F)
         rows_added = 0
+        # (relation, its merged {arrows: coefficient}, shortest, longest)
+        rels = []
+        for rel in self.spec.relations:
+            terms: dict[tuple, object] = {}
+            for coeff, relpath in rel.terms:
+                axpy(F, terms, coeff, {relpath.arrows: F.one})
+            if terms:
+                rels.append((rel, terms, min(map(len, terms)), max(map(len, terms))))
         for D in range(1, self.spec.degree_cutoff + 1):
             level = self._extend(by_deg[-1])
             col.update((w, len(words) + k) for k, w in enumerate(level))
             words.extend(level)
             by_deg.append(level)
             _check_path_guard(len(words))
-            if D < 2:
-                continue
-            for rel in self.spec.relations:
-                mx = max(p.length for _, p in rel.terms)
-                for pw, qw in self._sandwiches(rel, mx, D, by_deg):
-                    vec: dict[int, object] = {}
-                    for coeff, relpath in rel.terms:
-                        w2 = (pw[0], pw[1] + relpath.arrows + qw[1])
-                        axpy(F, vec, coeff, {col[w2]: F.one})
-                    if vec:
-                        space.add(vec)
-                        rows_added += 1
-                        if rows_added > _ROW_GUARD:
-                            raise NotFiniteDimensionalError(
-                                "not visibly finite-dimensional within "
-                                f"degree_cutoff (row guard {_ROW_GUARD} exceeded)")
+            for rel, terms, _, hi in rels:
+                for pw, qw in self._sandwiches(rel, hi, D, by_deg):
+                    space.add({col[(pw[0], pw[1] + a + qw[1])]: c for a, c in terms.items()})
+                    rows_added += 1
+                    if rows_added > _ROW_GUARD:
+                        raise NotFiniteDimensionalError(
+                            "not visibly finite-dimensional within "
+                            f"degree_cutoff (row guard {_ROW_GUARD} exceeded)")
             pivots = set(space.pivot_of_col)
             normal = [w for k, w in enumerate(words) if k not in pivots]
             L = max(len(w[1]) for w in normal) if normal else 0
-            if D >= max(L + 1, 2 * L):
+            if D >= max([L + 1, 2 * L] + [L - lo + hi for _, _, lo, hi in rels if lo <= L]):
                 self._keep_pivots(space, words)
                 return normal
         raise self._past_cutoff()

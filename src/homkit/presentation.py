@@ -8,6 +8,7 @@ e_i * A is the span of paths starting at i.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .linalg import Field, FieldError
@@ -153,46 +154,29 @@ class _Token:
     col: int
 
 
+# A newline, a blank run, a comment, a punctuation literal, a word (\w is
+# exactly isalnum() or '_'), or any other character, which is an error.
+_TOKEN = re.compile(r"(?P<nl>\n)|[ \t\r]+|#[^\n]*|(?P<punct>->|[{}:,+\-*/()^])"
+                    r"|(?P<word>\w+)|(?P<bad>.)", re.S)
+
+
+def _is_int(word: str) -> bool:
+    return word.isascii() and word.isdigit()
+
+
 def _tokenize(text: str) -> list[_Token]:
     toks: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("->", i):
-            toks.append(_Token("->", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in "{}:,+-*/()^":
-            toks.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isalnum() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "int" if word.isascii() and word.isdigit() else "id"
-            toks.append(_Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        raise SpecError(f"unexpected character {ch!r}", line, col)
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, word, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "nl":
+            line, line_start = line + 1, m.end()
+        elif kind == "bad":
+            raise SpecError(f"unexpected character {word!r}", line, col)
+        elif kind == "word":
+            toks.append(_Token("int" if _is_int(word) else "id", word, line, col))
+        elif kind == "punct":
+            toks.append(_Token(word, word, line, col))
     return toks
 
 
@@ -202,12 +186,11 @@ class _Parser:
         self.pos = 0
 
     def _err(self, message: str):
-        if self.pos < len(self.toks):
-            t = self.toks[self.pos]
-            raise SpecError(message, t.line, t.col)
-        last = self.toks[-1] if self.toks else None
-        raise SpecError(message + " (at end of input)",
-                        last.line if last else 1, last.col if last else 1)
+        """Raise at the next token, or past the last one at end of input."""
+        if self.pos >= len(self.toks):
+            message += " (at end of input)"
+        t = self.toks[min(self.pos, len(self.toks) - 1)] if self.toks else _Token("", "", 1, 1)
+        raise SpecError(message, t.line, t.col)
 
     def peek(self) -> _Token | None:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -219,16 +202,36 @@ class _Parser:
         self.pos += 1
         return t
 
-    def expect(self, kind: str, text: str | None = None) -> _Token:
-        t = self.peek()
-        if t is None or t.kind != kind or (text is not None and t.text != text):
-            want = text or kind
-            self._err(f"expected {want!r}")
+    def expect(self, kind: str) -> _Token:
+        if not self.at(kind):
+            self._err(f"expected {kind!r}")
         return self.next()
 
-    def at(self, kind: str, text: str | None = None) -> bool:
+    def at(self, kind: str) -> bool:
         t = self.peek()
-        return t is not None and t.kind == kind and (text is None or t.text == text)
+        return t is not None and t.kind == kind
+
+    def label(self, what: str) -> _Token:
+        """The next token, which must be a word (an id or an int)."""
+        t = self.next()
+        if t.kind not in ("id", "int"):
+            raise SpecError(f"expected {what}", t.line, t.col)
+        return t
+
+    def keyword(self, word: str, message: str) -> _Token:
+        t = self.next()
+        if t.text != word:
+            raise SpecError(message, t.line, t.col)
+        return t
+
+    def items(self, parse_one) -> list:
+        """One or more ``parse_one()`` results separated by commas."""
+        out = [parse_one()]
+        while self.at(","):
+            self.next()
+            out.append(parse_one())
+        return out
+
 
 def parse_spec(text: str, name: str = "", degree_cutoff: int = 30) -> AlgebraSpec:
     """Parse the .qa DSL into a validated :class:`AlgebraSpec`.
@@ -237,81 +240,64 @@ def parse_spec(text: str, name: str = "", degree_cutoff: int = 30) -> AlgebraSpe
 
         file      := fieldDecl quiverDecl relDecl?
         fieldDecl := "field" ("Q" | "F" integer)
-        quiverDecl:= "quiver" "{" "vertices:" idList "arrows:" arrowList? "}"
-        arrow     := id ":" id "->" id
+        quiverDecl:= "quiver" "{" "vertices:" labelList "arrows:" arrowList? "}"
+        arrow     := label ":" label "->" label
         relDecl   := "relations" "{" relList "}"
         rel       := ["-"] term (("+"|"-") term)*
         term      := [coeff "*"] pathExpr
         coeff     := int ["/" int]
         pathExpr  := factor ("*" factor)*
-        factor    := id | "(" pathExpr ")" ["^" int]
+        factor    := label | "(" pathExpr ")" ["^" int]
 
-    A leading integer literal in a term is read as a coefficient, which may
-    be a fraction ``a/b`` with b non-zero in the field.  Identifiers in a
-    path resolve to arrows first, then to vertices (a vertex id denotes the
-    trivial path, which is only legal as a factor, never as a whole relation
-    path).
+    A label is a word of letters, digits and '_'.  A leading integer literal
+    in a term is read as a coefficient, which may be a fraction ``a/b`` with
+    b non-zero in the field.  Labels in a path resolve to arrows first, then
+    to vertices (a vertex denotes the trivial path, which is only legal as a
+    factor, never as a whole relation path).  A power longer than
+    ``degree_cutoff`` is an error: no closure reads a relation path that long.
     """
     p = _Parser(_tokenize(text))
 
-    # field
-    t = p.next()
-    if not (t.kind in ("id", "int") and t.text == "field"):
-        raise SpecError("expected 'field'", t.line, t.col)
+    p.keyword("field", "expected 'field'")
     t = p.next()
     if t.text == "Q":
         fld = Field.rationals()
     elif t.text == "F":
         m = p.expect("int")
         fld = _prime_field(m, m.text)
-    elif t.text.startswith("F") and t.text[1:].isascii() and t.text[1:].isdigit():
+    elif t.text.startswith("F") and _is_int(t.text[1:]):
         fld = _prime_field(t, t.text[1:])
     else:
         raise SpecError(f"unknown field {t.text!r}", t.line, t.col)
 
-    # quiver
-    t = p.next()
-    if t.text != "quiver":
-        raise SpecError("expected 'quiver'", t.line, t.col)
+    quiver_tok = p.keyword("quiver", "expected 'quiver'")
     p.expect("{")
-    kw = p.next()
-    if kw.text != "vertices":
-        raise SpecError("expected 'vertices:'", kw.line, kw.col)
+    p.keyword("vertices", "expected 'vertices:'")
     p.expect(":")
-    vlabels = [p.next().text]
-    while p.at(","):
-        p.next()
-        vlabels.append(p.next().text)
-    kw = p.next()
-    if kw.text != "arrows":
-        raise SpecError("expected 'arrows:'", kw.line, kw.col)
+    vlabels = p.items(lambda: p.label("vertex label").text)
+    kw = p.keyword("arrows", "expected 'arrows:'")
     p.expect(":")
-    arrows: list[Arrow] = []
     vset = {v: i for i, v in enumerate(vlabels)}
     if len(vset) != len(vlabels):
         raise SpecError("duplicate vertex label", kw.line, kw.col)
 
-    def parse_arrow():
-        nm = p.next()
+    def parse_arrow() -> Arrow:
+        nm = p.label("arrow label")
         p.expect(":")
         s = p.next()
         p.expect("->")
         tgt = p.next()
-        for v, tok in ((s.text, s), (tgt.text, tgt)):
-            if v not in vset:
-                raise SpecError(f"unknown vertex {v!r}", tok.line, tok.col)
-        arrows.append(Arrow(nm.text, vset[s.text], vset[tgt.text]))
+        for tok in (s, tgt):
+            if tok.text not in vset:
+                raise SpecError(f"unknown vertex {tok.text!r}", tok.line, tok.col)
+        return Arrow(nm.text, vset[s.text], vset[tgt.text])
 
-    if not p.at("}"):
-        parse_arrow()
-        while p.at(","):
-            p.next()
-            parse_arrow()
+    arrows = [] if p.at("}") else p.items(parse_arrow)
     p.expect("}")
     try:
         quiver = Quiver(tuple(vlabels), tuple(arrows))
     except SpecError as e:
-        raise SpecError(str(e), t.line, t.col) from None
+        raise SpecError(str(e), quiver_tok.line, quiver_tok.col) from None
 
     aidx = {a.label: i for i, a in enumerate(arrows)}
 
@@ -326,17 +312,14 @@ def parse_spec(text: str, name: str = "", degree_cutoff: int = 30) -> AlgebraSpe
                 n = int(e.text)
                 if n < 1:
                     raise SpecError("power must be >= 1", e.line, e.col)
-                total = inner
-                for _ in range(n - 1):
-                    nxt = compose(total, inner)
-                    if nxt is None:
-                        raise SpecError("path power of a non-loop path", e.line, e.col)
-                    total = nxt
-                return total
+                if n > 1 and inner.source != inner.target:
+                    raise SpecError("path power of a non-loop path", e.line, e.col)
+                if n * inner.length > degree_cutoff:
+                    raise SpecError(f"path power of length {n * inner.length} exceeds "
+                                    f"degree_cutoff={degree_cutoff}", e.line, e.col)
+                return Path(inner.source, inner.target, inner.arrows * n)
             return inner
-        t = p.next()
-        if t.kind not in ("id", "int"):
-            raise SpecError("expected path factor", t.line, t.col)
+        t = p.label("path factor")
         if t.text in aidx:
             return arrow_path(quiver, aidx[t.text])
         if t.text in vset:
@@ -348,23 +331,18 @@ def parse_spec(text: str, name: str = "", degree_cutoff: int = 30) -> AlgebraSpe
         while p.at("*"):
             p.next()
             nxt_tok = p.peek()
-            nxt = parse_factor()
-            comp = compose(path, nxt)
-            if comp is None:
+            path = compose(path, parse_factor())
+            if path is None:
                 raise SpecError("paths do not compose (endpoint mismatch)",
                                 nxt_tok.line, nxt_tok.col)
-            path = comp
         return path
 
     def parse_term(sign: int):
         coeff = fld.of_int(sign)
-        t = p.peek()
         # A leading integer literal is always a coefficient and must be
-        # followed by '*'.  (Digit-named vertices therefore cannot start a
-        # path term; admissible relations never need that anyway.)
-        if t is not None and t.kind == "int":
-            p.next()
-            scalar = t.text
+        # followed by '*', so a term whose first arrow is digit-named needs one.
+        if p.at("int"):
+            scalar = p.next().text
             if p.at("/"):
                 p.next()
                 den = p.expect("int")
@@ -376,37 +354,29 @@ def parse_spec(text: str, name: str = "", degree_cutoff: int = 30) -> AlgebraSpe
         path = parse_path_expr()
         return coeff, path
 
+    def parse_rel() -> Relation:
+        sign = 1
+        if p.at("-"):
+            p.next()
+            sign = -1
+        terms = [parse_term(sign)]
+        while p.at("+") or p.at("-"):
+            terms.append(parse_term(1 if p.next().text == "+" else -1))
+        rel = Relation(tuple(terms))
+        try:
+            rel.validate()
+        except SpecError as e:
+            tok = p.toks[p.pos - 1]
+            raise SpecError(str(e), tok.line, tok.col) from None
+        return rel
+
     relations: list[Relation] = []
     if p.peek() is not None:
-        t = p.next()
-        if t.text != "relations":
-            raise SpecError("expected 'relations'", t.line, t.col)
+        p.keyword("relations", "expected 'relations'")
         p.expect("{")
-
-        def parse_rel():
-            terms = []
-            sign = 1
-            if p.at("-"):
-                p.next()
-                sign = -1
-            terms.append(parse_term(sign))
-            while p.at("+") or p.at("-"):
-                s = 1 if p.next().text == "+" else -1
-                terms.append(parse_term(s))
-            rel = Relation(tuple(terms))
-            try:
-                rel.validate()
-            except SpecError as e:
-                tok = p.toks[p.pos - 1]
-                raise SpecError(str(e), tok.line, tok.col) from None
-            relations.append(rel)
-
         # the relations block, when present, must not be empty (drop the
         # whole block instead)
-        parse_rel()
-        while p.at(","):
-            p.next()
-            parse_rel()
+        relations = p.items(parse_rel)
         p.expect("}")
 
     if p.peek() is not None:
@@ -435,26 +405,16 @@ def print_spec(spec: AlgebraSpec) -> str:
         rel_texts = []
         for rel in spec.relations:
             parts = []
-            for k, (c, path) in enumerate(rel.terms):
-                word = "*".join(q.arrows[i].label for i in path.arrows)
-                cstr = str(c)
-                if cstr == "1":
-                    term = word
-                    sign = "+"
-                elif cstr == "-1":
-                    term = word
-                    sign = "-"
-                else:
-                    if cstr.startswith("-"):
-                        sign = "-"
-                        cstr = cstr[1:]
-                    else:
-                        sign = "+"
-                    term = f"{cstr}*{word}"
-                if k == 0:
-                    parts.append(term if sign == "+" else "-" + term)
-                else:
-                    parts.append(f" {sign} {term}")
+            for c, path in rel.terms:
+                labels = [q.arrows[i].label for i in path.arrows]
+                mag = str(c).removeprefix("-")
+                sign = "+" if mag == str(c) else "-"
+                # a digit-named first arrow keeps its coefficient 1, which
+                # the parser would otherwise read it as
+                if mag != "1" or _is_int(labels[0]):
+                    labels.insert(0, mag)
+                parts.append(f" {sign} " + "*".join(labels) if parts
+                             else sign.strip("+") + "*".join(labels))
             rel_texts.append("".join(parts))
         lines.append("relations { " + ", ".join(rel_texts) + " }")
     return "\n".join(lines) + "\n"

@@ -465,3 +465,37 @@ def restrict_along(images, m):
                         acc[s][t] += c * v
         out.append([[Fraction(v) if p is None else v % p for v in row] for row in acc])
     return out
+
+
+def one_loop_dim(relations):
+    """dim k[x]/I for the ideal I of the polynomial ring k[x] = kQ of one
+    loop x generated by ``relations``, each a list of (coefficient, degree)
+    terms, or None when kQ/I is not admissible.  I is generated by the gcd
+    g of the relations, and kQ/I is admissible iff g is a scalar times x^a,
+    when its basis is 1, x, ..., x^(a-1).  Euclid over Fraction."""
+    def poly(terms):
+        out = [Fraction(0)] * (max(d for _, d in terms) + 1)
+        for c, d in terms:
+            out[d] += c
+        while out and out[-1] == 0:
+            out.pop()
+        return out
+
+    def remainder(f, g):
+        f = list(f)
+        while len(f) >= len(g):
+            q, shift = f[-1] / g[-1], len(f) - len(g)
+            for k, c in enumerate(g):
+                f[shift + k] -= q * c
+            while f and f[-1] == 0:
+                f.pop()
+        return f
+
+    g = []
+    for terms in relations:
+        f = poly(terms)
+        while f:
+            g, f = f, remainder(g, f)
+    if not g or any(g[:-1]):
+        return None
+    return len(g) - 1

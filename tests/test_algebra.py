@@ -13,7 +13,7 @@ from homkit.modules import Module
 from homkit.presentation import parse_spec, spec_of_fixture
 from homkit.recollement import aea_dimension
 from _oracles import (cartan_counts_from_words, dense_rank, dense_rref,
-                      monomial_normal_words, radical_generators)
+                      monomial_normal_words, one_loop_dim, radical_generators)
 
 
 def test_fixture_dimensions_and_bases(fixture_algebras):
@@ -498,6 +498,50 @@ def test_inhomogeneous_multi_degree_window():
     assert xxi not in a.mult[xi]
     assert xi not in a.mult[xxi]
     assert validate(a).ok
+
+
+def test_window_imposes_the_short_term_of_a_long_relation():
+    # x^2 = x^5 with x^3 = 0: x^2 = x^5 = 0, so A = k[x]/(x^2).  The window
+    # must reach x^5 before it stops, or x^2 survives as a basis word
+    a = from_quiver(parse_spec("""
+        field Q
+        quiver { vertices: 1  arrows: x: 1 -> 1 }
+        relations { x*x*x, x*x - (x)^5 }
+    """))
+    assert a.labels == ["e1", "x"]
+    assert validate(a).ok
+
+
+def _one_loop_text(relations):
+    def rel(terms):
+        out = ""
+        for c, d in terms:
+            sign = "-" if c < 0 else "+"
+            out += (f" {sign} " if out else sign.strip("+")) + f"{abs(c)}*(x)^{d}"
+        return out
+    return ("field Q quiver { vertices: 1 arrows: x: 1 -> 1 } relations { "
+            + ", ".join(map(rel, relations)) + " }")
+
+
+def test_one_loop_presentations_match_the_gcd_oracle():
+    # kQ = k[x] for one loop x, so kQ/I is k[x]/(gcd of the relations),
+    # admissible iff the gcd is a power of x; terms may repeat a degree.
+    # With degrees at most 7, every window here that stops does so below
+    # degree_cutoff=16; at the default cutoff 30 the outcomes are the same
+    rng = random.Random(36)
+    admissible = 0
+    for _ in range(1500):
+        relations = [[(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(2, 7))
+                      for _ in range(rng.randint(1, 3))] for _ in range(rng.randint(1, 3))]
+        want = one_loop_dim(relations)
+        text = _one_loop_text(relations)
+        try:
+            got = from_quiver(parse_spec(text, degree_cutoff=16)).dim
+        except NotFiniteDimensionalError:
+            got = None
+        assert got == want, text
+        admissible += want is not None
+    assert 1000 < admissible < 1400
 
 
 def test_inhomogeneous_two_vertex_window(monkeypatch):

@@ -41,6 +41,15 @@ def test_cartan_from_file(tmp_path, capsys):
     assert code == 0 and "det = 1" in out
 
 
+def test_cartan_of_an_inhomogeneous_one_loop_file(tmp_path, capsys):
+    # x^3 = 0 and x^2 = x^5 give k[x]/(x^2), whose Cartan matrix is [2]
+    f = tmp_path / "loop.qa"
+    f.write_text("field Q\nquiver { vertices: 1  arrows: x: 1 -> 1 }\n"
+                 "relations { x*x*x, x*x - (x)^5 }\n")
+    code, out, _ = run_cli(capsys, "cartan", str(f))
+    assert code == 0 and "  [2]\ndet = 2\n" in out
+
+
 def test_basis(capsys):
     code, out, _ = run_cli(capsys, "basis", "FIX-TP2")
     assert code == 0

@@ -9,7 +9,7 @@ from homkit import cli, corpus, invariants
 from homkit import modules as modules_mod
 from homkit.algebra import from_quiver, opposite, tensor, triangular
 from homkit.corpus import CorpusSpec, generate
-from homkit.invariants import (cartan_matrix, eilenberg_check, euler_matrix,
+from homkit.invariants import (EilenbergReport, cartan_matrix, eilenberg_check, euler_matrix,
                                finite_gldim, gldim, gorenstein,
                                self_injective_dimension, smooth, two_point_criterion)
 from homkit.linalg import IntMatrix
@@ -172,6 +172,13 @@ def test_eilenberg(a2, tp11):
     assert rep.applicable and rep.det == 1 and rep.conjecture_holds
     rep2 = eilenberg_check(tp11, 12)
     assert not rep2.applicable
+
+
+@pytest.mark.parametrize("det, holds", [(1, True), (-1, False), (None, None)])
+def test_eilenberg_report_reads_plus_one_only(det, holds):
+    # the Cartan determinant conjecture asks for det C = +1; Eilenberg's
+    # det C = -1 would still be a counterexample
+    assert EilenbergReport("0", det).conjecture_holds is holds
 
 
 def test_two_point_criterion(fixture_algebras):

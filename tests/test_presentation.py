@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from homkit.linalg import Field
-from homkit.presentation import (Path, SpecError, compose,
+from homkit.presentation import (_FIXTURE_TEXTS, Path, SpecError, _tp1_text, compose,
                                  enumerate_paths, parse_spec, print_spec,
                                  spec_of_fixture, trivial_path)
 from _oracles import adjacency_path_counts
@@ -219,10 +221,46 @@ def test_parser_rejects_garbage_gracefully():
         "field Q quiver { vertices: 1 arrows: x: 1 -> 1 } relations { 3 }",
         "field Q quiver { vertices: 1 arrows: x: 1 -> 1 } relations { + }",
         "field Q quiver { vertices: 1 arrows: x: 1 -> 1 } relations { x*x ~ }",
+        # labels are words: neither ',' nor '(' names a vertex, '-' no arrow
+        "field Q quiver { vertices: ,, ( arrows: }",
+        "field Q quiver { vertices: a arrows: -: a -> a }",
     ]
     for text in bad_inputs:
-        with pytest.raises(SpecError):
+        with pytest.raises(SpecError) as exc:
             parse_spec(text)
+        assert exc.value.line is not None and exc.value.col is not None, text
+
+
+def test_print_round_trip_with_digit_named_arrows():
+    # a leading int is read as a coefficient, so the printer keeps the 1
+    # in front of a digit-named first arrow
+    s = parse_spec("""
+        field Q
+        quiver { vertices: a, b  arrows: 1: a -> b, 2: b -> a }
+        relations { (1*2)^2, 1*(2*1) }
+    """)
+    printed = print_spec(s)
+    assert printed.endswith("relations { 1*1*2*1*2, 1*2*1 }\n")
+    s2 = parse_spec(printed)
+    assert (s2.field, s2.quiver, s2.relations) == (s.field, s.quiver, s.relations)
+    assert print_spec(s2) == printed
+
+
+def test_path_power_is_built_at_once_and_bounded_by_the_cutoff():
+    loop = "field Q quiver {{ vertices: 1 arrows: x: 1 -> 1, y: 1 -> 1 }} relations {{ {} }}"
+    (_, path), = parse_spec(loop.format("(x*y)^15")).relations[0].terms
+    assert path.arrows == (0, 1) * 15
+    # one copy of the arrows per power, not one composition per factor
+    (_, path), = parse_spec(loop.format("(x)^100000"), degree_cutoff=100000).relations[0].terms
+    assert path.length == 100000
+    # neither closure reads a relation path longer than degree_cutoff
+    with pytest.raises(SpecError, match="^line 1, col 79: path power of length 32 "
+                                        "exceeds degree_cutoff=30$"):
+        parse_spec(loop.format("(x*y)^16"))
+    with pytest.raises(SpecError, match="col 77: path power of length 1000000000 exceeds"):
+        parse_spec(loop.format("(x)^1000000000"))
+    with pytest.raises(SpecError, match="col 69: path power of a non-loop path"):
+        parse_spec("field Q quiver { vertices: 1, 2 arrows: a: 1 -> 2 } relations { (a)^2 }")
 
 
 def test_round_trip_with_coefficients():
@@ -260,3 +298,38 @@ def test_zero_denominator_is_a_located_error(field, den):
     text = f"field {field}\nquiver {{ vertices: 1  arrows: x: 1 -> 1 }}\nrelations {{ 1/{den}*x*x }}"
     with pytest.raises(SpecError, match=f"line 3, col 15: zero denominator in '1/{den}'"):
         parse_spec(text)
+
+
+_EDIT_CHARS = "{}:,+-*/()^#\n\t ->_axbyQF0123456789\u00b2\u00e9~!"
+
+
+def _edited(rng, text):
+    """text after one to three single-character inserts, deletes or replaces."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        op = rng.choice("idr") if i < len(text) else "i"
+        keep = text[i + 1:] if op in "dr" else text[i:]
+        text = text[:i] + ("" if op == "d" else rng.choice(_EDIT_CHARS)) + keep
+    return text
+
+
+def test_edited_fixtures_fail_located_or_round_trip():
+    # every seeded edit of a fixture text either fails with a located
+    # SpecError or parses to a spec whose printed text parses back to the
+    # same spec and prints byte for byte the same
+    rng = random.Random(36)
+    texts = list(_FIXTURE_TEXTS.values()) + [_tp1_text(n) for n in (1, 2, 3)]
+    parsed = 0
+    for _ in range(4000):
+        text = _edited(rng, rng.choice(texts))
+        try:
+            s = parse_spec(text)
+        except SpecError as e:
+            assert e.line is not None and e.col is not None, (text, str(e))
+            continue
+        parsed += 1
+        printed = print_spec(s)
+        s2 = parse_spec(printed)
+        assert (s2.field, s2.quiver, s2.relations) == (s.field, s.quiver, s.relations), text
+        assert print_spec(s2) == printed, text
+    assert parsed > 100

@@ -70,6 +70,23 @@ def test_stratifying_fixture_verdicts(a2, tp11):
     assert v4.kind == "no"
 
 
+@pytest.mark.parametrize("seed, index, quotients, e, describe, pds", [
+    (42, 12, [], [1, 2], "No (Tor_1 != 0)", ("finite", None)),
+    (7, 19, [], [0, 1], "Unknown (resolution not terminated at cutoff 12)",
+     ("infinite", "infinite")),
+    (24, 27, [[0], [4]], [0, 2], "No (Tor_1 != 0)", ("finite", None)),
+], ids=["nilcyc-42-12", "nilcyc-7-19", "quot-quot-nilcyc-24-27"])
+def test_stratifying_verdicts_of_corpus_algebras(seed, index, quotients, e, describe, pds):
+    # the degree-0 dimensions agree, so each verdict is read off Tor alone
+    a = generate(CorpusSpec(seed=seed, count=30, shape="NilpotentCyclic"), index)
+    for vertices in quotients:
+        a = quotient_by_idempotent_ideal(a, vertices)
+    v = stratifying_check(a, e, 12)
+    assert v.tensor_dim == v.aea_dim
+    assert v.describe() == describe
+    assert (v.pd_Ae.kind, v.pd_eA and v.pd_eA.kind) == pds
+
+
 def test_stratifying_direct_span_oracle(a2):
     # oracle: brute-force span of all products u*e_s*v against the tensor dim
     F = a2.field
